@@ -11,7 +11,9 @@
  *     real app corpus;
  *   - the interpreter: host nanoseconds per simulated bytecode
  *     instruction on a CallVirt-heavy loop;
- *   - the event queue: schedule/cancel/fire operations per second.
+ *   - the event queue: schedule/cancel/fire operations per second;
+ *   - function-VM heap set-up: construct a function-sized Heap, make
+ *     its first allocation, destroy it.
  *
  * It also runs a short workload against each application (vanilla
  * server) and reports the endpoint-wide inline-cache hit rate and
@@ -30,12 +32,14 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "core/config.h"
 #include "harness/report.h"
 #include "sim/event_queue.h"
 #include "support/logging.h"
 #include "telemetry/export.h"
 #include "vm/code_builder.h"
 #include "vm/context.h"
+#include "vm/heap.h"
 #include "vm/interpreter.h"
 
 using namespace beehive;
@@ -261,6 +265,46 @@ benchEventQueue(uint64_t target_ops)
     return r;
 }
 
+/** Host cost of one function VM's heap lifetime. */
+struct HeapResult
+{
+    uint64_t vms = 0;
+    std::size_t reserved_bytes = 0; //!< closure + two semispaces
+    double ns_per_vm = 0.0;
+};
+
+/**
+ * Construct a Heap at the default function-VM sizes, make its first
+ * allocation (a closure object, as closure installation does) and
+ * destroy it -- the heap share of every simulated instance boot.
+ */
+HeapResult
+benchHeapConstruct(uint64_t vms)
+{
+    vm::Program program;
+    vm::Klass node;
+    node.name = "Node";
+    node.fields = {"next", "val"};
+    vm::KlassId node_k = program.addKlass(node);
+    core::BeeHiveConfig defaults;
+
+    Clock::time_point t0 = Clock::now();
+    for (uint64_t i = 0; i < vms; ++i) {
+        vm::Heap heap(program, defaults.function_closure_bytes,
+                      defaults.function_alloc_bytes);
+        bh_assert(heap.allocPlain(node_k, true) != vm::kNullRef,
+                  "first allocation failed");
+    }
+    double ns = elapsedNs(t0);
+
+    HeapResult r;
+    r.vms = vms;
+    r.reserved_bytes = defaults.function_closure_bytes +
+                       2 * defaults.function_alloc_bytes;
+    r.ns_per_vm = ns / static_cast<double>(vms);
+    return r;
+}
+
 /** Endpoint-wide inline-cache numbers after a real workload. */
 struct CorpusResult
 {
@@ -343,6 +387,7 @@ main(int argc, char **argv)
     const uint64_t dispatch_target = args.quick ? 200000 : 2000000;
     const uint64_t interp_iters = args.quick ? 100000 : 1000000;
     const uint64_t event_ops = args.quick ? 500000 : 5000000;
+    const uint64_t heap_vms = args.quick ? 2000 : 20000;
 
     // A real app program gives the dispatch bench an honest corpus
     // (deep framework hierarchies, many names).
@@ -357,6 +402,7 @@ main(int argc, char **argv)
         benchDispatch(corpus_bed.program(), dispatch_target);
     InterpResult interp = benchInterpreter(interp_iters);
     EventResult events = benchEventQueue(event_ops);
+    HeapResult heaps = benchHeapConstruct(heap_vms);
 
     std::vector<CorpusResult> corpus;
     uint64_t hits = 0, misses = 0;
@@ -398,6 +444,10 @@ main(int argc, char **argv)
     std::printf("event queue: %llu ops, %.2f ns/op, %.0f events/s\n",
                 static_cast<unsigned long long>(events.operations),
                 events.ns_per_op, events.events_per_sec);
+    std::printf("heap_construct: %llu function VMs (%zu MB reserved), "
+                "%.0f ns/VM\n",
+                static_cast<unsigned long long>(heaps.vms),
+                heaps.reserved_bytes >> 20, heaps.ns_per_vm);
     for (const CorpusResult &r : corpus) {
         std::printf("app %-9s: IC hit rate %.4f (%llu/%llu), "
                     "%zu sites, %.1f%% monomorphic\n",
@@ -445,6 +495,12 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(
                          events.operations),
                      events.ns_per_op, events.events_per_sec);
+        std::fprintf(json,
+                     "  \"heap_construct\": {\"vms\": %llu, "
+                     "\"reserved_bytes\": %zu, "
+                     "\"ns_per_vm\": %.1f},\n",
+                     static_cast<unsigned long long>(heaps.vms),
+                     heaps.reserved_bytes, heaps.ns_per_vm);
         std::fprintf(json, "  \"apps\": [\n");
         for (std::size_t i = 0; i < corpus.size(); ++i) {
             const CorpusResult &r = corpus[i];
@@ -471,10 +527,11 @@ main(int argc, char **argv)
     }
 
     std::printf("PERF dispatch_speedup=%.2f ns_per_instr=%.2f "
-                "events_per_sec=%.0f ic_hit_rate=%.4f "
-                "mono_fraction=%.4f\n",
+                "events_per_sec=%.0f heap_ns_per_vm=%.0f "
+                "ic_hit_rate=%.4f mono_fraction=%.4f\n",
                 dispatch.speedup, interp.ns_per_instruction,
-                events.events_per_sec, corpus_hit_rate, corpus_mono);
+                events.events_per_sec, heaps.ns_per_vm,
+                corpus_hit_rate, corpus_mono);
     // Nonzero when the headline target is missed (CI gates on it).
     return dispatch.speedup >= 2.0 && json ? 0 : 1;
 }

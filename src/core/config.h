@@ -44,7 +44,11 @@ struct BeeHiveConfig
         return c;
     }();
 
-    /** Server heap sizing. */
+    /**
+     * Server heap sizing. Each space is lazily committed, so these
+     * sizes reserve address space; host time and memory follow the
+     * bytes the server heap actually touches.
+     */
     std::size_t server_closure_bytes = 4u << 20;
     std::size_t server_alloc_bytes = 32u << 20;
 
@@ -72,8 +76,9 @@ struct BeeHiveConfig
     /**
      * Heap sizes of a function-side VM. Closures and per-request
      * allocations are small (Section 5.6: a few MB of peak heap per
-     * function), so modest arenas keep hundreds of simulated
-     * function VMs affordable in one process.
+     * function). Spaces are lazily committed, so a size costs
+     * address space, not host time: a function VM boots and stays
+     * resident for the pages it touches, whatever it reserves.
      */
     std::size_t function_closure_bytes = 6u << 20;
     std::size_t function_alloc_bytes = 6u << 20;

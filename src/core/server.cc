@@ -1,9 +1,9 @@
 #include "core/server.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "support/logging.h"
-#include "support/strutil.h"
 #include "vm/analysis.h"
 #include "vm/verifier.h"
 
@@ -31,12 +31,25 @@ tryMaterializeDbResponse(vm::VmContext &ctx, const db::Request &req,
             arr_k, static_cast<uint32_t>(resp.rows.size()));
         if (arr == vm::kNullRef)
             return std::nullopt;
+        // Wire format per row: "<id>|k1=v1|k2=v2..." in field-key
+        // order. One buffer, sized exactly, is reused for every row.
+        std::string wire;
         for (std::size_t i = 0; i < resp.rows.size(); ++i) {
             const db::Row &row = resp.rows[i];
-            std::string wire = strprintf("%lld", static_cast<long long>(
-                                                     row.id));
+            char id[24];
+            char *id_end = std::to_chars(id, id + sizeof(id), row.id).ptr;
+            std::size_t size = static_cast<std::size_t>(id_end - id);
             for (const auto &[k, v] : row.fields)
-                wire += "|" + k + "=" + v;
+                size += 2 + k.size() + v.size();
+            wire.clear();
+            wire.reserve(size);
+            wire.append(id, id_end);
+            for (const auto &[k, v] : row.fields) {
+                wire += '|';
+                wire += k;
+                wire += '=';
+                wire += v;
+            }
             vm::Ref cell = heap.allocBytes(bytes_k, wire);
             if (cell == vm::kNullRef)
                 return std::nullopt;

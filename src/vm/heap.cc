@@ -1,7 +1,12 @@
 #include "vm/heap.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
+#include <limits>
+#include <utility>
 
 #include "support/logging.h"
 #include "support/strutil.h"
@@ -19,16 +24,52 @@ alignUp(uint32_t bytes)
 } // namespace
 
 Space::Space(uint8_t id, std::size_t capacity)
-    : id_(id), mem_(capacity), top_(firstOffset())
+    : id_(id), mem_(nullptr), capacity_(capacity), top_(firstOffset())
 {
     bh_assert(capacity > firstOffset(), "space too small");
+    // Anonymous private pages read zero until first written and are
+    // committed one at a time on first touch, so the arena costs
+    // host time and memory only for the bytes the heap touches.
+    void *mem = mmap(nullptr, capacity, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (mem == MAP_FAILED) {
+        panic("cannot map %zu bytes for heap space %u: %s", capacity, id,
+              std::strerror(errno));
+    }
+    mem_ = static_cast<uint8_t *>(mem);
+}
+
+Space::~Space()
+{
+    if (mem_)
+        munmap(mem_, capacity_);
+}
+
+Space::Space(Space &&other) noexcept
+    : id_(other.id_), mem_(std::exchange(other.mem_, nullptr)),
+      capacity_(std::exchange(other.capacity_, 0)), top_(other.top_)
+{
+}
+
+Space &
+Space::operator=(Space &&other) noexcept
+{
+    if (this != &other) {
+        if (mem_)
+            munmap(mem_, capacity_);
+        id_ = other.id_;
+        mem_ = std::exchange(other.mem_, nullptr);
+        capacity_ = std::exchange(other.capacity_, 0);
+        top_ = other.top_;
+    }
+    return *this;
 }
 
 uint64_t
 Space::alloc(uint32_t bytes)
 {
     bytes = alignUp(bytes);
-    if (top_ + bytes > mem_.size())
+    if (top_ + bytes > capacity_)
         return 0;
     uint64_t offset = top_;
     top_ += bytes;
@@ -38,19 +79,19 @@ Space::alloc(uint32_t bytes)
 uint8_t *
 Space::at(uint64_t offset)
 {
-    bh_assert(offset >= firstOffset() && offset < mem_.size(),
+    bh_assert(offset >= firstOffset() && offset < capacity_,
               "offset %llu out of space %u",
               static_cast<unsigned long long>(offset), id_);
-    return mem_.data() + offset;
+    return mem_ + offset;
 }
 
 const uint8_t *
 Space::at(uint64_t offset) const
 {
-    bh_assert(offset >= firstOffset() && offset < mem_.size(),
+    bh_assert(offset >= firstOffset() && offset < capacity_,
               "offset %llu out of space %u",
               static_cast<unsigned long long>(offset), id_);
-    return mem_.data() + offset;
+    return mem_ + offset;
 }
 
 CardTable::CardTable(std::size_t space_capacity)
@@ -136,21 +177,36 @@ Heap::rawAlloc(uint8_t space_id, uint32_t total_bytes)
 
 Ref
 Heap::allocObject(uint8_t space_id, KlassId klass, ObjKind kind,
-                  uint32_t count, uint32_t payload_bytes)
+                  uint64_t count, uint64_t payload_bytes)
 {
-    uint32_t total =
-        alignUp(static_cast<uint32_t>(sizeof(ObjHeader)) + payload_bytes);
+    // Sizes stay 64-bit until they are known to fit: an object can
+    // never outgrow its space, nor the header's 32-bit size field.
+    // Such a request is a bug, not heap pressure: returning kNullRef
+    // would make the caller collect and retry forever.
+    uint64_t limit = std::min<uint64_t>(
+        space(space_id).capacity() - Space::firstOffset(),
+        std::numeric_limits<uint32_t>::max());
+    if (payload_bytes > limit ||
+        ((sizeof(ObjHeader) + payload_bytes + 7) & ~uint64_t{7}) > limit) {
+        panic("object of %llu payload bytes (count %llu) can never fit "
+              "in heap space %u of %zu bytes",
+              static_cast<unsigned long long>(payload_bytes),
+              static_cast<unsigned long long>(count), space_id,
+              space(space_id).capacity());
+    }
+    uint32_t total = alignUp(static_cast<uint32_t>(
+        sizeof(ObjHeader) + payload_bytes));
     Ref ref = rawAlloc(space_id, total);
     if (ref == kNullRef)
         return kNullRef;
     auto *hdr = new (space(space_id).at(refOffset(ref))) ObjHeader();
     hdr->klass = klass;
     hdr->kind = kind;
-    hdr->count = count;
+    hdr->count = static_cast<uint32_t>(count);
     hdr->size = total;
     if (kind != ObjKind::Bytes) {
         Value *s = slots(ref);
-        for (uint32_t i = 0; i < count; ++i)
+        for (uint32_t i = 0; i < hdr->count; ++i)
             s[i] = Value::nil();
     }
     ++stats_.objects_allocated;
@@ -169,19 +225,25 @@ Heap::allocPlain(KlassId klass, bool in_closure)
 }
 
 Ref
-Heap::allocArray(KlassId klass, uint32_t len, bool in_closure)
+Heap::allocArray(KlassId klass, uint64_t len, bool in_closure)
 {
+    // Saturate: a length whose byte size would wrap 64 bits can
+    // never fit either, and allocObject says so.
+    constexpr uint64_t kMaxLen =
+        std::numeric_limits<uint64_t>::max() / sizeof(Value);
+    uint64_t payload = len > kMaxLen
+                           ? std::numeric_limits<uint64_t>::max()
+                           : len * sizeof(Value);
     return allocObject(in_closure ? kClosureSpaceId : alloc_space_,
-                       klass, ObjKind::Array, len, len * sizeof(Value));
+                       klass, ObjKind::Array, len, payload);
 }
 
 Ref
 Heap::allocBytes(KlassId klass, std::string_view data, bool in_closure)
 {
     Ref ref = allocObject(in_closure ? kClosureSpaceId : alloc_space_,
-                          klass, ObjKind::Bytes,
-                          static_cast<uint32_t>(data.size()),
-                          static_cast<uint32_t>(data.size()));
+                          klass, ObjKind::Bytes, data.size(),
+                          data.size());
     if (ref == kNullRef)
         return kNullRef;
     std::memcpy(space(refSpace(ref)).at(refOffset(ref)) +

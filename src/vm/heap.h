@@ -14,6 +14,11 @@
  * A 512-byte card table covers the closure space so the collector
  * only scans cards known to contain closure->allocation references.
  *
+ * Each space is its own anonymous private mapping. The kernel commits
+ * (and zero-fills) a page on first touch, so a space's capacity
+ * reserves address space only; host time and resident memory follow
+ * the bytes the simulation actually touches (DESIGN.md §14.6).
+ *
  * Objects are laid out in the arenas as a fixed header followed by
  * either tagged value slots (plain objects, arrays) or raw bytes
  * (strings/blobs). All addressing goes through Ref (see value.h).
@@ -62,11 +67,23 @@ struct ObjHeader
 
 static_assert(sizeof(ObjHeader) == 24, "header layout drifted");
 
-/** One contiguous arena. Offsets start at 8 so 0 stays null. */
+/**
+ * One contiguous arena. Offsets start at 8 so 0 stays null.
+ *
+ * The arena is mapped at construction and unmapped on destruction;
+ * untouched bytes read zero. Move-only: it owns its mapping.
+ */
 class Space
 {
   public:
+    /** Panics (with @p capacity in the message) if mapping fails. */
     Space(uint8_t id, std::size_t capacity);
+    ~Space();
+
+    Space(Space &&other) noexcept;
+    Space &operator=(Space &&other) noexcept;
+    Space(const Space &) = delete;
+    Space &operator=(const Space &) = delete;
 
     /**
      * Bump-allocate @p bytes (8-aligned).
@@ -79,7 +96,7 @@ class Space
 
     uint8_t id() const { return id_; }
     std::size_t used() const { return top_; }
-    std::size_t capacity() const { return mem_.size(); }
+    std::size_t capacity() const { return capacity_; }
 
     /** Offset where iteration of allocated objects begins. */
     static constexpr uint64_t firstOffset() { return 8; }
@@ -89,7 +106,8 @@ class Space
 
   private:
     uint8_t id_;
-    std::vector<uint8_t> mem_;
+    uint8_t *mem_;
+    std::size_t capacity_;
     std::size_t top_;
 };
 
@@ -151,13 +169,18 @@ class Heap
     Heap(const Program &program, std::size_t closure_capacity,
          std::size_t alloc_capacity);
 
-    /** @name Allocation */
+    /**
+     * @name Allocation
+     * Each returns kNullRef when the target space is too full right
+     * now (a GC may make room) and panics when the object could never
+     * fit in that space.
+     */
     /// @{
     /** Allocate a plain object of @p klass (fields nil-initialised). */
     Ref allocPlain(KlassId klass, bool in_closure = false);
 
     /** Allocate an array of @p len tagged slots. */
-    Ref allocArray(KlassId klass, uint32_t len, bool in_closure = false);
+    Ref allocArray(KlassId klass, uint64_t len, bool in_closure = false);
 
     /** Allocate a byte object holding a copy of @p data. */
     Ref allocBytes(KlassId klass, std::string_view data,
@@ -198,7 +221,10 @@ class Heap
     CardTable &cards() { return cards_; }
     const CardTable &cards() const { return cards_; }
 
-    /** True when an allocation of @p bytes would fail. */
+    /**
+     * True when allocating an object of @p slots tagged slots in the
+     * active semispace would fail.
+     */
     bool allocWouldFail(uint32_t slots) const;
 
     /** Raw allocation in a specific space (collector use). */
@@ -244,8 +270,13 @@ class Heap
     std::string describe(Ref r) const;
 
   private:
+    /**
+     * Carve out and initialise one object. Returns kNullRef when the
+     * space is currently too full; panics when the object could never
+     * fit in it (a GC would not help, so HeapFull would loop).
+     */
     Ref allocObject(uint8_t space_id, KlassId klass, ObjKind kind,
-                    uint32_t count, uint32_t payload_bytes);
+                    uint64_t count, uint64_t payload_bytes);
 
     Value *slots(Ref r);
     const Value *slots(Ref r) const;

@@ -426,7 +426,7 @@ Interpreter::step(Suspend &out)
         Value len = peek();
         bh_assert(len.isInt() && len.asInt() >= 0, "bad array length");
         Ref r = ctx_.heap().allocArray(
-            k, static_cast<uint32_t>(len.asInt()));
+            k, static_cast<uint64_t>(len.asInt()));
         if (r == kNullRef) {
             out.kind = Suspend::Kind::HeapFull;
             return StepResult::Suspended;

@@ -946,5 +946,44 @@ TEST_F(CoreTest, MaterializeDbResponseShapes)
               1);
 }
 
+TEST_F(CoreTest, MaterializedRowWireFormatIsPinned)
+{
+    makeServer();
+    db::Request scan(db::OpKind::Scan, "t", 0);
+    db::Response resp;
+    resp.ok = true;
+    db::Row multi;
+    multi.id = 42;
+    // Inserted out of order: the wire follows the fields' key order.
+    multi.fields["title"] = "t1";
+    multi.fields["author"] = "ann";
+    multi.fields["body"] = "x=y|z";
+    resp.rows.push_back(multi);
+    db::Row negative;
+    negative.id = -9223372036854775807LL - 1;
+    negative.fields["k"] = "v";
+    resp.rows.push_back(negative);
+    db::Row bare;
+    bare.id = 0;
+    resp.rows.push_back(bare);
+    db::Row empties;
+    empties.id = -7;
+    empties.fields["a"] = "";
+    empties.fields[""] = "";
+    resp.rows.push_back(empties);
+
+    Value v = materializeDbResponse(server->context(), scan, resp);
+    ASSERT_TRUE(v.isRef());
+    vm::Heap &heap = server->heap();
+    ASSERT_EQ(heap.count(v.asRef()), 4u);
+    auto cell = [&](uint32_t i) {
+        return std::string(heap.bytes(heap.elem(v.asRef(), i).asRef()));
+    };
+    EXPECT_EQ(cell(0), "42|author=ann|body=x=y|z|title=t1");
+    EXPECT_EQ(cell(1), "-9223372036854775808|k=v");
+    EXPECT_EQ(cell(2), "0");
+    EXPECT_EQ(cell(3), "-7|=|a=");
+}
+
 } // namespace
 } // namespace beehive::core

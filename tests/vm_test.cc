@@ -6,6 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
+#include <memory>
+#include <string>
+#include <type_traits>
+#include <vector>
+
 #include "vm/code_builder.h"
 #include "vm/context.h"
 #include "vm/heap.h"
@@ -331,6 +338,160 @@ TEST_F(VmTest, HeapStatsTrackAllocations)
     EXPECT_EQ(heap->stats().objects_allocated, 2u);
     EXPECT_GT(heap->stats().bytes_allocated, 0u);
     EXPECT_GE(heap->stats().peak_used, heap->usedBytes() - 16);
+}
+
+TEST_F(VmTest, FittingRequestsStillFailSoftWhenSpaceIsFull)
+{
+    makeContext();
+    Heap tiny(program, 4096, 256);
+    while (tiny.allocPlain(point_k) != kNullRef) {
+    }
+    // 8 slots fit the empty semispace, so a GC could make room: the
+    // caller sees kNullRef (HeapFull), not a panic.
+    EXPECT_EQ(tiny.allocArray(array_k, 8), kNullRef);
+    EXPECT_TRUE(tiny.allocWouldFail(8));
+}
+
+TEST_F(VmTest, ObjectsThatCanNeverFitPanic)
+{
+    makeContext();
+    // 2^29 slots are 8 GiB, which wraps to 0 in 32 bits: a narrowed
+    // size would carve out a header-only object and nil-fill past it.
+    EXPECT_DEATH(heap->allocArray(array_k, uint64_t{1} << 29),
+                 "object of 8589934592 payload bytes \\(count 536870912\\) "
+                 "can never fit in heap space 1");
+    // As many slots as the whole semispace has bytes / sizeof(Value).
+    EXPECT_DEATH(heap->allocArray(array_k, (1 << 20) / sizeof(Value)),
+                 "can never fit in heap space 1 of 1048576 bytes");
+    EXPECT_DEATH(heap->allocArray(array_k, ~uint64_t{0}, true),
+                 "can never fit in heap space 0");
+    EXPECT_DEATH(heap->allocBytes(bytes_k, std::string(2 << 20, 'x')),
+                 "object of 2097152 payload bytes");
+}
+
+TEST_F(VmTest, NewArrLengthIsNotTruncated)
+{
+    CodeBuilder b(program, object_k, "huge_array", 0);
+    b.pushI((int64_t{1} << 32) + 5).newArr(array_k).arrLen().ret();
+    MethodId m = b.build();
+    makeContext();
+    // Narrowed to 32 bits, a 2^32+5 length would be a 5-slot array.
+    EXPECT_DEATH(callMethod(m),
+                 "object of 68719476816 payload bytes "
+                 "\\(count 4294967301\\) can never fit");
+}
+
+// ---------------------------------------------------------------------
+// Heap arenas: lazily committed anonymous mappings
+// ---------------------------------------------------------------------
+
+static_assert(!std::is_copy_constructible_v<Space> &&
+                  !std::is_copy_assignable_v<Space>,
+              "a Space owns its mapping");
+static_assert(std::is_nothrow_move_constructible_v<Space>,
+              "a Space moves its mapping");
+
+/** Default function-VM space size (BeeHiveConfig::function_*_bytes). */
+constexpr std::size_t kFunctionSpaceBytes = 6u << 20;
+
+TEST_F(VmTest, FreshArenasReadZeroAtBothEnds)
+{
+    makeContext();
+    const uint8_t ids[] = {Heap::kClosureSpaceId, Heap::kAllocAId,
+                           Heap::kAllocBId};
+    Heap fresh(program, kFunctionSpaceBytes, kFunctionSpaceBytes);
+    for (uint8_t id : ids) {
+        const Space &s = fresh.space(id);
+        EXPECT_EQ(*s.at(Space::firstOffset()), 0u) << "space " << int(id);
+        EXPECT_EQ(*s.at(s.capacity() - 1), 0u) << "space " << int(id);
+    }
+
+    // Allocate, reset and allocate again in every space: the new
+    // object is fully initialised and the untouched tail of the arena
+    // still reads zero.
+    for (uint8_t id : ids) {
+        Space &s = fresh.space(id);
+        ASSERT_NE(fresh.rawAlloc(id, 64), kNullRef);
+        s.reset();
+        bool closure = id == Heap::kClosureSpaceId;
+        if (!closure && id != fresh.allocSpaceId())
+            fresh.flipAllocSpace();
+        Ref r = fresh.allocPlain(point_k, closure);
+        ASSERT_EQ(r, makeRef(id, Space::firstOffset()));
+        EXPECT_TRUE(fresh.field(r, 0).isNil()) << "space " << int(id);
+        EXPECT_TRUE(fresh.field(r, 1).isNil()) << "space " << int(id);
+        EXPECT_EQ(*s.at(s.capacity() - 1), 0u) << "space " << int(id);
+    }
+}
+
+TEST(SpaceTest, MoveTransfersTheMapping)
+{
+    Space a(Heap::kAllocAId, 1 << 16);
+    uint64_t off = a.alloc(16);
+    *a.at(off) = 7;
+    Space b(std::move(a));
+    EXPECT_EQ(b.capacity(), std::size_t{1} << 16);
+    EXPECT_EQ(b.used(), Space::firstOffset() + 16);
+    EXPECT_EQ(*b.at(off), 7u);
+    Space c(Heap::kAllocBId, 1 << 12);
+    c = std::move(b);
+    EXPECT_EQ(*c.at(off), 7u);
+    EXPECT_EQ(c.id(), Heap::kAllocAId);
+}
+
+TEST(SpaceTest, UnmappableCapacityPanicsWithTheSize)
+{
+    EXPECT_DEATH(Space(Heap::kAllocAId, std::size_t{1} << 62),
+                 "cannot map 4611686018427387904 bytes for heap space 1");
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kShadowMemory = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kShadowMemory = true;
+#else
+constexpr bool kShadowMemory = false;
+#endif
+#else
+constexpr bool kShadowMemory = false;
+#endif
+
+/** This process's resident set in KiB, from /proc/self/status. */
+long
+residentKiB()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::stol(line.substr(6));
+    }
+    return -1;
+}
+
+TEST_F(VmTest, FunctionSizedHeapsCostOnlyTouchedPages)
+{
+#ifndef __linux__
+    GTEST_SKIP() << "VmRSS comes from Linux /proc";
+#endif
+    if (kShadowMemory)
+        GTEST_SKIP() << "sanitizer shadow memory distorts RSS";
+    makeContext();
+    long before = residentKiB();
+    ASSERT_GT(before, 0);
+    // 64 function VMs reserve 64 x 18 MB = 1152 MB of arenas; each
+    // touches a closure object and an allocation-space object.
+    std::vector<std::unique_ptr<Heap>> heaps;
+    for (int i = 0; i < 64; ++i) {
+        heaps.push_back(std::make_unique<Heap>(
+            program, kFunctionSpaceBytes, kFunctionSpaceBytes));
+        ASSERT_NE(heaps.back()->allocPlain(point_k, true), kNullRef);
+        ASSERT_NE(heaps.back()->allocArray(array_k, 64), kNullRef);
+    }
+    long grown_kib = residentKiB() - before;
+    EXPECT_LT(grown_kib, 32 * 1024)
+        << "64 function-sized heaps grew RSS by " << grown_kib << " KiB";
 }
 
 // ---------------------------------------------------------------------
