@@ -21,7 +21,12 @@ enum class VerifyMode : uint8_t
     Strict, //!< any Error-severity diagnostic is fatal
 };
 
-/** Tunables of the offloading framework. */
+/**
+ * Tunables of the offloading framework. Fixed policy parameters
+ * (retry backoff ceiling and jitter, degradation window, snapshot
+ * store budget, klass fetch overhead, DB reconnect delay) are named
+ * constants in the module that reads them instead.
+ */
 struct BeeHiveConfig
 {
     /**
@@ -83,9 +88,6 @@ struct BeeHiveConfig
     std::size_t function_closure_bytes = 6u << 20;
     std::size_t function_alloc_bytes = 6u << 20;
 
-    /** Per-klass network payload when fetching missing code. */
-    uint32_t klass_fetch_overhead_bytes = 256;
-
     /** Server-side handling cost of one fallback request. */
     sim::SimTime fallback_service = sim::SimTime::usec(40);
 
@@ -119,14 +121,6 @@ struct BeeHiveConfig
     VerifyMode verify_on_load = VerifyMode::Warn;
 
     /**
-     * Refuse OffloadManager::enableRoot for roots the static
-     * offloadability analysis classifies local-only. Off by default:
-     * classification is always computed and logged/counted, but
-     * scheduling behaviour only changes when this is set.
-     */
-    bool refuse_local_only_roots = false;
-
-    /**
      * Prune closure object traversal using the interprocedural
      * capture analysis (vm/analysis.h): plain-object fields no
      * reachable code can read are not shipped. Off by default so
@@ -147,14 +141,6 @@ struct BeeHiveConfig
      */
     bool snapshot_enabled = false;
 
-    /** Snapshot store size budget; least-recently-used endpoint
-     * images are evicted beyond it. */
-    uint64_t snapshot_image_budget_bytes = 1u << 20;
-
-    /** Cold boots an endpoint must fold into its image before the
-     * restore path is taken. */
-    uint32_t snapshot_min_boots = 1;
-
     /**
      * Synthesize a *static* prefetch manifest for every enabled
      * root (vm/reachability_analysis.h): the klass closure and the
@@ -169,16 +155,6 @@ struct BeeHiveConfig
      * path, never correctness.
      */
     bool static_manifests = false;
-
-    /**
-     * Install the FastTrack-style dynamic race oracle
-     * (vm/race_oracle.h) on the server VM: every interpreter then
-     * maintains vector clocks and concrete races are recorded on
-     * the server's oracle. Debug/testing aid; off by default so the
-     * interpreter hot path stays a single null-pointer check and
-     * all experiment output is bit-identical.
-     */
-    bool race_check = false;
 
     /**
      * Install the telemetry tracer (src/telemetry/): causal span
@@ -214,18 +190,11 @@ struct BeeHiveConfig
 
     /**
      * Base delay of the exponential retry backoff (doubled per
-     * attempt, capped by retry_backoff_max, jittered
-     * deterministically by retry_jitter). Zero (the default) retries
-     * synchronously, preserving the legacy recovery ordering.
+     * attempt, capped at 2 s, jittered deterministically by up to
+     * 25%). Zero (the default) retries synchronously, preserving
+     * the legacy recovery ordering.
      */
     sim::SimTime retry_backoff_base;
-
-    /** Ceiling of the exponential retry backoff. */
-    sim::SimTime retry_backoff_max = sim::SimTime::sec(2);
-
-    /** Fractional deterministic jitter applied to each backoff
-     * delay (derived via mix64, no RNG state consumed). */
-    double retry_jitter = 0.25;
 
     /**
      * Consecutive per-instance failures (deadline expiry, crash)
@@ -238,37 +207,13 @@ struct BeeHiveConfig
     /**
      * Automatically lower the effective offload ratio when the
      * FaaS error rate spikes and restore it once flights complete
-     * cleanly again. Off by default: with it off the dispatch path
+     * cleanly again: an error rate of at least half over the last
+     * 16 flights halves the ratio (floored at 5% of the configured
+     * ratio). Off by default: with it off the dispatch path
      * performs no outcome bookkeeping and the offload coin flip is
      * bitwise-identical to prior behaviour.
      */
     bool graceful_degradation = false;
-
-    /** Sliding window of flight outcomes the degradation policy
-     * evaluates. */
-    uint32_t degrade_window = 16;
-
-    /** Error rate within the window that triggers halving the
-     * offload ratio. */
-    double degrade_error_threshold = 0.5;
-
-    /** Floor of the degradation factor (never degrade below this
-     * fraction of the configured ratio). */
-    double degrade_floor = 0.05;
-
-    /** Base backoff before re-issuing a DB operation whose
-     * connection was reset (doubled per attempt, capped at 16x). */
-    sim::SimTime db_retry_backoff = sim::SimTime::usec(400);
-
-    /**
-     * Let the lockset race detector (vm/race_analysis.h) widen
-     * offload admission: monitor sites whose lock provably guards
-     * no shared-written state stop demanding the cross-endpoint
-     * synchronization fallback, upgrading additional roots to
-     * offload-safe. Off by default so classification counts stay
-     * bit-identical unless the deployment opts in.
-     */
-    bool race_admission = false;
 };
 
 } // namespace beehive::core

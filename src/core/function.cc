@@ -10,6 +10,13 @@ namespace beehive::core {
 using vm::Ref;
 using vm::Value;
 
+namespace {
+
+/** Per-klass network payload when fetching missing code. */
+constexpr uint32_t kKlassFetchOverheadBytes = 256;
+
+} // namespace
+
 // ---------------------------------------------------------------------
 // Invocation: the per-request state machine on a function instance.
 // ---------------------------------------------------------------------
@@ -237,8 +244,7 @@ class BeeHiveFunction::Invocation
     {
         const vm::Program &program = fn_.server_.program();
         uint64_t bytes =
-            program.klass(klass).code_bytes +
-            fn_.server_.config().klass_fetch_overhead_bytes;
+            program.klass(klass).code_bytes + kKlassFetchOverheadBytes;
         sim::SimTime latency = serverRtt(64, bytes);
         trace_.countFallback(FallbackKind::MissingCode);
         trace_.fallback_time += latency;
@@ -511,12 +517,8 @@ class BeeHiveFunction::Invocation
             // somehow did land from applying twice.
             ++trace_.db_resets;
             countMetric("fn.db_resets");
-            sim::SimTime backoff =
-                server.config().db_retry_backoff *
-                static_cast<double>(1u << std::min(attempt, 4u));
-            sim::SimTime delay = latency +
-                                 server.proxy().reconnectPenalty() +
-                                 backoff;
+            sim::SimTime delay =
+                latency + server.proxy().reconnectDelay(attempt);
             after(delay, [this, payload = std::move(payload), idem,
                           attempt, sp]() mutable {
                 endSpan(sp);

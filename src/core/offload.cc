@@ -11,6 +11,28 @@ namespace beehive::core {
 
 using vm::Value;
 
+namespace {
+
+/** Ceiling of the exponential retry backoff. */
+constexpr sim::SimTime kRetryBackoffMax = sim::SimTime::sec(2);
+
+/** Fractional deterministic jitter applied to each backoff delay
+ * (derived via mix64, no RNG state consumed). */
+constexpr double kRetryJitter = 0.25;
+
+/** Sliding window of flight outcomes the degradation policy
+ * evaluates. */
+constexpr std::size_t kDegradeWindow = 16;
+
+/** Error rate within the window that halves the offload ratio. */
+constexpr double kDegradeErrorThreshold = 0.5;
+
+/** Floor of the degradation factor (never degrade below this
+ * fraction of the configured ratio). */
+constexpr double kDegradeFloor = 0.05;
+
+} // namespace
+
 OffloadManager::OffloadManager(BeeHiveServer &server,
                                cloud::FaasPlatform &platform)
     : server_(server), platform_(platform),
@@ -72,17 +94,10 @@ OffloadManager::enableRoot(vm::MethodId root,
                            std::vector<Value> sample_args)
 {
     const vm::Program &program = server_.program();
-    vm::OffloadAnalysis analysis(
-        program, server_.config().race_admission);
+    vm::OffloadAnalysis analysis(program);
     vm::RootReport report = analysis.classifyRoot(root);
     inform("offload-analysis: %s",
            toString(report, program).c_str());
-    if (report.vacuous_monitors > 0) {
-        stats_.vacuous_monitors += report.vacuous_monitors;
-        inform("race-admission: %s: %u monitor site(s) vacuous",
-               program.qualifiedName(root).c_str(),
-               report.vacuous_monitors);
-    }
     vm::CaptureSet capture = analysis.captureForRoot(root);
     inform("capture-analysis: %s: %s",
            program.qualifiedName(root).c_str(),
@@ -103,14 +118,6 @@ OffloadManager::enableRoot(vm::MethodId root,
     state.klass = report.klass;
     state.capture = std::move(capture);
     state.has_capture = true;
-    if (report.klass == vm::OffloadClass::LocalOnly &&
-        server_.config().refuse_local_only_roots) {
-        ++stats_.roots_refused;
-        warn("offload-analysis: refusing local-only root %s",
-             program.qualifiedName(root).c_str());
-        state.enabled = false;
-        return;
-    }
     state.enabled = true;
     state.sample_args = std::move(sample_args);
 
@@ -803,22 +810,20 @@ sim::SimTime
 OffloadManager::backoffDelay(uint64_t flight_id,
                              uint32_t attempt) const
 {
-    const BeeHiveConfig &cfg = server_.config();
-    sim::SimTime delay = cfg.retry_backoff_base;
+    sim::SimTime delay = server_.config().retry_backoff_base;
     if (delay == sim::SimTime())
         return delay;
-    for (uint32_t i = 1; i < attempt && delay < cfg.retry_backoff_max;
-         ++i)
+    for (uint32_t i = 1; i < attempt && delay < kRetryBackoffMax; ++i)
         delay = delay * 2.0;
-    if (cfg.retry_backoff_max < delay)
-        delay = cfg.retry_backoff_max;
+    if (kRetryBackoffMax < delay)
+        delay = kRetryBackoffMax;
     // Deterministic jitter: a mix64-derived fraction of (flight,
     // attempt) decorrelates retry storms without consuming any
     // generator state.
     double frac =
         static_cast<double>(mix64(flight_id, attempt) >> 11) *
         (1.0 / 9007199254740992.0);
-    return delay * (1.0 + cfg.retry_jitter * frac);
+    return delay * (1.0 + kRetryJitter * frac);
 }
 
 void
@@ -842,13 +847,12 @@ OffloadManager::releaseFailedInstance(InFlight &flight)
 void
 OffloadManager::noteOutcome(bool ok)
 {
-    const BeeHiveConfig &cfg = server_.config();
-    if (!cfg.graceful_degradation)
+    if (!server_.config().graceful_degradation)
         return;
     outcome_window_.push_back(ok);
-    while (outcome_window_.size() > cfg.degrade_window)
+    while (outcome_window_.size() > kDegradeWindow)
         outcome_window_.pop_front();
-    if (outcome_window_.size() < cfg.degrade_window)
+    if (outcome_window_.size() < kDegradeWindow)
         return;
     std::size_t errors = 0;
     for (bool b : outcome_window_) {
@@ -858,9 +862,9 @@ OffloadManager::noteOutcome(bool ok)
     double rate = static_cast<double>(errors) /
                   static_cast<double>(outcome_window_.size());
     telemetry::Tracer *t = server_.sim().tracer();
-    if (rate >= cfg.degrade_error_threshold) {
+    if (rate >= kDegradeErrorThreshold) {
         degrade_factor_ =
-            std::max(cfg.degrade_floor, degrade_factor_ * 0.5);
+            std::max(kDegradeFloor, degrade_factor_ * 0.5);
         ++stats_.degradations;
         outcome_window_.clear();
         if (t)

@@ -92,10 +92,6 @@ struct OffloadStats
     uint64_t roots_offload_safe = 0;
     uint64_t roots_needs_fallback = 0;
     uint64_t roots_local_only = 0;
-    uint64_t roots_refused = 0; //!< local-only roots refused
-    /** Monitor sites the race detector proved vacuous across
-     * enabled roots (race_admission only). */
-    uint64_t vacuous_monitors = 0;
     /// @}
 };
 
@@ -142,8 +138,7 @@ class OffloadManager
      * arguments for closure construction. Typically fed from
      * Profiler::selectRoots(). Runs the static offloadability
      * analysis on @p root: the classification is logged and
-     * counted in stats(); with config.refuse_local_only_roots a
-     * statically local-only root stays disabled.
+     * counted in stats().
      */
     void enableRoot(vm::MethodId root,
                     std::vector<vm::Value> sample_args);

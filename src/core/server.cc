@@ -11,6 +11,18 @@ namespace beehive::core {
 
 using vm::Value;
 
+namespace {
+
+/** Snapshot store size budget; least-recently-used endpoint images
+ * are evicted beyond it. */
+constexpr uint64_t kSnapshotImageBudgetBytes = 1u << 20;
+
+/** Cold boots an endpoint must fold into its image before the
+ * restore path is taken. */
+constexpr uint32_t kSnapshotMinBoots = 1;
+
+} // namespace
+
 std::optional<Value>
 tryMaterializeDbResponse(vm::VmContext &ctx, const db::Request &req,
                          const db::Response &resp)
@@ -291,12 +303,8 @@ class BeeHiveServer::LocalInvocation
             // reconnect and re-issue with capped exponential backoff.
             if (auto *t = tracer())
                 t->metrics().count("db.resets");
-            sim::SimTime backoff =
-                server_.config().db_retry_backoff *
-                static_cast<double>(1u << std::min(attempt, 4u));
-            sim::SimTime delay = latency +
-                                 server_.proxy().reconnectPenalty() +
-                                 backoff;
+            sim::SimTime delay =
+                latency + server_.proxy().reconnectDelay(attempt);
             server_.sim().after(
                 delay, [this, payload = std::move(payload), idem,
                         attempt, db_span]() mutable {
@@ -342,8 +350,6 @@ class BeeHiveServer::LocalInvocation
             m.count("vm.instructions", is.instructions);
             m.count("vm.calls", is.calls);
             m.count("vm.native_calls", is.native_calls);
-            m.count("vm.ic_hits", is.ic_hits);
-            m.count("vm.ic_misses", is.ic_misses);
             t->end(exec_span_);
         }
         DoneCb done = std::move(done_);
@@ -399,16 +405,8 @@ BeeHiveServer::BeeHiveServer(sim::Simulation &sim, net::Network &net,
         // synthesized manifests live in it and serve the restore
         // path exactly like recorded images.
         snapshots_ = std::make_unique<snapshot::SnapshotStore>(
-            program_, *heap_, config_.snapshot_image_budget_bytes,
-            config_.snapshot_min_boots);
-    }
-
-    if (config_.race_check) {
-        // Dynamic race oracle: every request interpreter on this
-        // VM registers an execution context and reports monitor
-        // and heap-access events (vm/race_oracle.h).
-        race_oracle_ = std::make_unique<vm::RaceOracle>(program_);
-        ctx_->setRaceOracle(race_oracle_.get());
+            program_, *heap_, kSnapshotImageBudgetBytes,
+            kSnapshotMinBoots);
     }
 
     // Verify-on-load (strict = reject, warn = log). The verifier is

@@ -37,7 +37,6 @@
 #include "vm/context.h"
 #include "vm/interpreter.h"
 #include "vm/profiler.h"
-#include "vm/race_oracle.h"
 
 namespace beehive::core {
 
@@ -95,9 +94,6 @@ class BeeHiveServer
 
     /** Telemetry track of this server (0 when telemetry is off). */
     uint32_t track() const { return track_; }
-
-    /** Dynamic race oracle; null unless config.race_check. */
-    vm::RaceOracle *raceOracle() { return race_oracle_.get(); }
     /// @}
 
     /**
@@ -191,7 +187,6 @@ class BeeHiveServer
     PackageableRegistry packageables_;
     std::unique_ptr<gc::SemiSpaceCollector> collector_;
     std::unique_ptr<snapshot::SnapshotStore> snapshots_;
-    std::unique_ptr<vm::RaceOracle> race_oracle_;
 
     std::map<uint16_t, std::unique_ptr<MappingTable>> mappings_;
     std::map<uint16_t, net::EndpointId> fn_nodes_;

@@ -21,6 +21,7 @@
 #ifndef BEEHIVE_PROXY_CONNECTION_PROXY_H
 #define BEEHIVE_PROXY_CONNECTION_PROXY_H
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -162,6 +163,18 @@ class ConnectionProxy
     sim::SimTime reconnectPenalty() const
     {
         return sim::SimTime::usec(350);
+    }
+
+    /**
+     * Delay before re-issuing an operation whose connection was
+     * reset on its @p attempt-th try: one reconnect plus a 400 us
+     * backoff doubled per attempt, capped at 16x.
+     */
+    sim::SimTime reconnectDelay(uint32_t attempt) const
+    {
+        return reconnectPenalty() +
+               sim::SimTime::usec(400) *
+                   static_cast<double>(1u << std::min(attempt, 4u));
     }
 
     /**

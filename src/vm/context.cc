@@ -107,41 +107,4 @@ VmContext::invocations(MethodId id) const
     return it == invocation_counts_.end() ? 0 : it->second;
 }
 
-VmContext::InlineCache &
-VmContext::inlineCache(MethodId m, uint32_t pc)
-{
-    if (ic_lines_.size() <= m) {
-        // Size for the whole program at once so later methods do not
-        // trigger repeated regrowth.
-        std::size_t want = program_.methodCount();
-        if (want <= m)
-            want = static_cast<std::size_t>(m) + 1;
-        ic_lines_.resize(want);
-    }
-    std::vector<InlineCache> &lines = ic_lines_[m];
-    if (lines.size() <= pc) {
-        // One line per instruction of the owning method; sized on the
-        // first CallVirt so methods without virtual calls stay empty.
-        std::size_t want = program_.method(m).code.size();
-        if (want <= pc)
-            want = static_cast<std::size_t>(pc) + 1;
-        lines.resize(want);
-    }
-    return lines[pc];
-}
-
-void
-VmContext::forEachInlineCache(
-    const std::function<void(MethodId, uint32_t, const InlineCache &)>
-        &fn) const
-{
-    for (MethodId m = 0; m < ic_lines_.size(); ++m) {
-        const std::vector<InlineCache> &lines = ic_lines_[m];
-        for (uint32_t pc = 0; pc < lines.size(); ++pc) {
-            if (lines[pc].fills > 0)
-                fn(m, pc, lines[pc]);
-        }
-    }
-}
-
 } // namespace beehive::vm

@@ -159,7 +159,7 @@ class VmContext
     void setNativePolicy(NativePolicy p) { native_policy_ = std::move(p); }
     void setProfiler(Profiler *p) { profiler_ = p; }
     Profiler *profiler() { return profiler_; }
-    /** Dynamic race oracle (race_check knob); null = not tracking. */
+    /** Dynamic race oracle (tests install one); null = not tracking. */
     void setRaceOracle(RaceOracle *o) { race_oracle_ = o; }
     RaceOracle *raceOracle() { return race_oracle_; }
 
@@ -190,43 +190,6 @@ class VmContext
         return v;
     }
 
-    /** @name Inline caches (CallVirt dispatch)
-     *
-     * One monomorphic cache line per CallVirt site, owned by the
-     * endpoint (so caches stay warm across the per-request
-     * interpreters, like compiled call sites in a long-lived JVM).
-     * The interpreter consults the line before touching the frozen
-     * vtable; hits/misses are counted per interpreter in InterpStats
-     * and aggregated here for endpoint-level reporting.
-     */
-    /// @{
-    struct InlineCache
-    {
-        KlassId klass = kNoKlass;   //!< cached receiver klass
-        MethodId method = kNoMethod; //!< resolved target
-        uint32_t fills = 0;          //!< 1 = stayed monomorphic
-    };
-
-    /** Cache line for pc @p pc of method @p m (lazily allocated). */
-    InlineCache &inlineCache(MethodId m, uint32_t pc);
-
-    /** Endpoint-wide dispatch counters (summed over interpreters). */
-    void countDispatch(bool hit)
-    {
-        if (hit)
-            ++ic_hits_;
-        else
-            ++ic_misses_;
-    }
-    uint64_t icHits() const { return ic_hits_; }
-    uint64_t icMisses() const { return ic_misses_; }
-
-    /** Visit every filled cache line (site stats, benches). */
-    void forEachInlineCache(
-        const std::function<void(MethodId, uint32_t,
-                                 const InlineCache &)> &fn) const;
-    /// @}
-
     /** Per-context native invocation census (Table 2). */
     void countNative(NativeCategory cat) { native_counts_[
         static_cast<std::size_t>(cat)]++; }
@@ -256,11 +219,6 @@ class VmContext
     RaceOracle *race_oracle_ = nullptr;
     bool force_local_native_ = false;
     std::array<uint64_t, 4> native_counts_{};
-
-    /** ic_lines_[method][pc]: flat per-site cache lines. */
-    std::vector<std::vector<InlineCache>> ic_lines_;
-    uint64_t ic_hits_ = 0;
-    uint64_t ic_misses_ = 0;
 };
 
 } // namespace beehive::vm

@@ -595,24 +595,7 @@ Interpreter::step(Suspend &out)
             return StepResult::Suspended;
         Ref recv = peek(nargs - 1).asRef();
         KlassId k = ctx_.heap().header(recv).klass;
-        // Per-site monomorphic inline cache: the common case (same
-        // receiver klass as last time at this pc) skips even the
-        // frozen-vtable load. The charge below models the original
-        // vtable walk, so the accounting is unchanged either way.
-        VmContext::InlineCache &ic = ctx_.inlineCache(f.method, f.pc);
-        MethodId id;
-        if (ic.klass == k) {
-            id = ic.method;
-            ++stats_.ic_hits;
-            ctx_.countDispatch(true);
-        } else {
-            id = ctx_.program().resolveVirtual(k, name);
-            ic.klass = k;
-            ic.method = id;
-            ++ic.fills;
-            ++stats_.ic_misses;
-            ctx_.countDispatch(false);
-        }
+        MethodId id = ctx_.program().resolveVirtual(k, name);
         bh_assert(id != kNoMethod, "no virtual %s on %s",
                   ctx_.program().nameAt(name).c_str(),
                   ctx_.program().klass(k).name.c_str());

@@ -88,8 +88,6 @@ struct InterpStats
     uint64_t native_calls = 0;
     uint64_t monitor_enters = 0;
     uint64_t remote_hits = 0;   //!< remote refs resolved via the map
-    uint64_t ic_hits = 0;       //!< CallVirt inline-cache hits
-    uint64_t ic_misses = 0;     //!< CallVirt cache fills / refills
 };
 
 /** Executes one request at a time against a shared VmContext. */
@@ -184,7 +182,7 @@ class Interpreter
     void clearRecording();
     /// @}
 
-    /** @name Dynamic race oracle (race_check knob) */
+    /** @name Dynamic race oracle (VmContext::setRaceOracle) */
     /// @{
     /**
      * Execution-context id in the context's RaceOracle. start()

@@ -3,15 +3,15 @@
  * FastTrack-style dynamic race oracle.
  *
  * The runtime half of the race-detection pair (the static half is
- * vm/race_analysis.h): when the `race_check` knob is on, every
- * interpreter reports its monitor operations and heap accesses here
- * and the oracle maintains vector clocks -- one per execution
- * context (request thread or offloaded shadow thread), one per
- * monitor object, plus a shadow word per accessed location (object
- * field, static slot, or array object). A write that is not ordered
- * after every previous access to the same location by
- * happens-before, or a read not ordered after the previous write,
- * is a concrete race.
+ * vm/race_analysis.h): once installed on a VmContext
+ * (VmContext::setRaceOracle), every interpreter on it reports its
+ * monitor operations and heap accesses here and the oracle
+ * maintains vector clocks -- one per execution context (request
+ * thread or offloaded shadow thread), one per monitor object, plus
+ * a shadow word per accessed location (object field, static slot,
+ * or array object). A write that is not ordered after every
+ * previous access to the same location by happens-before, or a
+ * read not ordered after the previous write, is a concrete race.
  *
  * Races are reported as static RaceScopes -- (kind, klass, slot) --
  * so tests can cross-check the lockset detector directly: every

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -194,6 +195,58 @@ TEST(Chaos, CrashDuringRestoreBootRecovers)
     EXPECT_GT(recorder.completed(), 20u);
     EXPECT_GE(bed.chaosEngine()->stats().restore_crashes, 1u);
     EXPECT_GE(bed.manager()->stats().boot_failures, 1u);
+}
+
+TEST(Chaos, DegradationHalvesToFloorThenRecovers)
+{
+    TestbedOptions opts = quickOptions(AppKind::Thumbnail);
+    enableRecovery(opts);
+    opts.chaos.enabled = true;
+    opts.chaos.invoke_crash = 1.0; // every dispatched attempt dies
+    Testbed bed(opts);
+    ASSERT_TRUE(bed.runProfilingPhase());
+    bed.manager()->setOffloadRatio(1.0);
+
+    workload::Recorder recorder;
+    workload::ClosedLoopClients clients(bed.sim(), bed.sink(),
+                                        recorder);
+    clients.start(4, bed.sim().now());
+
+    // Sample the factor often enough to see every step: while
+    // faults land it only ever halves, clamped at the 5% floor.
+    double factor = bed.manager()->degradeFactor();
+    EXPECT_EQ(factor, 1.0);
+    SimTime guard = bed.sim().now() + SimTime::sec(120);
+    while (factor > 0.05 && bed.sim().now() < guard) {
+        bed.sim().runUntil(bed.sim().now() + SimTime::msec(1));
+        double next = bed.manager()->degradeFactor();
+        if (next != factor) {
+            EXPECT_EQ(next, std::max(0.05, factor * 0.5));
+            factor = next;
+        }
+    }
+    EXPECT_EQ(factor, 0.05);
+    EXPECT_GT(bed.manager()->stats().degradations, 0u);
+    EXPECT_GE(bed.chaosEngine()->stats().invoke_crashes, 1u);
+
+    // A clean stretch: with invocation crashes detached, windows of
+    // successful flights double the factor back up to 1.0.
+    bed.manager()->setChaos(nullptr);
+    guard = bed.sim().now() + SimTime::sec(600);
+    while (factor < 1.0 && bed.sim().now() < guard) {
+        bed.sim().runUntil(bed.sim().now() + SimTime::msec(100));
+        double next = bed.manager()->degradeFactor();
+        EXPECT_GE(next, factor);
+        factor = next;
+    }
+    EXPECT_EQ(factor, 1.0);
+    EXPECT_GT(bed.manager()->stats().degrade_recoveries, 0u);
+
+    clients.stopAll();
+    guard = bed.sim().now() + SimTime::sec(60);
+    while (clients.active() > 0 && bed.sim().now() < guard)
+        bed.sim().runUntil(bed.sim().now() + SimTime::msec(100));
+    EXPECT_EQ(clients.active(), 0);
 }
 
 /**

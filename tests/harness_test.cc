@@ -193,7 +193,6 @@ TEST(BurstTest, BeeHiveStabilizesFasterThanFargate)
     // classified needs-fallback (and never local-only).
     EXPECT_EQ(beehive.offload.roots_needs_fallback, 1u);
     EXPECT_EQ(beehive.offload.roots_local_only, 0u);
-    EXPECT_EQ(beehive.offload.roots_refused, 0u);
 }
 
 TEST(BurstTest, WarmFaasStabilizesSubSecondish)
