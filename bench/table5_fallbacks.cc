@@ -240,9 +240,6 @@ main(int argc, char **argv)
              std::to_string(a[0].chaos.total()),
              std::to_string(a[1].chaos.total()),
              std::to_string(a[2].chaos.total())},
-            {"Recoveries", std::to_string(a[0].offload.recoveries),
-             std::to_string(a[1].offload.recoveries),
-             std::to_string(a[2].offload.recoveries)},
             {"Retries", std::to_string(a[0].offload.retries),
              std::to_string(a[1].offload.retries),
              std::to_string(a[2].offload.retries)},

@@ -62,12 +62,13 @@ main()
         bed.sim().runUntil(bed.sim().now() + SimTime::msec(100));
 
     const core::OffloadStats &stats = bed.manager()->stats();
+    const core::FunctionStats &fn = bed.manager()->functionStats();
     std::printf("request completed after %.1f ms\n",
                 (bed.sim().now() - started).toMillis());
     std::printf("recoveries performed: %llu (resumed from a sync-"
                 "point snapshot: %llu)\n",
-                (unsigned long long)stats.recoveries,
-                (unsigned long long)stats.resumed_from_snapshot);
+                (unsigned long long)stats.retries,
+                (unsigned long long)fn.resumes);
     std::printf("\nWith failure_recovery enabled, functions ship "
                 "their stack (translated to server addresses) at "
                 "every synchronization point; the offload manager "

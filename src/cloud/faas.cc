@@ -128,11 +128,9 @@ FaasPlatform::acquire(AcquireCallback cb, FailCallback fail)
     // keep their legacy always-succeeds contract.
     if (fail && chaos_ && chaos_->enabled() &&
         chaos_->throttleAcquire()) {
-        ++throttled_;
         fail(BootFailure::Throttled);
         return;
     }
-    ++invocations_;
     telemetry::Tracer *t = sim_.tracer();
     FunctionInstance *warm = findWarm();
     if (warm) {
@@ -150,12 +148,10 @@ FaasPlatform::acquire(AcquireCallback cb, FailCallback fail)
         if (t) {
             span = t->beginUnder("boot.warm", telemetry::Phase::Boot,
                                  warm->track);
-            t->metrics().observe("boot.warm_ms", boot.toMillis());
         }
         sim_.after(boot, [this, warm, span, cb = std::move(cb)] {
             if (telemetry::Tracer *t = sim_.tracer())
                 t->end(span);
-            ++warm->invocations;
             cb(*warm);
         });
         return;
@@ -177,7 +173,6 @@ FaasPlatform::acquire(AcquireCallback cb, FailCallback fail)
     if (t) {
         span = t->beginUnder("boot.cold", telemetry::Phase::Boot,
                              fresh.track);
-        t->metrics().observe("boot.cold_ms", boot.toMillis());
     }
     sim_.after(boot, [this, &fresh, span, crash, cb = std::move(cb),
                       fail = std::move(fail)] {
@@ -186,12 +181,10 @@ FaasPlatform::acquire(AcquireCallback cb, FailCallback fail)
         if (crash) {
             // The boot time was spent, then the instance died
             // before becoming ready.
-            ++boot_crashes_;
             destroy(fresh);
             fail(BootFailure::CrashMidBoot);
             return;
         }
-        ++fresh.invocations;
         cb(fresh);
     });
 }
@@ -202,11 +195,9 @@ FaasPlatform::acquireRestore(uint64_t image_bytes, AcquireCallback cb,
 {
     if (fail && chaos_ && chaos_->enabled() &&
         chaos_->throttleAcquire()) {
-        ++throttled_;
         fail(BootFailure::Throttled);
         return;
     }
-    ++invocations_;
     ++restore_boots_;
     FunctionInstance &fresh = launch();
     fresh.last_boot = BootKind::Restore;
@@ -225,19 +216,16 @@ FaasPlatform::acquireRestore(uint64_t image_bytes, AcquireCallback cb,
     if (telemetry::Tracer *t = sim_.tracer()) {
         span = t->beginUnder("boot.restore", telemetry::Phase::Boot,
                              fresh.track);
-        t->metrics().observe("boot.restore_ms", boot.toMillis());
     }
     sim_.after(boot, [this, &fresh, span, crash, cb = std::move(cb),
                       fail = std::move(fail)] {
         if (telemetry::Tracer *t = sim_.tracer())
             t->end(span);
         if (crash) {
-            ++boot_crashes_;
             destroy(fresh);
             fail(BootFailure::CrashMidRestore);
             return;
         }
-        ++fresh.invocations;
         cb(fresh);
     });
 }
@@ -248,13 +236,11 @@ FaasPlatform::tryAcquireWarm()
     FunctionInstance *warm = findWarm();
     if (!warm)
         return nullptr;
-    ++invocations_;
     ++warm_boots_;
     endIdleSpan(*warm);
     warm->compacted = false;
     warm->last_boot = BootKind::Warm;
     warm->in_use = true;
-    ++warm->invocations;
     busy_start_[warm] = sim_.now();
     return warm;
 }
@@ -364,9 +350,11 @@ FaasPlatform::accruedCost(sim::SimTime now) const
             std::min(now, inst->idle_since + profile_.keep_alive);
         idle_gb_seconds += idleGbSeconds(*inst, end);
     }
+    // Every boot (cold, warm or restore) is one billed invocation.
+    uint64_t invocations = cold_boots_ + warm_boots_ + restore_boots_;
     return gb_seconds * profile_.price_per_gb_second +
            idle_gb_seconds * profile_.idle_price_per_gb_second +
-           static_cast<double>(invocations_) / 1e6 *
+           static_cast<double>(invocations) / 1e6 *
                profile_.price_per_minvoke;
 }
 

@@ -102,7 +102,6 @@ struct FunctionInstance
      * keep-alive / compaction timers recognize themselves. */
     uint64_t idle_epoch = 0;
     sim::SimTime idle_since;
-    uint64_t invocations = 0;
     /** Opaque per-instance state owned by the BeeHive runtime
      * (the function-side VM); survives across warm invocations. */
     std::shared_ptr<void> runtime_state;
@@ -195,10 +194,6 @@ class FaasPlatform
     uint64_t expired() const { return expired_; }
     /** Idle instances whose billed memory was compacted. */
     uint64_t compactions() const { return compactions_; }
-    /** Acquires failed by injection (crash mid-boot/mid-restore). */
-    uint64_t bootCrashes() const { return boot_crashes_; }
-    /** Acquires rejected by injected capacity throttling. */
-    uint64_t throttled() const { return throttled_; }
 
     /** All instances ever launched (breakdown inspection). */
     const std::vector<std::unique_ptr<FunctionInstance>> &
@@ -238,9 +233,6 @@ class FaasPlatform
     uint64_t restore_boots_ = 0;
     uint64_t expired_ = 0;
     uint64_t compactions_ = 0;
-    uint64_t boot_crashes_ = 0;
-    uint64_t throttled_ = 0;
-    uint64_t invocations_ = 0;
     double busy_gb_seconds_ = 0.0;
     double idle_gb_seconds_ = 0.0;
     std::map<const FunctionInstance *, sim::SimTime> busy_start_;

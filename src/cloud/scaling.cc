@@ -83,7 +83,6 @@ InstanceScaler::requestInstance(ReadyCallback ready)
         span = t->beginUnder("provision.instance",
                              telemetry::Phase::Boot,
                              t->clientsTrack());
-        t->metrics().count("scaling.provisions");
     }
     sim_.after(prep, [this, idx, launch, switch_over, span,
                       ready = std::move(ready)]() mutable {

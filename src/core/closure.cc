@@ -13,6 +13,15 @@ using vm::ObjKind;
 using vm::Ref;
 using vm::Value;
 
+namespace {
+
+/** Closure computation rate (entities packed per second);
+ * calibrated so a pybbs-sized closure costs ~134 ms (Section 5.6),
+ * fully overlapped with the cold boot. */
+constexpr double kClosurePackRate = 3500.0;
+
+} // namespace
+
 uint64_t
 Closure::codeBytes(const vm::Program &program) const
 {
@@ -132,7 +141,7 @@ ClosureBuilder::build(vm::MethodId root, const vm::RootProfile *profile,
     double entities = static_cast<double>(closure.objects.size() +
                                           closure.klasses.size());
     closure.build_time =
-        sim::SimTime::seconds(entities / config_.closure_pack_rate);
+        sim::SimTime::seconds(entities / kClosurePackRate);
     return closure;
 }
 

@@ -13,19 +13,15 @@
 
 namespace beehive::core {
 
-/** What to do with bytecode verifier findings at Program load. */
-enum class VerifyMode : uint8_t
-{
-    Off,    //!< trust the program (seed behaviour)
-    Warn,   //!< log every diagnostic, keep going
-    Strict, //!< any Error-severity diagnostic is fatal
-};
-
 /**
  * Tunables of the offloading framework. Fixed policy parameters
  * (retry backoff ceiling and jitter, degradation window, snapshot
- * store budget, klass fetch overhead, DB reconnect delay) are named
- * constants in the module that reads them instead.
+ * store budget, klass fetch overhead, DB reconnect delay, server
+ * closure space and thread pool, fallback service time, closure
+ * pack rate) are named constants in the module that reads them
+ * instead. Verification is not a knob either: the server always
+ * verifies its program at load and rejects one with any
+ * Error-severity finding.
  */
 struct BeeHiveConfig
 {
@@ -50,19 +46,11 @@ struct BeeHiveConfig
     }();
 
     /**
-     * Server heap sizing. Each space is lazily committed, so these
-     * sizes reserve address space; host time and memory follow the
+     * Server allocation-space size. Spaces are lazily committed, so
+     * this reserves address space; host time and memory follow the
      * bytes the server heap actually touches.
      */
-    std::size_t server_closure_bytes = 4u << 20;
     std::size_t server_alloc_bytes = 32u << 20;
-
-    /**
-     * Server request-thread pool size: requests beyond this queue
-     * (bounding both memory and, like any real servlet container,
-     * producing queueing latency under overload).
-     */
-    std::size_t server_max_active = 128;
 
     /**
      * Fraction of the profiled klass set included in the initial
@@ -88,14 +76,6 @@ struct BeeHiveConfig
     std::size_t function_closure_bytes = 6u << 20;
     std::size_t function_alloc_bytes = 6u << 20;
 
-    /** Server-side handling cost of one fallback request. */
-    sim::SimTime fallback_service = sim::SimTime::usec(40);
-
-    /** Closure computation rate (entities packed per second);
-     * calibrated so a pybbs-sized closure costs ~134 ms (Section
-     * 5.6), fully overlapped with the cold boot. */
-    double closure_pack_rate = 3500.0;
-
     /**
      * Enable stack-snapshot capture at sync points so failed FaaS
      * invocations can resume (Section 4.5). Optional in the paper.
@@ -110,15 +90,6 @@ struct BeeHiveConfig
 
     /** Enable proxy-based connection offload (ablation). */
     bool proxy_enabled = true;
-
-    /**
-     * Run the bytecode verifier over the whole Program when the
-     * server constructs its VM. Warn logs diagnostics through
-     * support/logging; Strict turns any Error-severity finding into
-     * a fatal load failure (a corrupt Program must not reach the
-     * interpreter).
-     */
-    VerifyMode verify_on_load = VerifyMode::Warn;
 
     /**
      * Prune closure object traversal using the interprocedural
@@ -158,12 +129,14 @@ struct BeeHiveConfig
 
     /**
      * Install the telemetry tracer (src/telemetry/): causal span
-     * recording through the whole request lifecycle, the metrics
-     * registry, critical-path attribution, and the Chrome trace
-     * exporter. Off by default with zero overhead -- every
-     * instrumentation site is a single null-pointer check and no
-     * RNG draw or event reordering happens either way, so all
-     * experiment output stays byte-identical unless enabled.
+     * recording through the whole request lifecycle, critical-path
+     * attribution, and the Chrome trace exporter. Off by default
+     * with zero overhead -- every span site is a single null-pointer
+     * check and no RNG draw or event reordering happens either way,
+     * so all experiment output stays byte-identical unless enabled.
+     * Counting is not telemetry: every event is counted in its
+     * module's stats whether this is on or off, and
+     * Testbed::harvestMetrics() exports the counts.
      */
     bool telemetry = false;
 

@@ -15,6 +15,9 @@ namespace {
 /** Per-klass network payload when fetching missing code. */
 constexpr uint32_t kKlassFetchOverheadBytes = 256;
 
+/** Server-side handling cost of one fallback request. */
+constexpr sim::SimTime kFallbackService = sim::SimTime::usec(40);
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -61,12 +64,8 @@ class BeeHiveFunction::Invocation
     void
     start(std::vector<Value> local_args)
     {
-        started_at_ = sim_.now();
-        beginExecSpan("fn.invocations");
-        if (shadow_) {
-            shadow_token_ =
-                fn_.server_.proxy().shadowBegin(fn_.node());
-        }
+        ++fn_.stats_.invocations;
+        begin();
         interp_.start(root_, std::move(local_args));
         pump();
     }
@@ -74,32 +73,30 @@ class BeeHiveFunction::Invocation
     void
     startFromSnapshot(std::vector<vm::Frame> frames)
     {
-        started_at_ = sim_.now();
-        beginExecSpan("fn.resumes");
-        if (shadow_) {
-            shadow_token_ =
-                fn_.server_.proxy().shadowBegin(fn_.node());
-        }
+        ++fn_.stats_.resumes;
+        begin();
         interp_.restoreFrames(std::move(frames));
         pump();
     }
 
-
   private:
     telemetry::Tracer *tracer() { return sim_.tracer(); }
 
+    /** Shared start of a fresh or resumed execution. */
     void
-    beginExecSpan(const char *metric)
+    begin()
     {
-        telemetry::Tracer *t = tracer();
-        if (!t)
-            return;
-        exec_span_ =
-            t->begin("fn.exec", telemetry::Phase::Exec,
-                     fn_.instance_.track, tctx_.span, tctx_.request);
-        t->metrics().count(metric);
-        if (shadow_)
-            t->metrics().count("fn.shadow_invocations");
+        started_at_ = sim_.now();
+        if (telemetry::Tracer *t = tracer()) {
+            exec_span_ = t->begin("fn.exec", telemetry::Phase::Exec,
+                                  fn_.instance_.track, tctx_.span,
+                                  tctx_.request);
+        }
+        if (shadow_) {
+            ++fn_.stats_.shadow_invocations;
+            shadow_token_ =
+                fn_.server_.proxy().shadowBegin(fn_.node());
+        }
     }
 
     /** Open a sub-span of this invocation's execution span. */
@@ -120,11 +117,16 @@ class BeeHiveFunction::Invocation
             t->end(id);
     }
 
-    void
-    countMetric(const char *name, uint64_t by = 1)
+    /** Collect this function's heap: counts the cycle and charges
+     * its pause to the trace. */
+    sim::SimTime
+    collectGarbage()
     {
-        if (telemetry::Tracer *t = tracer())
-            t->metrics().count(name, by);
+        gc::GcCycleStats gc = fn_.collector_->collect();
+        ++fn_.stats_.gc_cycles;
+        fn_.stats_.gc_bytes_copied += gc.bytes_copied;
+        trace_.gc_time += gc.pause;
+        return gc.pause;
     }
 
     /**
@@ -151,7 +153,7 @@ class BeeHiveFunction::Invocation
         return fn_.server_.network().roundTrip(
                    fn_.node(), fn_.server_.endpoint(), req_bytes,
                    resp_bytes) +
-               fn_.server_.config().fallback_service;
+               kFallbackService;
     }
 
     void
@@ -223,11 +225,10 @@ class BeeHiveFunction::Invocation
             return;
 
           case vm::Suspend::Kind::HeapFull: {
-            gc::GcCycleStats gc = fn_.collector_->collect();
-            trace_.gc_time += gc.pause;
+            sim::SimTime pause = collectGarbage();
             telemetry::SpanId sp =
                 span("gc.pause", telemetry::Phase::Gc);
-            after(gc.pause, [this, sp] {
+            after(pause, [this, sp] {
                 endSpan(sp);
                 pump();
             });
@@ -249,13 +250,12 @@ class BeeHiveFunction::Invocation
         trace_.countFallback(FallbackKind::MissingCode);
         trace_.fallback_time += latency;
         trace_.fetch_time += latency;
-        fn_.server_.countFallbackServed();
         recordFault([&](snapshot::SnapshotStore &snaps) {
             snaps.recordClassFault(root_, klass);
         });
         telemetry::SpanId sp =
             span("fallback.code", telemetry::Phase::Fetch);
-        countMetric("fallback.code");
+        ++fn_.stats_.code_fetches;
         after(latency, [this, klass, sp] {
             endSpan(sp);
             fn_.ctx_->loadKlass(klass);
@@ -275,8 +275,7 @@ class BeeHiveFunction::Invocation
         trace_.countFallback(FallbackKind::MissingData);
         trace_.fallback_time += latency;
         trace_.fetch_time += latency;
-        countMetric("fallback.data");
-        fn_.server_.countFallbackServed();
+        ++fn_.stats_.data_fetches;
         recordFault([&](snapshot::SnapshotStore &snaps) {
             snaps.recordObjectFault(
                 root_, remote_ref,
@@ -293,7 +292,7 @@ class BeeHiveFunction::Invocation
             trace_.countFallback(FallbackKind::MissingCode);
             trace_.fallback_time += extra;
             trace_.fetch_time += extra;
-            countMetric("fallback.code");
+            ++fn_.stats_.code_fetches;
             latency += extra;
             fn_.ctx_->loadKlass(k);
             recordFault([&](snapshot::SnapshotStore &snaps) {
@@ -317,8 +316,7 @@ class BeeHiveFunction::Invocation
         sim::SimTime latency = serverRtt(128, 128);
         trace_.countFallback(FallbackKind::Native);
         trace_.fallback_time += latency;
-        countMetric("fallback.native");
-        fn_.server_.countFallbackServed();
+        ++fn_.stats_.native_fallbacks;
         telemetry::SpanId sp =
             span("fallback.native", telemetry::Phase::Native);
         after(latency, [this, sp] {
@@ -364,8 +362,7 @@ class BeeHiveFunction::Invocation
         trace_.sync_time += latency;
         trace_.fallback_time += latency;
         trace_.synchronized_objects += r.objects_transferred;
-        countMetric("fallback.sync");
-        fn_.server_.countFallbackServed();
+        ++fn_.stats_.sync_fallbacks;
 
         if (fn_.server_.config().failure_recovery)
             captureSnapshot();
@@ -398,8 +395,7 @@ class BeeHiveFunction::Invocation
         trace_.sync_time += latency;
         trace_.fallback_time += latency;
         trace_.synchronized_objects += r.objects_transferred;
-        countMetric("fallback.sync");
-        fn_.server_.countFallbackServed();
+        ++fn_.stats_.sync_fallbacks;
         interp_.grantVolatile(obj);
         telemetry::SpanId sp =
             span("sync.volatile", telemetry::Phase::Sync);
@@ -470,7 +466,6 @@ class BeeHiveFunction::Invocation
                       server.proxy().processingTime() +
                       server.proxy().dbServiceTime(payload.request);
             ++trace_.db_ops;
-            countMetric("fn.db_ops");
             sp = span("db.roundtrip", telemetry::Phase::Db);
         } else {
             // No proxy support: every round is a fallback through
@@ -497,8 +492,7 @@ class BeeHiveFunction::Invocation
                       server.dbRoundTrip(payload.request, resp);
             trace_.countFallback(FallbackKind::Connection);
             trace_.fallback_time += latency;
-            countMetric("fallback.connection");
-            server.countFallbackServed();
+            ++fn_.stats_.connection_fallbacks;
             sp = span("fallback.connection", telemetry::Phase::Db);
         }
 
@@ -516,7 +510,7 @@ class BeeHiveFunction::Invocation
             // the idempotency key (already drawn) keeps a write that
             // somehow did land from applying twice.
             ++trace_.db_resets;
-            countMetric("fn.db_resets");
+            ++fn_.stats_.db_resets;
             sim::SimTime delay =
                 latency + server.proxy().reconnectDelay(attempt);
             after(delay, [this, payload = std::move(payload), idem,
@@ -532,8 +526,7 @@ class BeeHiveFunction::Invocation
             auto v = tryMaterializeDbResponse(*fn_.ctx_,
                                               payload.request, resp);
             if (!v) {
-                gc::GcCycleStats gc = fn_.collector_->collect();
-                trace_.gc_time += gc.pause;
+                collectGarbage();
                 v = tryMaterializeDbResponse(*fn_.ctx_,
                                              payload.request, resp);
             }
@@ -630,8 +623,6 @@ class BeeHiveFunction::Invocation
             endSpan(ret_sp);
             endSpan(exec_span_);
             fn_.warmed_roots_.insert(root_);
-            fn_.total_trace_.merge(trace_);
-            ++fn_.invocation_count_;
             // A completed cold boot folds its recorded working set
             // into the endpoint's snapshot image.
             recordFault([&](snapshot::SnapshotStore &snaps) {
@@ -671,8 +662,10 @@ class BeeHiveFunction::Invocation
 
 BeeHiveFunction::BeeHiveFunction(BeeHiveServer &server,
                                  cloud::FaasPlatform &platform,
-                                 cloud::FunctionInstance &instance)
-    : server_(server), platform_(platform), instance_(instance)
+                                 cloud::FunctionInstance &instance,
+                                 FunctionStats &stats)
+    : server_(server), platform_(platform), instance_(instance),
+      stats_(stats)
 {
     const BeeHiveConfig &cfg = server.config();
     heap_ = std::make_unique<vm::Heap>(server.program(),
@@ -728,14 +721,6 @@ BeeHiveFunction::BeeHiveFunction(BeeHiveServer &server,
             invocation_->interp().forEachRoot(visit);
         ctx_->forEachStatic(visit);
     });
-    if (telemetry::Tracer *t = server.sim().tracer()) {
-        collector_->setObserver([t](const gc::GcCycleStats &c) {
-            telemetry::MetricsRegistry &m = t->metrics();
-            m.count("gc.fn_cycles");
-            m.count("gc.fn_bytes_copied", c.bytes_copied);
-            m.observe("gc.fn_pause_ms", c.pause.toMillis());
-        });
-    }
 }
 
 BeeHiveFunction::~BeeHiveFunction()

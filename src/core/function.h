@@ -38,6 +38,31 @@
 
 namespace beehive::core {
 
+/**
+ * Function-side event counts over every invocation of every
+ * instance, bumped when the event happens: killed and cancelled
+ * invocations count too. One aggregate, owned by the
+ * OffloadManager; the per-invocation RequestTrace is the
+ * per-request view (Table 5).
+ */
+struct FunctionStats
+{
+    uint64_t invocations = 0; //!< executions started fresh
+    uint64_t resumes = 0;     //!< executions resumed from a snapshot
+    uint64_t shadow_invocations = 0;
+    uint64_t code_fetches = 0; //!< fallbacks, as in RequestTrace
+    uint64_t data_fetches = 0;
+    uint64_t native_fallbacks = 0;
+    uint64_t sync_fallbacks = 0;
+    uint64_t connection_fallbacks = 0;
+    uint64_t db_resets = 0; //!< DB ops re-issued after a reset
+    uint64_t prefetched_klasses = 0; //!< restore-boot prefetch
+    uint64_t prefetched_objects = 0;
+    uint64_t stale_prefetches = 0;
+    uint64_t gc_cycles = 0; //!< function-heap collections
+    uint64_t gc_bytes_copied = 0;
+};
+
 /** One function instance's runtime. */
 class BeeHiveFunction
 {
@@ -48,10 +73,12 @@ class BeeHiveFunction
      * @param server The coordinating server runtime.
      * @param platform Owning FaaS platform (profile, latencies).
      * @param instance The machine this function runs on.
+     * @param stats Aggregate this function's events are counted in.
      */
     BeeHiveFunction(BeeHiveServer &server,
                     cloud::FaasPlatform &platform,
-                    cloud::FunctionInstance &instance);
+                    cloud::FunctionInstance &instance,
+                    FunctionStats &stats);
 
     ~BeeHiveFunction();
 
@@ -145,10 +172,6 @@ class BeeHiveFunction
                 bool shadow, DoneCb done, uint64_t request_key = 0,
                 uint64_t start_write_seq = 0);
 
-    /** Aggregated trace across all invocations on this function. */
-    const RequestTrace &totalTrace() const { return total_trace_; }
-    uint64_t invocations() const { return invocation_count_; }
-
     /**
      * Note a restore-boot prefetch: the working set installed from
      * the snapshot image before the first invocation dispatches.
@@ -169,6 +192,7 @@ class BeeHiveFunction
     BeeHiveServer &server_;
     cloud::FaasPlatform &platform_;
     cloud::FunctionInstance &instance_;
+    FunctionStats &stats_;
     uint16_t endpoint_id_ = 0;
 
     std::unique_ptr<vm::Heap> heap_;
@@ -182,8 +206,6 @@ class BeeHiveFunction
     vm::MethodId snapshot_root_ = vm::kNoMethod;
     uint64_t snapshot_write_seq_ = 0;
     uint64_t snapshot_request_key_ = 0;
-    RequestTrace total_trace_;
-    uint64_t invocation_count_ = 0;
     bool dead_ = false;
 
     struct PendingPrefetch

@@ -102,17 +102,10 @@ OffloadManager::enableRoot(vm::MethodId root,
     inform("capture-analysis: %s: %s",
            program.qualifiedName(root).c_str(),
            toString(capture, program).c_str());
-    switch (report.klass) {
-      case vm::OffloadClass::OffloadSafe:
-        ++stats_.roots_offload_safe;
-        break;
-      case vm::OffloadClass::NeedsFallback:
+    if (report.klass == vm::OffloadClass::NeedsFallback)
         ++stats_.roots_needs_fallback;
-        break;
-      case vm::OffloadClass::LocalOnly:
+    else if (report.klass == vm::OffloadClass::LocalOnly)
         ++stats_.roots_local_only;
-        break;
-    }
 
     RootState &state = roots_[root];
     state.klass = report.klass;
@@ -226,7 +219,7 @@ OffloadManager::functionOf(cloud::FunctionInstance &inst)
 {
     if (!inst.runtime_state) {
         inst.runtime_state = std::make_shared<BeeHiveFunction>(
-            server_, platform_, inst);
+            server_, platform_, inst, fn_stats_);
     }
     return *std::static_pointer_cast<BeeHiveFunction>(
         inst.runtime_state);
@@ -266,7 +259,6 @@ OffloadManager::shadowLocalLeg(InFlight &flight, vm::MethodId root)
                                telemetry::Phase::Offload,
                                server_.track(), telemetry::kNoSpan,
                                flight.trace_request);
-        t->metrics().count("offload.shadow_flights");
     }
 }
 
@@ -280,6 +272,7 @@ OffloadManager::offload(vm::MethodId root, std::vector<Value> args,
     flight.args = std::move(args);
     flight.done = std::move(done);
     ++active_offloads_;
+    ++stats_.flights;
     telemetry::Tracer *t = server_.sim().tracer();
     if (t) {
         telemetry::Context c = t->current();
@@ -287,7 +280,6 @@ OffloadManager::offload(vm::MethodId root, std::vector<Value> args,
         flight.span =
             t->begin("offload.flight", telemetry::Phase::Offload,
                      server_.track(), c.span, c.request);
-        t->metrics().count("offload.flights");
     }
     armDeadline(id);
 
@@ -325,8 +317,8 @@ OffloadManager::offload(vm::MethodId root, std::vector<Value> args,
         it->second.instance = &inst;
         dispatchOn(inst, id);
     };
-    auto boot_failed = [this, id, era](cloud::BootFailure why) {
-        onBootFailure(id, era, why);
+    auto boot_failed = [this, id, era](cloud::BootFailure) {
+        onBootFailure(id, era);
     };
 
     // Restore path: a recorded snapshot image of this endpoint lets
@@ -347,8 +339,6 @@ OffloadManager::offload(vm::MethodId root, std::vector<Value> args,
             // store already evicted it): fall back to a full cold
             // boot; the endpoint records afresh.
             ++stats_.corrupt_restores;
-            if (t)
-                t->metrics().count("offload.corrupt_restores");
             flight.plan = snapshot::RestorePlan{};
             platform_.acquire(std::move(booted),
                               std::move(boot_failed));
@@ -356,8 +346,6 @@ OffloadManager::offload(vm::MethodId root, std::vector<Value> args,
         }
         flight.restore = true;
         ++stats_.restores;
-        if (t)
-            t->metrics().count("offload.restore_boots");
         platform_.acquireRestore(flight.plan.image_bytes,
                                  std::move(booted),
                                  std::move(boot_failed));
@@ -378,8 +366,6 @@ OffloadManager::dispatchOn(cloud::FunctionInstance &inst,
     if (fn.warmedFor(root) && !flight.shadow) {
         // Warmed instance: a real offloaded execution.
         ++stats_.offloaded;
-        if (t)
-            t->metrics().count("offload.warm_dispatches");
         telemetry::ScopedContext sc(
             t, {flight.trace_request, flight.span});
         maybeScheduleInvokeCrash(flight_id);
@@ -401,6 +387,7 @@ OffloadManager::dispatchOn(cloud::FunctionInstance &inst,
         installed = true;
         const Closure &closure = closureFor(root);
         InstallResult install = fn.install(closure);
+        ++stats_.closure_installs;
         transfer = server_.network().oneWay(
             server_.endpoint(), fn.node(), install.bytes);
         // Closure computation (~133 ms) overlaps the cold boot that
@@ -436,13 +423,9 @@ OffloadManager::dispatchOn(cloud::FunctionInstance &inst,
             }
             fn.notePrefetch(klasses, objects,
                             flight.plan.stale_objects);
-            if (t) {
-                telemetry::MetricsRegistry &m = t->metrics();
-                m.count("prefetch.klasses", klasses);
-                m.count("prefetch.objects", objects);
-                m.count("prefetch.stale_objects",
-                        flight.plan.stale_objects);
-            }
+            fn_stats_.prefetched_klasses += klasses;
+            fn_stats_.prefetched_objects += objects;
+            fn_stats_.stale_prefetches += flight.plan.stale_objects;
         }
     }
 
@@ -465,7 +448,6 @@ OffloadManager::dispatchOn(cloud::FunctionInstance &inst,
         install_span = t->begin(
             "closure.install", telemetry::Phase::Net, server_.track(),
             flight.span, flight.trace_request);
-        t->metrics().count("offload.closure_installs");
     }
 
     uint32_t era = flight.attempts;
@@ -501,10 +483,9 @@ OffloadManager::finishFlight(uint64_t flight_id, Value result,
     flights_.erase(it);
     --active_offloads_;
     traces_.emplace_back(flight.root, trace);
-    if (telemetry::Tracer *t = server_.sim().tracer()) {
+    ++stats_.completed;
+    if (telemetry::Tracer *t = server_.sim().tracer())
         t->end(flight.span);
-        t->metrics().count("offload.completed");
-    }
     if (flight.instance) {
         strikes_.erase(flight.instance);
         platform_.release(*flight.instance);
@@ -575,11 +556,12 @@ OffloadManager::killFlight(uint64_t flight_id)
     strikes_.erase(flight.instance);
     platform_.destroy(*flight.instance);
     flight.instance = nullptr;
-    failFlight(flight_id, "offload.failures.kill");
+    ++stats_.kills;
+    failFlight(flight_id);
 }
 
 void
-OffloadManager::failFlight(uint64_t flight_id, const char *why)
+OffloadManager::failFlight(uint64_t flight_id)
 {
     auto it = flights_.find(flight_id);
     if (it == flights_.end())
@@ -606,11 +588,6 @@ OffloadManager::failFlight(uint64_t flight_id, const char *why)
     }
     ++flight.attempts;
     noteOutcome(false);
-    telemetry::Tracer *t = server_.sim().tracer();
-    if (t) {
-        t->metrics().count("offload.failures");
-        t->metrics().count(why);
-    }
 
     uint32_t max_retries = server_.config().offload_max_retries;
     if (max_retries != 0 && flight.attempts > max_retries) {
@@ -618,7 +595,6 @@ OffloadManager::failFlight(uint64_t flight_id, const char *why)
         return;
     }
 
-    ++stats_.recoveries;
     ++stats_.retries;
     sim::SimTime delay = backoffDelay(flight_id, flight.attempts);
     if (delay == sim::SimTime()) {
@@ -628,7 +604,7 @@ OffloadManager::failFlight(uint64_t flight_id, const char *why)
         return;
     }
     telemetry::SpanId retry_span = telemetry::kNoSpan;
-    if (t) {
+    if (telemetry::Tracer *t = server_.sim().tracer()) {
         retry_span = t->begin("offload.retry",
                               telemetry::Phase::Offload,
                               server_.track(), flight.span,
@@ -655,8 +631,6 @@ OffloadManager::retryAttempt(uint64_t flight_id)
     uint32_t era = flight.attempts;
     armDeadline(flight_id);
     telemetry::Tracer *t = server_.sim().tracer();
-    if (t)
-        t->metrics().count("offload.recoveries");
     // Recovery boot parents under the flight span.
     telemetry::ScopedContext sc(t,
                                 {flight.trace_request, flight.span});
@@ -697,7 +671,6 @@ OffloadManager::retryAttempt(uint64_t flight_id)
                     // Resume from the last synchronization point;
                     // the write sequence continues from the
                     // snapshot so idempotency keys line up.
-                    ++stats_.resumed_from_snapshot;
                     fn.resume(root, flight.snapshot, flight.shadow,
                               done, /*request_key=*/flight_id,
                               flight.snapshot_seq);
@@ -710,8 +683,8 @@ OffloadManager::retryAttempt(uint64_t flight_id)
                 }
             });
         },
-        [this, flight_id, era](cloud::BootFailure why) {
-            onBootFailure(flight_id, era, why);
+        [this, flight_id, era](cloud::BootFailure) {
+            onBootFailure(flight_id, era);
         });
 }
 
@@ -729,10 +702,8 @@ OffloadManager::localFallback(uint64_t flight_id)
         // The user was served by the local leg long ago; a shadow
         // that exhausted its retry budget is simply abandoned.
         ++stats_.shadows_abandoned;
-        if (t) {
+        if (t)
             t->end(flight.span);
-            t->metrics().count("offload.shadows_abandoned");
-        }
         return;
     }
     // Graceful degradation of the individual request: serve it
@@ -741,8 +712,6 @@ OffloadManager::localFallback(uint64_t flight_id)
     // already applied.
     ++stats_.local_fallbacks;
     ++stats_.local;
-    if (t)
-        t->metrics().count("offload.local_fallbacks");
     DoneCb user_done = std::move(flight.done);
     if (t && flight.span != telemetry::kNoSpan) {
         telemetry::SpanId span = flight.span;
@@ -760,17 +729,13 @@ OffloadManager::localFallback(uint64_t flight_id)
 }
 
 void
-OffloadManager::onBootFailure(uint64_t flight_id, uint32_t era,
-                              cloud::BootFailure why)
+OffloadManager::onBootFailure(uint64_t flight_id, uint32_t era)
 {
     auto it = flights_.find(flight_id);
     if (it == flights_.end() || it->second.attempts != era)
         return;
     ++stats_.boot_failures;
-    failFlight(flight_id,
-               why == cloud::BootFailure::Throttled
-                   ? "offload.failures.throttle"
-                   : "offload.failures.boot");
+    failFlight(flight_id);
 }
 
 void
@@ -790,9 +755,7 @@ OffloadManager::armDeadline(uint64_t flight_id)
                 return;
             it->second.deadline_armed = false;
             ++stats_.deadline_expirations;
-            if (telemetry::Tracer *t = server_.sim().tracer())
-                t->metrics().count("offload.deadline_expirations");
-            failFlight(flight_id, "offload.failures.deadline");
+            failFlight(flight_id);
         });
     flight.deadline_armed = true;
 }
@@ -836,8 +799,6 @@ OffloadManager::releaseFailedInstance(InFlight &flight)
         // instead of recycling a likely-unhealthy VM.
         strikes_.erase(inst);
         ++stats_.breaker_ejections;
-        if (telemetry::Tracer *t = server_.sim().tracer())
-            t->metrics().count("offload.breaker_ejections");
         platform_.destroy(*inst);
         return;
     }
@@ -861,20 +822,15 @@ OffloadManager::noteOutcome(bool ok)
     }
     double rate = static_cast<double>(errors) /
                   static_cast<double>(outcome_window_.size());
-    telemetry::Tracer *t = server_.sim().tracer();
     if (rate >= kDegradeErrorThreshold) {
         degrade_factor_ =
             std::max(kDegradeFloor, degrade_factor_ * 0.5);
         ++stats_.degradations;
         outcome_window_.clear();
-        if (t)
-            t->metrics().count("offload.degradations");
     } else if (errors == 0 && degrade_factor_ < 1.0) {
         degrade_factor_ = std::min(1.0, degrade_factor_ * 2.0);
         ++stats_.degrade_recoveries;
         outcome_window_.clear();
-        if (t)
-            t->metrics().count("offload.degrade_recoveries");
     }
 }
 

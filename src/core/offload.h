@@ -66,18 +66,20 @@ class ChaosEngine;
 
 namespace beehive::core {
 
-/** Aggregate offloading statistics. */
+/** Offload manager event counts. */
 struct OffloadStats
 {
     uint64_t local = 0;         //!< requests served on the server
+    uint64_t flights = 0;       //!< offload flights opened
+    uint64_t completed = 0;     //!< flights completed remotely
     uint64_t offloaded = 0;     //!< real offloaded requests
     uint64_t shadows = 0;       //!< shadow executions launched
     uint64_t restores = 0;      //!< restore boots taken from images
-    uint64_t recoveries = 0;    //!< failure recoveries performed
-    uint64_t resumed_from_snapshot = 0;
+    uint64_t closure_installs = 0;
     /** @name Failure handling (chaos / deadline / retry plane) */
     /// @{
-    uint64_t retries = 0;           //!< attempts re-dispatched
+    uint64_t retries = 0;           //!< failed attempts re-dispatched
+    uint64_t kills = 0;             //!< instances killed mid-invocation
     uint64_t deadline_expirations = 0;
     uint64_t boot_failures = 0;     //!< boot crashes + throttles
     uint64_t local_fallbacks = 0;   //!< retries exhausted -> local
@@ -87,9 +89,9 @@ struct OffloadStats
     uint64_t degrade_recoveries = 0;//!< ratio doublings back up
     uint64_t corrupt_restores = 0;  //!< images failing checksum
     /// @}
-    /** @name Static offloadability of enabled roots (analysis) */
+    /** @name Enabled roots the static analysis did not find
+     * offload-safe */
     /// @{
-    uint64_t roots_offload_safe = 0;
     uint64_t roots_needs_fallback = 0;
     uint64_t roots_local_only = 0;
     /// @}
@@ -190,6 +192,9 @@ class OffloadManager
 
     const OffloadStats &stats() const { return stats_; }
 
+    /** Function-side event counts over every instance. */
+    const FunctionStats &functionStats() const { return fn_stats_; }
+
     /** All completed traces as (root, trace) pairs (Table 5). */
     const std::vector<std::pair<vm::MethodId, RequestTrace>> &
     traces() const
@@ -283,11 +288,12 @@ class OffloadManager
 
     /**
      * One attempt of @p flight_id failed (deadline, boot failure,
-     * kill). Tears the attempt down, applies the circuit breaker
-     * and degradation bookkeeping, and either schedules a retry
-     * (after backoff) or falls back to local execution.
+     * kill; the caller counts the cause). Tears the attempt down,
+     * applies the circuit breaker and degradation bookkeeping, and
+     * either schedules a retry (after backoff) or falls back to
+     * local execution.
      */
-    void failFlight(uint64_t flight_id, const char *why);
+    void failFlight(uint64_t flight_id);
 
     /** Re-dispatch a failed flight on a fresh instance. */
     void retryAttempt(uint64_t flight_id);
@@ -296,8 +302,8 @@ class OffloadManager
      * flights) or abandon it (shadows). */
     void localFallback(uint64_t flight_id);
 
-    void onBootFailure(uint64_t flight_id, uint32_t era,
-                       cloud::BootFailure why);
+    /** A boot crash or throttle failed attempt @p era. */
+    void onBootFailure(uint64_t flight_id, uint32_t era);
 
     void armDeadline(uint64_t flight_id);
     void cancelDeadline(InFlight &flight);
@@ -328,6 +334,7 @@ class OffloadManager
     std::map<uint64_t, InFlight> flights_;
     uint64_t next_flight_ = 1;
     OffloadStats stats_;
+    FunctionStats fn_stats_;
     std::vector<std::pair<vm::MethodId, RequestTrace>> traces_;
     Rng rng_;
     chaos::ChaosEngine *chaos_ = nullptr;

@@ -13,6 +13,16 @@ using vm::Value;
 
 namespace {
 
+/** Closure-space size of the server heap (lazily committed). */
+constexpr std::size_t kServerClosureBytes = 4u << 20;
+
+/**
+ * Server request-thread pool size: requests beyond it queue
+ * (bounding both memory and, like any real servlet container,
+ * producing queueing latency under overload).
+ */
+constexpr std::size_t kServerMaxActive = 128;
+
 /** Snapshot store size budget; least-recently-used endpoint images
  * are evicted beyond it. */
 constexpr uint64_t kSnapshotImageBudgetBytes = 1u << 20;
@@ -296,13 +306,11 @@ class BeeHiveServer::LocalInvocation
             db_span = t->begin("db.roundtrip", telemetry::Phase::Db,
                                server_.track(), exec_span_,
                                tctx_.request);
-            t->metrics().count("db.ops");
         }
         if (resp.reset) {
             // The connection dropped before the operation executed:
             // reconnect and re-issue with capped exponential backoff.
-            if (auto *t = tracer())
-                t->metrics().count("db.resets");
+            ++server_.stats_.db_resets;
             sim::SimTime delay =
                 latency + server_.proxy().reconnectDelay(attempt);
             server_.sim().after(
@@ -341,17 +349,13 @@ class BeeHiveServer::LocalInvocation
                 interp_.recordedStatics(),
                 interp_.stats().monitor_enters);
         }
-        if (auto *t = tracer()) {
-            const vm::InterpStats &is = interp_.stats();
-            telemetry::MetricsRegistry &m = t->metrics();
-            m.count("server.requests");
-            m.observe("vm.instructions_per_request",
-                      static_cast<double>(is.instructions));
-            m.count("vm.instructions", is.instructions);
-            m.count("vm.calls", is.calls);
-            m.count("vm.native_calls", is.native_calls);
+        const vm::InterpStats &is = interp_.stats();
+        ServerStats &stats = server_.stats_;
+        stats.instructions += is.instructions;
+        stats.calls += is.calls;
+        stats.native_calls += is.native_calls;
+        if (auto *t = tracer())
             t->end(exec_span_);
-        }
         DoneCb done = std::move(done_);
         BeeHiveServer &server = server_;
         server.active_.erase(this);
@@ -390,7 +394,7 @@ BeeHiveServer::BeeHiveServer(sim::Simulation &sim, net::Network &net,
       config_(config), profiler_(program)
 {
     heap_ = std::make_unique<vm::Heap>(program_,
-                                       config_.server_closure_bytes,
+                                       kServerClosureBytes,
                                        config_.server_alloc_bytes);
     vm::VmConfig vm_cfg = config_.server_vm;
     vm_cfg.endpoint = 0;
@@ -409,30 +413,21 @@ BeeHiveServer::BeeHiveServer(sim::Simulation &sim, net::Network &net,
             kSnapshotMinBoots);
     }
 
-    // Verify-on-load (strict = reject, warn = log). The verifier is
-    // the load-time gate: bytecode it flags as Error can corrupt
-    // interpreter frames mid-request.
-    if (config_.verify_on_load != VerifyMode::Off) {
-        vm::VerifyResult vr = vm::Verifier(program_).verifyAll();
-        for (const vm::Diagnostic &d : vr.diagnostics)
-            warn("verifier: %s", toString(d, program_).c_str());
-        if (!vr.ok()) {
-            if (config_.verify_on_load == VerifyMode::Strict)
-                fatal("verify_on_load=strict: program rejected with "
-                      "%zu error(s)",
-                      vr.errorCount());
-            warn("verifier found %zu error(s); continuing "
-                 "(verify_on_load=warn)",
-                 vr.errorCount());
-        }
-        // Lock-order analysis rides along with the verifier gate:
-        // an ABBA inversion can wedge local and offloaded frames
-        // against each other, so surface it before traffic starts.
-        vm::ProgramAnalysis analysis(program_);
-        for (const vm::LockCycle &cycle : analysis.lockCycles())
-            warn("lock-order: %s",
-                 cycle.describe(program_).c_str());
-    }
+    // Verify-on-load: the verifier is the load-time gate. Bytecode
+    // it flags as Error can corrupt interpreter frames mid-request,
+    // so such a program never reaches the interpreter.
+    vm::VerifyResult vr = vm::Verifier(program_).verifyAll();
+    for (const vm::Diagnostic &d : vr.diagnostics)
+        warn("verifier: %s", toString(d, program_).c_str());
+    if (!vr.ok())
+        fatal("verify-on-load: program rejected with %zu error(s)",
+              vr.errorCount());
+    // Lock-order analysis rides along with the verifier gate: an
+    // ABBA inversion can wedge local and offloaded frames against
+    // each other, so surface it before traffic starts.
+    vm::ProgramAnalysis analysis(program_);
+    for (const vm::LockCycle &cycle : analysis.lockCycles())
+        warn("lock-order: %s", cycle.describe(program_).c_str());
 
     sync_.registerServer(ctx_.get());
 
@@ -468,18 +463,17 @@ BeeHiveServer::BeeHiveServer(sim::Simulation &sim, net::Network &net,
         sync_.forEachServerRef(visit);
     });
 
-    // Telemetry wiring (all no-ops when the run has no tracer).
+    // Telemetry track (stays 0 when the run has no tracer).
     if (auto *t = sim_.tracer()) {
         track_ = t->newTrack(
             "server-" + std::to_string(machine_.endpoint()));
-        sync_.setTelemetry(t);
-        collector_->setObserver([t](const gc::GcCycleStats &c) {
-            telemetry::MetricsRegistry &m = t->metrics();
-            m.count("gc.cycles");
-            m.count("gc.bytes_copied", c.bytes_copied);
-            m.observe("gc.pause_ms", c.pause.toMillis());
-        });
     }
+}
+
+BeeHiveServer::~BeeHiveServer()
+{
+    for (LocalInvocation *inv : active_)
+        delete inv;
 }
 
 void
@@ -496,16 +490,15 @@ BeeHiveServer::handleLocal(vm::MethodId root, std::vector<Value> args,
     telemetry::Context tctx;
     if (auto *t = sim_.tracer())
         tctx = t->current();
-    if (!suppress_offload &&
-        active_.size() >= config_.server_max_active) {
+    if (!suppress_offload && active_.size() >= kServerMaxActive) {
         // Thread pool exhausted: queue (bounded memory; queueing
         // latency is what overload looks like to clients).
+        ++stats_.queued;
         telemetry::SpanId queue_span = telemetry::kNoSpan;
         if (auto *t = sim_.tracer()) {
             queue_span = t->begin("server.queue",
                                   telemetry::Phase::Queue, track_,
                                   tctx.span, tctx.request);
-            t->metrics().count("server.queued");
         }
         queue_.push_back(QueuedRequest{root, std::move(args),
                                        std::move(done),
@@ -532,8 +525,7 @@ BeeHiveServer::launch(vm::MethodId root, std::vector<Value> args,
 void
 BeeHiveServer::drainQueue()
 {
-    while (!queue_.empty() &&
-           active_.size() < config_.server_max_active) {
+    while (!queue_.empty() && active_.size() < kServerMaxActive) {
         QueuedRequest req = std::move(queue_.front());
         queue_.pop_front();
         if (auto *t = sim_.tracer())
@@ -583,9 +575,7 @@ BeeHiveServer::dropFunction(uint16_t fn_endpoint)
 sim::SimTime
 BeeHiveServer::runGc()
 {
-    gc::GcCycleStats stats = collector_->collect();
-    ++stats_.gc_cycles;
-    return stats.pause;
+    return collector_->collect().pause;
 }
 
 sim::SimTime

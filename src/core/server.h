@@ -40,12 +40,20 @@
 
 namespace beehive::core {
 
-/** Aggregate counters of one server. */
+/**
+ * Event counts of one server. Its GC cycles are counted by its
+ * collector (collector().totals()); the fallbacks it serves, by the
+ * offload manager's FunctionStats.
+ */
 struct ServerStats
 {
-    uint64_t local_requests = 0;
-    uint64_t fallbacks_served = 0;
-    uint64_t gc_cycles = 0;
+    uint64_t local_requests = 0; //!< requests started locally
+    uint64_t queued = 0;    //!< requests that waited for a thread
+    uint64_t db_resets = 0; //!< DB ops re-issued after a reset
+    /** Interpreter work of finished local requests. */
+    uint64_t instructions = 0;
+    uint64_t calls = 0;
+    uint64_t native_calls = 0;
 };
 
 /** The server-side BeeHive runtime. */
@@ -69,6 +77,10 @@ class BeeHiveServer
                   proxy::ConnectionProxy &proxy,
                   net::EndpointId db_endpoint, cloud::Instance &machine,
                   BeeHiveConfig config);
+
+    /** Frees requests still in flight (their pending simulation
+     * events must never run afterwards). */
+    ~BeeHiveServer();
 
     /** @name Accessors */
     /// @{
@@ -147,12 +159,6 @@ class BeeHiveServer
 
     std::size_t functionCount() const { return mappings_.size(); }
     /// @}
-
-    /**
-     * Account one fallback served (stats; latency charged by the
-     * calling function driver).
-     */
-    void countFallbackServed() { ++stats_.fallbacks_served; }
 
     /**
      * Run a server GC cycle (mapping tables are part of the root

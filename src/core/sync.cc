@@ -3,7 +3,6 @@
 #include <deque>
 
 #include "support/logging.h"
-#include "telemetry/telemetry.h"
 
 namespace beehive::core {
 
@@ -313,8 +312,7 @@ SyncManager::acquireMonitor(uint16_t endpoint, const void *holder,
                                    std::move(grant)});
         return;
     }
-    if (telemetry_)
-        telemetry_->metrics().count("sync.monitor_contended");
+    ++stats_.monitor_contended;
     state.queue.push_back(
         Waiter{endpoint, holder, local, std::move(grant)});
 }
@@ -435,7 +433,7 @@ SyncManager::acquire(uint16_t endpoint, vm::Ref local)
     result.prev_owner = prev;
     if (prev == endpoint)
         return result;
-    ++sync_count_;
+    ++stats_.remote_acquires;
     result.remote = true;
 
     // Happen-before edge: everything the previous owner wrote
@@ -448,13 +446,8 @@ SyncManager::acquire(uint16_t endpoint, vm::Ref local)
     pullUpdates(endpoint, result);
 
     owners_[server_ref] = endpoint;
-    if (telemetry_) {
-        telemetry::MetricsRegistry &m = telemetry_->metrics();
-        m.count("sync.remote_acquires");
-        m.count("sync.objects_transferred",
-                result.objects_transferred);
-        m.count("sync.bytes_transferred", result.bytes_transferred);
-    }
+    stats_.objects_transferred += result.objects_transferred;
+    stats_.bytes_transferred += result.bytes_transferred;
     return result;
 }
 

@@ -34,10 +34,6 @@
 #include "vm/context.h"
 #include "vm/heap.h"
 
-namespace beehive::telemetry {
-class Tracer;
-}
-
 namespace beehive::core {
 
 /** Server-coordinated release-consistency synchronization. */
@@ -130,12 +126,18 @@ class SyncManager
     /** Monitor owner of a canonical (server-address) object. */
     uint16_t owner(vm::Ref server_ref) const;
 
-    /** Total synchronizations performed. */
-    uint64_t syncCount() const { return sync_count_; }
+    /** Event counts of the protocol. */
+    struct Stats
+    {
+        /** Acquires that synchronized with another endpoint. */
+        uint64_t remote_acquires = 0;
+        uint64_t objects_transferred = 0;
+        uint64_t bytes_transferred = 0;
+        /** Monitor acquires that queued behind another holder. */
+        uint64_t monitor_contended = 0;
+    };
 
-    /** Install the telemetry tracer (live sync counters; null =
-     * off, the default, costing one branch per sync). */
-    void setTelemetry(telemetry::Tracer *t) { telemetry_ = t; }
+    const Stats &stats() const { return stats_; }
 
     /**
      * GC integration for the server: visit every server-address the
@@ -222,8 +224,7 @@ class SyncManager
      */
     std::vector<vm::Ref> flush_log_;
     std::unordered_map<vm::Ref, std::size_t> latest_flush_;
-    uint64_t sync_count_ = 0;
-    telemetry::Tracer *telemetry_ = nullptr;
+    Stats stats_;
 };
 
 } // namespace beehive::core

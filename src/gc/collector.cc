@@ -168,11 +168,8 @@ SemiSpaceCollector::collect()
     cycle_.pause = sim::SimTime::nsec(static_cast<int64_t>(pause_ns));
 
     ++totals_.collections;
-    totals_.objects_copied += cycle_.objects_copied;
     totals_.bytes_copied += cycle_.bytes_copied;
     totals_.pause_ms.add(cycle_.pause.toMillis());
-    if (observer_)
-        observer_(cycle_);
     return cycle_;
 }
 

@@ -54,11 +54,11 @@ struct GcCycleStats
     sim::SimTime pause;
 };
 
-/** Lifetime totals across cycles. */
+/** Lifetime totals across cycles: the one count of the server's
+ * collections (exported as `gc.*`); there is no telemetry hook. */
 struct GcTotals
 {
     uint64_t collections = 0;
-    uint64_t objects_copied = 0;
     uint64_t bytes_copied = 0;
     sim::SampleSet pause_ms; //!< per-cycle pauses (median stats)
 };
@@ -108,14 +108,6 @@ class SemiSpaceCollector
     /** Median pause across all cycles so far (ms; NaN when none). */
     double medianPauseMs() const;
 
-    /**
-     * Observe every completed cycle (telemetry hook). The collector
-     * stays free of any telemetry dependency; the owning runtime
-     * decides what to record. Null (the default) costs one branch.
-     */
-    using CycleObserver = std::function<void(const GcCycleStats &)>;
-    void setObserver(CycleObserver cb) { observer_ = std::move(cb); }
-
   private:
     /** Copy a from-space object to to-space (idempotent). */
     vm::Ref evacuate(vm::Ref ref);
@@ -128,7 +120,6 @@ class SemiSpaceCollector
     std::vector<ValueRootProvider> value_roots_;
     std::vector<RefRootProvider> ref_roots_;
     GcTotals totals_;
-    CycleObserver observer_;
 
     // Per-cycle working state.
     uint8_t from_space_ = 0;

@@ -273,7 +273,6 @@ runBurstExperiment(const BurstOptions &options)
     }
 
     if (telemetry::Tracer *t = bed.tracer()) {
-        bed.harvestMetrics();
         result.breakdown = telemetry::aggregateBreakdown(*t);
         result.span_violations = telemetry::validateSpans(*t);
         if (options.export_trace) {

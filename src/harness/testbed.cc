@@ -65,8 +65,6 @@ Testbed::Testbed(TestbedOptions options) : options_(options)
     db_machine_ = std::make_unique<cloud::Instance>(
         *sim_, *net_, cloud::m410XLarge(), "db-1", "db");
     proxy_ = std::make_unique<proxy::ConnectionProxy>(*store_);
-    if (tracer_)
-        proxy_->setTelemetry(tracer_.get());
 
     // The always-on server.
     core::BeeHiveConfig cfg = options_.beehive;
@@ -134,16 +132,38 @@ Testbed::harvestMetrics()
     m.set("sim.events_scheduled", q.scheduled());
     m.set("sim.events_dispatched", q.dispatched());
     m.set("sim.events_cancelled", q.cancelled());
-    m.set("proxy.stat_requests_routed",
-          proxy_->stats().requests_routed);
-    m.set("proxy.stat_offload_requests",
-          proxy_->stats().offload_requests);
-    m.set("server.stat_local_requests",
-          server_->stats().local_requests);
-    m.set("server.stat_fallbacks_served",
-          server_->stats().fallbacks_served);
-    m.set("gc.server_cycles",
-          server_->collector().totals().collections);
+
+    const core::ServerStats &ss = server_->stats();
+    m.set("server.requests", ss.local_requests);
+    m.set("server.queued", ss.queued);
+    m.set("db.resets", ss.db_resets);
+    m.set("vm.instructions", ss.instructions);
+    m.set("vm.calls", ss.calls);
+    m.set("vm.native_calls", ss.native_calls);
+    const gc::GcTotals &gc = server_->collector().totals();
+    m.set("gc.cycles", gc.collections);
+    m.set("gc.bytes_copied", gc.bytes_copied);
+    const core::SyncManager::Stats &sync = server_->sync().stats();
+    m.set("sync.remote_acquires", sync.remote_acquires);
+    m.set("sync.objects_transferred", sync.objects_transferred);
+    m.set("sync.bytes_transferred", sync.bytes_transferred);
+    m.set("sync.monitor_contended", sync.monitor_contended);
+
+    // DB operations are counted where the proxy routes them: over
+    // server connections, and over offloaded (packed) connections.
+    const proxy::ConnectionProxy::Stats &ps = proxy_->stats();
+    m.set("db.ops", ps.requests_routed - ps.offload_requests);
+    m.set("fn.db_ops", ps.offload_requests);
+    m.set("proxy.prepares", ps.prepares);
+    m.set("proxy.attaches", ps.attaches);
+    m.set("proxy.shadow_sessions", ps.shadow_sessions);
+    m.set("proxy.shadow_writes", ps.shadow_writes);
+    m.set("proxy.shadow_aborts", ps.shadow_aborts);
+    m.set("proxy.reconnects", ps.reconnects);
+    m.set("proxy.read_retries", ps.read_retries);
+    m.set("proxy.idem_writes_applied", ps.idem_writes_applied);
+    m.set("proxy.dup_writes_suppressed", ps.dup_writes_suppressed);
+
     if (platform_) {
         m.set("faas.cold_boots", platform_->coldBoots());
         m.set("faas.warm_boots", platform_->warmBoots());
@@ -152,39 +172,54 @@ Testbed::harvestMetrics()
         m.set("faas.cache_expired", platform_->expired());
     }
     if (manager_) {
-        const core::OffloadStats &s = manager_->stats();
-        m.set("offload.stat_local", s.local);
-        m.set("offload.stat_offloaded", s.offloaded);
-        m.set("offload.stat_shadows", s.shadows);
-        m.set("offload.stat_restores", s.restores);
-        m.set("offload.stat_recoveries", s.recoveries);
-        if (chaos_) {
-            m.set("offload.stat_retries", s.retries);
-            m.set("offload.stat_deadline_expirations",
-                  s.deadline_expirations);
-            m.set("offload.stat_boot_failures", s.boot_failures);
-            m.set("offload.stat_local_fallbacks", s.local_fallbacks);
-            m.set("offload.stat_shadows_abandoned",
-                  s.shadows_abandoned);
-            m.set("offload.stat_breaker_ejections",
-                  s.breaker_ejections);
-            m.set("offload.stat_degradations", s.degradations);
-            m.set("offload.stat_corrupt_restores", s.corrupt_restores);
-        }
+        const core::OffloadStats &o = manager_->stats();
+        m.set("offload.local", o.local);
+        m.set("offload.flights", o.flights);
+        m.set("offload.completed", o.completed);
+        m.set("offload.warm_dispatches", o.offloaded);
+        m.set("offload.shadow_flights", o.shadows);
+        m.set("offload.restore_boots", o.restores);
+        m.set("offload.closure_installs", o.closure_installs);
+        m.set("offload.retries", o.retries);
+        m.set("offload.kills", o.kills);
+        m.set("offload.deadline_expirations", o.deadline_expirations);
+        m.set("offload.boot_failures", o.boot_failures);
+        m.set("offload.local_fallbacks", o.local_fallbacks);
+        m.set("offload.shadows_abandoned", o.shadows_abandoned);
+        m.set("offload.breaker_ejections", o.breaker_ejections);
+        m.set("offload.degradations", o.degradations);
+        m.set("offload.degrade_recoveries", o.degrade_recoveries);
+        m.set("offload.corrupt_restores", o.corrupt_restores);
+        const core::FunctionStats &f = manager_->functionStats();
+        m.set("fn.invocations", f.invocations);
+        m.set("fn.resumes", f.resumes);
+        m.set("fn.shadow_invocations", f.shadow_invocations);
+        m.set("fn.db_resets", f.db_resets);
+        m.set("fallback.code", f.code_fetches);
+        m.set("fallback.data", f.data_fetches);
+        m.set("fallback.native", f.native_fallbacks);
+        m.set("fallback.sync", f.sync_fallbacks);
+        m.set("fallback.connection", f.connection_fallbacks);
+        m.set("prefetch.klasses", f.prefetched_klasses);
+        m.set("prefetch.objects", f.prefetched_objects);
+        m.set("prefetch.stale_objects", f.stale_prefetches);
+        m.set("gc.fn_cycles", f.gc_cycles);
+        m.set("gc.fn_bytes_copied", f.gc_bytes_copied);
     }
-    if (chaos_) {
-        const chaos::ChaosStats &c = chaos_->stats();
-        m.set("chaos.net_drops", c.net_drops);
-        m.set("chaos.net_spikes", c.net_spikes);
-        m.set("chaos.partition_drops", c.partition_drops);
-        m.set("chaos.boot_crashes", c.boot_crashes);
-        m.set("chaos.restore_crashes", c.restore_crashes);
-        m.set("chaos.invoke_crashes", c.invoke_crashes);
-        m.set("chaos.throttles", c.throttles);
-        m.set("chaos.db_resets", c.db_resets);
-        m.set("chaos.image_corruptions", c.image_corruptions);
-        m.set("chaos.total", c.total());
-    }
+
+    // Fault-free runs export zero faults.
+    const chaos::ChaosStats c =
+        chaos_ ? chaos_->stats() : chaos::ChaosStats{};
+    m.set("chaos.net_drops", c.net_drops);
+    m.set("chaos.net_spikes", c.net_spikes);
+    m.set("chaos.partition_drops", c.partition_drops);
+    m.set("chaos.boot_crashes", c.boot_crashes);
+    m.set("chaos.restore_crashes", c.restore_crashes);
+    m.set("chaos.invoke_crashes", c.invoke_crashes);
+    m.set("chaos.throttles", c.throttles);
+    m.set("chaos.db_resets", c.db_resets);
+    m.set("chaos.image_corruptions", c.image_corruptions);
+    m.set("chaos.total", c.total());
 }
 
 workload::RequestSink

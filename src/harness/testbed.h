@@ -105,9 +105,11 @@ class Testbed
     telemetry::Tracer *tracer() { return tracer_.get(); }
 
     /**
-     * Fold harvested counters (event queue, FaaS boots, proxy
-     * routing, offload and server stats) into the tracer's metrics
-     * registry. No-op when telemetry is off.
+     * Export every count of the run into the tracer's metrics
+     * registry, one name per count, copied from the typed stats of
+     * the module that counted it (event queue, server, collector,
+     * sync, proxy, FaaS platform, offload manager, chaos engine).
+     * The only writer of the registry. No-op when telemetry is off.
      */
     void harvestMetrics();
     /// @}

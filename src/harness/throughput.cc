@@ -86,7 +86,6 @@ runThroughputPoint(const ThroughputOptions &options,
     point.p99_latency = recorder.latencies().percentile(99);
 
     if (telemetry::Tracer *t = bed.tracer()) {
-        bed.harvestMetrics();
         point.breakdown = telemetry::aggregateBreakdown(*t);
         if (options.export_trace) {
             point.trace_json = telemetry::toChromeTraceJson(

@@ -1,20 +1,8 @@
 #include "proxy/connection_proxy.h"
 
 #include "support/logging.h"
-#include "telemetry/telemetry.h"
 
 namespace beehive::proxy {
-
-namespace {
-
-void
-count(telemetry::Tracer *t, const char *name, uint64_t by = 1)
-{
-    if (t)
-        t->metrics().count(name, by);
-}
-
-} // namespace
 
 ConnId
 ConnectionProxy::openConnection(net::EndpointId server)
@@ -55,7 +43,6 @@ ConnectionProxy::prepare(ConnId conn)
     offloads_[id] =
         Descriptor{conn, conns_[conn].server, net::kNoEndpoint};
     ++stats_.prepares;
-    count(telemetry_, "proxy.prepares");
     return id;
 }
 
@@ -67,7 +54,6 @@ ConnectionProxy::attach(OffloadId id, net::EndpointId faas)
         return false;
     it->second.faas = faas;
     ++stats_.attaches;
-    count(telemetry_, "proxy.attaches");
     return true;
 }
 
@@ -85,7 +71,6 @@ ConnectionProxy::shadowBegin(net::EndpointId faas)
     ShadowToken token = next_shadow_++;
     shadows_.emplace(token, ShadowSession{});
     ++stats_.shadow_sessions;
-    count(telemetry_, "proxy.shadow_sessions");
     return token;
 }
 
@@ -96,8 +81,6 @@ ConnectionProxy::shadowEnd(ShadowToken token)
     if (it == shadows_.end())
         return;
     stats_.shadow_writes += it->second.interceptedWrites();
-    count(telemetry_, "proxy.shadow_writes",
-          it->second.interceptedWrites());
     shadows_.erase(it);
 }
 
@@ -106,7 +89,6 @@ ConnectionProxy::shadowAbort(ShadowToken token)
 {
     if (shadows_.erase(token) > 0) {
         ++stats_.shadow_aborts;
-        count(telemetry_, "proxy.shadow_aborts");
     }
 }
 
@@ -129,21 +111,17 @@ ConnectionProxy::route(const db::Request &req, uint64_t idem_key,
             // reached the store: replay the recorded response
             // instead of double-applying it.
             ++stats_.dup_writes_suppressed;
-            count(telemetry_, "proxy.dup_writes_suppressed");
             return dit->second;
         }
     }
     db::Response resp =
         overlay ? overlay->apply(store_, req) : store_.execute(req);
     if (resp.reset) {
-        ++stats_.connection_resets;
         ++stats_.reconnects;
-        count(telemetry_, "proxy.connection_resets");
         if (!is_write) {
             // The reset landed before the read executed, so one
             // transparent reconnect + re-issue is always safe.
             ++stats_.read_retries;
-            count(telemetry_, "proxy.read_retries");
             db::Response again = overlay ? overlay->apply(store_, req)
                                          : store_.execute(req);
             again.resets = 1;
@@ -153,7 +131,6 @@ ConnectionProxy::route(const db::Request &req, uint64_t idem_key,
     if (is_write && idem_key != 0 && !overlay && resp.ok) {
         applied_.emplace(idem_key, resp);
         ++stats_.idem_writes_applied;
-        count(telemetry_, "proxy.idem_writes_applied");
     }
     return resp;
 }
@@ -164,7 +141,6 @@ ConnectionProxy::request(ConnId conn, const db::Request &req,
 {
     bh_assert(isOpen(conn), "request on closed connection");
     ++stats_.requests_routed;
-    count(telemetry_, "proxy.requests_routed");
     return route(req, idem_key, nullptr);
 }
 
@@ -179,8 +155,6 @@ ConnectionProxy::requestViaOffload(OffloadId id, const db::Request &req,
               "offload id was never attached");
     ++stats_.requests_routed;
     ++stats_.offload_requests;
-    count(telemetry_, "proxy.requests_routed");
-    count(telemetry_, "proxy.offload_requests");
     ShadowSession *overlay = nullptr;
     if (shadow) {
         auto sit = shadows_.find(*shadow);

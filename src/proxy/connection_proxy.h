@@ -31,10 +31,6 @@
 #include "proxy/shadow_session.h"
 #include "sim/stats.h"
 
-namespace beehive::telemetry {
-class Tracer;
-}
-
 namespace beehive::proxy {
 
 /** Handle for a server<->db connection managed by the proxy. */
@@ -67,9 +63,8 @@ class ConnectionProxy
         uint64_t attaches = 0;
         uint64_t shadow_sessions = 0;
         uint64_t shadow_writes = 0;
-        /** Injected connection resets observed at the proxy. */
-        uint64_t connection_resets = 0;
-        /** Reconnects performed after a reset. */
+        /** Reconnects performed after an injected connection reset
+         * (one per reset observed at the proxy). */
         uint64_t reconnects = 0;
         /** Idempotent reads transparently re-issued after a reset. */
         uint64_t read_retries = 0;
@@ -194,10 +189,6 @@ class ConnectionProxy
 
     const Stats &stats() const { return stats_; }
 
-    /** Record live routing counters into @p t's metrics registry
-     * (null detaches; the proxy never opens spans itself). */
-    void setTelemetry(telemetry::Tracer *t) { telemetry_ = t; }
-
   private:
     struct Conn
     {
@@ -219,7 +210,6 @@ class ConnectionProxy
     OffloadId next_offload_ = 100;
     ShadowToken next_shadow_ = 1;
     Stats stats_;
-    telemetry::Tracer *telemetry_ = nullptr;
 };
 
 } // namespace beehive::proxy

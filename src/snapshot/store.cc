@@ -346,7 +346,6 @@ SnapshotStore::planRestore(vm::MethodId root,
         return plan;
     WorkingSet &ws = it->second;
     ws.lru = ++lru_clock_;
-    ++restores_planned_;
 
     if (chaos_ && chaos_->enabled() && chaos_->corruptImage()) {
         // Injected storage corruption: flip stored metadata without
@@ -361,7 +360,6 @@ SnapshotStore::planRestore(vm::MethodId root,
         // Verification failed: never restore from a corrupt image.
         // Evict it so the endpoint re-records from scratch; the
         // caller degrades to the ordinary cold-boot path.
-        ++corruptions_;
         total_bytes_ -= ws.bytes;
         evicted_roots_.insert(root);
         roots_.erase(it);

@@ -170,7 +170,6 @@ class SnapshotStore
     uint64_t budgetBytes() const { return budget_bytes_; }
     uint64_t evictions() const { return evictions_; }
     uint64_t recordedRoots() const { return roots_.size(); }
-    uint64_t restoresPlanned() const { return restores_planned_; }
     /** Endpoints that started recording again after an eviction. */
     uint64_t reRecords() const { return re_records_; }
     uint64_t manifestsSynthesized() const
@@ -179,8 +178,6 @@ class SnapshotStore
     }
     /** Synthetic entries dropped by recorded-boot refinement. */
     uint64_t refinedDropped() const { return refined_dropped_; }
-    /** Images that failed checksum verification at restore time. */
-    uint64_t corruptions() const { return corruptions_; }
     /// @}
 
     /** Attach the fault-injection engine (nullptr detaches). With
@@ -252,11 +249,9 @@ class SnapshotStore
     std::set<vm::MethodId> evicted_roots_;
     uint64_t total_bytes_ = 0;
     uint64_t evictions_ = 0;
-    uint64_t restores_planned_ = 0;
     uint64_t re_records_ = 0;
     uint64_t manifests_synthesized_ = 0;
     uint64_t refined_dropped_ = 0;
-    uint64_t corruptions_ = 0;
     uint64_t lru_clock_ = 0;
     chaos::ChaosEngine *chaos_ = nullptr;
 };

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/stats.h"
 #include "telemetry/telemetry.h"
 
 namespace beehive::telemetry {

@@ -46,13 +46,6 @@ MetricsRegistry::counter(const std::string &name) const
     return it == counters_.end() ? 0 : it->second;
 }
 
-const sim::SampleSet *
-MetricsRegistry::histogram(const std::string &name) const
-{
-    auto it = histograms_.find(name);
-    return it == histograms_.end() ? nullptr : &it->second;
-}
-
 Tracer::Tracer(sim::Simulation &sim, std::size_t capacity)
     : sim_(sim), slab_(std::max<std::size_t>(capacity, 1))
 {

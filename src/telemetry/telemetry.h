@@ -1,6 +1,7 @@
 /**
  * @file
- * Causal span tracing and a metrics registry over simulated time.
+ * Causal span tracing over simulated time, plus the metrics export
+ * map a run's counts are harvested into.
  *
  * A Tracer is owned by one Testbed (never shared across trials), so
  * the `harness/parallel.h` trial driver stays deterministic: every
@@ -32,7 +33,6 @@
 #include <vector>
 
 #include "sim/sim_time.h"
-#include "sim/stats.h"
 
 namespace beehive::sim {
 class Simulation;
@@ -85,46 +85,29 @@ struct Span
 };
 
 /**
- * Named counters and SampleSet-backed histograms. std::map keys give
- * deterministic iteration order for export and text reports.
+ * Name -> value export of a run's counts, written only by
+ * Testbed::harvestMetrics(): each event is counted by one typed
+ * stats field of its module, telemetry on or off. std::map keys
+ * give deterministic export order.
  */
 class MetricsRegistry
 {
   public:
-    void count(const std::string &name, uint64_t by = 1)
-    {
-        counters_[name] += by;
-    }
-
-    /** Overwrite a counter (harvesting an existing stats struct). */
     void set(const std::string &name, uint64_t v)
     {
         counters_[name] = v;
     }
 
-    /** Value of a counter, 0 when never touched. */
+    /** Value of a counter, 0 when never set. */
     uint64_t counter(const std::string &name) const;
-
-    void observe(const std::string &name, double v)
-    {
-        histograms_[name].add(v);
-    }
-
-    /** Histogram by name, nullptr when never touched. */
-    const sim::SampleSet *histogram(const std::string &name) const;
 
     const std::map<std::string, uint64_t> &counters() const
     {
         return counters_;
     }
-    const std::map<std::string, sim::SampleSet> &histograms() const
-    {
-        return histograms_;
-    }
 
   private:
     std::map<std::string, uint64_t> counters_;
-    std::map<std::string, sim::SampleSet> histograms_;
 };
 
 /** Ambient causal position: the request and span downstream work
@@ -135,7 +118,7 @@ struct Context
     SpanId span = kNoSpan;
 };
 
-/** Per-run span recorder + metrics registry. */
+/** Per-run span recorder + metrics export map. */
 class Tracer
 {
   public:
@@ -148,9 +131,6 @@ class Tracer
 
     /** Allocate a fresh request id (1-based, monotonic). */
     uint64_t newRequest() { return next_request_++; }
-
-    /** Requests allocated so far. */
-    uint64_t requestCount() const { return next_request_ - 1; }
 
     /**
      * Open a span starting now.

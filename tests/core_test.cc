@@ -766,6 +766,17 @@ TEST_F(CoreTest, DbCallFromServerRoutesThroughProxy)
     EXPECT_EQ(proxy.stats().requests_routed, 1u);
 }
 
+TEST_F(CoreTest, ServerRejectsProgramWithVerifierError)
+{
+    // Verify-on-load is the load-time gate: a program with one
+    // Error finding (a pop from an empty operand stack) must never
+    // reach the interpreter.
+    vm::CodeBuilder b(program, node_k, "underflow", 0);
+    b.popv().pushI(0).ret();
+    b.build();
+    EXPECT_DEATH(makeServer(), "rejected with 1 error\\(s\\)");
+}
+
 TEST_F(CoreTest, ServerGcKeepsMappingTableTargetsAlive)
 {
     makeServer();
@@ -789,7 +800,7 @@ TEST_F(CoreTest, ServerGcKeepsMappingTableTargetsAlive)
     Ref moved = server->mappingFor(fn_id).toServer(0x8888);
     ASSERT_NE(moved, vm::kNullRef);
     EXPECT_EQ(server->heap().field(moved, 1).asInt(), 31);
-    EXPECT_EQ(server->stats().gc_cycles, 1u);
+    EXPECT_EQ(server->collector().totals().collections, 1u);
 }
 
 /**

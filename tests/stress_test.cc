@@ -34,7 +34,7 @@ TEST(Stress, HundredsOfRequestsOnTinyHeapsStayCorrect)
     ASSERT_TRUE(bed.runProfilingPhase());
 
     std::size_t comments_before = bed.store().tableSize("comments");
-    uint64_t gc_before = bed.server().stats().gc_cycles;
+    uint64_t gc_before = bed.server().collector().totals().collections;
 
     bed.manager()->setOffloadRatio(0.5);
     workload::Recorder recorder;
@@ -58,7 +58,7 @@ TEST(Stress, HundredsOfRequestsOnTinyHeapsStayCorrect)
     EXPECT_GE(inserted + shadows, recorder.completed());
 
     // The server GC really ran, and so did function GCs.
-    EXPECT_GT(bed.server().stats().gc_cycles, gc_before);
+    EXPECT_GT(bed.server().collector().totals().collections, gc_before);
     uint64_t fn_gcs = 0;
     double max_pause_ms = 0;
     for (const auto &inst : bed.platform()->instances()) {
@@ -141,7 +141,7 @@ TEST(Stress, FailureInjectionUnderLoadNeverLosesRequests)
         bed.sim().runUntil(bed.sim().now() + SimTime::msec(200));
     EXPECT_EQ(clients.active(), 0);
     EXPECT_GT(kills, 5);
-    EXPECT_GE(bed.manager()->stats().recoveries,
+    EXPECT_GE(bed.manager()->stats().retries,
               static_cast<uint64_t>(kills));
     EXPECT_GT(recorder.completed(), 100u);
 }

@@ -3,16 +3,21 @@
  * Telemetry subsystem tests: span tree well-formedness, critical-path
  * attribution (phases sum to end-to-end latency), Chrome trace-event
  * export, thread-count determinism, zero perturbation of the
- * simulation when enabled, and a cross-check of the span/metric
- * counters against the independent RequestTrace accounting over a
- * seeded workload range (the fuzz suites' seed-loop convention).
+ * simulation when enabled, a cross-check of the per-invocation
+ * RequestTraces against the event-time function aggregates over a
+ * seeded workload range (the fuzz suites' seed-loop convention),
+ * and the pinned metrics export of a traced chaos run, whose counts
+ * must equal those of the same run untraced.
  */
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "harness/burst.h"
@@ -292,22 +297,17 @@ TEST(TelemetryTest, RingBufferDropsOldestAndSurvivesStaleEnds)
     EXPECT_LE(t.spans().size(), 4u);
 }
 
-TEST(TelemetryTest, MetricsRegistryCountersAndHistograms)
+TEST(TelemetryTest, MetricsRegistrySetAndCounter)
 {
     sim::Simulation sim(1);
     Tracer t(sim, 8);
     MetricsRegistry &m = t.metrics();
     EXPECT_EQ(m.counter("nope"), 0u);
-    m.count("a");
-    m.count("a", 2);
+    m.set("a", 3);
     EXPECT_EQ(m.counter("a"), 3u);
     m.set("a", 7);
     EXPECT_EQ(m.counter("a"), 7u);
-    EXPECT_EQ(m.histogram("nope"), nullptr);
-    m.observe("h", 1.0);
-    m.observe("h", 3.0);
-    ASSERT_NE(m.histogram("h"), nullptr);
-    EXPECT_DOUBLE_EQ(m.histogram("h")->mean(), 2.0);
+    EXPECT_EQ(m.counters().size(), 1u);
 }
 
 // -------------------------------------------------------------------
@@ -389,8 +389,10 @@ TEST(TelemetryTest, SerialAndParallelRunsExportIdenticalTraces)
 
 /**
  * Drive an offloading testbed directly so the tracer is still alive
- * for per-request analysis, then cross-check the telemetry counters
- * against the OffloadManager's independent RequestTrace accounting.
+ * for per-request analysis, then cross-check the per-invocation
+ * RequestTraces against the offload manager's event-time
+ * aggregates, taken at quiescence (no flight in progress, so every
+ * counted event belongs to a completed invocation).
  * Seed-loop convention as in the fuzz suites (tests/fuzz_support.h
  * users): each seed is an independent randomized workload.
  */
@@ -414,18 +416,12 @@ TEST(TelemetryTest, CriticalPathAndRequestTraceCrossCheck)
 
         Tracer *t = bed.tracer();
         ASSERT_NE(t, nullptr);
-        MetricsRegistry &m = t->metrics();
-        // Drain until every offload flight completed (each opens
-        // one "offload.flights" and closes one "offload.completed").
-        for (int i = 0; i < 60 && m.counter("offload.flights") !=
-                                      m.counter("offload.completed");
-             ++i)
+        const core::OffloadStats &o = bed.manager()->stats();
+        // Drain until every offload flight completed.
+        for (int i = 0; i < 60 && o.flights != o.completed; ++i)
             bed.sim().runUntil(bed.sim().now() + SimTime::sec(1));
-        ASSERT_EQ(m.counter("offload.flights"),
-                  m.counter("offload.completed"))
-            << "seed " << seed;
-        ASSERT_GT(m.counter("offload.completed"), 0u)
-            << "seed " << seed;
+        ASSERT_EQ(o.flights, o.completed) << "seed " << seed;
+        ASSERT_GT(o.completed, 0u) << "seed " << seed;
 
         // Span tree is well formed and every completed request's
         // phases sum exactly to its end-to-end duration.
@@ -442,27 +438,175 @@ TEST(TelemetryTest, CriticalPathAndRequestTraceCrossCheck)
         }
         EXPECT_GT(analyzed, 0u) << "seed " << seed;
 
-        // Counter cross-check against RequestTrace.
+        // Per-invocation traces against the event-time aggregates.
         const auto &traces = bed.manager()->traces();
-        EXPECT_EQ(m.counter("offload.completed"), traces.size());
+        EXPECT_EQ(o.completed, traces.size());
         core::RequestTrace sum;
-        for (const auto &[root, trace] : traces)
+        uint64_t shadow_traces = 0;
+        for (const auto &[root, trace] : traces) {
             sum.merge(trace);
-        EXPECT_EQ(m.counter("fallback.code"), sum.code_fetches)
+            shadow_traces += trace.shadow ? 1 : 0;
+        }
+        const core::FunctionStats &f = bed.manager()->functionStats();
+        EXPECT_EQ(f.invocations + f.resumes, traces.size())
             << "seed " << seed;
-        EXPECT_EQ(m.counter("fallback.data"), sum.data_fetches)
+        EXPECT_EQ(f.shadow_invocations, shadow_traces)
             << "seed " << seed;
-        EXPECT_EQ(m.counter("fallback.native"),
-                  sum.native_fallbacks)
+        EXPECT_EQ(f.code_fetches, sum.code_fetches) << "seed " << seed;
+        EXPECT_EQ(f.data_fetches, sum.data_fetches) << "seed " << seed;
+        EXPECT_EQ(f.native_fallbacks, sum.native_fallbacks)
             << "seed " << seed;
-        EXPECT_EQ(m.counter("fallback.sync"), sum.sync_fallbacks)
+        EXPECT_EQ(f.sync_fallbacks, sum.sync_fallbacks)
             << "seed " << seed;
-        EXPECT_EQ(m.counter("fallback.connection"),
-                  sum.connection_fallbacks)
+        EXPECT_EQ(f.connection_fallbacks, sum.connection_fallbacks)
             << "seed " << seed;
-        EXPECT_EQ(m.counter("fn.db_ops"), sum.db_ops)
+        // Function DB operations are counted by the proxy.
+        EXPECT_EQ(bed.proxy().stats().offload_requests, sum.db_ops)
             << "seed " << seed;
     }
+}
+
+/** A storm with the full recovery stack, drained to quiescence. */
+std::unique_ptr<harness::Testbed>
+runChaosStorm(bool telemetry)
+{
+    harness::TestbedOptions opts;
+    opts.app = AppKind::Thumbnail;
+    opts.framework.native_scale = 200;
+    opts.beehive.telemetry = telemetry;
+    opts.beehive.snapshot_enabled = true;
+    opts.beehive.failure_recovery = true;
+    opts.beehive.offload_deadline = SimTime::sec(1);
+    opts.beehive.offload_max_retries = 5;
+    opts.beehive.retry_backoff_base = SimTime::msec(2);
+    opts.beehive.breaker_threshold = 2;
+    opts.chaos = chaos::FaultPlan::storm(0.6);
+    opts.chaos.blackhole = SimTime::sec(2);
+    auto bed = std::make_unique<harness::Testbed>(opts);
+    EXPECT_TRUE(bed->runProfilingPhase());
+    bed->manager()->setOffloadRatio(0.5);
+    workload::Recorder recorder;
+    workload::ClosedLoopClients clients(bed->sim(), bed->sink(),
+                                        recorder);
+    clients.start(4, bed->sim().now());
+    bed->sim().runUntil(bed->sim().now() + SimTime::sec(8));
+    clients.stopAll();
+    SimTime guard = bed->sim().now() + SimTime::sec(120);
+    while (clients.active() > 0 && bed->sim().now() < guard)
+        bed->sim().runUntil(bed->sim().now() + SimTime::msec(100));
+    EXPECT_EQ(clients.active(), 0);
+    return bed;
+}
+
+/** Field-by-field equality of an all-integer stats struct. */
+template <typename T>
+bool
+sameCounts(const T &a, const T &b)
+{
+    static_assert(std::has_unique_object_representations_v<T>,
+                  "stats struct must be padding-free integers");
+    return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+TEST(TelemetryTest, HarvestExportsEachCountOnceWhateverTelemetry)
+{
+    std::unique_ptr<harness::Testbed> on = runChaosStorm(true);
+    const core::ServerStats &server = on->server().stats();
+    const gc::GcTotals &gc = on->server().collector().totals();
+    const proxy::ConnectionProxy::Stats &proxy = on->proxy().stats();
+    const core::OffloadStats &offload = on->manager()->stats();
+    const core::FunctionStats &fn = on->manager()->functionStats();
+    const chaos::ChaosStats &chaos = on->chaosEngine()->stats();
+    const cloud::FaasPlatform &faas = *on->platform();
+    ASSERT_GT(chaos.total(), 0u);
+    ASSERT_GT(offload.retries, 0u);
+    ASSERT_GT(offload.completed, 0u);
+
+    // The exported name set is pinned: one name per count, no
+    // second copy of any stats field.
+    on->harvestMetrics();
+    const auto &exported = on->tracer()->metrics().counters();
+    std::string names;
+    for (const auto &[name, v] : exported) {
+        EXPECT_EQ(name.find("stat_"), std::string::npos) << name;
+        names += name + " ";
+    }
+    EXPECT_EQ(names,
+              "chaos.boot_crashes chaos.db_resets chaos.image_corruptions "
+              "chaos.invoke_crashes chaos.net_drops chaos.net_spikes "
+              "chaos.partition_drops chaos.restore_crashes "
+              "chaos.throttles chaos.total db.ops db.resets "
+              "faas.cache_expired faas.cold_boots faas.instances "
+              "faas.restore_boots faas.warm_boots fallback.code "
+              "fallback.connection fallback.data fallback.native "
+              "fallback.sync fn.db_ops fn.db_resets fn.invocations "
+              "fn.resumes fn.shadow_invocations gc.bytes_copied "
+              "gc.cycles gc.fn_bytes_copied gc.fn_cycles "
+              "offload.boot_failures offload.breaker_ejections "
+              "offload.closure_installs offload.completed "
+              "offload.corrupt_restores offload.deadline_expirations "
+              "offload.degradations offload.degrade_recoveries "
+              "offload.flights offload.kills offload.local "
+              "offload.local_fallbacks offload.restore_boots "
+              "offload.retries offload.shadow_flights "
+              "offload.shadows_abandoned offload.warm_dispatches "
+              "prefetch.klasses prefetch.objects prefetch.stale_objects "
+              "proxy.attaches proxy.dup_writes_suppressed "
+              "proxy.idem_writes_applied proxy.prepares "
+              "proxy.read_retries proxy.reconnects proxy.shadow_aborts "
+              "proxy.shadow_sessions proxy.shadow_writes server.queued "
+              "server.requests sim.events_cancelled "
+              "sim.events_dispatched sim.events_scheduled "
+              "sync.bytes_transferred sync.monitor_contended "
+              "sync.objects_transferred sync.remote_acquires vm.calls "
+              "vm.instructions vm.native_calls ");
+
+    // Every name perfbench/run.py reads, from its typed owner.
+    const std::pair<const char *, uint64_t> read_by_perfbench[] = {
+        {"sim.events_dispatched", on->sim().queue().dispatched()},
+        {"vm.instructions", server.instructions},
+        {"vm.native_calls", server.native_calls},
+        {"server.requests", server.local_requests},
+        {"db.ops", proxy.requests_routed - proxy.offload_requests},
+        {"fn.db_ops", proxy.offload_requests},
+        {"sync.objects_transferred",
+         on->server().sync().stats().objects_transferred},
+        {"offload.flights", offload.flights},
+        {"offload.warm_dispatches", offload.offloaded},
+        {"offload.completed", offload.completed},
+        {"gc.cycles", gc.collections},
+        {"gc.fn_cycles", fn.gc_cycles},
+        {"gc.bytes_copied", gc.bytes_copied},
+        {"gc.fn_bytes_copied", fn.gc_bytes_copied},
+        {"faas.cold_boots", faas.coldBoots()},
+        {"faas.warm_boots", faas.warmBoots()},
+        {"faas.restore_boots", faas.restoreBoots()},
+        {"chaos.total", chaos.total()},
+        {"chaos.net_drops", chaos.net_drops}};
+    for (const auto &[name, value] : read_by_perfbench) {
+        auto it = exported.find(name);
+        ASSERT_NE(it, exported.end()) << name;
+        EXPECT_EQ(it->second, value) << name;
+    }
+
+    // Counting is not telemetry: the same run untraced counts
+    // exactly the same events.
+    std::unique_ptr<harness::Testbed> off = runChaosStorm(false);
+    EXPECT_TRUE(sameCounts(server, off->server().stats()));
+    EXPECT_TRUE(sameCounts(on->server().sync().stats(),
+                           off->server().sync().stats()));
+    EXPECT_TRUE(sameCounts(proxy, off->proxy().stats()));
+    EXPECT_TRUE(sameCounts(offload, off->manager()->stats()));
+    EXPECT_TRUE(sameCounts(fn, off->manager()->functionStats()));
+    EXPECT_TRUE(sameCounts(chaos, off->chaosEngine()->stats()));
+    const gc::GcTotals &off_gc = off->server().collector().totals();
+    EXPECT_EQ(gc.collections, off_gc.collections);
+    EXPECT_EQ(gc.bytes_copied, off_gc.bytes_copied);
+    EXPECT_EQ(on->sim().queue().dispatched(),
+              off->sim().queue().dispatched());
+    EXPECT_EQ(faas.coldBoots(), off->platform()->coldBoots());
+    EXPECT_EQ(faas.warmBoots(), off->platform()->warmBoots());
+    EXPECT_EQ(faas.restoreBoots(), off->platform()->restoreBoots());
 }
 
 } // namespace
