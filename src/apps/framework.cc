@@ -105,7 +105,7 @@ Framework::defineNatives(vm::NativeRegistry &natives)
     // --- Pure on-heap: System.arraycopy(len).
     uint32_t arraycopy_n = natives.add(
         "System.arraycopy", NativeCategory::PureOnHeap,
-        [](vm::VmContext &, std::vector<Value> &args) {
+        [](vm::VmContext &, std::span<const Value> args) {
             NativeResult r;
             r.cost_ns = 60.0 + 0.15 * static_cast<double>(
                                           args[0].asInt());
@@ -120,7 +120,7 @@ Framework::defineNatives(vm::NativeRegistry &natives)
     // when the receiver was packed (Packageable, Section 3.2).
     uint32_t invoke0_n = natives.add(
         "MethodAccessor.invoke0", NativeCategory::HiddenState,
-        [](vm::VmContext &, std::vector<Value> &args) {
+        [](vm::VmContext &, std::span<const Value> args) {
             NativeResult r;
             r.cost_ns = 150.0;
             r.ret = args[1];
@@ -132,7 +132,7 @@ Framework::defineNatives(vm::NativeRegistry &natives)
     // --- Stateless: Thread.currentThread().
     uint32_t current_n = natives.add(
         "Thread.currentThread", NativeCategory::Stateless,
-        [](vm::VmContext &, std::vector<Value> &) {
+        [](vm::VmContext &, std::span<const Value>) {
             NativeResult r;
             r.cost_ns = 30.0;
             r.ret = Value::ofInt(1);
@@ -146,7 +146,7 @@ Framework::defineNatives(vm::NativeRegistry &natives)
     // half of a database round.
     uint32_t write_n = natives.add(
         "SocketImpl.socketWrite0", NativeCategory::Network,
-        [](vm::VmContext &, std::vector<Value> &) {
+        [](vm::VmContext &, std::span<const Value>) {
             NativeResult r;
             r.cost_ns = 90.0;
             return r;
@@ -159,7 +159,7 @@ Framework::defineNatives(vm::NativeRegistry &natives)
     // blocks on the external database response.
     uint32_t read_n = natives.add(
         "SocketImpl.socketRead0", NativeCategory::Network,
-        [](vm::VmContext &ctx, std::vector<Value> &args) {
+        [](vm::VmContext &ctx, std::span<const Value> args) {
             NativeResult r;
             r.cost_ns = 250.0;
             core::DbCallPayload payload;

@@ -165,7 +165,7 @@ class BeeHiveFunction::Invocation
             // Weak capture: if the function is killed or destroyed
             // while the job runs, the continuation is a no-op.
             fn_.instance_.machine->cpu().submit(
-                cost, [w = weak_from_this(), s] {
+                cost, [w = weak_from_this(), s = std::move(s)] {
                     if (auto self = w.lock())
                         self->dispatch(s);
                 });
@@ -521,7 +521,8 @@ class BeeHiveFunction::Invocation
             return;
         }
 
-        after(latency, [this, payload, resp, sp] {
+        after(latency, [this, payload = std::move(payload),
+                        resp = std::move(resp), sp] {
             endSpan(sp);
             auto v = tryMaterializeDbResponse(*fn_.ctx_,
                                               payload.request, resp);
@@ -695,7 +696,7 @@ BeeHiveFunction::BeeHiveFunction(BeeHiveServer &server,
     // natives need a packed Packageable receiver.
     ctx_->setNativePolicy(
         [this](const vm::NativeMethod &native,
-               const std::vector<Value> &args) {
+               std::span<const Value> args) {
             switch (native.category) {
               case vm::NativeCategory::PureOnHeap:
               case vm::NativeCategory::Stateless:

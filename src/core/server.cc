@@ -145,7 +145,7 @@ class BeeHiveServer::LocalInvocation
         total_cost_ += cost;
         if (cost > 0.0) {
             server_.machine().cpu().submit(
-                cost, [this, s] { dispatch(s); });
+                cost, [this, s = std::move(s)] { dispatch(s); });
         } else {
             dispatch(s);
         }
@@ -322,7 +322,8 @@ class BeeHiveServer::LocalInvocation
                 });
             return;
         }
-        server_.sim().after(latency, [this, payload, resp, db_span] {
+        server_.sim().after(latency, [this, payload = std::move(payload),
+                                      resp = std::move(resp), db_span] {
             if (auto *t = tracer())
                 t->end(db_span);
             auto v = tryMaterializeDbResponse(server_.context(),

@@ -272,6 +272,9 @@ Testbed::runProfilingPhase()
     // short (Section 4.3's two heuristics).
     auto roots = server_->profiler().selectRoots(
         /*min_total_ns=*/5e6, /*min_avg_ns=*/1e6);
+    // Root selection is the profile's only consumer on the server
+    // side; profiling on every later request would only cost time.
+    server_->setProfiling(false);
     bool selected = false;
     for (vm::MethodId root : roots) {
         if (root == app_->handler())

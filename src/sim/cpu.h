@@ -17,10 +17,10 @@
 #define BEEHIVE_SIM_CPU_H
 
 #include <cstdint>
-#include <functional>
 #include <map>
 
 #include "sim/simulation.h"
+#include "sim/small_fn.h"
 
 namespace beehive::sim {
 
@@ -29,7 +29,8 @@ class ProcessorSharingCpu
 {
   public:
     using JobId = uint64_t;
-    using Callback = std::function<void()>;
+    /** Move-only completion continuation (see SmallFn). */
+    using Callback = SmallFn;
 
     /**
      * @param sim Owning simulation.

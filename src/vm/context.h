@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -81,11 +82,12 @@ class VmContext
     using MonitorReleaseHook = std::function<void(Ref obj)>;
 
     /**
-     * Policy asked before running a native on this endpoint.
+     * Policy asked before running a native on this endpoint, with the
+     * arguments as a view of the caller's stack top (see NativeFn).
      * Installed by the BeeHive runtime; null means RunLocal.
      */
     using NativePolicy = std::function<NativeDisposition(
-        const NativeMethod &native, const std::vector<Value> &args)>;
+        const NativeMethod &native, std::span<const Value> args)>;
 
     VmContext(const Program &program, NativeRegistry &natives,
               Heap &heap, VmConfig config);
@@ -174,7 +176,7 @@ class VmContext
     }
     NativeDisposition
     nativeDisposition(const NativeMethod &native,
-                      const std::vector<Value> &args) const
+                      std::span<const Value> args) const
     {
         return native_policy_ ? native_policy_(native, args)
                               : NativeDisposition::RunLocal;

@@ -1,7 +1,9 @@
 #include "vm/interpreter.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 
 #include "support/logging.h"
 #include "vm/profiler.h"
@@ -20,26 +22,26 @@ Interpreter::start(MethodId entry, std::vector<Value> args)
     awaiting_external_ = false;
     if (ctx_.raceOracle() && race_tid_ < 0)
         race_tid_ = ctx_.raceOracle()->newThread();
-    enterMethod(entry, std::move(args));
+    const Method &m = ctx_.program().method(entry);
+    bh_assert(args.size() == m.num_args, "%s expects %u args, got %zu",
+              m.name.c_str(), m.num_args, args.size());
+    if (args.size() > values_.size())
+        growValues(args.size());
+    std::copy(args.begin(), args.end(), values_.begin());
+    sp_ = args.size();
+    enterMethod(entry, m);
 }
 
-Value
-Interpreter::pop()
+void
+Interpreter::growValues(std::size_t n)
 {
-    Frame &f = top();
-    bh_assert(!f.stack.empty(), "stack underflow in %s",
-              ctx_.program().method(f.method).name.c_str());
-    Value v = f.stack.back();
-    f.stack.pop_back();
-    return v;
+    values_.resize(std::max({n, 2 * values_.size(), std::size_t{64}}));
 }
 
-Value &
-Interpreter::peek(std::size_t depth)
+void
+Interpreter::stackUnderflow() const
 {
-    Frame &f = top();
-    bh_assert(f.stack.size() > depth, "stack underflow on peek");
-    return f.stack[f.stack.size() - 1 - depth];
+    panic("stack underflow in %s", frames_.back().method->name.c_str());
 }
 
 void
@@ -67,18 +69,23 @@ Interpreter::clearRecording()
 }
 
 void
-Interpreter::enterMethod(MethodId id, std::vector<Value> args)
+Interpreter::enterMethod(MethodId id, const Method &m)
 {
-    const Method &m = ctx_.program().method(id);
     bh_assert(!m.is_native, "enterMethod on native");
-    bh_assert(args.size() == m.num_args, "%s expects %u args, got %zu",
-              m.name.c_str(), m.num_args, args.size());
-    Frame frame;
-    frame.method = id;
-    frame.cost_multiplier = ctx_.methodEntered(id);
-    frame.locals = std::move(args);
-    frame.locals.resize(m.num_locals, Value::nil());
-    frames_.push_back(std::move(frame));
+    Window w;
+    w.method = &m;
+    w.id = id;
+    w.cost_multiplier = ctx_.methodEntered(id);
+    // The arguments stay where the caller pushed them and become
+    // locals [0, num_args); the remaining locals start out nil.
+    w.base = sp_ - m.num_args;
+    w.stack_base = w.base + m.num_locals;
+    if (w.stack_base > values_.size())
+        growValues(w.stack_base);
+    for (std::size_t i = sp_; i < w.stack_base; ++i)
+        values_[i] = Value::nil();
+    sp_ = w.stack_base;
+    frames_.push_back(w);
     ++stats_.calls;
 }
 
@@ -131,12 +138,12 @@ Interpreter::loadBarrier(Value &v, Suspend &out, Writeback &&writeback)
 }
 
 bool
-Interpreter::resolveRef(Value &v, Suspend &out)
+Interpreter::resolveRefSlow(Value &v, Suspend &out)
 {
     bh_assert(v.isRef(), "expected a reference, got kind %d",
               static_cast<int>(v.kind));
     bh_assert(v.asRef() != kNullRef, "null dereference in %s",
-              ctx_.program().method(top().method).name.c_str());
+              top().method->name.c_str());
     // The stack slot is the value's home, so the rewrite done by
     // checkLoadedValue() is already the writeback.
     return loadBarrier(v, out, [](Value &) {});
@@ -146,13 +153,14 @@ bool
 Interpreter::invokeNative(const Method &m, Suspend &out)
 {
     const NativeMethod &native = ctx_.natives().get(m.native_id);
-    Frame &f = top();
-    bh_assert(f.stack.size() >= m.num_args,
+    bh_assert(stackDepth() >= m.num_args,
               "not enough args for native %s", native.name.c_str());
 
-    // Peek the arguments without popping so a fallback suspension
-    // leaves the instruction retriable.
-    std::vector<Value> args(f.stack.end() - m.num_args, f.stack.end());
+    // The arguments are read in place and popped only once the
+    // native ran, so a fallback suspension leaves the instruction
+    // retriable.
+    const std::size_t args_at = sp_ - m.num_args;
+    std::span<const Value> args(values_.data() + args_at, m.num_args);
 
     if (!ctx_.consumeForceLocalNative() &&
         ctx_.nativeDisposition(native, args) ==
@@ -162,12 +170,12 @@ Interpreter::invokeNative(const Method &m, Suspend &out)
         return false;
     }
 
-    f.stack.resize(f.stack.size() - m.num_args);
-    ++f.pc;
+    ++top().pc;
     ++stats_.native_calls;
     ctx_.countNative(native.category);
 
     NativeResult result = native.fn(ctx_, args);
+    sp_ = args_at;
     charge(result.cost_ns);
     if (result.external) {
         awaiting_external_ = true;
@@ -188,29 +196,28 @@ Interpreter::invoke(MethodId id, Suspend &out)
     if (m.is_native)
         return invokeNative(m, out);
 
-    Frame &f = top();
-    bh_assert(f.stack.size() >= m.num_args, "not enough args for %s",
+    Window &f = top();
+    bh_assert(stackDepth() >= m.num_args, "not enough args for %s",
               m.name.c_str());
 
     if (!suppress_offload_ && ctx_.shouldOffload(id)) {
         // Semi-FaaS split: redirect this call to a FaaS function.
-        // The driver completes it via resumeExternal().
-        std::vector<Value> args(f.stack.end() - m.num_args,
-                                f.stack.end());
-        f.stack.resize(f.stack.size() - m.num_args);
+        // The driver completes it via resumeExternal(). The
+        // arguments leave the interpreter, so they are copied out.
+        const std::size_t args_at = sp_ - m.num_args;
+        out.offload_args.assign(values_.begin() + args_at,
+                                values_.begin() + sp_);
+        sp_ = args_at;
         ++f.pc;
         awaiting_external_ = true;
         out.kind = Suspend::Kind::OffloadCall;
         out.offload_method = id;
-        out.offload_args = std::move(args);
         return false;
     }
 
-    std::vector<Value> args(f.stack.end() - m.num_args, f.stack.end());
-    f.stack.resize(f.stack.size() - m.num_args);
     ++f.pc;
     charge(20.0 * f.cost_multiplier); // call overhead
-    enterMethod(id, std::move(args));
+    enterMethod(id, m);
 
     // Candidate profiling: entering an annotated handler starts
     // recording its dynamic extent.
@@ -235,515 +242,513 @@ Interpreter::resumeExternal(Value result)
     push(result);
 }
 
-Interpreter::StepResult
-Interpreter::step(Suspend &out)
-{
-    Frame &f = top();
-    const Method &m = ctx_.program().method(f.method);
-    bh_assert(f.pc < m.code.size(), "pc ran off method %s",
-              m.name.c_str());
-    const Instr &in = m.code[f.pc];
-    const double mult = f.cost_multiplier;
-
-    ++stats_.instructions;
-    charge(ctx_.config().instr_cost_ns * mult);
-
-    switch (in.op) {
-      case Op::Nop:
-        break;
-
-      case Op::PushI:
-        push(Value::ofInt(in.a));
-        break;
-
-      case Op::PushF: {
-        double d;
-        int64_t bits = in.a;
-        std::memcpy(&d, &bits, sizeof d);
-        push(Value::ofFloat(d));
-        break;
-      }
-
-      case Op::PushNil:
-        push(Value::nil());
-        break;
-
-      case Op::Load: {
-        bh_assert(static_cast<std::size_t>(in.a) < f.locals.size(),
-                  "bad local slot");
-        if (!checkLoadedValue(f.locals[in.a], out))
-            return StepResult::Suspended;
-        push(f.locals[in.a]);
-        break;
-      }
-
-      case Op::Store: {
-        bh_assert(static_cast<std::size_t>(in.a) < f.locals.size(),
-                  "bad local slot");
-        f.locals[in.a] = pop();
-        break;
-      }
-
-      case Op::Dup:
-        push(peek());
-        break;
-
-      case Op::Pop:
-        pop();
-        break;
-
-      case Op::Swap: {
-        Value a = pop();
-        Value b = pop();
-        push(a);
-        push(b);
-        break;
-      }
-
-      case Op::Add: case Op::Sub: case Op::Mul:
-      case Op::Div: case Op::Mod: {
-        Value b = pop();
-        Value a = pop();
-        if (a.isInt() && b.isInt()) {
-            int64_t x = a.asInt(), y = b.asInt(), r = 0;
-            switch (in.op) {
-              case Op::Add: r = x + y; break;
-              case Op::Sub: r = x - y; break;
-              case Op::Mul: r = x * y; break;
-              // Division by zero yields 0 by definition in HiveVM;
-              // the apps never rely on trapping.
-              case Op::Div: r = y == 0 ? 0 : x / y; break;
-              case Op::Mod: r = y == 0 ? 0 : x % y; break;
-              default: break;
-            }
-            push(Value::ofInt(r));
-        } else {
-            double x = a.asNumber(), y = b.asNumber(), r = 0.0;
-            switch (in.op) {
-              case Op::Add: r = x + y; break;
-              case Op::Sub: r = x - y; break;
-              case Op::Mul: r = x * y; break;
-              case Op::Div: r = y == 0.0 ? 0.0 : x / y; break;
-              case Op::Mod: r = y == 0.0 ? 0.0 : std::fmod(x, y); break;
-              default: break;
-            }
-            push(Value::ofFloat(r));
-        }
-        break;
-      }
-
-      case Op::Neg: {
-        Value a = pop();
-        if (a.isInt())
-            push(Value::ofInt(-a.asInt()));
-        else
-            push(Value::ofFloat(-a.asNumber()));
-        break;
-      }
-
-      case Op::CmpEq: case Op::CmpNe: {
-        Value b = pop();
-        Value a = pop();
-        bool eq;
-        if (a.isRef() || b.isRef())
-            eq = a == b;
-        else
-            eq = a.asNumber() == b.asNumber();
-        push(Value::ofInt((in.op == Op::CmpEq) == eq ? 1 : 0));
-        break;
-      }
-
-      case Op::CmpLt: case Op::CmpLe: case Op::CmpGt: case Op::CmpGe: {
-        Value b = pop();
-        Value a = pop();
-        double x = a.asNumber(), y = b.asNumber();
-        bool r = false;
-        switch (in.op) {
-          case Op::CmpLt: r = x < y; break;
-          case Op::CmpLe: r = x <= y; break;
-          case Op::CmpGt: r = x > y; break;
-          case Op::CmpGe: r = x >= y; break;
-          default: break;
-        }
-        push(Value::ofInt(r ? 1 : 0));
-        break;
-      }
-
-      case Op::And: {
-        Value b = pop();
-        Value a = pop();
-        push(Value::ofInt(a.truthy() && b.truthy() ? 1 : 0));
-        break;
-      }
-
-      case Op::Or: {
-        Value b = pop();
-        Value a = pop();
-        push(Value::ofInt(a.truthy() || b.truthy() ? 1 : 0));
-        break;
-      }
-
-      case Op::Not:
-        push(Value::ofInt(pop().truthy() ? 0 : 1));
-        break;
-
-      case Op::Jmp:
-        f.pc = static_cast<uint32_t>(in.a);
-        return StepResult::Continue;
-
-      case Op::Jz:
-        if (!pop().truthy()) {
-            f.pc = static_cast<uint32_t>(in.a);
-            return StepResult::Continue;
-        }
-        break;
-
-      case Op::Jnz:
-        if (pop().truthy()) {
-            f.pc = static_cast<uint32_t>(in.a);
-            return StepResult::Continue;
-        }
-        break;
-
-      case Op::New: {
-        KlassId k = static_cast<KlassId>(in.a);
-        if (!requireKlass(k, out))
-            return StepResult::Suspended;
-        Ref r = ctx_.heap().allocPlain(k);
-        if (r == kNullRef) {
-            out.kind = Suspend::Kind::HeapFull;
-            return StepResult::Suspended;
-        }
-        push(Value::ofRef(r));
-        charge(10.0 * mult);
-        break;
-      }
-
-      case Op::NewArr: {
-        KlassId k = static_cast<KlassId>(in.a);
-        if (!requireKlass(k, out))
-            return StepResult::Suspended;
-        Value len = peek();
-        bh_assert(len.isInt() && len.asInt() >= 0, "bad array length");
-        Ref r = ctx_.heap().allocArray(
-            k, static_cast<uint64_t>(len.asInt()));
-        if (r == kNullRef) {
-            out.kind = Suspend::Kind::HeapFull;
-            return StepResult::Suspended;
-        }
-        pop();
-        push(Value::ofRef(r));
-        charge(10.0 * mult + 0.1 * static_cast<double>(len.asInt()));
-        break;
-      }
-
-      case Op::NewBytes: {
-        KlassId k = ctx_.config().bytes_klass;
-        bh_assert(k != kNoKlass, "bytes_klass not configured");
-        if (!requireKlass(k, out))
-            return StepResult::Suspended;
-        const std::string &s =
-            ctx_.program().stringAt(static_cast<uint32_t>(in.a));
-        Ref r = ctx_.heap().allocBytes(k, s);
-        if (r == kNullRef) {
-            out.kind = Suspend::Kind::HeapFull;
-            return StepResult::Suspended;
-        }
-        push(Value::ofRef(r));
-        charge(5.0 * mult + 0.05 * static_cast<double>(s.size()));
-        break;
-      }
-
-      case Op::BytesLen: {
-        if (!resolveRef(peek(), out))
-            return StepResult::Suspended;
-        Ref r = pop().asRef();
-        push(Value::ofInt(ctx_.heap().count(r)));
-        break;
-      }
-
-      case Op::GetField: {
-        if (!resolveRef(peek(), out))
-            return StepResult::Suspended;
-        Ref obj = peek().asRef();
-        if (recording_)
-            recorded_field_reads_.insert(
-                {ctx_.heap().header(obj).klass,
-                 static_cast<uint32_t>(in.a)});
-        Value v = ctx_.heap().field(obj,
-                                    static_cast<uint32_t>(in.a));
-        if (!loadBarrier(v, out, [&](Value &nv) {
-                // Reset the bit in the field itself.
-                ctx_.heap().setField(obj, static_cast<uint32_t>(in.a),
-                                     nv);
-            }))
-            return StepResult::Suspended;
-        if (RaceOracle *ro = ctx_.raceOracle())
-            ro->fieldAccess(race_tid_, obj,
-                            ctx_.heap().header(obj).klass,
-                            static_cast<uint32_t>(in.a), false);
-        pop();
-        push(v);
-        break;
-      }
-
-      case Op::PutField: {
-        if (!resolveRef(peek(1), out))
-            return StepResult::Suspended;
-        Value v = pop();
-        Ref obj = pop().asRef();
-        ctx_.heap().setField(obj, static_cast<uint32_t>(in.a), v);
-        if (RaceOracle *ro = ctx_.raceOracle())
-            ro->fieldAccess(race_tid_, obj,
-                            ctx_.heap().header(obj).klass,
-                            static_cast<uint32_t>(in.a), true);
-        break;
-      }
-
-      case Op::ALoad: {
-        if (!resolveRef(peek(1), out))
-            return StepResult::Suspended;
-        Value idx_v = peek(0);
-        bh_assert(idx_v.isInt(), "array index must be int");
-        Ref arr = peek(1).asRef();
-        uint32_t idx = static_cast<uint32_t>(idx_v.asInt());
-        Value v = ctx_.heap().elem(arr, idx);
-        if (!loadBarrier(v, out, [&](Value &nv) {
-                ctx_.heap().setElem(arr, idx, nv);
-            }))
-            return StepResult::Suspended;
-        if (RaceOracle *ro = ctx_.raceOracle())
-            ro->elementAccess(race_tid_, arr,
-                              ctx_.heap().header(arr).klass, false);
-        pop();
-        pop();
-        push(v);
-        break;
-      }
-
-      case Op::AStore: {
-        if (!resolveRef(peek(2), out))
-            return StepResult::Suspended;
-        Value v = pop();
-        Value idx = pop();
-        Ref arr = pop().asRef();
-        bh_assert(idx.isInt(), "array index must be int");
-        ctx_.heap().setElem(arr, static_cast<uint32_t>(idx.asInt()), v);
-        if (RaceOracle *ro = ctx_.raceOracle())
-            ro->elementAccess(race_tid_, arr,
-                              ctx_.heap().header(arr).klass, true);
-        break;
-      }
-
-      case Op::ArrLen: {
-        if (!resolveRef(peek(), out))
-            return StepResult::Suspended;
-        Ref arr = pop().asRef();
-        push(Value::ofInt(ctx_.heap().count(arr)));
-        break;
-      }
-
-      case Op::GetStatic: {
-        KlassId k = static_cast<KlassId>(in.a);
-        if (!requireKlass(k, out))
-            return StepResult::Suspended;
-        if (recording_)
-            recorded_statics_.insert(
-                {k, static_cast<uint32_t>(in.b)});
-        Value v = ctx_.getStatic(k, static_cast<uint32_t>(in.b));
-        if (!loadBarrier(v, out, [&](Value &nv) {
-                ctx_.setStatic(k, static_cast<uint32_t>(in.b), nv);
-            }))
-            return StepResult::Suspended;
-        if (RaceOracle *ro = ctx_.raceOracle())
-            ro->staticAccess(race_tid_, k,
-                             static_cast<uint32_t>(in.b), false);
-        push(v);
-        break;
-      }
-
-      case Op::PutStatic: {
-        KlassId k = static_cast<KlassId>(in.a);
-        if (!requireKlass(k, out))
-            return StepResult::Suspended;
-        if (recording_)
-            recorded_statics_.insert(
-                {k, static_cast<uint32_t>(in.b)});
-        ctx_.setStatic(k, static_cast<uint32_t>(in.b), pop());
-        if (RaceOracle *ro = ctx_.raceOracle())
-            ro->staticAccess(race_tid_, k,
-                             static_cast<uint32_t>(in.b), true);
-        break;
-      }
-
-      case Op::Call:
-      case Op::CallNative: {
-        MethodId id = static_cast<MethodId>(in.a);
-        bh_assert(in.op != Op::CallNative ||
-                      ctx_.program().method(id).is_native,
-                  "CallNative on bytecode method");
-        if (!invoke(id, out))
-            return StepResult::Suspended;
-        return StepResult::Continue; // pc handled by invoke
-      }
-
-      case Op::CallVirt: {
-        NameId name = static_cast<NameId>(in.a);
-        uint16_t nargs = static_cast<uint16_t>(in.b);
-        bh_assert(nargs >= 1, "CallVirt needs a receiver");
-        if (!resolveRef(peek(nargs - 1), out))
-            return StepResult::Suspended;
-        Ref recv = peek(nargs - 1).asRef();
-        KlassId k = ctx_.heap().header(recv).klass;
-        MethodId id = ctx_.program().resolveVirtual(k, name);
-        bh_assert(id != kNoMethod, "no virtual %s on %s",
-                  ctx_.program().nameAt(name).c_str(),
-                  ctx_.program().klass(k).name.c_str());
-        bh_assert(ctx_.program().method(id).num_args == nargs,
-                  "virtual arg count mismatch on %s",
-                  ctx_.program().nameAt(name).c_str());
-        charge(5.0 * mult); // vtable walk
-        if (!invoke(id, out))
-            return StepResult::Suspended;
-        return StepResult::Continue;
-      }
-
-      case Op::MonitorEnter: {
-        if (!resolveRef(peek(), out))
-            return StepResult::Suspended;
-        Ref obj = peek().asRef();
-        if (granted_monitor_ == obj) {
-            granted_monitor_ = kNullRef; // one-shot grant consumed
-        } else if (ctx_.needsRemoteAcquire(obj)) {
-            // Shared-object monitor: the driver must win it from
-            // the SyncManager's monitor table before we proceed.
-            out.kind = Suspend::Kind::MonitorAcquire;
-            out.monitor_obj = obj;
-            return StepResult::Suspended;
-        }
-        pop();
-        ctx_.heap().header(obj).lock_owner =
-            static_cast<uint16_t>(ctx_.config().endpoint + 1);
-        if (RaceOracle *ro = ctx_.raceOracle())
-            ro->acquire(race_tid_, obj);
-        ++stats_.monitor_enters;
-        charge(15.0 * mult);
-        break;
-      }
-
-      case Op::MonitorExit: {
-        if (!resolveRef(peek(), out))
-            return StepResult::Suspended;
-        Ref obj = peek().asRef();
-        if (release_granted_) {
-            release_granted_ = false;
-        } else if (ctx_.needsRemoteAcquire(obj)) {
-            out.kind = Suspend::Kind::MonitorRelease;
-            out.monitor_obj = obj;
-            return StepResult::Suspended;
-        }
-        pop();
-        if (RaceOracle *ro = ctx_.raceOracle())
-            ro->release(race_tid_, obj);
-        ctx_.monitorReleased(obj);
-        charge(10.0 * mult);
-        break;
-      }
-
-      case Op::GetVolatile:
-      case Op::PutVolatile: {
-        // Volatile accesses carry JMM acquire/release semantics:
-        // on a shared object they synchronize state with the last
-        // releasing endpoint before proceeding (Section 4.2:
-        // "other synchronization operations, like volatile memory
-        // accesses, are also supported").
-        std::size_t obj_depth = in.op == Op::PutVolatile ? 1 : 0;
-        if (!resolveRef(peek(obj_depth), out))
-            return StepResult::Suspended;
-        Ref obj = peek(obj_depth).asRef();
-        if (granted_volatile_ == obj) {
-            granted_volatile_ = kNullRef;
-        } else if (ctx_.needsRemoteAcquire(obj)) {
-            out.kind = Suspend::Kind::VolatileSync;
-            out.monitor_obj = obj;
-            out.volatile_write = in.op == Op::PutVolatile;
-            return StepResult::Suspended;
-        }
-        if (in.op == Op::PutVolatile) {
-            Value v = pop();
-            Ref target = pop().asRef();
-            ctx_.heap().setField(target,
-                                 static_cast<uint32_t>(in.a), v);
-            if (RaceOracle *ro = ctx_.raceOracle())
-                ro->volatileAccess(race_tid_, target,
-                                   ctx_.heap().header(target).klass,
-                                   static_cast<uint32_t>(in.a),
-                                   true);
-            ctx_.monitorReleased(target); // release edge
-        } else {
-            Ref target = pop().asRef();
-            if (recording_)
-                recorded_field_reads_.insert(
-                    {ctx_.heap().header(target).klass,
-                     static_cast<uint32_t>(in.a)});
-            if (RaceOracle *ro = ctx_.raceOracle())
-                ro->volatileAccess(race_tid_, target,
-                                   ctx_.heap().header(target).klass,
-                                   static_cast<uint32_t>(in.a),
-                                   false);
-            push(ctx_.heap().field(target,
-                                   static_cast<uint32_t>(in.a)));
-        }
-        charge(8.0 * mult);
-        break;
-      }
-
-      case Op::Compute:
-        charge(static_cast<double>(in.a) * mult);
-        break;
-
-      case Op::Ret: {
-        Value result =
-            f.stack.empty() ? Value::nil() : f.stack.back();
-        if (candidate_active_ && frames_.size() == candidate_depth_) {
-            // The candidate handler is returning: flush its profile.
-            if (ctx_.profiler()) {
-                ctx_.profiler()->recordExecution(
-                    candidate_root_,
-                    cost_total_ - candidate_cost_start_,
-                    recorded_klasses_, recorded_statics_,
-                    stats_.monitor_enters - candidate_syncs_start_);
-            }
-            candidate_active_ = false;
-            recording_ = false;
-        }
-        frames_.pop_back();
-        if (frames_.empty()) {
-            out.kind = Suspend::Kind::Done;
-            out.result = result;
-            return StepResult::Finished;
-        }
-        push(result);
-        return StepResult::Continue;
-      }
-    }
-
-    ++f.pc;
-    return StepResult::Continue;
-}
-
 Suspend
 Interpreter::run()
 {
     bh_assert(!frames_.empty(), "run() with no frames");
     bh_assert(!awaiting_external_,
               "run() while awaiting external completion");
+    const double quantum_ns = ctx_.config().quantum_ns;
     Suspend out;
     while (true) {
-        StepResult r = step(out);
-        if (r != StepResult::Continue)
-            return out;
-        if (quantum_acc_ >= ctx_.config().quantum_ns) {
+        // One instruction per iteration. Cases that end in `break`
+        // advance the pc; jumps, calls and returns set it themselves and
+        // go straight to the quantum check. Call and Ret may reallocate
+        // frames_, so nothing below them may touch `f`.
+        Window &f = top();
+        const Method &m = *f.method;
+        bh_assert(f.pc < m.code.size(), "pc ran off method %s",
+                  m.name.c_str());
+        const Instr &in = m.code[f.pc];
+        const double mult = f.cost_multiplier;
+
+        ++stats_.instructions;
+        charge(ctx_.config().instr_cost_ns * mult);
+
+        switch (in.op) {
+          case Op::Nop:
+            break;
+
+          case Op::PushI:
+            push(Value::ofInt(in.a));
+            break;
+
+          case Op::PushF: {
+            double d;
+            int64_t bits = in.a;
+            std::memcpy(&d, &bits, sizeof d);
+            push(Value::ofFloat(d));
+            break;
+          }
+
+          case Op::PushNil:
+            push(Value::nil());
+            break;
+
+          case Op::Load: {
+            bh_assert(static_cast<std::size_t>(in.a) < f.stack_base - f.base,
+                      "bad local slot");
+            if (!checkLoadedValue(values_[f.base + in.a], out))
+                return out;
+            push(values_[f.base + in.a]);
+            break;
+          }
+
+          case Op::Store: {
+            bh_assert(static_cast<std::size_t>(in.a) < f.stack_base - f.base,
+                      "bad local slot");
+            values_[f.base + in.a] = pop();
+            break;
+          }
+
+          case Op::Dup:
+            push(peek());
+            break;
+
+          case Op::Pop:
+            pop();
+            break;
+
+          case Op::Swap: {
+            Value a = pop();
+            Value b = pop();
+            push(a);
+            push(b);
+            break;
+          }
+
+          case Op::Add: case Op::Sub: case Op::Mul:
+          case Op::Div: case Op::Mod: {
+            Value b = pop();
+            Value a = pop();
+            if (a.isInt() && b.isInt()) {
+                int64_t x = a.asInt(), y = b.asInt(), r = 0;
+                switch (in.op) {
+                  case Op::Add: r = x + y; break;
+                  case Op::Sub: r = x - y; break;
+                  case Op::Mul: r = x * y; break;
+                  // Division by zero yields 0 by definition in HiveVM;
+                  // the apps never rely on trapping.
+                  case Op::Div: r = y == 0 ? 0 : x / y; break;
+                  case Op::Mod: r = y == 0 ? 0 : x % y; break;
+                  default: break;
+                }
+                push(Value::ofInt(r));
+            } else {
+                double x = a.asNumber(), y = b.asNumber(), r = 0.0;
+                switch (in.op) {
+                  case Op::Add: r = x + y; break;
+                  case Op::Sub: r = x - y; break;
+                  case Op::Mul: r = x * y; break;
+                  case Op::Div: r = y == 0.0 ? 0.0 : x / y; break;
+                  case Op::Mod: r = y == 0.0 ? 0.0 : std::fmod(x, y); break;
+                  default: break;
+                }
+                push(Value::ofFloat(r));
+            }
+            break;
+          }
+
+          case Op::Neg: {
+            Value a = pop();
+            if (a.isInt())
+                push(Value::ofInt(-a.asInt()));
+            else
+                push(Value::ofFloat(-a.asNumber()));
+            break;
+          }
+
+          case Op::CmpEq: case Op::CmpNe: {
+            Value b = pop();
+            Value a = pop();
+            bool eq;
+            if (a.isRef() || b.isRef())
+                eq = a == b;
+            else
+                eq = a.asNumber() == b.asNumber();
+            push(Value::ofInt((in.op == Op::CmpEq) == eq ? 1 : 0));
+            break;
+          }
+
+          case Op::CmpLt: case Op::CmpLe: case Op::CmpGt: case Op::CmpGe: {
+            Value b = pop();
+            Value a = pop();
+            double x = a.asNumber(), y = b.asNumber();
+            bool r = false;
+            switch (in.op) {
+              case Op::CmpLt: r = x < y; break;
+              case Op::CmpLe: r = x <= y; break;
+              case Op::CmpGt: r = x > y; break;
+              case Op::CmpGe: r = x >= y; break;
+              default: break;
+            }
+            push(Value::ofInt(r ? 1 : 0));
+            break;
+          }
+
+          case Op::And: {
+            Value b = pop();
+            Value a = pop();
+            push(Value::ofInt(a.truthy() && b.truthy() ? 1 : 0));
+            break;
+          }
+
+          case Op::Or: {
+            Value b = pop();
+            Value a = pop();
+            push(Value::ofInt(a.truthy() || b.truthy() ? 1 : 0));
+            break;
+          }
+
+          case Op::Not:
+            push(Value::ofInt(pop().truthy() ? 0 : 1));
+            break;
+
+          case Op::Jmp:
+            f.pc = static_cast<uint32_t>(in.a);
+            goto next;
+
+          case Op::Jz:
+            if (!pop().truthy()) {
+                f.pc = static_cast<uint32_t>(in.a);
+                goto next;
+            }
+            break;
+
+          case Op::Jnz:
+            if (pop().truthy()) {
+                f.pc = static_cast<uint32_t>(in.a);
+                goto next;
+            }
+            break;
+
+          case Op::New: {
+            KlassId k = static_cast<KlassId>(in.a);
+            if (!requireKlass(k, out))
+                return out;
+            Ref r = ctx_.heap().allocPlain(k);
+            if (r == kNullRef) {
+                out.kind = Suspend::Kind::HeapFull;
+                return out;
+            }
+            push(Value::ofRef(r));
+            charge(10.0 * mult);
+            break;
+          }
+
+          case Op::NewArr: {
+            KlassId k = static_cast<KlassId>(in.a);
+            if (!requireKlass(k, out))
+                return out;
+            Value len = peek();
+            bh_assert(len.isInt() && len.asInt() >= 0, "bad array length");
+            Ref r = ctx_.heap().allocArray(
+                k, static_cast<uint64_t>(len.asInt()));
+            if (r == kNullRef) {
+                out.kind = Suspend::Kind::HeapFull;
+                return out;
+            }
+            pop();
+            push(Value::ofRef(r));
+            charge(10.0 * mult + 0.1 * static_cast<double>(len.asInt()));
+            break;
+          }
+
+          case Op::NewBytes: {
+            KlassId k = ctx_.config().bytes_klass;
+            bh_assert(k != kNoKlass, "bytes_klass not configured");
+            if (!requireKlass(k, out))
+                return out;
+            const std::string &s =
+                ctx_.program().stringAt(static_cast<uint32_t>(in.a));
+            Ref r = ctx_.heap().allocBytes(k, s);
+            if (r == kNullRef) {
+                out.kind = Suspend::Kind::HeapFull;
+                return out;
+            }
+            push(Value::ofRef(r));
+            charge(5.0 * mult + 0.05 * static_cast<double>(s.size()));
+            break;
+          }
+
+          case Op::BytesLen: {
+            if (!resolveRef(peek(), out))
+                return out;
+            Ref r = pop().asRef();
+            push(Value::ofInt(ctx_.heap().count(r)));
+            break;
+          }
+
+          case Op::GetField: {
+            if (!resolveRef(peek(), out))
+                return out;
+            Ref obj = peek().asRef();
+            if (recording_)
+                recorded_field_reads_.insert(
+                    {ctx_.heap().header(obj).klass,
+                     static_cast<uint32_t>(in.a)});
+            Value v = ctx_.heap().field(obj,
+                                        static_cast<uint32_t>(in.a));
+            if (!loadBarrier(v, out, [&](Value &nv) {
+                    // Reset the bit in the field itself.
+                    ctx_.heap().setField(obj, static_cast<uint32_t>(in.a),
+                                         nv);
+                }))
+                return out;
+            if (RaceOracle *ro = ctx_.raceOracle())
+                ro->fieldAccess(race_tid_, obj,
+                                ctx_.heap().header(obj).klass,
+                                static_cast<uint32_t>(in.a), false);
+            pop();
+            push(v);
+            break;
+          }
+
+          case Op::PutField: {
+            if (!resolveRef(peek(1), out))
+                return out;
+            Value v = pop();
+            Ref obj = pop().asRef();
+            ctx_.heap().setField(obj, static_cast<uint32_t>(in.a), v);
+            if (RaceOracle *ro = ctx_.raceOracle())
+                ro->fieldAccess(race_tid_, obj,
+                                ctx_.heap().header(obj).klass,
+                                static_cast<uint32_t>(in.a), true);
+            break;
+          }
+
+          case Op::ALoad: {
+            if (!resolveRef(peek(1), out))
+                return out;
+            Value idx_v = peek(0);
+            bh_assert(idx_v.isInt(), "array index must be int");
+            Ref arr = peek(1).asRef();
+            uint32_t idx = static_cast<uint32_t>(idx_v.asInt());
+            Value v = ctx_.heap().elem(arr, idx);
+            if (!loadBarrier(v, out, [&](Value &nv) {
+                    ctx_.heap().setElem(arr, idx, nv);
+                }))
+                return out;
+            if (RaceOracle *ro = ctx_.raceOracle())
+                ro->elementAccess(race_tid_, arr,
+                                  ctx_.heap().header(arr).klass, false);
+            pop();
+            pop();
+            push(v);
+            break;
+          }
+
+          case Op::AStore: {
+            if (!resolveRef(peek(2), out))
+                return out;
+            Value v = pop();
+            Value idx = pop();
+            Ref arr = pop().asRef();
+            bh_assert(idx.isInt(), "array index must be int");
+            ctx_.heap().setElem(arr, static_cast<uint32_t>(idx.asInt()), v);
+            if (RaceOracle *ro = ctx_.raceOracle())
+                ro->elementAccess(race_tid_, arr,
+                                  ctx_.heap().header(arr).klass, true);
+            break;
+          }
+
+          case Op::ArrLen: {
+            if (!resolveRef(peek(), out))
+                return out;
+            Ref arr = pop().asRef();
+            push(Value::ofInt(ctx_.heap().count(arr)));
+            break;
+          }
+
+          case Op::GetStatic: {
+            KlassId k = static_cast<KlassId>(in.a);
+            if (!requireKlass(k, out))
+                return out;
+            if (recording_)
+                recorded_statics_.insert(
+                    {k, static_cast<uint32_t>(in.b)});
+            Value v = ctx_.getStatic(k, static_cast<uint32_t>(in.b));
+            if (!loadBarrier(v, out, [&](Value &nv) {
+                    ctx_.setStatic(k, static_cast<uint32_t>(in.b), nv);
+                }))
+                return out;
+            if (RaceOracle *ro = ctx_.raceOracle())
+                ro->staticAccess(race_tid_, k,
+                                 static_cast<uint32_t>(in.b), false);
+            push(v);
+            break;
+          }
+
+          case Op::PutStatic: {
+            KlassId k = static_cast<KlassId>(in.a);
+            if (!requireKlass(k, out))
+                return out;
+            if (recording_)
+                recorded_statics_.insert(
+                    {k, static_cast<uint32_t>(in.b)});
+            ctx_.setStatic(k, static_cast<uint32_t>(in.b), pop());
+            if (RaceOracle *ro = ctx_.raceOracle())
+                ro->staticAccess(race_tid_, k,
+                                 static_cast<uint32_t>(in.b), true);
+            break;
+          }
+
+          case Op::Call:
+          case Op::CallNative: {
+            MethodId id = static_cast<MethodId>(in.a);
+            bh_assert(in.op != Op::CallNative ||
+                          ctx_.program().method(id).is_native,
+                      "CallNative on bytecode method");
+            if (!invoke(id, out))
+                return out;
+            goto next; // pc handled by invoke
+          }
+
+          case Op::CallVirt: {
+            NameId name = static_cast<NameId>(in.a);
+            uint16_t nargs = static_cast<uint16_t>(in.b);
+            bh_assert(nargs >= 1, "CallVirt needs a receiver");
+            if (!resolveRef(peek(nargs - 1), out))
+                return out;
+            Ref recv = peek(nargs - 1).asRef();
+            KlassId k = ctx_.heap().header(recv).klass;
+            MethodId id = ctx_.program().resolveVirtual(k, name);
+            bh_assert(id != kNoMethod, "no virtual %s on %s",
+                      ctx_.program().nameAt(name).c_str(),
+                      ctx_.program().klass(k).name.c_str());
+            bh_assert(ctx_.program().method(id).num_args == nargs,
+                      "virtual arg count mismatch on %s",
+                      ctx_.program().nameAt(name).c_str());
+            charge(5.0 * mult); // vtable walk
+            if (!invoke(id, out))
+                return out;
+            goto next;
+          }
+
+          case Op::MonitorEnter: {
+            if (!resolveRef(peek(), out))
+                return out;
+            Ref obj = peek().asRef();
+            if (granted_monitor_ == obj) {
+                granted_monitor_ = kNullRef; // one-shot grant consumed
+            } else if (ctx_.needsRemoteAcquire(obj)) {
+                // Shared-object monitor: the driver must win it from
+                // the SyncManager's monitor table before we proceed.
+                out.kind = Suspend::Kind::MonitorAcquire;
+                out.monitor_obj = obj;
+                return out;
+            }
+            pop();
+            ctx_.heap().header(obj).lock_owner =
+                static_cast<uint16_t>(ctx_.config().endpoint + 1);
+            if (RaceOracle *ro = ctx_.raceOracle())
+                ro->acquire(race_tid_, obj);
+            ++stats_.monitor_enters;
+            charge(15.0 * mult);
+            break;
+          }
+
+          case Op::MonitorExit: {
+            if (!resolveRef(peek(), out))
+                return out;
+            Ref obj = peek().asRef();
+            if (release_granted_) {
+                release_granted_ = false;
+            } else if (ctx_.needsRemoteAcquire(obj)) {
+                out.kind = Suspend::Kind::MonitorRelease;
+                out.monitor_obj = obj;
+                return out;
+            }
+            pop();
+            if (RaceOracle *ro = ctx_.raceOracle())
+                ro->release(race_tid_, obj);
+            ctx_.monitorReleased(obj);
+            charge(10.0 * mult);
+            break;
+          }
+
+          case Op::GetVolatile:
+          case Op::PutVolatile: {
+            // Volatile accesses carry JMM acquire/release semantics:
+            // on a shared object they synchronize state with the last
+            // releasing endpoint before proceeding (Section 4.2:
+            // "other synchronization operations, like volatile memory
+            // accesses, are also supported").
+            std::size_t obj_depth = in.op == Op::PutVolatile ? 1 : 0;
+            if (!resolveRef(peek(obj_depth), out))
+                return out;
+            Ref obj = peek(obj_depth).asRef();
+            if (granted_volatile_ == obj) {
+                granted_volatile_ = kNullRef;
+            } else if (ctx_.needsRemoteAcquire(obj)) {
+                out.kind = Suspend::Kind::VolatileSync;
+                out.monitor_obj = obj;
+                out.volatile_write = in.op == Op::PutVolatile;
+                return out;
+            }
+            if (in.op == Op::PutVolatile) {
+                Value v = pop();
+                Ref target = pop().asRef();
+                ctx_.heap().setField(target,
+                                     static_cast<uint32_t>(in.a), v);
+                if (RaceOracle *ro = ctx_.raceOracle())
+                    ro->volatileAccess(race_tid_, target,
+                                       ctx_.heap().header(target).klass,
+                                       static_cast<uint32_t>(in.a),
+                                       true);
+                ctx_.monitorReleased(target); // release edge
+            } else {
+                Ref target = pop().asRef();
+                if (recording_)
+                    recorded_field_reads_.insert(
+                        {ctx_.heap().header(target).klass,
+                         static_cast<uint32_t>(in.a)});
+                if (RaceOracle *ro = ctx_.raceOracle())
+                    ro->volatileAccess(race_tid_, target,
+                                       ctx_.heap().header(target).klass,
+                                       static_cast<uint32_t>(in.a),
+                                       false);
+                push(ctx_.heap().field(target,
+                                       static_cast<uint32_t>(in.a)));
+            }
+            charge(8.0 * mult);
+            break;
+          }
+
+          case Op::Compute:
+            charge(static_cast<double>(in.a) * mult);
+            break;
+
+          case Op::Ret: {
+            Value result =
+                sp_ == f.stack_base ? Value::nil() : values_[sp_ - 1];
+            if (candidate_active_ && frames_.size() == candidate_depth_) {
+                // The candidate handler is returning: flush its profile.
+                if (ctx_.profiler()) {
+                    ctx_.profiler()->recordExecution(
+                        candidate_root_,
+                        cost_total_ - candidate_cost_start_,
+                        recorded_klasses_, recorded_statics_,
+                        stats_.monitor_enters - candidate_syncs_start_);
+                }
+                candidate_active_ = false;
+                recording_ = false;
+            }
+            sp_ = f.base;
+            frames_.pop_back();
+            if (frames_.empty()) {
+                out.kind = Suspend::Kind::Done;
+                out.result = result;
+                return out;
+            }
+            push(result);
+            goto next;
+          }
+        }
+
+        ++f.pc;
+      next:
+        if (quantum_acc_ >= quantum_ns) {
             quantum_acc_ = 0.0;
             out.kind = Suspend::Kind::Quantum;
             return out;
@@ -751,22 +756,62 @@ Interpreter::run()
     }
 }
 
-void
-Interpreter::restoreFrames(std::vector<Frame> frames)
+std::vector<Frame>
+Interpreter::snapshotFrames() const
 {
-    frames_ = std::move(frames);
+    std::vector<Frame> frames;
+    frames.reserve(frames_.size());
+    for (std::size_t i = 0; i < frames_.size(); ++i) {
+        const Window &w = frames_[i];
+        // A frame's operand stack ends where the next window begins.
+        const std::size_t end = i + 1 < frames_.size()
+                                    ? frames_[i + 1].base
+                                    : sp_;
+        Frame f;
+        f.method = w.id;
+        f.pc = w.pc;
+        f.cost_multiplier = w.cost_multiplier;
+        f.locals.assign(values_.begin() + w.base,
+                        values_.begin() + w.stack_base);
+        f.stack.assign(values_.begin() + w.stack_base,
+                       values_.begin() + end);
+        frames.push_back(std::move(f));
+    }
+    return frames;
+}
+
+void
+Interpreter::restoreFrames(const std::vector<Frame> &frames)
+{
+    frames_.clear();
+    sp_ = 0;
+    for (const Frame &f : frames) {
+        Window w;
+        w.method = &ctx_.program().method(f.method);
+        w.id = f.method;
+        w.pc = f.pc;
+        w.cost_multiplier = f.cost_multiplier;
+        w.base = sp_;
+        w.stack_base = w.base + f.locals.size();
+        const std::size_t end = w.stack_base + f.stack.size();
+        if (end > values_.size())
+            growValues(end);
+        std::copy(f.locals.begin(), f.locals.end(),
+                  values_.begin() + w.base);
+        std::copy(f.stack.begin(), f.stack.end(),
+                  values_.begin() + w.stack_base);
+        sp_ = end;
+        frames_.push_back(w);
+    }
     awaiting_external_ = false;
 }
 
 void
 Interpreter::forEachRoot(const std::function<void(Value &)> &fn)
 {
-    for (Frame &f : frames_) {
-        for (Value &v : f.locals)
-            fn(v);
-        for (Value &v : f.stack)
-            fn(v);
-    }
+    // The windows tile values_[0, sp_) in exactly the root order.
+    for (std::size_t i = 0; i < sp_; ++i)
+        fn(values_[i]);
 }
 
 } // namespace beehive::vm

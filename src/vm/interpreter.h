@@ -21,16 +21,26 @@
  *     resumeExternal() once the driver has the result;
  *   - Done: the root method returned.
  *
- * This explicit suspension design is also what makes stack
- * snapshots for failure recovery (Section 4.5) straightforward:
- * frames are plain data.
+ * All frames share one contiguous value stack. A live frame is a
+ * window over it: its locals start at @c base, its operand stack at
+ * @c stack_base, and the next frame's window begins where its stack
+ * ends. A call leaves the arguments where the caller pushed them, so
+ * they become the callee's first locals without a copy; a return
+ * truncates the stack to the callee's base and pushes the result.
+ * Natives read their arguments as a span over the caller's stack top.
+ *
+ * Because suspension happens only between instructions, the windows
+ * can be materialised on demand as plain-data Frame snapshots for
+ * failure recovery (Section 4.5) and rebuilt from them.
  */
 
 #ifndef BEEHIVE_VM_INTERPRETER_H
 #define BEEHIVE_VM_INTERPRETER_H
 
 #include <any>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <vector>
 
@@ -40,7 +50,11 @@
 
 namespace beehive::vm {
 
-/** One activation record. Plain data: copyable for snapshots. */
+/**
+ * One activation record as plain data: the snapshot format of
+ * Interpreter::snapshotFrames() and restoreFrames(). Live frames are
+ * windows over the interpreter's value stack instead.
+ */
 struct Frame
 {
     MethodId method = kNoMethod;
@@ -138,13 +152,16 @@ class Interpreter
 
     /** @name Failure recovery (paper Section 4.5) */
     /// @{
-    /** Copy of the current frame stack. */
-    std::vector<Frame> snapshotFrames() const { return frames_; }
+    /** Copy of the current frame stack, outermost frame first. */
+    std::vector<Frame> snapshotFrames() const;
     /** Replace the frame stack (re-execution from a sync point). */
-    void restoreFrames(std::vector<Frame> frames);
+    void restoreFrames(const std::vector<Frame> &frames);
     /// @}
 
-    /** Iterate every root reference (GC). */
+    /**
+     * Iterate every root reference (GC): outermost frame first, each
+     * frame's locals, then its operand stack.
+     */
     void forEachRoot(const std::function<void(Value &)> &fn);
 
     /** @name Profiling support */
@@ -200,17 +217,58 @@ class Interpreter
     VmContext &context() { return ctx_; }
 
   private:
-    /** Outcome of a single instruction step. */
-    enum class StepResult { Continue, Suspended, Finished };
+    /** A live frame: a window over values_. */
+    struct Window
+    {
+        const Method *method = nullptr;
+        MethodId id = kNoMethod;
+        uint32_t pc = 0;
+        double cost_multiplier = 1.0;
+        /** Index of local 0 in values_. */
+        std::size_t base = 0;
+        /** Index of the operand stack bottom (base + locals). */
+        std::size_t stack_base = 0;
+    };
 
-    StepResult step(Suspend &out);
+    Window &top() { return frames_.back(); }
 
-    Frame &top() { return frames_.back(); }
+    /**
+     * Push/pop helpers operating on the top frame's operand stack.
+     * They sit in the dispatch loop, so growth and the underflow
+     * panic are kept out of line.
+     */
+    void
+    push(Value v)
+    {
+        if (sp_ == values_.size()) [[unlikely]]
+            growValues(sp_ + 1);
+        values_[sp_++] = v;
+    }
 
-    /** Push/pop helpers operating on the top frame. */
-    void push(Value v) { top().stack.push_back(v); }
-    Value pop();
-    Value &peek(std::size_t depth = 0);
+    Value
+    pop()
+    {
+        if (sp_ <= frames_.back().stack_base) [[unlikely]]
+            stackUnderflow();
+        return values_[--sp_];
+    }
+
+    Value &
+    peek(std::size_t depth = 0)
+    {
+        if (stackDepth() <= depth) [[unlikely]]
+            stackUnderflow();
+        return values_[sp_ - 1 - depth];
+    }
+
+    /** Operand-stack depth of the top frame. */
+    std::size_t stackDepth() const { return sp_ - frames_.back().stack_base; }
+
+    /** Make values_ hold at least @p n values (amortised doubling). */
+    void growValues(std::size_t n);
+
+    /** Panic naming the method whose operand stack ran dry. */
+    [[noreturn]] void stackUnderflow() const;
 
     /**
      * Check a just-loaded value for the remote mark; rewrite it via
@@ -225,7 +283,17 @@ class Interpreter
      * Resolve an object reference about to be dereferenced. Faults
      * on unmapped remote refs; rewrites mapped ones in place.
      */
-    bool resolveRef(Value &v, Suspend &out);
+    bool
+    resolveRef(Value &v, Suspend &out)
+    {
+        // A local non-null reference needs no barrier.
+        if (v.isRef() && v.asRef() != kNullRef && !isRemote(v.asRef()))
+            [[likely]] return true;
+        return resolveRefSlow(v, out);
+    }
+
+    /** resolveRef() for nil, null and remote values. */
+    bool resolveRefSlow(Value &v, Suspend &out);
 
     /**
      * Read barrier for a value just loaded from the heap or statics:
@@ -243,12 +311,20 @@ class Interpreter
     bool requireKlass(KlassId id, Suspend &out);
 
     void charge(double ns);
-    void enterMethod(MethodId id, std::vector<Value> args);
+    /** Push a frame whose @c num_args arguments are the stack top. */
+    void enterMethod(MethodId id, const Method &m);
     bool invoke(MethodId id, Suspend &out);
     bool invokeNative(const Method &m, Suspend &out);
 
     VmContext &ctx_;
-    std::vector<Frame> frames_;
+    std::vector<Window> frames_;
+    /**
+     * The value stack: every frame's locals and operand stack,
+     * outermost first, in values_[0, sp_). Slots at and above sp_
+     * are dead; growValues() resizes the vector only to grow it.
+     */
+    std::vector<Value> values_;
+    std::size_t sp_ = 0;
     double pending_cost_ = 0.0;
     double quantum_acc_ = 0.0;
     double cost_total_ = 0.0;

@@ -4,9 +4,11 @@
  *
  * Web frameworks lean heavily on native invocations (paper Table 2:
  * a single pybbs request makes >260k of them). HiveVM models native
- * methods as C++ handlers registered by id. Each handler is tagged
- * with the paper's four categories -- pure on-heap, hidden state,
- * network, and stateless -- which drive BeeHive's offloadability
+ * methods as C++ handlers registered by id; a handler reads its
+ * arguments in place, as a span over the caller's operand stack, so a
+ * native call copies nothing. Each handler is tagged with the paper's
+ * four categories -- pure on-heap, hidden state, network, and
+ * stateless -- which drive BeeHive's offloadability
  * policy (Section 3.2): pure/stateless run anywhere, hidden-state
  * natives need a *packed* Packageable receiver on FaaS, and network
  * natives route through the connection proxy.
@@ -20,6 +22,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,9 +53,14 @@ struct NativeResult
     std::optional<std::any> external;
 };
 
-/** A native method implementation. */
+/**
+ * A native method implementation. The arguments are a read-only view
+ * of the caller's operand-stack top, in push order; it is valid only
+ * for the duration of the call (the interpreter pops the arguments
+ * once the handler returns).
+ */
 using NativeFn =
-    std::function<NativeResult(VmContext &, std::vector<Value> &)>;
+    std::function<NativeResult(VmContext &, std::span<const Value>)>;
 
 /** Registered native method. */
 struct NativeMethod

@@ -165,6 +165,7 @@ class Program
     /** Intern a method name for CallVirt dispatch. */
     NameId internName(const std::string &s);
 
+    /** Const lookups are inline: the interpreter's hot path. */
     const Klass &klass(KlassId id) const;
     Klass &klass(KlassId id);
     const Method &method(MethodId id) const;
@@ -261,6 +262,20 @@ class Program
     mutable std::vector<uint32_t> field_counts_;
     /// @}
 };
+
+inline const Klass &
+Program::klass(KlassId id) const
+{
+    bh_assert(id < klasses_.size(), "bad klass id %u", id);
+    return klasses_[id];
+}
+
+inline const Method &
+Program::method(MethodId id) const
+{
+    bh_assert(id < methods_.size(), "bad method id %u", id);
+    return methods_[id];
+}
 
 inline MethodId
 Program::resolveVirtual(KlassId klass_id, NameId name) const

@@ -721,7 +721,7 @@ TEST_F(CoreTest, DbCallFromServerRoutesThroughProxy)
     // A native that issues a DB put through the connection object.
     uint32_t nid = natives.add(
         "socketWrite0", vm::NativeCategory::Network,
-        [](vm::VmContext &ctx, std::vector<Value> &args) {
+        [](vm::VmContext &ctx, std::span<const Value> args) {
             vm::NativeResult r;
             DbCallPayload payload;
             payload.conn_ref = args[0].asRef();

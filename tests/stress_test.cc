@@ -32,6 +32,10 @@ TEST(Stress, HundredsOfRequestsOnTinyHeapsStayCorrect)
     opts.beehive.function_alloc_bytes = 1u << 20;
     Testbed bed(opts);
     ASSERT_TRUE(bed.runProfilingPhase());
+    // Root selection turned server profiling off; this test counts
+    // server-side handler executions through the profiler, so it
+    // turns it back on.
+    bed.server().setProfiling(true);
 
     std::size_t comments_before = bed.store().tableSize("comments");
     uint64_t gc_before = bed.server().collector().totals().collections;
@@ -94,8 +98,8 @@ TEST(Stress, HundredsOfRequestsOnTinyHeapsStayCorrect)
         total_hits += bed.server().heap().field(lock, 0).asInt();
     }
     // Each handler execution bumps each of the 7 lock counters
-    // exactly once. The profiler (left on since the profiling
-    // phase) counts every server-side execution; function-side
+    // exactly once. The profiler (turned back on after the
+    // profiling phase) counts every server-side execution; function-side
     // executions are the real offloads plus shadows. Any lost
     // update would break the exact equality.
     const vm::RootProfile *profile =

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -727,7 +728,7 @@ TEST_F(VmTest, NativeRunsLocallyAndReturns)
 {
     uint32_t nid = natives.add(
         "Math.abs", NativeCategory::PureOnHeap,
-        [](VmContext &, std::vector<Value> &args) {
+        [](VmContext &, std::span<const Value> args) {
             NativeResult r;
             r.ret = Value::ofInt(std::abs(args[0].asInt()));
             r.cost_ns = 10;
@@ -753,7 +754,7 @@ TEST_F(VmTest, NativeExternalSuspendsAndResumes)
 {
     uint32_t nid = natives.add(
         "Socket.read0", NativeCategory::Network,
-        [](VmContext &, std::vector<Value> &args) {
+        [](VmContext &, std::span<const Value> args) {
             NativeResult r;
             r.external = std::any(args[0].asInt());
             return r;
@@ -786,7 +787,7 @@ TEST_F(VmTest, NativeFallbackSuspendsAndRetries)
 {
     uint32_t nid = natives.add(
         "Method.invoke0", NativeCategory::HiddenState,
-        [](VmContext &, std::vector<Value> &args) {
+        [](VmContext &, std::span<const Value> args) {
             NativeResult r;
             r.ret = Value::ofInt(args[0].asInt() * 10);
             return r;
@@ -804,7 +805,7 @@ TEST_F(VmTest, NativeFallbackSuspendsAndRetries)
     makeContext();
     // Policy: all hidden-state natives fall back on this endpoint.
     ctx->setNativePolicy(
-        [](const NativeMethod &n, const std::vector<Value> &) {
+        [](const NativeMethod &n, std::span<const Value>) {
             return n.category == NativeCategory::HiddenState
                        ? NativeDisposition::Fallback
                        : NativeDisposition::RunLocal;
@@ -1213,6 +1214,217 @@ TEST_F(VmTest, SnapshotRestoreReExecutesFromSamePoint)
     Value v2 = runToCompletion(clone);
     EXPECT_EQ(v1.asInt(), 1275);
     EXPECT_EQ(v2.asInt(), 1275);
+}
+
+// ---------------------------------------------------------------------
+// Interpreter: the flat value stack
+// ---------------------------------------------------------------------
+
+/** outer(x) -> mid(y) -> inner(a, b), each frame with a live operand. */
+class FlatStackTest : public VmTest
+{
+  protected:
+    void
+    SetUp() override
+    {
+        CodeBuilder in(program, object_k, "inner", 2);
+        in.locals(2);
+        in.pushI(10).load(0).load(1).mul().add()
+          .store(2).load(2).ret();
+        inner = in.build();
+
+        CodeBuilder mi(program, object_k, "mid", 1);
+        mi.locals(2);
+        mi.pushI(100).load(0).pushI(2).call(inner).add().ret();
+        mid = mi.build();
+
+        CodeBuilder ou(program, object_k, "outer", 1);
+        ou.locals(1);
+        ou.pushI(1000).load(0).call(mid).add().ret();
+        outer = ou.build();
+
+        VmConfig cfg;
+        cfg.quantum_ns = 1; // suspend after every instruction
+        makeContext(cfg);
+    }
+
+    /** Step @p interp until inner's first push has executed. */
+    void
+    pauseInInner(Interpreter &interp)
+    {
+        interp.start(outer, {Value::ofInt(7)});
+        while (interp.frameDepth() < 3)
+            ASSERT_EQ(interp.run().kind, Suspend::Kind::Quantum);
+        ASSERT_EQ(interp.run().kind, Suspend::Kind::Quantum); // pushI 10
+    }
+
+    MethodId inner = kNoMethod, mid = kNoMethod, outer = kNoMethod;
+};
+
+TEST_F(FlatStackTest, SnapshotGivesEachFrameItsLocalsAndStack)
+{
+    Interpreter interp(*ctx);
+    pauseInInner(interp);
+    std::vector<Frame> snap = interp.snapshotFrames();
+    ASSERT_EQ(snap.size(), 3u);
+
+    const std::vector<MethodId> ids = {outer, mid, inner};
+    // Arguments first, then nil up to num_locals.
+    const std::vector<std::vector<Value>> locals = {
+        {Value::ofInt(7), Value::nil()},
+        {Value::ofInt(7), Value::nil(), Value::nil()},
+        {Value::ofInt(7), Value::ofInt(2), Value::nil(), Value::nil()},
+    };
+    // The call arguments moved into the callee; what stays below
+    // them is each caller's own operand stack.
+    const std::vector<std::vector<Value>> stacks = {
+        {Value::ofInt(1000)}, {Value::ofInt(100)}, {Value::ofInt(10)}};
+    for (std::size_t i = 0; i < snap.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(snap[i].method, ids[i]);
+        EXPECT_EQ(snap[i].locals.size(),
+                  program.method(ids[i]).num_locals);
+        EXPECT_EQ(snap[i].locals, locals[i]);
+        EXPECT_EQ(snap[i].stack, stacks[i]);
+    }
+}
+
+TEST_F(FlatStackTest, RestoredSnapshotRunsToTheSameResult)
+{
+    Interpreter whole(*ctx);
+    whole.start(outer, {Value::ofInt(7)});
+    Value expected = runToCompletion(whole);
+    EXPECT_EQ(expected.asInt(), 1000 + 100 + 10 + 7 * 2);
+
+    Interpreter paused(*ctx);
+    pauseInInner(paused);
+    std::vector<Frame> snap = paused.snapshotFrames();
+    uint64_t before = paused.stats().instructions;
+
+    Interpreter fresh(*ctx);
+    fresh.restoreFrames(snap);
+    EXPECT_EQ(fresh.frameDepth(), 3u);
+    EXPECT_EQ(runToCompletion(fresh), expected);
+    EXPECT_EQ(before + fresh.stats().instructions,
+              whole.stats().instructions);
+    // The paused original finishes the same way.
+    EXPECT_EQ(runToCompletion(paused), expected);
+    EXPECT_EQ(paused.stats().instructions, whole.stats().instructions);
+}
+
+TEST_F(FlatStackTest, RootsAreTheSnapshotLocalsAndStacksInOrder)
+{
+    Interpreter interp(*ctx);
+    pauseInInner(interp);
+    std::vector<Value> expected;
+    for (const Frame &f : interp.snapshotFrames()) {
+        expected.insert(expected.end(), f.locals.begin(), f.locals.end());
+        expected.insert(expected.end(), f.stack.begin(), f.stack.end());
+    }
+    std::vector<Value> visited;
+    interp.forEachRoot([&](Value &v) {
+        visited.push_back(v);
+        if (v.isInt())
+            v = Value::ofInt(v.asInt() + 1); // roots are visited in place
+    });
+    EXPECT_EQ(visited, expected);
+
+    std::vector<Value> after;
+    interp.forEachRoot([&](Value &v) { after.push_back(v); });
+    ASSERT_EQ(after.size(), expected.size());
+    for (std::size_t i = 0; i < after.size(); ++i) {
+        if (expected[i].isInt()) {
+            EXPECT_EQ(after[i].asInt(), expected[i].asInt() + 1);
+        }
+    }
+}
+
+TEST_F(VmTest, NativeSeesArgumentSpanAndFallbackLeavesThemOnTheStack)
+{
+    std::vector<Value> seen;
+    uint32_t nid = natives.add(
+        "Method.invoke3", NativeCategory::HiddenState,
+        [&seen](VmContext &, std::span<const Value> args) {
+            seen.assign(args.begin(), args.end());
+            NativeResult r;
+            r.ret = Value::ofInt(args[0].asInt() * 100 +
+                                 args[1].asInt() * 10 + args[2].asInt());
+            return r;
+        });
+    Method native;
+    native.name = "invoke3";
+    native.num_args = 3;
+    native.is_native = true;
+    native.native_id = nid;
+    native.native_category = NativeCategory::HiddenState;
+    MethodId m_native = program.addMethod(object_k, native);
+
+    CodeBuilder b(program, object_k, "reflect3", 0);
+    b.pushI(9).pushI(1).pushI(2).pushI(3).call(m_native).add().ret();
+    MethodId m = b.build();
+    makeContext();
+
+    const std::vector<Value> args = {Value::ofInt(1), Value::ofInt(2),
+                                     Value::ofInt(3)};
+    Value local = callMethod(m);
+    EXPECT_EQ(local.asInt(), 9 + 123);
+    EXPECT_EQ(seen, args);
+
+    seen.clear();
+    std::vector<Value> policy_saw;
+    ctx->setNativePolicy(
+        [&](const NativeMethod &, std::span<const Value> a) {
+            policy_saw.assign(a.begin(), a.end());
+            return NativeDisposition::Fallback;
+        });
+    Interpreter interp(*ctx);
+    interp.start(m, {});
+    Suspend s = interp.run();
+    ASSERT_EQ(s.kind, Suspend::Kind::NativeFallback);
+    EXPECT_EQ(policy_saw, args);
+    EXPECT_TRUE(seen.empty());
+    // The arguments are still the caller's stack top: retriable.
+    std::vector<Frame> snap = interp.snapshotFrames();
+    ASSERT_EQ(snap.size(), 1u);
+    EXPECT_EQ(snap[0].stack,
+              (std::vector<Value>{Value::ofInt(9), Value::ofInt(1),
+                                  Value::ofInt(2), Value::ofInt(3)}));
+
+    ctx->forceNextNativeLocal();
+    s = interp.run();
+    ASSERT_EQ(s.kind, Suspend::Kind::Done);
+    EXPECT_EQ(s.result, local);
+    EXPECT_EQ(seen, args);
+}
+
+TEST_F(VmTest, StackUnderflowAndBadLocalSlotDie)
+{
+    CodeBuilder u(program, object_k, "underflows", 0);
+    u.pushI(1).add().ret();
+    MethodId underflow = u.build();
+
+    CodeBuilder l(program, object_k, "bad_slot", 1);
+    l.pushI(5).load(1).ret();
+    MethodId bad_slot = l.build();
+
+    CodeBuilder st(program, object_k, "bad_store", 1);
+    st.pushI(0).store(3).pushI(0).ret();
+    MethodId bad_store = st.build();
+
+    CodeBuilder c(program, object_k, "caller", 0);
+    c.pushI(4).call(bad_slot).ret();
+    MethodId caller = c.build();
+    makeContext();
+
+    EXPECT_DEATH(callMethod(underflow), "stack underflow in underflows");
+    EXPECT_DEATH(callMethod(bad_slot, {Value::ofInt(1)}),
+                 "bad local slot");
+    EXPECT_DEATH(callMethod(bad_store, {Value::ofInt(1)}),
+                 "bad local slot");
+    // Slot 1 of bad_slot's window is its operand stack's first
+    // value, not a local, also when it is entered by a call.
+    EXPECT_DEATH(callMethod(caller), "bad local slot");
+    EXPECT_DEATH(callMethod(bad_slot, {}), "expects 1 args, got 0");
 }
 
 // ---------------------------------------------------------------------
