@@ -28,7 +28,9 @@ trap 'rm -rf "$work"' EXIT
 
 status=0
 for b in fig07_burst_reduction fig08_throughput table5_fallbacks \
-         fault_storm; do
+         fault_storm fig02_vanilla_latency fig10_slo_sweep \
+         table4_slo_min_latency breakdown_gc_memory \
+         table2_native_methods; do
     if ! (cd "$work" && "$bench/$b" --quick > "$b.txt" 2> "$b.err"); then
         cat "$work/$b.err" >&2
         echo "$b: failed" >&2

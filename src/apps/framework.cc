@@ -200,7 +200,7 @@ Framework::defineNatives(vm::NativeRegistry &natives)
                 req.key = key;
                 break;
             }
-            r.external = std::any(payload);
+            r.external = std::any(std::move(payload));
             return r;
         });
     socket_read_m_ = addNativeMethod(socket_k_, "socketRead0", 5,

@@ -159,18 +159,21 @@ class BeeHiveFunction::Invocation
     void
     pump()
     {
-        vm::Suspend s = interp_.run();
+        suspend_ = interp_.run();
         double cost = interp_.consumeCost();
         if (cost > 0.0) {
             // Weak capture: if the function is killed or destroyed
-            // while the job runs, the continuation is a no-op.
-            fn_.instance_.machine->cpu().submit(
-                cost, [w = weak_from_this(), s = std::move(s)] {
-                    if (auto self = w.lock())
-                        self->dispatch(s);
-                });
+            // while the job runs, the continuation is a no-op. The
+            // suspension waits in suspend_, so the continuation fits
+            // SmallFn's inline buffer (no allocation per job).
+            auto resume = [w = weak_from_this()] {
+                if (auto self = w.lock())
+                    self->dispatch(self->suspend_);
+            };
+            static_assert(sizeof(resume) <= sim::SmallFn::kInlineBytes);
+            fn_.instance_.machine->cpu().submit(cost, std::move(resume));
         } else {
-            dispatch(s);
+            dispatch(suspend_);
         }
     }
 
@@ -184,8 +187,10 @@ class BeeHiveFunction::Invocation
                    });
     }
 
+    /** Act on @p s (this invocation's suspend_). Payloads are moved
+     * out of it: the next pump() overwrites it anyway. */
     void
-    dispatch(const vm::Suspend &s)
+    dispatch(vm::Suspend &s)
     {
         switch (s.kind) {
           case vm::Suspend::Kind::Done:
@@ -221,7 +226,8 @@ class BeeHiveFunction::Invocation
             return;
 
           case vm::Suspend::Kind::External:
-            handleDbCall(std::any_cast<DbCallPayload>(s.external));
+            handleDbCall(
+                std::any_cast<DbCallPayload>(std::move(s.external)));
             return;
 
           case vm::Suspend::Kind::HeapFull: {
@@ -645,6 +651,8 @@ class BeeHiveFunction::Invocation
     bool shadow_;
     DoneCb done_;
     vm::Interpreter interp_;
+    /** Where the interpreter last stopped, until dispatch() acts. */
+    vm::Suspend suspend_;
     RequestTrace trace_;
     /** Exactly-once identity of this request (0 = unkeyed). */
     uint64_t request_key_ = 0;

@@ -1,7 +1,6 @@
 #include "core/server.h"
 
 #include <algorithm>
-#include <charconv>
 
 #include "support/logging.h"
 #include "vm/analysis.h"
@@ -53,26 +52,10 @@ tryMaterializeDbResponse(vm::VmContext &ctx, const db::Request &req,
             arr_k, static_cast<uint32_t>(resp.rows.size()));
         if (arr == vm::kNullRef)
             return std::nullopt;
-        // Wire format per row: "<id>|k1=v1|k2=v2..." in field-key
-        // order. One buffer, sized exactly, is reused for every row.
-        std::string wire;
+        // Each stored record already holds its wire bytes
+        // ("<id>|k1=v1|k2=v2..."): one copy into the heap per row.
         for (std::size_t i = 0; i < resp.rows.size(); ++i) {
-            const db::Row &row = resp.rows[i];
-            char id[24];
-            char *id_end = std::to_chars(id, id + sizeof(id), row.id).ptr;
-            std::size_t size = static_cast<std::size_t>(id_end - id);
-            for (const auto &[k, v] : row.fields)
-                size += 2 + k.size() + v.size();
-            wire.clear();
-            wire.reserve(size);
-            wire.append(id, id_end);
-            for (const auto &[k, v] : row.fields) {
-                wire += '|';
-                wire += k;
-                wire += '=';
-                wire += v;
-            }
-            vm::Ref cell = heap.allocBytes(bytes_k, wire);
+            vm::Ref cell = heap.allocBytes(bytes_k, resp.rows[i]->wire());
             if (cell == vm::kNullRef)
                 return std::nullopt;
             heap.setElem(arr, static_cast<uint32_t>(i),
@@ -140,19 +123,24 @@ class BeeHiveServer::LocalInvocation
     void
     pump()
     {
-        vm::Suspend s = interp_.run();
+        suspend_ = interp_.run();
         double cost = interp_.consumeCost();
         total_cost_ += cost;
         if (cost > 0.0) {
-            server_.machine().cpu().submit(
-                cost, [this, s = std::move(s)] { dispatch(s); });
+            // The suspension waits in suspend_, so the continuation
+            // fits SmallFn's inline buffer (no allocation per job).
+            auto resume = [this] { dispatch(suspend_); };
+            static_assert(sizeof(resume) <= sim::SmallFn::kInlineBytes);
+            server_.machine().cpu().submit(cost, std::move(resume));
         } else {
-            dispatch(s);
+            dispatch(suspend_);
         }
     }
 
+    /** Act on @p s (this invocation's suspend_). Payloads are moved
+     * out of it: the next pump() overwrites it anyway. */
     void
-    dispatch(const vm::Suspend &s)
+    dispatch(vm::Suspend &s)
     {
         switch (s.kind) {
           case vm::Suspend::Kind::Done:
@@ -164,7 +152,8 @@ class BeeHiveServer::LocalInvocation
             return;
 
           case vm::Suspend::Kind::External: {
-            auto payload = std::any_cast<DbCallPayload>(s.external);
+            auto payload =
+                std::any_cast<DbCallPayload>(std::move(s.external));
             // Re-executions of a failed offload key their writes so
             // the proxy can suppress duplicates (exactly-once).
             uint64_t idem = 0;
@@ -271,7 +260,7 @@ class BeeHiveServer::LocalInvocation
             telemetry::ScopedContext sc(
                 tracer(), {tctx_.request, exec_span_});
             server_.offload_dispatch_(
-                s.offload_method, s.offload_args,
+                s.offload_method, std::move(s.offload_args),
                 [this](Value result) {
                     interp_.resumeExternal(result);
                     pump();
@@ -367,6 +356,8 @@ class BeeHiveServer::LocalInvocation
 
     BeeHiveServer &server_;
     vm::Interpreter interp_;
+    /** Where the interpreter last stopped, until dispatch() acts. */
+    vm::Suspend suspend_;
     vm::MethodId root_;
     DoneCb done_;
     /** Exactly-once identity of this request (0 = unkeyed). */

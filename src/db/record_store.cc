@@ -1,10 +1,35 @@
 #include "db/record_store.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "support/logging.h"
 
 namespace beehive::db {
+
+namespace {
+
+/** First record of @p table whose id is not below @p id. */
+std::vector<RecordRef>::iterator
+lowerBound(std::vector<RecordRef> &table, int64_t id)
+{
+    return std::lower_bound(
+        table.begin(), table.end(), id,
+        [](const RecordRef &r, int64_t key) { return r->id() < key; });
+}
+
+/** Store @p rec in @p table, replacing the record with its id. */
+void
+upsert(std::vector<RecordRef> &table, RecordRef rec)
+{
+    auto it = lowerBound(table, rec->id());
+    if (it != table.end() && (*it)->id() == rec->id())
+        *it = std::move(rec);
+    else
+        table.insert(it, std::move(rec));
+}
+
+} // namespace
 
 uint64_t
 Row::wireSize() const
@@ -13,6 +38,24 @@ Row::wireSize() const
     for (const auto &[k, v] : fields)
         size += k.size() + v.size() + 8;
     return size;
+}
+
+Record::Record(int64_t id, const Row &row)
+    : id_(id), wire_size_(row.wireSize())
+{
+    char digits[24];
+    char *end = std::to_chars(digits, digits + sizeof(digits), id).ptr;
+    std::size_t size = static_cast<std::size_t>(end - digits);
+    for (const auto &[k, v] : row.fields)
+        size += 2 + k.size() + v.size();
+    wire_.reserve(size);
+    wire_.append(digits, end);
+    for (const auto &[k, v] : row.fields) {
+        wire_ += '|';
+        wire_ += k;
+        wire_ += '=';
+        wire_ += v;
+    }
 }
 
 uint64_t
@@ -24,12 +67,23 @@ Request::wireSize() const
     return size;
 }
 
+std::pair<std::size_t, std::size_t>
+Request::scanWindow(std::size_t rows) const
+{
+    std::size_t begin = std::min<std::size_t>(
+        static_cast<std::size_t>(std::max<int64_t>(offset, 0)), rows);
+    std::size_t n = std::min<std::size_t>(
+        static_cast<std::size_t>(std::max<int64_t>(limit, 0)),
+        rows - begin);
+    return {begin, begin + n};
+}
+
 uint64_t
 Response::wireSize() const
 {
     uint64_t size = 16;
     for (const auto &r : rows)
-        size += r.wireSize();
+        size += r->wireSize();
     return size;
 }
 
@@ -81,17 +135,16 @@ RecordStore::execute(const Request &req)
 
     switch (req.kind) {
       case OpKind::Get: {
-        auto it = table.find(req.key);
-        if (it == table.end())
+        auto it = lowerBound(table, req.key);
+        if (it == table.end() || (*it)->id() != req.key)
             return resp;
-        resp.rows.push_back(it->second);
+        resp.rows.push_back(*it);
         resp.ok = true;
         break;
       }
       case OpKind::Put: {
-        Row row = req.row;
-        row.id = req.key;
-        table[req.key] = std::move(row);
+        // The stored row takes the request key as its id.
+        upsert(table, Record::make(req.key, req.row));
         resp.count = 1;
         resp.ok = true;
         if (write_observer_)
@@ -99,21 +152,19 @@ RecordStore::execute(const Request &req)
         break;
       }
       case OpKind::Delete: {
-        resp.count = static_cast<int64_t>(table.erase(req.key));
+        auto it = lowerBound(table, req.key);
+        bool found = it != table.end() && (*it)->id() == req.key;
+        if (found)
+            table.erase(it);
+        resp.count = found ? 1 : 0;
         resp.ok = true;
         if (write_observer_)
             write_observer_(req);
         break;
       }
       case OpKind::Scan: {
-        auto it = table.begin();
-        std::advance(it, std::min<std::size_t>(
-            static_cast<std::size_t>(std::max<int64_t>(req.offset, 0)),
-            table.size()));
-        for (int64_t n = 0; it != table.end() && n < req.limit;
-             ++it, ++n) {
-            resp.rows.push_back(it->second);
-        }
+        auto [begin, end] = req.scanWindow(table.size());
+        resp.rows.assign(table.begin() + begin, table.begin() + end);
         resp.ok = true;
         break;
       }
@@ -153,8 +204,9 @@ RecordStore::load(const std::string &table, const std::vector<Row> &rows)
 {
     createTable(table);
     Table &t = tables_[table];
+    // Later rows win on a repeated id, as a Put would.
     for (const auto &r : rows)
-        t[r.id] = r;
+        upsert(t, Record::make(r.id, r));
 }
 
 } // namespace beehive::db

@@ -17,15 +17,18 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/sim_time.h"
 
 namespace beehive::db {
 
-/** One stored row: a primary key plus string fields. */
+/** A row as written by load() or a Put: a primary key plus string
+ * fields. The store keeps it as a Record. */
 struct Row
 {
     int64_t id = 0;
@@ -33,6 +36,44 @@ struct Row
 
     /** Approximate wire size of this row in bytes. */
     uint64_t wireSize() const;
+};
+
+class Record;
+
+/** Shared handle to a stored row. */
+using RecordRef = std::shared_ptr<const Record>;
+
+/**
+ * One stored row, built once when it is written and immutable after.
+ *
+ * It holds the row in the form every reader wants: the wire bytes
+ * "<id>|k1=v1|k2=v2..." in field-key order (what the VM receives)
+ * and the modelled wire size (what the network model charges).
+ * Tables, responses and shadow overlays share records by RecordRef,
+ * so a read copies handles, never rows.
+ */
+class Record
+{
+  public:
+    /** Encode @p row's fields under @p id (row.id is not read). */
+    Record(int64_t id, const Row &row);
+
+    /** A shared immutable record of @p row's fields under @p id. */
+    static RecordRef make(int64_t id, const Row &row)
+    {
+        return std::make_shared<const Record>(id, row);
+    }
+
+    int64_t id() const { return id_; }
+    /** The row as the VM sees it: "<id>|k1=v1|...". */
+    std::string_view wire() const { return wire_; }
+    /** Row::wireSize() of the row it was built from. */
+    uint64_t wireSize() const { return wire_size_; }
+
+  private:
+    int64_t id_;
+    std::string wire_;
+    uint64_t wire_size_;
 };
 
 /** Database operation kinds. */
@@ -56,6 +97,13 @@ struct Request
     Row row;                 //!< Put payload.
 
     uint64_t wireSize() const;
+
+    /**
+     * The positions [begin, end) this Scan returns from @p rows
+     * id-ordered rows: a negative offset starts at 0, a limit of 0
+     * or less returns none.
+     */
+    std::pair<std::size_t, std::size_t> scanWindow(std::size_t rows) const;
 };
 
 /** The response to a Request. */
@@ -66,7 +114,10 @@ struct Response
      * injection): nothing was applied, the caller must reconnect
      * and may safely re-issue the request. */
     bool reset = false;
-    std::vector<Row> rows;   //!< Get/Scan results.
+    /** Get/Scan results: the stored records themselves. A later
+     * write replaces the table's handle, never the record, so these
+     * stay as they were read. */
+    std::vector<RecordRef> rows;
     int64_t count = 0;       //!< Count result / rows affected.
     /** Connection resets absorbed while serving this request
      * (reconnect cost accounting; filled by the proxy layer). */
@@ -143,7 +194,8 @@ class RecordStore
     uint64_t resets() const { return resets_; }
 
   private:
-    using Table = std::map<int64_t, Row>;
+    /** Records sorted by id, one per row. */
+    using Table = std::vector<RecordRef>;
 
     std::map<std::string, Table> tables_;
     std::function<bool(const Request &)> fault_hook_;

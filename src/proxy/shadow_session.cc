@@ -1,6 +1,8 @@
 #include "proxy/shadow_session.h"
 
-#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <vector>
 
 namespace beehive::proxy {
 
@@ -12,9 +14,7 @@ ShadowSession::apply(const db::RecordStore &store, const db::Request &req)
 
     switch (req.kind) {
       case db::OpKind::Put: {
-        db::Row row = req.row;
-        row.id = req.key;
-        overlay_[key] = std::move(row);
+        overlay_[key] = db::Record::make(req.key, req.row);
         deleted_.erase(key);
         ++writes_;
         resp.count = 1;
@@ -53,25 +53,24 @@ ShadowSession::apply(const db::RecordStore &store, const db::Request &req)
         wide.limit = req.offset + req.limit +
             static_cast<int64_t>(overlay_.size() + deleted_.size());
         db::Response base = store.read(wide);
-        std::map<int64_t, db::Row> merged;
-        for (auto &row : base.rows)
-            merged[row.id] = std::move(row);
-        for (const auto &[k, row] : overlay_) {
-            if (k.first == req.table)
-                merged[k.second] = row;
+        // Both inputs are sorted by id: merge them, moving handles.
+        auto ov = overlay_.lower_bound({req.table, INT64_MIN});
+        auto ov_end = overlay_.upper_bound({req.table, INT64_MAX});
+        std::vector<db::RecordRef> merged;
+        merged.reserve(base.rows.size());
+        for (auto &row : base.rows) {
+            for (; ov != ov_end && ov->first.second < row->id(); ++ov)
+                merged.push_back(ov->second);
+            if (ov != ov_end && ov->first.second == row->id())
+                merged.push_back((ov++)->second);
+            else if (!deleted_.count({req.table, row->id()}))
+                merged.push_back(std::move(row));
         }
-        for (const auto &k : deleted_) {
-            if (k.first == req.table)
-                merged.erase(k.second);
-        }
-        auto it = merged.begin();
-        std::advance(it, std::min<std::size_t>(
-            static_cast<std::size_t>(std::max<int64_t>(req.offset, 0)),
-            merged.size()));
-        for (int64_t n = 0; it != merged.end() && n < req.limit;
-             ++it, ++n) {
-            resp.rows.push_back(it->second);
-        }
+        for (; ov != ov_end; ++ov)
+            merged.push_back(ov->second);
+        auto [begin, end] = req.scanWindow(merged.size());
+        resp.rows.assign(std::make_move_iterator(merged.begin() + begin),
+                         std::make_move_iterator(merged.begin() + end));
         resp.ok = true;
         break;
       }

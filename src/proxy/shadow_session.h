@@ -45,7 +45,9 @@ class ShadowSession
   private:
     using Key = std::pair<std::string, int64_t>;
 
-    std::map<Key, db::Row> overlay_;
+    /** Rows written by the shadow, as the records the store would
+     * keep; never also in deleted_. */
+    std::map<Key, db::RecordRef> overlay_;
     std::set<Key> deleted_;
     uint64_t writes_ = 0;
 };

@@ -76,24 +76,6 @@ Space::alloc(uint32_t bytes)
     return offset;
 }
 
-uint8_t *
-Space::at(uint64_t offset)
-{
-    bh_assert(offset >= firstOffset() && offset < capacity_,
-              "offset %llu out of space %u",
-              static_cast<unsigned long long>(offset), id_);
-    return mem_ + offset;
-}
-
-const uint8_t *
-Space::at(uint64_t offset) const
-{
-    bh_assert(offset >= firstOffset() && offset < capacity_,
-              "offset %llu out of space %u",
-              static_cast<unsigned long long>(offset), id_);
-    return mem_ + offset;
-}
-
 CardTable::CardTable(std::size_t space_capacity)
     : dirty_((space_capacity + kCardBytes - 1) / kCardBytes, false)
 {
@@ -141,23 +123,6 @@ Heap::Heap(const Program &program, std::size_t closure_capacity,
       alloc_b_(kAllocBId, alloc_capacity),
       cards_(closure_capacity)
 {
-}
-
-Space &
-Heap::space(uint8_t id)
-{
-    switch (id) {
-      case kClosureSpaceId: return closure_;
-      case kAllocAId: return alloc_a_;
-      case kAllocBId: return alloc_b_;
-    }
-    panic("bad space id %u", id);
-}
-
-const Space &
-Heap::space(uint8_t id) const
-{
-    return const_cast<Heap *>(this)->space(id);
 }
 
 void
@@ -250,44 +215,6 @@ Heap::allocBytes(KlassId klass, std::string_view data, bool in_closure)
                     sizeof(ObjHeader),
                 data.data(), data.size());
     return ref;
-}
-
-ObjHeader &
-Heap::header(Ref r)
-{
-    bh_assert(r != kNullRef, "null deref");
-    bh_assert(!isRemote(r), "header() on remote ref");
-    return *reinterpret_cast<ObjHeader *>(
-        space(refSpace(r)).at(refOffset(r)));
-}
-
-const ObjHeader &
-Heap::header(Ref r) const
-{
-    return const_cast<Heap *>(this)->header(r);
-}
-
-Value *
-Heap::slots(Ref r)
-{
-    return reinterpret_cast<Value *>(
-        space(refSpace(r)).at(refOffset(r)) + sizeof(ObjHeader));
-}
-
-const Value *
-Heap::slots(Ref r) const
-{
-    return const_cast<Heap *>(this)->slots(r);
-}
-
-Value
-Heap::field(Ref obj, uint32_t idx) const
-{
-    const ObjHeader &hdr = header(obj);
-    bh_assert(hdr.kind != ObjKind::Bytes, "field access on bytes");
-    bh_assert(idx < hdr.count, "field index %u out of %u in %s", idx,
-              hdr.count, program_.klass(hdr.klass).name.c_str());
-    return slots(obj)[idx];
 }
 
 void

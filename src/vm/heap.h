@@ -33,6 +33,7 @@
 #include <string_view>
 #include <vector>
 
+#include "support/logging.h"
 #include "vm/program.h"
 #include "vm/value.h"
 
@@ -290,6 +291,82 @@ class Heap
     WriteObserver observer_;
     HeapStats stats_;
 };
+
+// Hot accessors, inline because the interpreter's dispatch loop
+// calls them on every field access; their asserts stay.
+
+inline uint8_t *
+Space::at(uint64_t offset)
+{
+    bh_assert(offset >= firstOffset() && offset < capacity_,
+              "offset %llu out of space %u",
+              static_cast<unsigned long long>(offset), id_);
+    return mem_ + offset;
+}
+
+inline const uint8_t *
+Space::at(uint64_t offset) const
+{
+    bh_assert(offset >= firstOffset() && offset < capacity_,
+              "offset %llu out of space %u",
+              static_cast<unsigned long long>(offset), id_);
+    return mem_ + offset;
+}
+
+inline Space &
+Heap::space(uint8_t id)
+{
+    switch (id) {
+      case kClosureSpaceId: return closure_;
+      case kAllocAId: return alloc_a_;
+      case kAllocBId: return alloc_b_;
+    }
+    panic("bad space id %u", id);
+}
+
+inline const Space &
+Heap::space(uint8_t id) const
+{
+    return const_cast<Heap *>(this)->space(id);
+}
+
+inline ObjHeader &
+Heap::header(Ref r)
+{
+    bh_assert(r != kNullRef, "null deref");
+    bh_assert(!isRemote(r), "header() on remote ref");
+    return *reinterpret_cast<ObjHeader *>(
+        space(refSpace(r)).at(refOffset(r)));
+}
+
+inline const ObjHeader &
+Heap::header(Ref r) const
+{
+    return const_cast<Heap *>(this)->header(r);
+}
+
+inline Value *
+Heap::slots(Ref r)
+{
+    return reinterpret_cast<Value *>(
+        space(refSpace(r)).at(refOffset(r)) + sizeof(ObjHeader));
+}
+
+inline const Value *
+Heap::slots(Ref r) const
+{
+    return const_cast<Heap *>(this)->slots(r);
+}
+
+inline Value
+Heap::field(Ref obj, uint32_t idx) const
+{
+    const ObjHeader &hdr = header(obj);
+    bh_assert(hdr.kind != ObjKind::Bytes, "field access on bytes");
+    bh_assert(idx < hdr.count, "field index %u out of %u in %s", idx,
+              hdr.count, program_.klass(hdr.klass).name.c_str());
+    return slots(obj)[idx];
+}
 
 } // namespace beehive::vm
 

@@ -939,7 +939,7 @@ TEST_F(CoreTest, MaterializeDbResponseShapes)
     db::Row row;
     row.id = 1;
     row.fields["body"] = "hello";
-    resp.rows.push_back(row);
+    resp.rows.push_back(db::Record::make(row.id, row));
 
     Value v = materializeDbResponse(server->context(), get, resp);
     ASSERT_TRUE(v.isRef());
@@ -969,19 +969,19 @@ TEST_F(CoreTest, MaterializedRowWireFormatIsPinned)
     multi.fields["title"] = "t1";
     multi.fields["author"] = "ann";
     multi.fields["body"] = "x=y|z";
-    resp.rows.push_back(multi);
+    resp.rows.push_back(db::Record::make(multi.id, multi));
     db::Row negative;
     negative.id = -9223372036854775807LL - 1;
     negative.fields["k"] = "v";
-    resp.rows.push_back(negative);
+    resp.rows.push_back(db::Record::make(negative.id, negative));
     db::Row bare;
     bare.id = 0;
-    resp.rows.push_back(bare);
+    resp.rows.push_back(db::Record::make(bare.id, bare));
     db::Row empties;
     empties.id = -7;
     empties.fields["a"] = "";
     empties.fields[""] = "";
-    resp.rows.push_back(empties);
+    resp.rows.push_back(db::Record::make(empties.id, empties));
 
     Value v = materializeDbResponse(server->context(), scan, resp);
     ASSERT_TRUE(v.isRef());

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "db/record_store.h"
 
 namespace beehive::db {
@@ -47,7 +50,7 @@ TEST_F(RecordStoreTest, GetReturnsStoredRow)
     Response resp = store.execute(req);
     ASSERT_TRUE(resp.ok);
     ASSERT_EQ(resp.rows.size(), 1u);
-    EXPECT_EQ(resp.rows[0].fields.at("body"), "topic-3");
+    EXPECT_EQ(resp.rows[0]->wire(), "3|body=topic-3");
 }
 
 TEST_F(RecordStoreTest, GetMissingRowFails)
@@ -74,9 +77,9 @@ TEST_F(RecordStoreTest, PutInsertsAndOverwrites)
     EXPECT_EQ(store.tableSize("topics"), 11u);
 
     Request get{OpKind::Get, "topics", 42};
-    EXPECT_EQ(store.execute(get).rows[0].fields.at("body"), "updated");
+    EXPECT_EQ(store.execute(get).rows[0]->wire(), "42|body=updated");
     // Put fixes the row id to the request key.
-    EXPECT_EQ(store.execute(get).rows[0].id, 42);
+    EXPECT_EQ(store.execute(get).rows[0]->id(), 42);
 }
 
 TEST_F(RecordStoreTest, DeleteRemovesRow)
@@ -97,8 +100,8 @@ TEST_F(RecordStoreTest, ScanRespectsOffsetAndLimit)
     Response resp = store.execute(scan);
     ASSERT_TRUE(resp.ok);
     ASSERT_EQ(resp.rows.size(), 3u);
-    EXPECT_EQ(resp.rows[0].id, 3);
-    EXPECT_EQ(resp.rows[2].id, 5);
+    EXPECT_EQ(resp.rows[0]->id(), 3);
+    EXPECT_EQ(resp.rows[2]->id(), 5);
 }
 
 TEST_F(RecordStoreTest, ScanPastEndReturnsShortResult)
@@ -109,6 +112,83 @@ TEST_F(RecordStoreTest, ScanPastEndReturnsShortResult)
     EXPECT_EQ(store.execute(scan).rows.size(), 2u);
     scan.offset = 100;
     EXPECT_EQ(store.execute(scan).rows.size(), 0u);
+}
+
+TEST(RecordStore, PutsIntoTheMiddleScanInIdOrder)
+{
+    RecordStore store;
+    store.load("t", {makeRow(30, "c"), makeRow(10, "a")});
+    for (int64_t id : {20, 5, 25}) {
+        Request put{OpKind::Put, "t", id};
+        put.row = makeRow(0, "p" + std::to_string(id));
+        ASSERT_TRUE(store.execute(put).ok);
+    }
+    Request scan{OpKind::Scan, "t"};
+    scan.limit = 100;
+    Response resp = store.execute(scan);
+    ASSERT_TRUE(resp.ok);
+    std::vector<std::string> wires;
+    for (const RecordRef &r : resp.rows)
+        wires.emplace_back(r->wire());
+    EXPECT_EQ(wires, (std::vector<std::string>{
+                         "5|body=p5", "10|body=a", "20|body=p20",
+                         "25|body=p25", "30|body=c"}));
+}
+
+TEST_F(RecordStoreTest, ScanSkipsDeletedRow)
+{
+    Request del{OpKind::Delete, "topics", 4};
+    ASSERT_EQ(store.execute(del).count, 1);
+    Request scan{OpKind::Scan, "topics"};
+    scan.offset = 2;
+    scan.limit = 3;
+    Response resp = store.execute(scan);
+    ASSERT_EQ(resp.rows.size(), 3u);
+    EXPECT_EQ(resp.rows[0]->id(), 3);
+    EXPECT_EQ(resp.rows[1]->id(), 5);
+    EXPECT_EQ(resp.rows[2]->id(), 6);
+}
+
+TEST_F(RecordStoreTest, ScanClampsOffsetAndLimit)
+{
+    Request scan{OpKind::Scan, "topics"};
+    scan.offset = 0;
+    scan.limit = 0;
+    Response none = store.execute(scan);
+    EXPECT_TRUE(none.ok);
+    EXPECT_TRUE(none.rows.empty());
+    scan.limit = -3;
+    EXPECT_TRUE(store.execute(scan).rows.empty());
+
+    scan.offset = -5;
+    scan.limit = 2;
+    Response head = store.execute(scan);
+    ASSERT_EQ(head.rows.size(), 2u);
+    EXPECT_EQ(head.rows[0]->id(), 1);
+    EXPECT_EQ(head.rows[1]->id(), 2);
+}
+
+TEST_F(RecordStoreTest, ResponseKeepsItsRowAcrossLaterWrites)
+{
+    Request get{OpKind::Get, "topics", 7};
+    Response before = store.execute(get);
+    Request scan{OpKind::Scan, "topics"};
+    scan.offset = 6;
+    scan.limit = 1;
+    Response scanned = store.execute(scan);
+
+    Request put{OpKind::Put, "topics", 7};
+    put.row = makeRow(0, "rewritten");
+    ASSERT_TRUE(store.execute(put).ok);
+    EXPECT_EQ(store.execute(get).rows[0]->wire(), "7|body=rewritten");
+    Request del{OpKind::Delete, "topics", 7};
+    ASSERT_EQ(store.execute(del).count, 1);
+
+    ASSERT_EQ(before.rows.size(), 1u);
+    EXPECT_EQ(before.rows[0]->wire(), "7|body=topic-7");
+    ASSERT_EQ(scanned.rows.size(), 1u);
+    EXPECT_EQ(scanned.rows[0]->wire(), "7|body=topic-7");
+    EXPECT_EQ(before.wireSize(), 51u); // 16 + (16+4+7+8)
 }
 
 TEST_F(RecordStoreTest, CountReportsTableSize)
@@ -146,8 +226,33 @@ TEST(WireSize, GrowsWithPayload)
     EXPECT_GT(put.wireSize(), get.wireSize());
 
     Response resp;
-    resp.rows.push_back(big);
+    resp.rows.push_back(Record::make(big.id, big));
     EXPECT_GT(resp.wireSize(), big.wireSize());
+}
+
+TEST(WireSize, ExactValuesArePinned)
+{
+    // The network model's inputs: 16 per row plus key + value + 8
+    // per field; 16 per response plus its rows.
+    Row empty;
+    EXPECT_EQ(empty.wireSize(), 16u);
+    Row two;
+    two.id = 12345;
+    two.fields["title"] = "post-1";
+    two.fields["body"] = std::string(600, 'b');
+    EXPECT_EQ(two.wireSize(), 647u); // 16 + (5+6+8) + (4+600+8)
+    EXPECT_EQ(Record(99, two).wireSize(), two.wireSize());
+
+    Response resp;
+    EXPECT_EQ(resp.wireSize(), 16u);
+    resp.rows.push_back(Record::make(two.id, two));
+    resp.rows.push_back(Record::make(1, makeRow(1, "x")));
+    EXPECT_EQ(resp.wireSize(), 692u); // 16 + 647 + (16+4+1+8)
+
+    Request put{OpKind::Put, "posts", 3};
+    put.row = two;
+    EXPECT_EQ(put.wireSize(), 684u); // 32 + "posts" + 647
+    EXPECT_EQ(Request(OpKind::Get, "posts", 3).wireSize(), 37u);
 }
 
 } // namespace

@@ -47,7 +47,7 @@ TEST_F(ProxyTest, ServerRequestsRouteToStore)
     db::Request get{db::OpKind::Get, "comments", 1};
     db::Response resp = proxy.request(conn, get);
     ASSERT_TRUE(resp.ok);
-    EXPECT_EQ(resp.rows[0].fields.at("body"), "first");
+    EXPECT_EQ(resp.rows[0]->wire(), "1|body=first");
     EXPECT_EQ(proxy.stats().requests_routed, 1u);
 }
 
@@ -85,7 +85,7 @@ TEST_F(ProxyTest, OffloadedRequestsUseSameConnection)
     db::Request get{db::OpKind::Get, "comments", 2};
     db::Response resp = proxy.requestViaOffload(id, get);
     ASSERT_TRUE(resp.ok);
-    EXPECT_EQ(resp.rows[0].fields.at("body"), "second");
+    EXPECT_EQ(resp.rows[0]->wire(), "2|body=second");
     EXPECT_EQ(proxy.stats().offload_requests, 1u);
 }
 
@@ -100,7 +100,7 @@ TEST_F(ProxyTest, OffloadedWriteIsVisibleToServer)
     db::Request get{db::OpKind::Get, "comments", 3};
     db::Response resp = proxy.request(conn, get);
     ASSERT_TRUE(resp.ok);
-    EXPECT_EQ(resp.rows[0].fields.at("body"), "from-faas");
+    EXPECT_EQ(resp.rows[0]->wire(), "3|body=from-faas");
 }
 
 TEST_F(ProxyTest, CloseConnectionInvalidatesOffloadIds)
@@ -141,7 +141,7 @@ TEST_F(ProxyTest, ShadowReadsSeeOwnWrites)
     db::Request get{db::OpKind::Get, "comments", 50};
     db::Response resp = proxy.requestViaOffload(id, get, token);
     ASSERT_TRUE(resp.ok);
-    EXPECT_EQ(resp.rows[0].fields.at("body"), "shadow-only");
+    EXPECT_EQ(resp.rows[0]->wire(), "50|body=shadow-only");
 }
 
 TEST_F(ProxyTest, ShadowReadsFallThroughToStore)
@@ -153,7 +153,7 @@ TEST_F(ProxyTest, ShadowReadsFallThroughToStore)
     db::Request get{db::OpKind::Get, "comments", 1};
     db::Response resp = proxy.requestViaOffload(id, get, token);
     ASSERT_TRUE(resp.ok);
-    EXPECT_EQ(resp.rows[0].fields.at("body"), "first");
+    EXPECT_EQ(resp.rows[0]->wire(), "1|body=first");
 }
 
 TEST_F(ProxyTest, ShadowEndDiscardsOverlayAndResumesRealWrites)
@@ -226,7 +226,7 @@ TEST(ShadowSession, PutAfterDeleteResurrects)
     db::Request get{db::OpKind::Get, "t", 1};
     db::Response resp = shadow.apply(store, get);
     ASSERT_TRUE(resp.ok);
-    EXPECT_EQ(resp.rows[0].fields.at("body"), "new");
+    EXPECT_EQ(resp.rows[0]->wire(), "1|body=new");
 }
 
 TEST(ShadowSession, ScanMergesOverlayAndStore)
@@ -246,8 +246,8 @@ TEST(ShadowSession, ScanMergesOverlayAndStore)
     db::Response resp = shadow.apply(store, scan);
     ASSERT_TRUE(resp.ok);
     ASSERT_EQ(resp.rows.size(), 2u);
-    EXPECT_EQ(resp.rows[0].id, 1);
-    EXPECT_EQ(resp.rows[1].id, 2);
+    EXPECT_EQ(resp.rows[0]->id(), 1);
+    EXPECT_EQ(resp.rows[1]->id(), 2);
 }
 
 TEST(ShadowSession, ScanOverlayReplacesStoreRow)
@@ -264,7 +264,7 @@ TEST(ShadowSession, ScanOverlayReplacesStoreRow)
     scan.limit = 10;
     db::Response resp = shadow.apply(store, scan);
     ASSERT_EQ(resp.rows.size(), 1u);
-    EXPECT_EQ(resp.rows[0].fields.at("body"), "new");
+    EXPECT_EQ(resp.rows[0]->wire(), "1|body=new");
 }
 
 TEST(ShadowSession, CountAccountsForOverlayInsertsAndDeletes)
