@@ -8,7 +8,10 @@
 #
 # The drivers run in a temporary directory, so files they write there
 # (fault_storm's BENCH_faults.json) do not touch the checkout. Their
-# stderr is shown only when one fails.
+# stderr is shown only when one fails. fig08_throughput runs a second
+# time with --serial and must match the same golden: its trials run on
+# a thread pool, so this checks that the output does not depend on the
+# thread count.
 set -eu
 
 record=0
@@ -27,23 +30,37 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
 status=0
-for b in fig07_burst_reduction fig08_throughput table5_fallbacks \
-         fault_storm fig02_vanilla_latency fig10_slo_sweep \
-         table4_slo_min_latency breakdown_gc_memory \
-         table2_native_methods; do
-    if ! (cd "$work" && "$bench/$b" --quick > "$b.txt" 2> "$b.err"); then
+# run <driver> [flags...]: one --quick run, recorded or diffed.
+run() {
+    b=$1
+    shift
+    label=$b
+    [ $# -eq 0 ] || label="$b $*"
+    if ! (cd "$work" && "$bench/$b" --quick "$@" > "$b.txt" 2> "$b.err"); then
         cat "$work/$b.err" >&2
-        echo "$b: failed" >&2
+        echo "$label: failed" >&2
         status=1
-        continue
+        return
     fi
     if [ "$record" = 1 ]; then
         cp "$work/$b.txt" "$golden/$b.txt"
         echo "recorded $b"
     elif diff -u "$golden/$b.txt" "$work/$b.txt"; then
-        echo "$b: matches golden"
+        echo "$label: matches golden"
     else
         status=1
     fi
+}
+
+for b in fig07_burst_reduction fig08_throughput table5_fallbacks \
+         fault_storm fig02_vanilla_latency fig10_slo_sweep \
+         table4_slo_min_latency breakdown_gc_memory \
+         table2_native_methods table1_scaling_solutions \
+         cross_az_overhead ablation_optimizations; do
+    run "$b"
 done
+# Thread-count identity: never re-records, only compares.
+if [ "$record" = 0 ]; then
+    run fig08_throughput --serial
+fi
 exit $status

@@ -10,7 +10,8 @@
  *     string-walking resolver (resolveVirtualUncached), over the
  *     real app corpus;
  *   - the interpreter: host nanoseconds per simulated bytecode
- *     instruction on a CallVirt-heavy loop;
+ *     instruction on a CallVirt-heavy loop, and on the framework's
+ *     config walk with and without quickening (vm/quicken.h);
  *   - the event queue: schedule/cancel/fire operations per second;
  *   - function-VM heap set-up: construct a function-sized Heap, make
  *     its first allocation, destroy it;
@@ -41,6 +42,7 @@
 #include "vm/context.h"
 #include "vm/heap.h"
 #include "vm/interpreter.h"
+#include "vm/quicken.h"
 
 using namespace beehive;
 using namespace beehive::bench;
@@ -201,6 +203,90 @@ benchInterpreter(uint64_t iterations)
     r.instructions = interp.stats().instructions;
     r.ns_per_instruction =
         ns / static_cast<double>(r.instructions ? r.instructions : 1);
+    return r;
+}
+
+/** Config-walk loop: ns per instruction, unquickened and quickened. */
+struct WalkResult
+{
+    uint64_t instructions = 0; //!< per form (both run the same)
+    double plain_ns = 0.0;
+    double quick_ns = 0.0;
+};
+
+/**
+ * Framework::emitConfigWalk's loop over a @p nodes-long list, walked
+ * @p walks times per run: the 18-instruction step that dominates the
+ * pybbs handler, made of the five idioms quicken() fuses.
+ */
+WalkResult
+benchConfigWalk(uint64_t walks)
+{
+    constexpr int64_t kNodes = 1500;
+    vm::Program program;
+    vm::Klass cfg_k;
+    cfg_k.name = "Config";
+    cfg_k.fields = {"value", "next"};
+    cfg_k.statics = {"root"};
+    vm::KlassId k = program.addKlass(cfg_k);
+
+    // walk(times): locals 0 = times, 1 = cur, 2 = n.
+    vm::CodeBuilder b(program, k, "walk", 1);
+    b.locals(2);
+    auto outer = b.newLabel(), top = b.newLabel(), done = b.newLabel(),
+         finish = b.newLabel();
+    b.bind(outer);
+    b.load(0).pushI(0).cmpLe().jnz(finish);
+    b.getStatic(k, 0).store(1);
+    b.pushI(kNodes).store(2);
+    b.bind(top);
+    b.load(2).pushI(0).cmpLe().jnz(done);
+    b.load(1).logNot().jnz(done);
+    b.load(1).getField(0).popv();
+    b.load(1).getField(1).store(1);
+    b.load(2).pushI(1).sub().store(2);
+    b.jmp(top);
+    b.bind(done);
+    b.load(0).pushI(1).sub().store(0);
+    b.jmp(outer);
+    b.bind(finish);
+    b.pushI(0).ret();
+    vm::MethodId walk = b.build();
+
+    auto run = [&](const vm::Program &prog, uint64_t *instructions) {
+        vm::NativeRegistry natives;
+        vm::Heap heap(prog, 1 << 20, 1 << 20);
+        vm::VmConfig config;
+        config.jit_threshold = 0;
+        vm::VmContext ctx(prog, natives, heap, config);
+        ctx.loadAll();
+        vm::Ref head = vm::kNullRef;
+        for (int64_t i = 0; i < kNodes; ++i) {
+            vm::Ref node = heap.allocPlain(k);
+            heap.setField(node, 0, vm::Value::ofInt(i));
+            heap.setField(node, 1, vm::Value::ofRef(head));
+            head = node;
+        }
+        ctx.setStatic(k, 0, vm::Value::ofRef(head));
+        vm::Interpreter interp(ctx);
+        interp.start(walk, {vm::Value::ofInt(
+                               static_cast<int64_t>(walks))});
+        Clock::time_point t0 = Clock::now();
+        while (interp.run().kind == vm::Suspend::Kind::Quantum) {
+        }
+        double ns = elapsedNs(t0);
+        *instructions = interp.stats().instructions;
+        return ns / static_cast<double>(*instructions);
+    };
+
+    WalkResult r;
+    vm::Program quick = program;
+    vm::quicken(quick);
+    uint64_t quick_instructions = 0;
+    r.plain_ns = run(program, &r.instructions);
+    r.quick_ns = run(quick, &quick_instructions);
+    bh_assert(quick_instructions == r.instructions,
+              "quickening changed the instruction count");
     return r;
 }
 
@@ -469,6 +555,7 @@ main(int argc, char **argv)
     DispatchResult dispatch =
         benchDispatch(corpus_bed.program(), dispatch_target);
     InterpResult interp = benchInterpreter(interp_iters);
+    WalkResult walk = benchConfigWalk(interp_iters / 100);
     EventResult events = benchEventQueue(event_ops);
     HeapResult heaps = benchHeapConstruct(heap_vms);
     FieldWriteResult fields = benchFieldWrite(field_writes);
@@ -489,6 +576,10 @@ main(int argc, char **argv)
     std::printf("interpreter: %llu instructions, %.2f ns/instr\n",
                 static_cast<unsigned long long>(interp.instructions),
                 interp.ns_per_instruction);
+    std::printf("config_walk: %llu instructions, %.2f ns/instr plain, "
+                "%.2f ns/instr quickened\n",
+                static_cast<unsigned long long>(walk.instructions),
+                walk.plain_ns, walk.quick_ns);
     std::printf("event queue: %llu ops, %.2f ns/op, %.0f events/s\n",
                 static_cast<unsigned long long>(events.operations),
                 events.ns_per_op, events.events_per_sec);
@@ -526,6 +617,11 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(
                          interp.instructions),
                      interp.ns_per_instruction);
+        std::fprintf(json,
+                     "  \"config_walk\": {\"instructions\": %llu, "
+                     "\"plain_ns\": %.3f, \"quick_ns\": %.3f},\n",
+                     static_cast<unsigned long long>(walk.instructions),
+                     walk.plain_ns, walk.quick_ns);
         std::fprintf(json,
                      "  \"event_queue\": {\"operations\": %llu, "
                      "\"ns_per_op\": %.3f, "

@@ -1,7 +1,10 @@
 #include "core/offload.h"
 
 #include <algorithm>
+#include <mutex>
 #include <set>
+#include <string>
+#include <unordered_set>
 
 #include "chaos/chaos.h"
 #include "support/logging.h"
@@ -26,6 +29,25 @@ constexpr std::size_t kDegradeWindow = 16;
 
 /** Error rate within the window that halves the offload ratio. */
 constexpr double kDegradeErrorThreshold = 0.5;
+
+/**
+ * inform() @p line unless this process already printed it. Every
+ * testbed of an app builds the same program, so its analysis lines
+ * are printed once, not once per testbed; runTrials builds testbeds
+ * on several threads, hence the lock.
+ */
+void
+informOnce(const std::string &line)
+{
+    static std::mutex mu;
+    static std::unordered_set<std::string> printed;
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!printed.insert(line).second)
+            return;
+    }
+    inform("%s", line.c_str());
+}
 
 /** Floor of the degradation factor (never degrade below this
  * fraction of the configured ratio). */
@@ -96,12 +118,10 @@ OffloadManager::enableRoot(vm::MethodId root,
     const vm::Program &program = server_.program();
     vm::OffloadAnalysis analysis(program);
     vm::RootReport report = analysis.classifyRoot(root);
-    inform("offload-analysis: %s",
-           toString(report, program).c_str());
+    informOnce("offload-analysis: " + toString(report, program));
     vm::CaptureSet capture = analysis.captureForRoot(root);
-    inform("capture-analysis: %s: %s",
-           program.qualifiedName(root).c_str(),
-           toString(capture, program).c_str());
+    informOnce("capture-analysis: " + program.qualifiedName(root) +
+               ": " + toString(capture, program));
     if (report.klass == vm::OffloadClass::NeedsFallback)
         ++stats_.roots_needs_fallback;
     else if (report.klass == vm::OffloadClass::LocalOnly)

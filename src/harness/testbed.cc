@@ -1,6 +1,7 @@
 #include "harness/testbed.h"
 
 #include "support/logging.h"
+#include "vm/quicken.h"
 
 namespace beehive::harness {
 
@@ -57,6 +58,9 @@ Testbed::Testbed(TestbedOptions options) : options_(options)
         app_ = std::make_unique<apps::BlogApp>(*framework_);
         break;
     }
+    // The program is complete: fuse its generated-code idioms
+    // (vm/quicken.h; simulated output is unchanged).
+    vm::quicken(*program_);
 
     // Database machine + proxy (Section 5.1: m4.10xlarge so the DB
     // never bottlenecks any scaling solution).

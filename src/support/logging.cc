@@ -1,5 +1,6 @@
 #include "support/logging.h"
 
+#include <cstdarg>
 #include <cstdio>
 
 namespace beehive {
@@ -55,6 +56,38 @@ void
 fatalExit()
 {
     std::exit(1);
+}
+
+void
+panicAt(const char *where, const char *fmt, ...)
+{
+    va_list args;
+    va_start(args, fmt);
+    logMessage(LogLevel::Panic, where, vstrprintf(fmt, args));
+    va_end(args);
+    panicExit();
+}
+
+void
+fatalAt(const char *where, const char *fmt, ...)
+{
+    va_list args;
+    va_start(args, fmt);
+    logMessage(LogLevel::Fatal, where, vstrprintf(fmt, args));
+    va_end(args);
+    fatalExit();
+}
+
+void
+assertFailed(const char *where, const char *cond, const char *fmt, ...)
+{
+    va_list args;
+    va_start(args, fmt);
+    const std::string msg = vstrprintf(fmt, args);
+    va_end(args);
+    logMessage(LogLevel::Panic, where,
+               strprintf("assertion failed: %s %s", cond, msg.c_str()));
+    panicExit();
 }
 
 } // namespace detail

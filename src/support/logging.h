@@ -35,6 +35,27 @@ void logMessage(LogLevel level, const char *where, const std::string &msg);
 [[noreturn]] void panicExit();
 [[noreturn]] void fatalExit();
 
+/**
+ * panic()/fatal() bodies: report the formatted message at @p where,
+ * then abort / exit(1). Out of line and cold, like assertFailed(), so
+ * a failure check costs its caller only a call.
+ */
+[[noreturn, gnu::cold]] void panicAt(const char *where, const char *fmt,
+                                     ...)
+    __attribute__((format(printf, 2, 3)));
+[[noreturn, gnu::cold]] void fatalAt(const char *where, const char *fmt,
+                                     ...)
+    __attribute__((format(printf, 2, 3)));
+
+/**
+ * bh_assert()'s failure path: report "assertion failed: <cond>
+ * <message>" at @p where, as panic() would, and abort.
+ */
+[[noreturn, gnu::cold]] void assertFailed(const char *where,
+                                          const char *cond,
+                                          const char *fmt, ...)
+    __attribute__((format(printf, 3, 4)));
+
 } // namespace detail
 
 /** Suppress inform()/warn() output (used by quiet benches). */
@@ -47,20 +68,10 @@ void setLogQuiet(bool quiet);
 #define BEEHIVE_WHERE __FILE__ ":" BEEHIVE_WHERE_STR(__LINE__)
 
 /** Report an internal invariant violation and abort. */
-#define panic(...)                                                          \
-    do {                                                                    \
-        ::beehive::detail::logMessage(::beehive::LogLevel::Panic,           \
-            BEEHIVE_WHERE, ::beehive::strprintf(__VA_ARGS__));              \
-        ::beehive::detail::panicExit();                                     \
-    } while (0)
+#define panic(...) ::beehive::detail::panicAt(BEEHIVE_WHERE, __VA_ARGS__)
 
 /** Report an unrecoverable user/configuration error and exit(1). */
-#define fatal(...)                                                          \
-    do {                                                                    \
-        ::beehive::detail::logMessage(::beehive::LogLevel::Fatal,           \
-            BEEHIVE_WHERE, ::beehive::strprintf(__VA_ARGS__));              \
-        ::beehive::detail::fatalExit();                                     \
-    } while (0)
+#define fatal(...) ::beehive::detail::fatalAt(BEEHIVE_WHERE, __VA_ARGS__)
 
 /** Report a suspicious but survivable condition. */
 #define warn(...)                                                           \
@@ -75,10 +86,9 @@ void setLogQuiet(bool quiet);
 /** panic() unless the given condition holds. */
 #define bh_assert(cond, ...)                                                \
     do {                                                                    \
-        if (!(cond)) {                                                      \
-            panic("assertion failed: %s %s", #cond,                         \
-                  ::beehive::strprintf("" __VA_ARGS__).c_str());            \
-        }                                                                   \
+        if (!(cond)) [[unlikely]]                                           \
+            ::beehive::detail::assertFailed(BEEHIVE_WHERE, #cond,           \
+                                            "" __VA_ARGS__);                \
     } while (0)
 
 #endif // BEEHIVE_SUPPORT_LOGGING_H

@@ -10,10 +10,17 @@ strprintf(const char *fmt, ...)
 {
     va_list args;
     va_start(args, fmt);
+    std::string out = vstrprintf(fmt, args);
+    va_end(args);
+    return out;
+}
+
+std::string
+vstrprintf(const char *fmt, va_list args)
+{
     va_list args_copy;
     va_copy(args_copy, args);
     int len = std::vsnprintf(nullptr, 0, fmt, args);
-    va_end(args);
     std::string out;
     if (len > 0) {
         out.resize(len);

@@ -6,6 +6,7 @@
 #ifndef BEEHIVE_SUPPORT_STRUTIL_H
 #define BEEHIVE_SUPPORT_STRUTIL_H
 
+#include <cstdarg>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,10 @@ namespace beehive {
  */
 std::string strprintf(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/** strprintf() over a va_list; consumes @p args. */
+std::string vstrprintf(const char *fmt, va_list args)
+    __attribute__((format(printf, 1, 0)));
 
 /** Split @p s on @p sep, keeping empty fields. */
 std::vector<std::string> splitString(const std::string &s, char sep);

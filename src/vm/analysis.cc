@@ -301,12 +301,13 @@ ProgramAnalysis::analyzeMethod(MethodId id)
     leaders.insert(0);
     for (uint32_t pc = 0; pc < n; ++pc) {
         const Instr &in = m.code[pc];
-        if (isBranch(in.op)) {
+        const Op op = baseOp(in.op);
+        if (isBranch(op)) {
             if (in.a >= 0 && static_cast<std::size_t>(in.a) < n)
                 leaders.insert(static_cast<uint32_t>(in.a));
             if (pc + 1 < n)
                 leaders.insert(pc + 1);
-        } else if (in.op == Op::Ret && pc + 1 < n) {
+        } else if (op == Op::Ret && pc + 1 < n) {
             leaders.insert(pc + 1);
         }
     }
@@ -397,6 +398,7 @@ ProgramAnalysis::analyzeMethod(MethodId id)
         uint32_t end = blockEnd(leader);
         for (uint32_t pc = leader; pc < end && !bailed; ++pc) {
             const Instr &in = m.code[pc];
+            const Op op = baseOp(in.op);
             auto pop = [&]() -> AbsVal {
                 if (st.stack.empty()) {
                     bailed = true;
@@ -465,7 +467,7 @@ ProgramAnalysis::analyzeMethod(MethodId id)
                                       std::move(bytecode)});
             };
 
-            switch (in.op) {
+            switch (op) {
               case Op::Nop:
               case Op::Compute:
               case Op::Jmp:
@@ -475,7 +477,11 @@ ProgramAnalysis::analyzeMethod(MethodId id)
               case Op::PushNil:
                 push(AbsVal{});
                 break;
-              case Op::Load: {
+              case Op::Load:
+              // Unreachable after baseOp(); listed for -Wswitch.
+              case Op::LoadLeJnz: case Op::LoadNotJnz:
+              case Op::LoadFieldPop: case Op::LoadFieldStore:
+              case Op::LoadSubStore: {
                 auto slot = static_cast<std::size_t>(in.a);
                 push(slot < st.locals.size() ? st.locals[slot]
                                              : AbsVal{});
@@ -567,9 +573,9 @@ ProgramAnalysis::analyzeMethod(MethodId id)
                         sum.fields_read_any_klass.insert(index);
                     recordAccess(AccessRecord::Scope::Field,
                                  recv.klass, index, false,
-                                 in.op == Op::GetVolatile,
+                                 op == Op::GetVolatile,
                                  elidable(recv));
-                    if (in.op == Op::GetVolatile) {
+                    if (op == Op::GetVolatile) {
                         if (elidable(recv)) {
                             ++sum.volatiles_elided;
                         } else {
@@ -602,10 +608,10 @@ ProgramAnalysis::analyzeMethod(MethodId id)
                     recordAccess(AccessRecord::Scope::Field,
                                  recv.klass,
                                  static_cast<uint32_t>(in.a), true,
-                                 in.op == Op::PutVolatile,
+                                 op == Op::PutVolatile,
                                  elidable(recv), val.klass);
                 if (mode == kCollect &&
-                    in.op == Op::PutVolatile) {
+                    op == Op::PutVolatile) {
                     if (elidable(recv)) {
                         ++sum.volatiles_elided;
                     } else {
@@ -841,13 +847,13 @@ ProgramAnalysis::analyzeMethod(MethodId id)
 
             if (bailed)
                 return;
-            if (in.op == Op::Jmp) {
+            if (op == Op::Jmp) {
                 if (mode == kFlow && in.a >= 0 &&
                     static_cast<std::size_t>(in.a) < n)
                     joinInto(static_cast<uint32_t>(in.a), st);
                 return;
             }
-            if ((in.op == Op::Jz || in.op == Op::Jnz) &&
+            if ((op == Op::Jz || op == Op::Jnz) &&
                 mode == kFlow && in.a >= 0 &&
                 static_cast<std::size_t>(in.a) < n)
                 joinInto(static_cast<uint32_t>(in.a), st);

@@ -12,13 +12,6 @@ VmContext::VmContext(const Program &program, NativeRegistry &natives,
 {
 }
 
-bool
-VmContext::isLoaded(KlassId id) const
-{
-    bh_assert(id < loaded_.size(), "bad klass id");
-    return loaded_[id];
-}
-
 void
 VmContext::loadKlass(KlassId id)
 {

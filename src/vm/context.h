@@ -100,7 +100,12 @@ class VmContext
 
     /** @name Klass loading */
     /// @{
-    bool isLoaded(KlassId id) const;
+    bool
+    isLoaded(KlassId id) const
+    {
+        bh_assert(id < loaded_.size(), "bad klass id");
+        return loaded_[id];
+    }
     /** Install a klass (fault resolution or initial closure). */
     void loadKlass(KlassId id);
     /** Load every klass in the program (server startup). */

@@ -249,21 +249,96 @@ Interpreter::run()
     bh_assert(!awaiting_external_,
               "run() while awaiting external completion");
     const double quantum_ns = ctx_.config().quantum_ns;
+    const double instr_ns = ctx_.config().instr_cost_ns;
+    const bool check_remote = ctx_.config().check_remote_refs;
+
+    // The cost accumulators and the instruction count live in locals
+    // for the loop. spill() writes them back before invoke(), which
+    // charges the members, and at every return; reload() picks up
+    // what invoke() added. spend() makes charge()'s additions in
+    // charge()'s order, so every sum is bit-identical.
+    double pending = pending_cost_;
+    double qacc = quantum_acc_;
+    double total = cost_total_;
+    uint64_t count = stats_.instructions;
+    auto spend = [&](double ns) {
+        pending += ns;
+        qacc += ns;
+        total += ns;
+    };
+    auto spill = [&] {
+        pending_cost_ = pending;
+        quantum_acc_ = qacc;
+        cost_total_ = total;
+        stats_.instructions = count;
+    };
+    auto reload = [&] {
+        pending = pending_cost_;
+        qacc = quantum_acc_;
+        total = cost_total_;
+        count = stats_.instructions;
+    };
+
+    // A quickened head (vm::quicken) runs fused only when its Load
+    // needs no remote-ref rewrite and its @p pushes fit the value
+    // stack without growing it; otherwise it runs as the plain Load.
+    auto fusable = [&](Value v, std::size_t pushes) {
+        return !(check_remote && v.isRef() && isRemote(v.asRef())) &&
+               sp_ + pushes <= values_.size();
+    };
+    // The getField idioms also need a local non-null receiver, and
+    // no field-read recording or race oracle (the plain GetField
+    // feeds both).
+    auto fusableField = [&](Value v) {
+        return v.isRef() && v.asRef() != kNullRef && !isRemote(v.asRef()) &&
+               !recording_ && !ctx_.raceOracle() &&
+               sp_ + 1 <= values_.size();
+    };
+
+    // A fused idiom charges its constituents on copies of the
+    // accumulators taken by fuse() and written back by commit(). The
+    // loop's own copies live across calls, so GCC keeps them in
+    // memory; these live only inside one idiom, in registers.
+    double fp = 0.0, fq = 0.0, ft = 0.0;
+    uint64_t fc = 0;
+    auto fuse = [&] {
+        fp = pending;
+        fq = qacc;
+        ft = total;
+        fc = count;
+    };
+    auto constituent = [&](double ns) {
+        ++fc;
+        fp += ns;
+        fq += ns;
+        ft += ns;
+    };
+    auto commit = [&] {
+        pending = fp;
+        qacc = fq;
+        total = ft;
+        count = fc;
+    };
+
     Suspend out;
     while (true) {
         // One instruction per iteration. Cases that end in `break`
-        // advance the pc; jumps, calls and returns set it themselves and
-        // go straight to the quantum check. Call and Ret may reallocate
-        // frames_, so nothing below them may touch `f`.
+        // advance the pc; jumps, calls, returns and the fused idioms
+        // set it themselves and go straight to the quantum check.
+        // Call and Ret may reallocate frames_, so nothing below them
+        // may touch `f`.
         Window &f = top();
         const Method &m = *f.method;
         bh_assert(f.pc < m.code.size(), "pc ran off method %s",
                   m.name.c_str());
         const Instr &in = m.code[f.pc];
         const double mult = f.cost_multiplier;
+        // One instruction's charge; a fused idiom pays it for each
+        // of its constituents.
+        const double step = instr_ns * mult;
 
-        ++stats_.instructions;
-        charge(ctx_.config().instr_cost_ns * mult);
+        ++count;
+        spend(step);
 
         switch (in.op) {
           case Op::Nop:
@@ -285,11 +360,12 @@ Interpreter::run()
             push(Value::nil());
             break;
 
-          case Op::Load: {
+          case Op::Load:
+          load: {
             bh_assert(static_cast<std::size_t>(in.a) < f.stack_base - f.base,
                       "bad local slot");
             if (!checkLoadedValue(values_[f.base + in.a], out))
-                return out;
+                goto done;
             push(values_[f.base + in.a]);
             break;
           }
@@ -425,32 +501,32 @@ Interpreter::run()
           case Op::New: {
             KlassId k = static_cast<KlassId>(in.a);
             if (!requireKlass(k, out))
-                return out;
+                goto done;
             Ref r = ctx_.heap().allocPlain(k);
             if (r == kNullRef) {
                 out.kind = Suspend::Kind::HeapFull;
-                return out;
+                goto done;
             }
             push(Value::ofRef(r));
-            charge(10.0 * mult);
+            spend(10.0 * mult);
             break;
           }
 
           case Op::NewArr: {
             KlassId k = static_cast<KlassId>(in.a);
             if (!requireKlass(k, out))
-                return out;
+                goto done;
             Value len = peek();
             bh_assert(len.isInt() && len.asInt() >= 0, "bad array length");
             Ref r = ctx_.heap().allocArray(
                 k, static_cast<uint64_t>(len.asInt()));
             if (r == kNullRef) {
                 out.kind = Suspend::Kind::HeapFull;
-                return out;
+                goto done;
             }
             pop();
             push(Value::ofRef(r));
-            charge(10.0 * mult + 0.1 * static_cast<double>(len.asInt()));
+            spend(10.0 * mult + 0.1 * static_cast<double>(len.asInt()));
             break;
           }
 
@@ -458,22 +534,22 @@ Interpreter::run()
             KlassId k = ctx_.config().bytes_klass;
             bh_assert(k != kNoKlass, "bytes_klass not configured");
             if (!requireKlass(k, out))
-                return out;
+                goto done;
             const std::string &s =
                 ctx_.program().stringAt(static_cast<uint32_t>(in.a));
             Ref r = ctx_.heap().allocBytes(k, s);
             if (r == kNullRef) {
                 out.kind = Suspend::Kind::HeapFull;
-                return out;
+                goto done;
             }
             push(Value::ofRef(r));
-            charge(5.0 * mult + 0.05 * static_cast<double>(s.size()));
+            spend(5.0 * mult + 0.05 * static_cast<double>(s.size()));
             break;
           }
 
           case Op::BytesLen: {
             if (!resolveRef(peek(), out))
-                return out;
+                goto done;
             Ref r = pop().asRef();
             push(Value::ofInt(ctx_.heap().count(r)));
             break;
@@ -481,7 +557,7 @@ Interpreter::run()
 
           case Op::GetField: {
             if (!resolveRef(peek(), out))
-                return out;
+                goto done;
             Ref obj = peek().asRef();
             if (recording_)
                 recorded_field_reads_.insert(
@@ -494,7 +570,7 @@ Interpreter::run()
                     ctx_.heap().setField(obj, static_cast<uint32_t>(in.a),
                                          nv);
                 }))
-                return out;
+                goto done;
             if (RaceOracle *ro = ctx_.raceOracle())
                 ro->fieldAccess(race_tid_, obj,
                                 ctx_.heap().header(obj).klass,
@@ -506,7 +582,7 @@ Interpreter::run()
 
           case Op::PutField: {
             if (!resolveRef(peek(1), out))
-                return out;
+                goto done;
             Value v = pop();
             Ref obj = pop().asRef();
             ctx_.heap().setField(obj, static_cast<uint32_t>(in.a), v);
@@ -519,7 +595,7 @@ Interpreter::run()
 
           case Op::ALoad: {
             if (!resolveRef(peek(1), out))
-                return out;
+                goto done;
             Value idx_v = peek(0);
             bh_assert(idx_v.isInt(), "array index must be int");
             Ref arr = peek(1).asRef();
@@ -528,7 +604,7 @@ Interpreter::run()
             if (!loadBarrier(v, out, [&](Value &nv) {
                     ctx_.heap().setElem(arr, idx, nv);
                 }))
-                return out;
+                goto done;
             if (RaceOracle *ro = ctx_.raceOracle())
                 ro->elementAccess(race_tid_, arr,
                                   ctx_.heap().header(arr).klass, false);
@@ -540,7 +616,7 @@ Interpreter::run()
 
           case Op::AStore: {
             if (!resolveRef(peek(2), out))
-                return out;
+                goto done;
             Value v = pop();
             Value idx = pop();
             Ref arr = pop().asRef();
@@ -554,7 +630,7 @@ Interpreter::run()
 
           case Op::ArrLen: {
             if (!resolveRef(peek(), out))
-                return out;
+                goto done;
             Ref arr = pop().asRef();
             push(Value::ofInt(ctx_.heap().count(arr)));
             break;
@@ -563,7 +639,7 @@ Interpreter::run()
           case Op::GetStatic: {
             KlassId k = static_cast<KlassId>(in.a);
             if (!requireKlass(k, out))
-                return out;
+                goto done;
             if (recording_)
                 recorded_statics_.insert(
                     {k, static_cast<uint32_t>(in.b)});
@@ -571,7 +647,7 @@ Interpreter::run()
             if (!loadBarrier(v, out, [&](Value &nv) {
                     ctx_.setStatic(k, static_cast<uint32_t>(in.b), nv);
                 }))
-                return out;
+                goto done;
             if (RaceOracle *ro = ctx_.raceOracle())
                 ro->staticAccess(race_tid_, k,
                                  static_cast<uint32_t>(in.b), false);
@@ -582,7 +658,7 @@ Interpreter::run()
           case Op::PutStatic: {
             KlassId k = static_cast<KlassId>(in.a);
             if (!requireKlass(k, out))
-                return out;
+                goto done;
             if (recording_)
                 recorded_statics_.insert(
                     {k, static_cast<uint32_t>(in.b)});
@@ -599,8 +675,11 @@ Interpreter::run()
             bh_assert(in.op != Op::CallNative ||
                           ctx_.program().method(id).is_native,
                       "CallNative on bytecode method");
-            if (!invoke(id, out))
-                return out;
+            spill();
+            const bool ok = invoke(id, out);
+            reload();
+            if (!ok)
+                goto done;
             goto next; // pc handled by invoke
           }
 
@@ -609,7 +688,7 @@ Interpreter::run()
             uint16_t nargs = static_cast<uint16_t>(in.b);
             bh_assert(nargs >= 1, "CallVirt needs a receiver");
             if (!resolveRef(peek(nargs - 1), out))
-                return out;
+                goto done;
             Ref recv = peek(nargs - 1).asRef();
             KlassId k = ctx_.heap().header(recv).klass;
             MethodId id = ctx_.program().resolveVirtual(k, name);
@@ -619,15 +698,18 @@ Interpreter::run()
             bh_assert(ctx_.program().method(id).num_args == nargs,
                       "virtual arg count mismatch on %s",
                       ctx_.program().nameAt(name).c_str());
-            charge(5.0 * mult); // vtable walk
-            if (!invoke(id, out))
-                return out;
+            spend(5.0 * mult); // vtable walk
+            spill();
+            const bool ok = invoke(id, out);
+            reload();
+            if (!ok)
+                goto done;
             goto next;
           }
 
           case Op::MonitorEnter: {
             if (!resolveRef(peek(), out))
-                return out;
+                goto done;
             Ref obj = peek().asRef();
             if (granted_monitor_ == obj) {
                 granted_monitor_ = kNullRef; // one-shot grant consumed
@@ -636,7 +718,7 @@ Interpreter::run()
                 // the SyncManager's monitor table before we proceed.
                 out.kind = Suspend::Kind::MonitorAcquire;
                 out.monitor_obj = obj;
-                return out;
+                goto done;
             }
             pop();
             ctx_.heap().header(obj).lock_owner =
@@ -644,26 +726,26 @@ Interpreter::run()
             if (RaceOracle *ro = ctx_.raceOracle())
                 ro->acquire(race_tid_, obj);
             ++stats_.monitor_enters;
-            charge(15.0 * mult);
+            spend(15.0 * mult);
             break;
           }
 
           case Op::MonitorExit: {
             if (!resolveRef(peek(), out))
-                return out;
+                goto done;
             Ref obj = peek().asRef();
             if (release_granted_) {
                 release_granted_ = false;
             } else if (ctx_.needsRemoteAcquire(obj)) {
                 out.kind = Suspend::Kind::MonitorRelease;
                 out.monitor_obj = obj;
-                return out;
+                goto done;
             }
             pop();
             if (RaceOracle *ro = ctx_.raceOracle())
                 ro->release(race_tid_, obj);
             ctx_.monitorReleased(obj);
-            charge(10.0 * mult);
+            spend(10.0 * mult);
             break;
           }
 
@@ -676,7 +758,7 @@ Interpreter::run()
             // accesses, are also supported").
             std::size_t obj_depth = in.op == Op::PutVolatile ? 1 : 0;
             if (!resolveRef(peek(obj_depth), out))
-                return out;
+                goto done;
             Ref obj = peek(obj_depth).asRef();
             if (granted_volatile_ == obj) {
                 granted_volatile_ = kNullRef;
@@ -684,7 +766,7 @@ Interpreter::run()
                 out.kind = Suspend::Kind::VolatileSync;
                 out.monitor_obj = obj;
                 out.volatile_write = in.op == Op::PutVolatile;
-                return out;
+                goto done;
             }
             if (in.op == Op::PutVolatile) {
                 Value v = pop();
@@ -711,13 +793,181 @@ Interpreter::run()
                 push(ctx_.heap().field(target,
                                        static_cast<uint32_t>(in.a)));
             }
-            charge(8.0 * mult);
+            spend(8.0 * mult);
             break;
           }
 
           case Op::Compute:
-            charge(static_cast<double>(in.a) * mult);
+            spend(static_cast<double>(in.a) * mult);
             break;
+
+          // Fused idioms (vm::quicken). Each runs its constituents in
+          // order: one count, one charge and one quantum check apiece.
+          // When the quantum expires after k of them, the stack is what
+          // they leave and the pc is the idiom's start + k, so the
+          // original instructions (still in place) resume the idiom.
+          // `seq` is the idiom, head first.
+
+          case Op::LoadLeJnz: {
+            // load n; pushI c; cmpLe; jnz L
+            bh_assert(static_cast<std::size_t>(in.a) < f.stack_base - f.base,
+                      "bad local slot");
+            const Value v = values_[f.base + in.a];
+            if (!fusable(v, 2))
+                goto load;
+            fuse();
+            const Instr *const seq = &in;
+            const uint32_t at = f.pc;
+            if (fq >= quantum_ns) {
+                values_[sp_++] = v;
+                f.pc = at + 1;
+                commit();
+                goto quantum;
+            }
+            constituent(step); // pushI c
+            const Value c = Value::ofInt(seq[1].a);
+            if (fq >= quantum_ns) {
+                values_[sp_++] = v;
+                values_[sp_++] = c;
+                f.pc = at + 2;
+                commit();
+                goto quantum;
+            }
+            constituent(step); // cmpLe
+            const bool le = v.asNumber() <= c.asNumber();
+            if (fq >= quantum_ns) {
+                values_[sp_++] = Value::ofInt(le ? 1 : 0);
+                f.pc = at + 3;
+                commit();
+                goto quantum;
+            }
+            constituent(step); // jnz L
+            f.pc = le ? static_cast<uint32_t>(seq[3].a) : at + 4;
+            commit();
+            goto next;
+          }
+
+          case Op::LoadNotJnz: {
+            // load x; not; jnz L
+            bh_assert(static_cast<std::size_t>(in.a) < f.stack_base - f.base,
+                      "bad local slot");
+            const Value v = values_[f.base + in.a];
+            if (!fusable(v, 1))
+                goto load;
+            fuse();
+            const Instr *const seq = &in;
+            const uint32_t at = f.pc;
+            if (fq >= quantum_ns) {
+                values_[sp_++] = v;
+                f.pc = at + 1;
+                commit();
+                goto quantum;
+            }
+            constituent(step); // not
+            const bool falsy = !v.truthy();
+            if (fq >= quantum_ns) {
+                values_[sp_++] = Value::ofInt(falsy ? 1 : 0);
+                f.pc = at + 2;
+                commit();
+                goto quantum;
+            }
+            constituent(step); // jnz L
+            f.pc = falsy ? static_cast<uint32_t>(seq[2].a) : at + 3;
+            commit();
+            goto next;
+          }
+
+          case Op::LoadFieldPop:
+          case Op::LoadFieldStore: {
+            // load x; getField f; pop    or    load x; getField f; store y
+            bh_assert(static_cast<std::size_t>(in.a) < f.stack_base - f.base,
+                      "bad local slot");
+            const Value v = values_[f.base + in.a];
+            if (!fusableField(v))
+                goto load;
+            fuse();
+            const Instr *const seq = &in;
+            const uint32_t at = f.pc;
+            if (fq >= quantum_ns) {
+                values_[sp_++] = v;
+                f.pc = at + 1;
+                commit();
+                goto quantum;
+            }
+            constituent(step); // getField f
+            const Ref obj = v.asRef();
+            const uint32_t field = static_cast<uint32_t>(seq[1].a);
+            Value fv = ctx_.heap().field(obj, field);
+            if (!loadBarrier(fv, out, [&](Value &nv) {
+                    ctx_.heap().setField(obj, field, nv);
+                })) {
+                // ObjectFault: the getField retries with its receiver.
+                values_[sp_++] = v;
+                f.pc = at + 1;
+                commit();
+                goto done;
+            }
+            if (fq >= quantum_ns) {
+                values_[sp_++] = fv;
+                f.pc = at + 2;
+                commit();
+                goto quantum;
+            }
+            constituent(step); // pop or store y
+            if (in.op == Op::LoadFieldStore) {
+                bh_assert(static_cast<std::size_t>(seq[2].a) <
+                              f.stack_base - f.base,
+                          "bad local slot");
+                values_[f.base + seq[2].a] = fv;
+            }
+            f.pc = at + 3;
+            commit();
+            goto next;
+          }
+
+          case Op::LoadSubStore: {
+            // load n; pushI c; sub; store y
+            bh_assert(static_cast<std::size_t>(in.a) < f.stack_base - f.base,
+                      "bad local slot");
+            const Value v = values_[f.base + in.a];
+            if (!fusable(v, 2))
+                goto load;
+            fuse();
+            const Instr *const seq = &in;
+            const uint32_t at = f.pc;
+            if (fq >= quantum_ns) {
+                values_[sp_++] = v;
+                f.pc = at + 1;
+                commit();
+                goto quantum;
+            }
+            constituent(step); // pushI c
+            const Value c = Value::ofInt(seq[1].a);
+            if (fq >= quantum_ns) {
+                values_[sp_++] = v;
+                values_[sp_++] = c;
+                f.pc = at + 2;
+                commit();
+                goto quantum;
+            }
+            constituent(step); // sub
+            const Value r =
+                v.isInt() ? Value::ofInt(v.asInt() - c.asInt())
+                          : Value::ofFloat(v.asNumber() - c.asNumber());
+            if (fq >= quantum_ns) {
+                values_[sp_++] = r;
+                f.pc = at + 3;
+                commit();
+                goto quantum;
+            }
+            constituent(step); // store y
+            bh_assert(static_cast<std::size_t>(seq[3].a) < f.stack_base - f.base,
+                      "bad local slot");
+            values_[f.base + seq[3].a] = r;
+            f.pc = at + 4;
+            commit();
+            goto next;
+          }
 
           case Op::Ret: {
             Value result =
@@ -727,7 +977,7 @@ Interpreter::run()
                 if (ctx_.profiler()) {
                     ctx_.profiler()->recordExecution(
                         candidate_root_,
-                        cost_total_ - candidate_cost_start_,
+                        total - candidate_cost_start_,
                         recorded_klasses_, recorded_statics_,
                         stats_.monitor_enters - candidate_syncs_start_);
                 }
@@ -739,7 +989,7 @@ Interpreter::run()
             if (frames_.empty()) {
                 out.kind = Suspend::Kind::Done;
                 out.result = result;
-                return out;
+                goto done;
             }
             push(result);
             goto next;
@@ -748,12 +998,16 @@ Interpreter::run()
 
         ++f.pc;
       next:
-        if (quantum_acc_ >= quantum_ns) {
-            quantum_acc_ = 0.0;
-            out.kind = Suspend::Kind::Quantum;
-            return out;
-        }
+        if (qacc >= quantum_ns)
+            goto quantum;
     }
+
+  quantum:
+    qacc = 0.0;
+    out.kind = Suspend::Kind::Quantum;
+  done:
+    spill();
+    return out;
 }
 
 std::vector<Frame>

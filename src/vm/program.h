@@ -75,7 +75,23 @@ enum class Op : uint8_t
     PutVolatile,  //!< like PutField with release semantics
     // Modelled computation: spend a nanoseconds of CPU work.
     Compute,
+    // Quickened heads (vm::quicken, src/vm/quicken.h). Each is a Load
+    // (a = slot) whose following instructions, left in place, form
+    // one idiom; the interpreter runs the idiom in one dispatch.
+    // Every other reader of Method::code sees baseOp(), i.e. Load.
+    LoadLeJnz,      //!< load; pushI c; cmpLe; jnz L
+    LoadNotJnz,     //!< load; not; jnz L
+    LoadFieldPop,   //!< load; getField f; pop
+    LoadFieldStore, //!< load; getField f; store y
+    LoadSubStore,   //!< load; pushI c; sub; store y
 };
+
+/** The op a quickened head stands for (Load); other ops unchanged. */
+constexpr Op
+baseOp(Op op)
+{
+    return op >= Op::LoadLeJnz ? Op::Load : op;
+}
 
 /** One bytecode instruction (fixed two-operand encoding). */
 struct Instr

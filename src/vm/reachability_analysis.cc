@@ -123,7 +123,7 @@ ReachabilityAnalysis::analyzeRoot(MethodId root) const
         const Method &method = program_.method(m);
         add_klass(method.owner);
         for (const Instr &in : method.code) {
-            switch (in.op) {
+            switch (baseOp(in.op)) {
               case Op::New:
               case Op::NewArr:
                 add_klass(static_cast<KlassId>(in.a));

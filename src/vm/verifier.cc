@@ -187,7 +187,11 @@ opMnemonic(Op op)
       case Op::PushI: return "PushI";
       case Op::PushF: return "PushF";
       case Op::PushNil: return "PushNil";
-      case Op::Load: return "Load";
+      // A quickened head reads as its Load (vm/quicken.h).
+      case Op::Load: case Op::LoadLeJnz: case Op::LoadNotJnz:
+      case Op::LoadFieldPop: case Op::LoadFieldStore:
+      case Op::LoadSubStore:
+        return "Load";
       case Op::Store: return "Store";
       case Op::Dup: return "Dup";
       case Op::Pop: return "Pop";
@@ -359,12 +363,13 @@ Verifier::verifyMethod(MethodId id, VerifyResult &out) const
 
     for (uint32_t pc = 0; pc < n; ++pc) {
         const Instr &in = m.code[pc];
-        switch (in.op) {
+        const Op op = baseOp(in.op);
+        switch (op) {
           case Op::Jmp: case Op::Jz: case Op::Jnz:
             if (in.a < 0 || static_cast<std::size_t>(in.a) >= n)
                 err(DiagCode::BadJumpTarget, pc,
                     strprintf("%s target %lld outside [0, %zu)",
-                              opMnemonic(in.op),
+                              opMnemonic(op),
                               static_cast<long long>(in.a), n));
             break;
           case Op::Load: case Op::Store:
@@ -372,7 +377,7 @@ Verifier::verifyMethod(MethodId id, VerifyResult &out) const
                 static_cast<std::size_t>(in.a) >= m.num_locals)
                 err(DiagCode::BadLocalSlot, pc,
                     strprintf("%s slot %lld outside %u locals",
-                              opMnemonic(in.op),
+                              opMnemonic(op),
                               static_cast<long long>(in.a),
                               m.num_locals));
             break;
@@ -382,7 +387,7 @@ Verifier::verifyMethod(MethodId id, VerifyResult &out) const
                     program_.klassCount())
                 err(DiagCode::BadKlassId, pc,
                     strprintf("%s klass id %lld out of range",
-                              opMnemonic(in.op),
+                              opMnemonic(op),
                               static_cast<long long>(in.a)));
             break;
           case Op::GetStatic: case Op::PutStatic: {
@@ -391,7 +396,7 @@ Verifier::verifyMethod(MethodId id, VerifyResult &out) const
                     program_.klassCount()) {
                 err(DiagCode::BadKlassId, pc,
                     strprintf("%s klass id %lld out of range",
-                              opMnemonic(in.op),
+                              opMnemonic(op),
                               static_cast<long long>(in.a)));
                 break;
             }
@@ -402,7 +407,7 @@ Verifier::verifyMethod(MethodId id, VerifyResult &out) const
                 err(DiagCode::BadStaticSlot, pc,
                     strprintf("%s slot %lld outside %zu statics "
                               "of %s",
-                              opMnemonic(in.op),
+                              opMnemonic(op),
                               static_cast<long long>(in.b),
                               k.statics.size(), k.name.c_str()));
             break;
@@ -412,7 +417,7 @@ Verifier::verifyMethod(MethodId id, VerifyResult &out) const
             if (in.a < 0)
                 err(DiagCode::BadFieldIndex, pc,
                     strprintf("%s negative field index %lld",
-                              opMnemonic(in.op),
+                              opMnemonic(op),
                               static_cast<long long>(in.a)));
             break;
           case Op::Call: case Op::CallNative: {
@@ -421,13 +426,13 @@ Verifier::verifyMethod(MethodId id, VerifyResult &out) const
                     program_.methodCount()) {
                 err(DiagCode::BadMethodId, pc,
                     strprintf("%s method id %lld out of range",
-                              opMnemonic(in.op),
+                              opMnemonic(op),
                               static_cast<long long>(in.a)));
                 break;
             }
             const Method &callee =
                 program_.method(static_cast<MethodId>(in.a));
-            if (in.op == Op::CallNative && !callee.is_native)
+            if (op == Op::CallNative && !callee.is_native)
                 err(DiagCode::BadMethodId, pc,
                     strprintf("CallNative targets bytecode method "
                               "%s",
@@ -502,11 +507,12 @@ Verifier::analyzeDataflow(MethodId id, const Method &m,
     leaders.insert(0);
     for (uint32_t pc = 0; pc < n; ++pc) {
         const Instr &in = m.code[pc];
-        if (isBranch(in.op)) {
+        const Op op = baseOp(in.op);
+        if (isBranch(op)) {
             leaders.insert(static_cast<uint32_t>(in.a));
             if (pc + 1 < n)
                 leaders.insert(pc + 1);
-        } else if (in.op == Op::Ret && pc + 1 < n) {
+        } else if (op == Op::Ret && pc + 1 < n) {
             leaders.insert(pc + 1);
         }
     }
@@ -591,6 +597,7 @@ Verifier::analyzeDataflow(MethodId id, const Method &m,
 
         for (uint32_t pc = leader; pc < end && !aborted; ++pc) {
             const Instr &in = m.code[pc];
+            const Op op = baseOp(in.op);
 
             // Shared primitive steps. pop/need abort the block on
             // underflow: subsequent effects would be garbage.
@@ -600,7 +607,7 @@ Verifier::analyzeDataflow(MethodId id, const Method &m,
                 emit(Severity::Error, DiagCode::StackUnderflow, pc,
                      strprintf("%s needs %zu operand(s), stack has "
                                "%zu",
-                               opMnemonic(in.op), depth,
+                               opMnemonic(op), depth,
                                st.stack.size()));
                 aborted = true;
                 return false;
@@ -666,7 +673,7 @@ Verifier::analyzeDataflow(MethodId id, const Method &m,
                              strprintf(
                                  "%s index %lld outside %u fields "
                                  "of %s",
-                                 opMnemonic(in.op),
+                                 opMnemonic(op),
                                  static_cast<long long>(in.a),
                                  fields,
                                  program_.klass(recv.klass)
@@ -675,11 +682,11 @@ Verifier::analyzeDataflow(MethodId id, const Method &m,
                     emit(Severity::Error, DiagCode::TypeMismatch, pc,
                          strprintf("%s on a receiver of statically "
                                    "unknown klass",
-                                   opMnemonic(in.op)));
+                                   opMnemonic(op)));
                 }
             };
 
-            switch (in.op) {
+            switch (op) {
               case Op::Nop:
               case Op::Compute:
                 break;
@@ -695,6 +702,10 @@ Verifier::analyzeDataflow(MethodId id, const Method &m,
                 break;
 
               case Op::Load:
+              // Unreachable after baseOp(); listed for -Wswitch.
+              case Op::LoadLeJnz: case Op::LoadNotJnz:
+              case Op::LoadFieldPop: case Op::LoadFieldStore:
+              case Op::LoadSubStore:
                 push(st.locals[in.a]);
                 break;
               case Op::Store:
@@ -730,7 +741,7 @@ Verifier::analyzeDataflow(MethodId id, const Method &m,
                         emit(Severity::Warning,
                              DiagCode::TypeMismatch, pc,
                              strprintf("%s on a %s operand",
-                                       opMnemonic(in.op),
+                                       opMnemonic(op),
                                        t->name()));
                 }
                 if (a.kind == AbsType::Kind::Int &&
@@ -821,7 +832,7 @@ Verifier::analyzeDataflow(MethodId id, const Method &m,
               case Op::ArrLen:
                 if (!need(1))
                     break;
-                checkRef(peekAt(0), opMnemonic(in.op));
+                checkRef(peekAt(0), opMnemonic(op));
                 pop();
                 push(AbsType::integer());
                 break;
@@ -831,7 +842,7 @@ Verifier::analyzeDataflow(MethodId id, const Method &m,
                 if (!need(1))
                     break;
                 AbsType recv = pop();
-                checkRef(recv, opMnemonic(in.op));
+                checkRef(recv, opMnemonic(op));
                 checkFieldIndex(recv);
                 push(AbsType::any());
                 break;
@@ -843,7 +854,7 @@ Verifier::analyzeDataflow(MethodId id, const Method &m,
                     break;
                 pop(); // value
                 AbsType recv = pop();
-                checkRef(recv, opMnemonic(in.op));
+                checkRef(recv, opMnemonic(op));
                 checkFieldIndex(recv);
                 break;
               }
@@ -1007,12 +1018,12 @@ Verifier::analyzeDataflow(MethodId id, const Method &m,
             if (aborted || terminated)
                 break;
 
-            if (in.op == Op::Jmp) {
+            if (op == Op::Jmp) {
                 join(static_cast<uint32_t>(in.a), st);
                 terminated = true;
                 break;
             }
-            if (in.op == Op::Jz || in.op == Op::Jnz)
+            if (op == Op::Jz || op == Op::Jnz)
                 join(static_cast<uint32_t>(in.a), st);
         }
 

@@ -9,6 +9,11 @@
  * must refreeze transparently after any program mutation. CallVirt
  * in the interpreter must reach the receiver's override through
  * them.
+ *
+ * Quickened programs (vm/quicken.h) must run exactly like their
+ * unquickened twins: hand-built idiom loops suspended after every
+ * constituent, a snapshot restored mid-idiom, a jump into an idiom,
+ * each fallback to the plain Load, and every app end to end.
  */
 
 #include <gtest/gtest.h>
@@ -18,11 +23,15 @@
 
 #include "fuzz_support.h"
 #include "harness/testbed.h"
+#include "quicken_support.h"
 #include "support/rng.h"
 #include "vm/code_builder.h"
 #include "vm/context.h"
 #include "vm/interpreter.h"
 #include "vm/program.h"
+#include "vm/quicken.h"
+#include "vm/race_oracle.h"
+#include "vm/verifier.h"
 
 namespace beehive::vm {
 namespace {
@@ -377,6 +386,542 @@ TEST_F(CallVirtTest, FlappingReceiverResolvesEveryCall)
     Value result = runMain(c, m, 100);
     // Odd n uses Derived (+3), even uses Base (+1): 50 each.
     EXPECT_EQ(result.asInt(), 200);
+}
+
+
+// ---------------------------------------------------------------------
+// Quickening: fused idioms against the unquickened twin
+// ---------------------------------------------------------------------
+
+using quickentest::fusedHeads;
+using quickentest::headsSuspendedAtEveryConstituent;
+using quickentest::lockstep;
+using quickentest::Seen;
+using quickentest::Twins;
+using quickentest::TwinVm;
+
+/**
+ * main(n, f): a countdown loop made of all five idioms, with int and
+ * float operands, a call between idioms and a Not branch that is
+ * taken on every other iteration. Returns the number of calls made.
+ */
+struct IdiomProgram
+{
+    IdiomProgram()
+    {
+        Klass node;
+        node.name = "Node";
+        node.fields = {"value", "next"};
+        node_k = program.addKlass(node);
+
+        CodeBuilder bump(program, node_k, "bump", 1);
+        bump.load(0).pushI(1).add().ret();
+        MethodId bump_m = bump.build();
+
+        // Locals: 0 = n, 1 = f, 2 = node, 3 = calls, 4 = flag.
+        CodeBuilder b(program, node_k, "main", 2);
+        b.locals(3);
+        auto top = b.newLabel(), done = b.newLabel(), skip = b.newLabel();
+        b.newObj(node_k).store(2);
+        b.load(2).pushI(5).putField(0);
+        b.load(2).load(2).putField(1); // node.next = node
+        b.pushI(0).store(3);
+        b.pushI(0).store(4);
+        b.bind(top);
+        b.load(0).pushI(0).cmpLe().jnz(done);  // LoadLeJnz, int
+        b.load(1).pushI(0).cmpLe().jnz(done);  // LoadLeJnz, float
+        b.load(2).logNot().jnz(done);          // LoadNotJnz, never taken
+        b.load(4).logNot().jnz(skip);          // LoadNotJnz, alternating
+        b.load(3).call(bump_m).store(3);
+        b.bind(skip);
+        b.load(4).logNot().store(4);
+        b.load(2).getField(0).popv();          // LoadFieldPop
+        b.load(2).getField(1).store(2);        // LoadFieldStore
+        b.load(0).pushI(1).sub().store(0);     // LoadSubStore, int
+        b.load(1).pushI(1).sub().store(1);     // LoadSubStore, float
+        b.jmp(top);
+        b.bind(done);
+        b.load(3).ret();
+        main = b.build();
+    }
+
+    static std::vector<Value>
+    args(int64_t n)
+    {
+        return {Value::ofInt(n),
+                Value::ofFloat(static_cast<double>(n) + 0.5)};
+    }
+
+    Program program;
+    KlassId node_k = kNoKlass;
+    MethodId main = kNoMethod;
+};
+
+/**
+ * An instruction cost that is not a binary fraction, so charging a
+ * fused idiom in one sum instead of constituent by constituent would
+ * change consumeCost()'s bits; a quantum of @p instrs instructions.
+ */
+VmConfig
+idiomConfig(int instrs)
+{
+    VmConfig cfg;
+    cfg.instr_cost_ns = 1.1;
+    cfg.quantum_ns = 1.1 * instrs - 0.05;
+    return cfg;
+}
+
+TEST(Quicken, RewritesOnlyIdiomHeads)
+{
+    IdiomProgram p;
+    Program quick = p.program;
+    EXPECT_EQ(quicken(quick), 8u);
+    EXPECT_EQ(quicken(quick), 0u) << "quicken() must be idempotent";
+
+    std::vector<Op> heads;
+    for (MethodId id = 0; id < quick.methodCount(); ++id) {
+        const std::vector<Instr> &before = p.program.method(id).code;
+        const std::vector<Instr> &after = quick.method(id).code;
+        ASSERT_EQ(before.size(), after.size());
+        for (std::size_t pc = 0; pc < after.size(); ++pc) {
+            // Only the op of a head changes; it reads as its Load.
+            EXPECT_EQ(baseOp(after[pc].op), before[pc].op);
+            EXPECT_EQ(after[pc].a, before[pc].a);
+            EXPECT_EQ(after[pc].b, before[pc].b);
+            if (after[pc].op != before[pc].op)
+                heads.push_back(after[pc].op);
+        }
+    }
+    EXPECT_EQ(heads, (std::vector<Op>{
+                         Op::LoadLeJnz, Op::LoadLeJnz, Op::LoadNotJnz,
+                         Op::LoadNotJnz, Op::LoadFieldPop,
+                         Op::LoadFieldStore, Op::LoadSubStore,
+                         Op::LoadSubStore}));
+
+    // Near misses and truncated idioms are no idiom; quickenedOp()
+    // reports Op::Load wherever none starts.
+    std::vector<Instr> code = {
+        {Op::Load, 0, 0}, {Op::PushI, 0, 0}, {Op::CmpLt, 0, 0},
+        {Op::Jnz, 0, 0},  {Op::Load, 0, 0},  {Op::GetField, 0, 0},
+        {Op::Dup, 0, 0},  {Op::Load, 0, 0},  {Op::Not, 0, 0},
+        {Op::Jz, 0, 0},   {Op::Load, 0, 0},  {Op::PushI, 1, 0},
+        {Op::Sub, 0, 0}};
+    for (std::size_t pc = 0; pc < code.size(); ++pc)
+        EXPECT_EQ(quickenedOp(code, pc), Op::Load) << pc;
+
+    // The verifier reads the quickened program as the original.
+    EXPECT_EQ(Verifier(quick).verifyAll().diagnostics.size(),
+              Verifier(p.program).verifyAll().diagnostics.size());
+}
+
+TEST(Quicken, QuantumAfterEveryConstituentMatchesTwin)
+{
+    IdiomProgram p;
+    for (int instrs = 1; instrs <= 24; ++instrs) {
+        SCOPED_TRACE(instrs);
+        Twins twins(p.program, idiomConfig(instrs));
+        ASSERT_EQ(twins.heads(), 8u);
+        std::vector<Seen> seen = twins.run(p.main, IdiomProgram::args(9));
+        ASSERT_FALSE(seen.empty());
+        ASSERT_EQ(seen.back().kind, Suspend::Kind::Done);
+        EXPECT_EQ(twins.quick().interp.snapshotFrames().size(), 0u);
+        if (instrs == 1) {
+            // A one-instruction quantum stops after every
+            // constituent of every idiom at least once.
+            EXPECT_EQ(headsSuspendedAtEveryConstituent(
+                          twins.quickProgram(), seen),
+                      8u);
+        }
+    }
+    Twins twins(p.program, idiomConfig(1000));
+    std::vector<Seen> seen = twins.run(p.main, IdiomProgram::args(9));
+    ASSERT_EQ(seen.back().kind, Suspend::Kind::Done);
+}
+
+TEST(Quicken, SnapshotRestoredMidIdiomMatchesTwin)
+{
+    IdiomProgram p;
+    Twins twins(p.program, idiomConfig(3));
+    const std::vector<std::pair<MethodId, uint32_t>> heads =
+        fusedHeads(twins.quickProgram());
+    auto midIdiom = [&](const Seen &s) {
+        for (auto [method, head] : heads)
+            if (s.method == method && s.pc > head &&
+                s.pc < head + quickentest::idiomLength(
+                                  twins.quickProgram()
+                                      .method(method)
+                                      .code[head]
+                                      .op))
+                return true;
+        return false;
+    };
+
+    twins.plain().interp.start(p.main, IdiomProgram::args(9));
+    twins.quick().interp.start(p.main, IdiomProgram::args(9));
+    int restored = 0;
+    for (int step = 0; step < 400 && restored < 5; ++step) {
+        std::vector<Seen> seen = lockstep(twins.plain().interp,
+                                          twins.quick().interp, {}, 1);
+        ASSERT_EQ(seen.size(), 1u);
+        ASSERT_NE(seen[0].kind, Suspend::Kind::Done);
+        if (!midIdiom(seen[0]))
+            continue;
+        // Re-execution from a snapshot taken inside an idiom: fresh
+        // interpreters over each twin's heap resume from the
+        // quickened twin's frames and must still agree to the end.
+        const std::vector<Frame> frames =
+            twins.quick().interp.snapshotFrames();
+        Interpreter plain(twins.plain().ctx), quick(twins.quick().ctx);
+        plain.restoreFrames(frames);
+        quick.restoreFrames(frames);
+        std::vector<Seen> rest = lockstep(plain, quick);
+        ASSERT_FALSE(rest.empty());
+        EXPECT_EQ(rest.back().kind, Suspend::Kind::Done);
+        ++restored;
+    }
+    EXPECT_EQ(restored, 5);
+}
+
+TEST(Quicken, JumpIntoAConstituentMatchesTwin)
+{
+    // n counts down; odd n takes the idiom from its head, even n
+    // pushes its own operand and jumps straight to the idiom's pushI.
+    Program program;
+    Klass k;
+    k.name = "K";
+    KlassId k_id = program.addKlass(k);
+    CodeBuilder b(program, k_id, "main", 1);
+    b.locals(1);
+    auto top = b.newLabel(), odd = b.newLabel(), mid = b.newLabel(),
+         notmid = b.newLabel(), done = b.newLabel();
+    b.pushI(0).store(1);
+    b.bind(top);
+    b.load(0).pushI(0).cmpLe().jnz(done);
+    b.load(0).pushI(2).mod().jnz(odd);
+    b.load(0).jmp(mid);
+    b.bind(odd);
+    b.load(0).bind(mid).pushI(1).sub().store(0);
+    // The same for a Not idiom: jump over the head to the `not`.
+    b.load(1).jmp(notmid);
+    b.load(1).bind(notmid).logNot().jnz(top);
+    b.pushI(0).store(1);
+    b.jmp(top);
+    b.bind(done);
+    b.load(0).ret();
+    MethodId main = b.build();
+
+    for (int instrs = 1; instrs <= 6; ++instrs) {
+        SCOPED_TRACE(instrs);
+        Twins twins(program, idiomConfig(instrs));
+        EXPECT_EQ(twins.heads(), 3u);
+        std::vector<Seen> seen = twins.run(main, {Value::ofInt(7)});
+        ASSERT_FALSE(seen.empty());
+        EXPECT_EQ(seen.back().kind, Suspend::Kind::Done);
+    }
+}
+
+/**
+ * Fallback programs. main(x): x.value is read and dropped, x.next
+ * stored into a local, and x tested with not, so every local and
+ * field the fused idioms see comes from the test.
+ */
+struct FallbackProgram
+{
+    FallbackProgram()
+    {
+        Klass node;
+        node.name = "Node";
+        node.fields = {"value", "next"};
+        node_k = program.addKlass(node);
+        CodeBuilder b(program, node_k, "main", 1);
+        b.locals(1);
+        auto done = b.newLabel();
+        b.load(0).logNot().jnz(done);      // LoadNotJnz
+        b.load(0).getField(0).popv();      // LoadFieldPop
+        b.load(0).getField(1).store(1);    // LoadFieldStore
+        b.load(1).getField(0).store(0);    // LoadFieldStore on next
+        b.bind(done);
+        b.load(0).ret();
+        main = b.build();
+    }
+
+    /** Allocate node -> next in @p vm; returns node. */
+    Ref
+    seed(TwinVm &vm, Value next_field) const
+    {
+        Ref next = vm.heap.allocPlain(node_k);
+        vm.heap.setField(next, 0, Value::ofInt(42));
+        Ref node = vm.heap.allocPlain(node_k);
+        vm.heap.setField(node, 0, Value::ofInt(7));
+        vm.heap.setField(node, 1, next_field.isNil()
+                                      ? Value::ofRef(next)
+                                      : next_field);
+        return node;
+    }
+
+    Program program;
+    KlassId node_k = kNoKlass;
+    MethodId main = kNoMethod;
+};
+
+VmConfig
+remoteConfig(int instrs)
+{
+    VmConfig cfg = idiomConfig(instrs);
+    cfg.check_remote_refs = true;
+    return cfg;
+}
+
+/**
+ * Quanta for the fallback tests: stops inside the idioms, and one long
+ * enough that every idiom runs fused to its end.
+ */
+constexpr int kFallbackQuanta[] = {1, 2, 3, 1000};
+
+TEST(Quicken, RemoteLocalFallsBackToPlainLoad)
+{
+    FallbackProgram p;
+    for (int instrs : kFallbackQuanta)
+    for (bool mapped : {true, false}) {
+        SCOPED_TRACE(testing::Message() << instrs << " mapped " << mapped);
+        Twins twins(p.program, remoteConfig(instrs));
+        Ref node = kNullRef;
+        for (TwinVm *vm : {&twins.plain(), &twins.quick()}) {
+            node = p.seed(*vm, Value::nil());
+            if (mapped)
+                vm->ctx.mapRemote(markRemote(node), node);
+        }
+        // ObjectFault: map the ref, as a fetch would, and retry.
+        auto resolve = [&](Interpreter &interp, const Suspend &s) {
+            if (s.kind != Suspend::Kind::ObjectFault)
+                return false;
+            interp.context().mapRemote(s.remote_ref, node);
+            return true;
+        };
+        std::vector<Seen> seen = twins.run(
+            p.main, {Value::ofRef(markRemote(node))}, resolve);
+        ASSERT_FALSE(seen.empty());
+        EXPECT_EQ(seen.back().kind, Suspend::Kind::Done);
+        EXPECT_EQ(twins.quick().interp.stats().remote_hits, 1u);
+        bool faulted = false;
+        for (const Seen &s : seen)
+            faulted = faulted || (s.kind == Suspend::Kind::ObjectFault &&
+                                  s.pc == 0);
+        EXPECT_EQ(faulted, !mapped);
+    }
+}
+
+TEST(Quicken, RemoteFieldTakesTheGetFieldBarrier)
+{
+    FallbackProgram p;
+    for (int instrs : kFallbackQuanta)
+    for (bool mapped : {true, false}) {
+        SCOPED_TRACE(testing::Message() << instrs << " mapped " << mapped);
+        Twins twins(p.program, remoteConfig(instrs));
+        Ref node = kNullRef, next = kNullRef;
+        for (TwinVm *vm : {&twins.plain(), &twins.quick()}) {
+            next = vm->heap.allocPlain(p.node_k);
+            vm->heap.setField(next, 0, Value::ofInt(42));
+            node = p.seed(*vm, Value::ofRef(markRemote(next)));
+            if (mapped)
+                vm->ctx.mapRemote(markRemote(next), next);
+        }
+        auto resolve = [&](Interpreter &interp, const Suspend &s) {
+            if (s.kind != Suspend::Kind::ObjectFault)
+                return false;
+            interp.context().mapRemote(s.remote_ref, next);
+            return true;
+        };
+        std::vector<Seen> seen =
+            twins.run(p.main, {Value::ofRef(node)}, resolve);
+        ASSERT_FALSE(seen.empty());
+        EXPECT_EQ(seen.back().kind, Suspend::Kind::Done);
+        // The barrier reset the remote bit in the field itself.
+        EXPECT_EQ(twins.quick().heap.field(node, 1), Value::ofRef(next));
+        EXPECT_EQ(twins.plain().heap.field(node, 1), Value::ofRef(next));
+        // Unmapped, the fault stops the idiom at its getField (pc 7),
+        // with the receiver still on the stack.
+        bool faulted = false;
+        for (const Seen &s : seen)
+            faulted = faulted || (s.kind == Suspend::Kind::ObjectFault &&
+                                  s.pc == 7);
+        EXPECT_EQ(faulted, !mapped);
+    }
+}
+
+/** Run main(receiver) to its end on one twin (a death-test body). */
+void
+runToEnd(TwinVm &vm, MethodId main, Value receiver)
+{
+    vm.interp.start(main, {receiver});
+    while (vm.interp.run().kind == Suspend::Kind::Quantum) {
+    }
+}
+
+TEST(QuickenDeathTest, NullReceiverPanicsLikeTheTwin)
+{
+    FallbackProgram p;
+    // A null receiver is falsy, so main's not-branch would skip the
+    // field reads; read through local 1 instead.
+    CodeBuilder b(p.program, p.node_k, "deref", 1);
+    b.locals(1);
+    b.load(0).getField(0).popv().pushI(0).ret();
+    MethodId deref = b.build();
+    Twins twins(p.program, idiomConfig(1000));
+    EXPECT_DEATH(runToEnd(twins.plain(), deref, Value::ofRef(kNullRef)),
+                 "null dereference in deref");
+    EXPECT_DEATH(runToEnd(twins.quick(), deref, Value::ofRef(kNullRef)),
+                 "null dereference in deref");
+    EXPECT_DEATH(runToEnd(twins.quick(), deref, Value::ofInt(3)),
+                 "expected a reference, got kind 1");
+}
+
+TEST(Quicken, RecordingMatchesTwin)
+{
+    FallbackProgram p;
+    for (int instrs : kFallbackQuanta) {
+        SCOPED_TRACE(instrs);
+        Twins twins(p.program, idiomConfig(instrs));
+        Ref node = kNullRef;
+        for (TwinVm *vm : {&twins.plain(), &twins.quick()}) {
+            node = p.seed(*vm, Value::nil());
+            vm->interp.enableRecording(true);
+        }
+        std::vector<Seen> seen = twins.run(p.main, {Value::ofRef(node)});
+        ASSERT_FALSE(seen.empty());
+        EXPECT_EQ(seen.back().kind, Suspend::Kind::Done);
+        EXPECT_EQ(twins.quick().interp.recordedFieldReads().size(), 2u);
+        EXPECT_EQ(twins.plain().interp.recordedFieldReads(),
+                  twins.quick().interp.recordedFieldReads());
+    }
+}
+
+TEST(Quicken, RaceOracleSeesTheSameAccesses)
+{
+    FallbackProgram p;
+    for (int instrs : kFallbackQuanta) {
+        SCOPED_TRACE(instrs);
+        Twins twins(p.program, idiomConfig(instrs));
+        RaceOracle plain_oracle(p.program), quick_oracle(p.program);
+        twins.plain().ctx.setRaceOracle(&plain_oracle);
+        twins.quick().ctx.setRaceOracle(&quick_oracle);
+        Ref node = kNullRef;
+        for (TwinVm *vm : {&twins.plain(), &twins.quick()})
+            node = p.seed(*vm, Value::nil());
+        std::vector<Seen> seen = twins.run(p.main, {Value::ofRef(node)});
+        ASSERT_FALSE(seen.empty());
+        EXPECT_EQ(seen.back().kind, Suspend::Kind::Done);
+        EXPECT_GT(quick_oracle.checks(), 0u);
+        EXPECT_EQ(plain_oracle.checks(), quick_oracle.checks());
+    }
+}
+
+TEST(Quicken, GrowingTheValueStackFallsBack)
+{
+    // rec(n) recurses n deep, one value-stack slot per frame, with
+    // an idiom at the top of every frame; the value stack starts at
+    // 64 slots, so some heads find no room for their pushes and run
+    // as the plain Load, which grows the stack.
+    Program program;
+    Klass k;
+    k.name = "K";
+    KlassId k_id = program.addKlass(k);
+    CodeBuilder b(program, k_id, "rec", 1);
+    auto base = b.newLabel();
+    b.load(0).pushI(0).cmpLe().jnz(base);  // LoadLeJnz
+    b.load(0).logNot().jnz(base);          // LoadNotJnz
+    b.load(0).pushI(1).sub().store(0);     // LoadSubStore
+    b.load(0).callSelf().ret();
+    b.bind(base);
+    b.pushI(0).ret();
+    MethodId rec = b.build();
+    for (int instrs : {1, 4, 1000}) {
+        SCOPED_TRACE(instrs);
+        Twins twins(program, idiomConfig(instrs));
+        std::vector<Seen> seen = twins.run(rec, {Value::ofInt(70)});
+        ASSERT_FALSE(seen.empty());
+        EXPECT_EQ(seen.back().kind, Suspend::Kind::Done);
+    }
+}
+
+/** Rewrite every quickened head back to its Load: the oracle. */
+void
+dequicken(Program &program)
+{
+    for (auto [method, pc] : fusedHeads(program))
+        program.method(method).code[pc].op = Op::Load;
+}
+
+/** One request through the server; the sim time it finished at. */
+std::pair<Value, sim::SimTime>
+serve(harness::Testbed &bed, int64_t id)
+{
+    Value out;
+    bool done = false;
+    bed.server().handleLocal(bed.app().entry(), {Value::ofInt(id)},
+                             [&](Value v) {
+                                 out = v;
+                                 done = true;
+                             });
+    const sim::SimTime guard = bed.sim().now() + sim::SimTime::sec(120);
+    while (!done && bed.sim().now() < guard)
+        bed.sim().runUntil(bed.sim().now() + sim::SimTime::msec(10));
+    EXPECT_TRUE(done);
+    return {out, bed.sim().now()};
+}
+
+TEST(Quicken, EveryAppRunsLikeItsUnquickenedTwin)
+{
+    // The harness quickens every app program; its dequickened twin
+    // must serve the same requests (profiling, shadow and offloaded
+    // runs on FaaS interpreters included) at the same simulated
+    // times with the same interpreter work.
+    using harness::AppKind;
+    for (AppKind app : {AppKind::Thumbnail, AppKind::Pybbs,
+                        AppKind::Blog}) {
+        SCOPED_TRACE(harness::appName(app));
+        harness::TestbedOptions opts;
+        opts.app = app;
+        opts.framework.native_scale = 2000;
+        opts.framework.interceptor_depth = 5;
+        opts.framework.stub_variants = 8;
+        opts.framework.generated_klasses = 40;
+        opts.framework.config_objects = 120;
+        opts.profiling_requests = 6;
+        harness::Testbed quick(opts), plain(opts);
+        EXPECT_GT(fusedHeads(quick.program()).size(), 10u);
+        dequicken(plain.program());
+        ASSERT_TRUE(fusedHeads(plain.program()).empty());
+
+        EXPECT_EQ(quick.runProfilingPhase(), plain.runProfilingPhase());
+        for (harness::Testbed *bed : {&quick, &plain})
+            bed->manager()->setOffloadRatio(1.0);
+        for (int64_t id = 1; id <= 6; ++id) {
+            auto [qv, qt] = serve(quick, id);
+            auto [pv, pt] = serve(plain, id);
+            EXPECT_EQ(qv, pv) << id;
+            EXPECT_EQ(qt, pt) << id;
+        }
+        EXPECT_EQ(quick.server().stats().instructions,
+                  plain.server().stats().instructions);
+        EXPECT_EQ(quick.server().stats().calls,
+                  plain.server().stats().calls);
+        const core::OffloadStats &qs = quick.manager()->stats();
+        const core::OffloadStats &ps = plain.manager()->stats();
+        EXPECT_GT(quick.server().stats().instructions, 10000u);
+        EXPECT_GT(qs.shadows + qs.offloaded, 0u);
+        EXPECT_EQ(qs.shadows, ps.shadows);
+        EXPECT_EQ(qs.offloaded, ps.offloaded);
+        ASSERT_EQ(quick.manager()->traces().size(),
+                  plain.manager()->traces().size());
+        for (std::size_t i = 0; i < quick.manager()->traces().size(); ++i) {
+            const core::RequestTrace &q = quick.manager()->traces()[i].second;
+            const core::RequestTrace &t = plain.manager()->traces()[i].second;
+            EXPECT_EQ(q.fallbacks, t.fallbacks) << i;
+            EXPECT_EQ(q.remoteFetches(), t.remoteFetches()) << i;
+            EXPECT_EQ(q.duration, t.duration) << i;
+        }
+    }
 }
 
 } // namespace

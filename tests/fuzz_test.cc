@@ -19,12 +19,17 @@
  *      without crashing (the interpreter's asserts abort the
  *      process, so a soundness hole fails the suite loudly).
  *      Rejected programs are never executed.
+ *
+ * Both generators' programs also run against their quickened twins
+ * (vm/quicken.h) in lockstep: the same suspensions, costs, counts
+ * and frames after every run().
  */
 
 #include <gtest/gtest.h>
 
 #include "fuzz_support.h"
 #include "gc/collector.h"
+#include "quicken_support.h"
 #include "support/rng.h"
 #include "vm/analysis.h"
 #include "vm/code_builder.h"
@@ -111,6 +116,29 @@ TEST_P(FuzzProperty, DeterministicAndGcTransparent)
     EXPECT_GT(gcs_small, 0u) << "seed " << GetParam();
     EXPECT_EQ(big, small) << "GC changed program behaviour, seed "
                           << GetParam();
+}
+
+TEST_P(FuzzProperty, QuickenedTwinAgrees)
+{
+    Program program;
+    Klass obj;
+    obj.name = "Object";
+    KlassId object_k = program.addKlass(obj);
+    Klass node;
+    node.name = "Node";
+    node.fields = {"next", "payload"};
+    KlassId node_k = program.addKlass(node);
+    MethodId entry =
+        generateProgram(program, object_k, node_k, GetParam());
+
+    VmConfig cfg;
+    cfg.array_klass = object_k;
+    cfg.quantum_ns = 37.0; // a suspension every few instructions
+    quickentest::Twins twins(program, cfg);
+    std::vector<quickentest::Seen> seen = twins.run(entry, {});
+    ASSERT_FALSE(seen.empty());
+    EXPECT_EQ(seen.back().kind, Suspend::Kind::Done)
+        << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzProperty,
@@ -372,6 +400,48 @@ TEST(VerifierOracle, AcceptedStreamsExecuteWithoutCrashing)
     // The oracle is only meaningful when both populations are big.
     EXPECT_GT(accepted, 1000) << "generator too hostile";
     EXPECT_GT(rejected, 1000) << "generator too tame";
+}
+
+TEST(VerifierOracle, AcceptedStreamsRunLikeTheirQuickenedTwins)
+{
+    // The countdown chunk is a load/pushI/sub/store idiom and random
+    // chunks splice others, so accepted streams carry fused heads;
+    // each must run like its unquickened twin while its budget lasts.
+    int quickened = 0;
+    for (uint64_t seed = 1; seed <= 3000; ++seed) {
+        Rng rng(seed * 0x9E3779B97F4A7C15ull);
+        Program program;
+        Klass node;
+        node.name = "Node";
+        node.fields = {"next", "payload"};
+        node.statics = {"a", "b"};
+        KlassId node_k = program.addKlass(node);
+        uint32_t str0 = program.internString("fuzz");
+        Method m;
+        m.name = "stream";
+        m.num_locals = kStreamLocals;
+        emitRandomStream(rng, m.code, node_k, str0);
+        MethodId entry = program.addMethod(node_k, m);
+        VerifyOptions options;
+        options.strict_types = true;
+        if (!Verifier(program, options).verifyAll().ok())
+            continue;
+
+        VmConfig cfg;
+        cfg.quantum_ns = 41.0;
+        cfg.bytes_klass = node_k;
+        cfg.array_klass = node_k;
+        quickentest::Twins twins(program, cfg);
+        if (twins.heads() == 0)
+            continue;
+        ++quickened;
+        twins.run(entry, {}, {}, /*max_runs=*/64);
+        if (::testing::Test::HasFailure()) {
+            ADD_FAILURE() << "seed " << seed;
+            return;
+        }
+    }
+    EXPECT_GT(quickened, 200);
 }
 
 } // namespace
