@@ -174,19 +174,8 @@ FaasPlatform::acquire(AcquireCallback cb, FailCallback fail)
         span = t->beginUnder("boot.cold", telemetry::Phase::Boot,
                              fresh.track);
     }
-    sim_.after(boot, [this, &fresh, span, crash, cb = std::move(cb),
-                      fail = std::move(fail)] {
-        if (telemetry::Tracer *t = sim_.tracer())
-            t->end(span);
-        if (crash) {
-            // The boot time was spent, then the instance died
-            // before becoming ready.
-            destroy(fresh);
-            fail(BootFailure::CrashMidBoot);
-            return;
-        }
-        cb(fresh);
-    });
+    finishBoot(boot, fresh, span, crash, std::move(cb),
+               std::move(fail));
 }
 
 void
@@ -217,17 +206,38 @@ FaasPlatform::acquireRestore(uint64_t image_bytes, AcquireCallback cb,
         span = t->beginUnder("boot.restore", telemetry::Phase::Boot,
                              fresh.track);
     }
-    sim_.after(boot, [this, &fresh, span, crash, cb = std::move(cb),
-                      fail = std::move(fail)] {
+    finishBoot(boot, fresh, span, crash, std::move(cb),
+               std::move(fail));
+}
+
+void
+FaasPlatform::finishBoot(sim::SimTime boot, FunctionInstance &fresh,
+                         telemetry::SpanId span, bool crash,
+                         AcquireCallback cb, FailCallback fail)
+{
+    if (crash) {
+        // The boot time is spent, then the instance dies before
+        // becoming ready.
+        auto crashed = [this, &fresh, span, fail = std::move(fail)] {
+            if (telemetry::Tracer *t = sim_.tracer())
+                t->end(span);
+            BootFailure why = fresh.last_boot == BootKind::Restore
+                                  ? BootFailure::CrashMidRestore
+                                  : BootFailure::CrashMidBoot;
+            destroy(fresh);
+            fail(why);
+        };
+        static_assert(sizeof(crashed) <= sim::SmallFn::kInlineBytes);
+        sim_.after(boot, std::move(crashed));
+        return;
+    }
+    auto ready = [this, &fresh, span, cb = std::move(cb)] {
         if (telemetry::Tracer *t = sim_.tracer())
             t->end(span);
-        if (crash) {
-            destroy(fresh);
-            fail(BootFailure::CrashMidRestore);
-            return;
-        }
         cb(fresh);
-    });
+    };
+    static_assert(sizeof(ready) <= sim::SmallFn::kInlineBytes);
+    sim_.after(boot, std::move(ready));
 }
 
 FunctionInstance *

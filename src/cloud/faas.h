@@ -29,6 +29,7 @@
 #include "cloud/instance.h"
 #include "net/network.h"
 #include "sim/simulation.h"
+#include "telemetry/telemetry.h"
 
 namespace beehive::chaos {
 class ChaosEngine;
@@ -212,6 +213,16 @@ class FaasPlatform
   private:
     FunctionInstance *findWarm();
     FunctionInstance &launch();
+
+    /**
+     * After @p boot, end @p span and hand the fresh (cold or
+     * restore) instance to @p cb -- or, when @p crash, destroy it
+     * and report the crash to @p fail. Each branch's continuation
+     * carries one callback, so it fits SmallFn's inline buffer.
+     */
+    void finishBoot(sim::SimTime boot, FunctionInstance &fresh,
+                    telemetry::SpanId span, bool crash,
+                    AcquireCallback cb, FailCallback fail);
 
     /** Drop @p inst from the cache (keep-alive expiry). */
     void expire(FunctionInstance &inst);

@@ -177,14 +177,22 @@ class BeeHiveFunction::Invocation
         }
     }
 
+    /**
+     * Run @p next after @p delay unless this invocation is gone by
+     * then. Every continuation must fit SmallFn's inline buffer
+     * together with the weak reference: state that does not fit
+     * waits on the invocation (as suspend_ and db_call_ do).
+     */
+    template <typename Next>
     void
-    after(sim::SimTime delay, std::function<void()> next)
+    after(sim::SimTime delay, Next next)
     {
-        sim_.after(delay,
-                   [w = weak_from_this(), next = std::move(next)] {
-                       if (auto self = w.lock())
-                           next();
-                   });
+        auto guarded = [w = weak_from_this(), next = std::move(next)] {
+            if (auto self = w.lock())
+                next();
+        };
+        static_assert(sizeof(guarded) <= sim::SmallFn::kInlineBytes);
+        sim_.after(delay, std::move(guarded));
     }
 
     /** Act on @p s (this invocation's suspend_). Payloads are moved
@@ -226,8 +234,8 @@ class BeeHiveFunction::Invocation
             return;
 
           case vm::Suspend::Kind::External:
-            handleDbCall(
-                std::any_cast<DbCallPayload>(std::move(s.external)));
+            db_call_ = std::any_cast<DbCallPayload>(std::move(s.external));
+            handleDbCall();
             return;
 
           case vm::Suspend::Kind::HeapFull: {
@@ -421,8 +429,9 @@ class BeeHiveFunction::Invocation
     }
 
     void
-    handleDbCall(DbCallPayload payload)
+    handleDbCall()
     {
+        const DbCallPayload &payload = db_call_;
         // Writes of a re-executable request carry a deterministic
         // idempotency key: (request key, per-invocation write
         // sequence). A retried execution regenerates the same keys
@@ -434,14 +443,16 @@ class BeeHiveFunction::Invocation
                         payload.request.kind == db::OpKind::Delete;
         if (is_write && !shadow_ && request_key_ != 0)
             idem = (request_key_ << 16) | (write_seq_++ & 0xffff);
-        issueDbCall(std::move(payload), idem, /*attempt=*/0);
+        issueDbCall(idem, /*attempt=*/0);
     }
 
+    /** Issue db_call_ (attempt @p attempt) and resume the
+     * interpreter with its materialised response. */
     void
-    issueDbCall(DbCallPayload payload, uint64_t idem,
-                uint32_t attempt)
+    issueDbCall(uint64_t idem, uint32_t attempt)
     {
         auto &server = fn_.server_;
+        const DbCallPayload &payload = db_call_;
         bool packed =
             payload.conn_ref != vm::kNullRef &&
             !vm::isRemote(payload.conn_ref) &&
@@ -519,23 +530,26 @@ class BeeHiveFunction::Invocation
             ++fn_.stats_.db_resets;
             sim::SimTime delay =
                 latency + server.proxy().reconnectDelay(attempt);
-            after(delay, [this, payload = std::move(payload), idem,
-                          attempt, sp]() mutable {
+            after(delay, [this, idem, attempt, sp] {
                 endSpan(sp);
-                issueDbCall(std::move(payload), idem, attempt + 1);
+                issueDbCall(idem, attempt + 1);
             });
             return;
         }
 
-        after(latency, [this, payload = std::move(payload),
-                        resp = std::move(resp), sp] {
+        // The request and response wait on the invocation, so the
+        // continuation fits SmallFn's inline buffer.
+        db_resp_ = std::move(resp);
+        after(latency, [this, sp] {
             endSpan(sp);
+            DbCallPayload call = std::move(db_call_);
+            db::Response resp = std::move(db_resp_);
             auto v = tryMaterializeDbResponse(*fn_.ctx_,
-                                              payload.request, resp);
+                                              call.request, resp);
             if (!v) {
                 collectGarbage();
                 v = tryMaterializeDbResponse(*fn_.ctx_,
-                                             payload.request, resp);
+                                             call.request, resp);
             }
             bh_assert(v.has_value(), "function heap exhausted");
             interp_.resumeExternal(*v);
@@ -653,6 +667,10 @@ class BeeHiveFunction::Invocation
     vm::Interpreter interp_;
     /** Where the interpreter last stopped, until dispatch() acts. */
     vm::Suspend suspend_;
+    /** The database call in flight and its response, until the
+     * round trip's continuation consumes them. */
+    DbCallPayload db_call_;
+    db::Response db_resp_;
     RequestTrace trace_;
     /** Exactly-once identity of this request (0 = unkeyed). */
     uint64_t request_key_ = 0;

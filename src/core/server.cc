@@ -152,17 +152,16 @@ class BeeHiveServer::LocalInvocation
             return;
 
           case vm::Suspend::Kind::External: {
-            auto payload =
-                std::any_cast<DbCallPayload>(std::move(s.external));
+            db_call_ = std::any_cast<DbCallPayload>(std::move(s.external));
             // Re-executions of a failed offload key their writes so
             // the proxy can suppress duplicates (exactly-once).
             uint64_t idem = 0;
             bool is_write =
-                payload.request.kind == db::OpKind::Put ||
-                payload.request.kind == db::OpKind::Delete;
+                db_call_.request.kind == db::OpKind::Put ||
+                db_call_.request.kind == db::OpKind::Delete;
             if (is_write && request_key_ != 0)
                 idem = (request_key_ << 16) | (write_seq_++ & 0xffff);
-            issueDb(std::move(payload), idem, /*attempt=*/0);
+            issueDb(idem, /*attempt=*/0);
             return;
           }
 
@@ -276,19 +275,21 @@ class BeeHiveServer::LocalInvocation
         }
     }
 
+    /** Issue db_call_ (attempt @p attempt) and resume the
+     * interpreter with its materialised response. */
     void
-    issueDb(DbCallPayload payload, uint64_t idem, uint32_t attempt)
+    issueDb(uint64_t idem, uint32_t attempt)
     {
-        db::Response resp = server_.proxy().request(
-            static_cast<proxy::ConnId>(payload.conn_token),
-            payload.request, idem);
+        db_resp_ = server_.proxy().request(
+            static_cast<proxy::ConnId>(db_call_.conn_token),
+            db_call_.request, idem);
         sim::SimTime latency =
-            server_.dbRoundTrip(payload.request, resp);
+            server_.dbRoundTrip(db_call_.request, db_resp_);
         // Resets the proxy absorbed (transparent read re-issue)
         // cost one reconnect each.
-        if (resp.resets > 0) {
+        if (db_resp_.resets > 0) {
             latency += server_.proxy().reconnectPenalty() *
-                       static_cast<double>(resp.resets);
+                       static_cast<double>(db_resp_.resets);
         }
         telemetry::SpanId db_span = telemetry::kNoSpan;
         if (auto *t = tracer()) {
@@ -296,36 +297,41 @@ class BeeHiveServer::LocalInvocation
                                server_.track(), exec_span_,
                                tctx_.request);
         }
-        if (resp.reset) {
+        if (db_resp_.reset) {
             // The connection dropped before the operation executed:
             // reconnect and re-issue with capped exponential backoff.
             ++server_.stats_.db_resets;
             sim::SimTime delay =
                 latency + server_.proxy().reconnectDelay(attempt);
-            server_.sim().after(
-                delay, [this, payload = std::move(payload), idem,
-                        attempt, db_span]() mutable {
-                    if (auto *t = tracer())
-                        t->end(db_span);
-                    issueDb(std::move(payload), idem, attempt + 1);
-                });
+            auto retry = [this, idem, attempt, db_span] {
+                if (auto *t = tracer())
+                    t->end(db_span);
+                issueDb(idem, attempt + 1);
+            };
+            static_assert(sizeof(retry) <= sim::SmallFn::kInlineBytes);
+            server_.sim().after(delay, std::move(retry));
             return;
         }
-        server_.sim().after(latency, [this, payload = std::move(payload),
-                                      resp = std::move(resp), db_span] {
+        // The request and response wait in db_call_ / db_resp_, so
+        // the continuation fits SmallFn's inline buffer.
+        auto resume = [this, db_span] {
             if (auto *t = tracer())
                 t->end(db_span);
+            DbCallPayload call = std::move(db_call_);
+            db::Response resp = std::move(db_resp_);
             auto v = tryMaterializeDbResponse(server_.context(),
-                                              payload.request, resp);
+                                              call.request, resp);
             if (!v) {
                 server_.runGc();
                 v = tryMaterializeDbResponse(server_.context(),
-                                             payload.request, resp);
+                                             call.request, resp);
             }
             bh_assert(v.has_value(), "server heap exhausted");
             interp_.resumeExternal(*v);
             pump();
-        });
+        };
+        static_assert(sizeof(resume) <= sim::SmallFn::kInlineBytes);
+        server_.sim().after(latency, std::move(resume));
     }
 
     void
@@ -358,6 +364,10 @@ class BeeHiveServer::LocalInvocation
     vm::Interpreter interp_;
     /** Where the interpreter last stopped, until dispatch() acts. */
     vm::Suspend suspend_;
+    /** The database call in flight and its response, until the
+     * round trip's continuation consumes them. */
+    DbCallPayload db_call_;
+    db::Response db_resp_;
     vm::MethodId root_;
     DoneCb done_;
     /** Exactly-once identity of this request (0 = unkeyed). */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "support/logging.h"
 
@@ -18,6 +17,8 @@ ProcessorSharingCpu::ProcessorSharingCpu(Simulation &sim, int cores,
 
 ProcessorSharingCpu::~ProcessorSharingCpu()
 {
+    if (alive_)
+        *alive_ = false;
     if (pending_event_)
         sim_.cancel(pending_event_);
 }
@@ -41,7 +42,7 @@ ProcessorSharingCpu::advanceTo(SimTime now)
     if (elapsed <= 0.0 || jobs_.empty())
         return;
     double progress = elapsed * ratePerJob();
-    for (auto &[id, job] : jobs_) {
+    for (Job &job : jobs_) {
         done_work_ += std::min(progress, std::max(job.remaining, 0.0));
         job.remaining -= progress;
     }
@@ -50,68 +51,61 @@ ProcessorSharingCpu::advanceTo(SimTime now)
 void
 ProcessorSharingCpu::reschedule()
 {
-    if (pending_event_) {
-        sim_.cancel(pending_event_);
-        pending_event_ = 0;
-    }
     if (jobs_.empty())
         return;
     double min_remaining = INFINITY;
-    for (const auto &[id, job] : jobs_)
+    for (const Job &job : jobs_)
         min_remaining = std::min(min_remaining, job.remaining);
     double rate = ratePerJob();
     double delay_ns = std::max(0.0, min_remaining / rate);
     SimTime when = sim_.now() + SimTime::nsec(
         static_cast<int64_t>(std::ceil(delay_ns)));
-    pending_event_ = sim_.at(when, [this] {
-        pending_event_ = 0;
-        advanceTo(sim_.now());
-        // Collect all jobs that are done (remaining can dip a hair
-        // below zero from rounding).
-        std::vector<Callback> finished;
-        for (auto it = jobs_.begin(); it != jobs_.end();) {
-            if (it->second.remaining <= 0.5) {
-                finished.push_back(std::move(it->second.done));
-                it = jobs_.erase(it);
-            } else {
-                ++it;
-            }
-        }
-        reschedule();
-        for (auto &cb : finished)
-            cb();
-    });
+    if (pending_event_) {
+        bool moved = sim_.rearm(pending_event_, when);
+        bh_assert(moved, "CPU completion event lost");
+    } else {
+        pending_event_ = sim_.at(when, [this] { complete(); });
+    }
 }
 
-ProcessorSharingCpu::JobId
+void
+ProcessorSharingCpu::complete()
+{
+    pending_event_ = 0;
+    advanceTo(sim_.now());
+    // Collect all jobs that are done (remaining can dip a hair below
+    // zero from rounding), keeping the rest in submission order.
+    std::vector<Callback> finished = std::move(finished_);
+    std::size_t kept = 0;
+    for (Job &job : jobs_) {
+        if (job.remaining <= 0.5)
+            finished.push_back(std::move(job.done));
+        else
+            jobs_[kept++] = std::move(job);
+    }
+    jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(kept),
+                jobs_.end());
+    reschedule();
+    // A callback may destroy this CPU (its machine going away); the
+    // rest still run, from the local buffer, but the buffer goes
+    // back only to a CPU that still exists.
+    bool alive = true;
+    alive_ = &alive;
+    for (Callback &cb : finished)
+        cb();
+    if (!alive)
+        return;
+    alive_ = nullptr;
+    finished.clear();
+    finished_ = std::move(finished);
+}
+
+void
 ProcessorSharingCpu::submit(double work, Callback done)
 {
     bh_assert(work >= 0.0, "negative work");
     advanceTo(sim_.now());
-    JobId id = next_id_++;
-    jobs_.emplace(id, Job{std::max(work, 1.0), std::move(done)});
-    reschedule();
-    return id;
-}
-
-bool
-ProcessorSharingCpu::cancel(JobId id)
-{
-    advanceTo(sim_.now());
-    auto it = jobs_.find(id);
-    if (it == jobs_.end())
-        return false;
-    jobs_.erase(it);
-    reschedule();
-    return true;
-}
-
-void
-ProcessorSharingCpu::setSpeed(double speed)
-{
-    bh_assert(speed > 0.0, "CPU speed must be positive");
-    advanceTo(sim_.now());
-    speed_ = speed;
+    jobs_.push_back(Job{std::max(work, 1.0), std::move(done)});
     reschedule();
 }
 

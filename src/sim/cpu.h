@@ -11,13 +11,22 @@
  * Work is expressed in nanoseconds of CPU time at speed factor 1.0;
  * a job submitted with work w to an idle CPU of speed s completes
  * after w/s nanoseconds of simulated time.
+ *
+ * Internals (hot path, see DESIGN.md section 14.3): the jobs sit in a
+ * flat vector in submission order, so progress is applied and
+ * finished jobs are collected in a fixed order (the floating-point
+ * sums and the callback order are reproducible). One completion event
+ * is pending while any job runs; a submit re-arms it in place
+ * (EventQueue::rearm), and finished callbacks are gathered into a
+ * reused buffer, so a job's submit/finish cycle allocates nothing
+ * once the vectors are warm.
  */
 
 #ifndef BEEHIVE_SIM_CPU_H
 #define BEEHIVE_SIM_CPU_H
 
 #include <cstdint>
-#include <map>
+#include <vector>
 
 #include "sim/simulation.h"
 #include "sim/small_fn.h"
@@ -28,7 +37,6 @@ namespace beehive::sim {
 class ProcessorSharingCpu
 {
   public:
-    using JobId = uint64_t;
     /** Move-only completion continuation (see SmallFn). */
     using Callback = SmallFn;
 
@@ -42,26 +50,22 @@ class ProcessorSharingCpu
     /** Cancels the pending completion event (jobs never finish). */
     ~ProcessorSharingCpu();
 
+    ProcessorSharingCpu(const ProcessorSharingCpu &) = delete;
+    ProcessorSharingCpu &operator=(const ProcessorSharingCpu &) = delete;
+
     /**
      * Submit a compute job.
      *
      * @param work CPU-nanoseconds of work at speed 1.0.
      * @param done Invoked when the job finishes.
-     * @return Handle usable with cancel().
      */
-    JobId submit(double work, Callback done);
-
-    /** Abort a running job (its callback never fires). */
-    bool cancel(JobId id);
+    void submit(double work, Callback done);
 
     /** Number of jobs currently in service. */
     int active() const { return static_cast<int>(jobs_.size()); }
 
     int cores() const { return cores_; }
     double speed() const { return speed_; }
-
-    /** Change the speed factor (e.g. JVM warmup completing). */
-    void setSpeed(double speed);
 
     /** Total CPU-nanoseconds of work completed (billing input). */
     double busyWork() const { return done_work_; }
@@ -79,14 +83,23 @@ class ProcessorSharingCpu
     /** Apply progress accrued since last_update_. */
     void advanceTo(SimTime now);
 
-    /** Re-arm the completion event for the soonest-finishing job. */
+    /** Arm (or re-arm) the completion event for the soonest-finishing
+     * job. */
     void reschedule();
+
+    /** The completion event: finish every job that is done. */
+    void complete();
 
     Simulation &sim_;
     int cores_;
     double speed_;
-    std::map<JobId, Job> jobs_;
-    JobId next_id_ = 1;
+    /** Jobs in service, in submission order. */
+    std::vector<Job> jobs_;
+    /** Reused scratch for complete()'s finished callbacks. */
+    std::vector<Callback> finished_;
+    /** Set while complete() runs callbacks: cleared by the destructor
+     * so complete() knows not to touch a destroyed CPU. */
+    bool *alive_ = nullptr;
     SimTime last_update_;
     EventId pending_event_ = 0;
     double done_work_ = 0.0;

@@ -1,7 +1,6 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "support/logging.h"
 
@@ -12,8 +11,7 @@ EventQueue::acquireSlot()
 {
     if (free_head_ != kNoSlot) {
         uint32_t idx = free_head_;
-        free_head_ = slots_[idx].next_free;
-        slots_[idx].next_free = kNoSlot;
+        free_head_ = slots_[idx].link;
         return idx;
     }
     bh_assert(slots_.size() < kNoSlot, "event slot pool exhausted");
@@ -28,8 +26,75 @@ EventQueue::releaseSlot(uint32_t idx)
     s.cb.reset();
     s.pending = false;
     ++s.generation;
-    s.next_free = free_head_;
+    s.link = free_head_;
     free_head_ = idx;
+}
+
+uint32_t
+EventQueue::pendingSlot(EventId id) const
+{
+    uint64_t hi = id >> 32;
+    if (hi == 0 || hi > slots_.size())
+        return kNoSlot;
+    uint32_t idx = static_cast<uint32_t>(hi - 1);
+    const Slot &s = slots_[idx];
+    if (!s.pending || s.generation != static_cast<uint32_t>(id))
+        return kNoSlot;
+    return idx;
+}
+
+void
+EventQueue::siftUp(uint32_t pos, const HeapEntry &e)
+{
+    while (pos > 0) {
+        uint32_t parent = (pos - 1) / kArity;
+        if (!before(e, heap_[parent]))
+            break;
+        place(pos, heap_[parent]);
+        pos = parent;
+    }
+    place(pos, e);
+}
+
+void
+EventQueue::siftDown(uint32_t pos, const HeapEntry &e)
+{
+    const auto n = static_cast<uint32_t>(heap_.size());
+    for (;;) {
+        uint64_t first = static_cast<uint64_t>(pos) * kArity + 1;
+        if (first >= n)
+            break;
+        auto best = static_cast<uint32_t>(first);
+        auto end = static_cast<uint32_t>(
+            std::min<uint64_t>(first + kArity, n));
+        for (uint32_t c = best + 1; c < end; ++c) {
+            if (before(heap_[c], heap_[best]))
+                best = c;
+        }
+        if (!before(heap_[best], e))
+            break;
+        place(pos, heap_[best]);
+        pos = best;
+    }
+    place(pos, e);
+}
+
+void
+EventQueue::resift(uint32_t pos, const HeapEntry &e)
+{
+    if (pos > 0 && before(e, heap_[(pos - 1) / kArity]))
+        siftUp(pos, e);
+    else
+        siftDown(pos, e);
+}
+
+void
+EventQueue::removeAt(uint32_t pos)
+{
+    HeapEntry last = heap_.back();
+    heap_.pop_back();
+    if (pos < heap_.size())
+        resift(pos, last);
 }
 
 EventId
@@ -39,9 +104,9 @@ EventQueue::schedule(SimTime when, Callback cb)
     Slot &s = slots_[idx];
     s.cb = std::move(cb);
     s.pending = true;
-    heap_.push_back(HeapEntry{when, next_seq_++, idx, s.generation});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
-    ++pending_;
+    heap_.emplace_back();
+    siftUp(static_cast<uint32_t>(heap_.size() - 1),
+           HeapEntry{when, next_seq_++, idx});
     ++scheduled_;
     return makeId(idx, s.generation);
 }
@@ -49,54 +114,40 @@ EventQueue::schedule(SimTime when, Callback cb)
 bool
 EventQueue::cancel(EventId id)
 {
-    uint64_t hi = id >> 32;
-    if (hi == 0 || hi > slots_.size())
+    uint32_t idx = pendingSlot(id);
+    if (idx == kNoSlot)
         return false;
-    uint32_t idx = static_cast<uint32_t>(hi - 1);
-    Slot &s = slots_[idx];
-    if (!s.pending || s.generation != static_cast<uint32_t>(id))
-        return false;
-    // The heap record becomes stale (generation mismatch) and is
-    // dropped whenever it surfaces at the top; the slot itself is
-    // reusable immediately.
+    removeAt(slots_[idx].link);
     releaseSlot(idx);
-    --pending_;
     ++cancelled_;
     return true;
 }
 
-void
-EventQueue::skipStale() const
+bool
+EventQueue::rearm(EventId id, SimTime when)
 {
-    while (!heap_.empty() && stale(heap_.front())) {
-        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-        heap_.pop_back();
-    }
-}
-
-SimTime
-EventQueue::nextTime() const
-{
-    if (pending_ == 0)
-        return SimTime::max();
-    skipStale();
-    return heap_.front().when;
+    uint32_t idx = pendingSlot(id);
+    if (idx == kNoSlot)
+        return false;
+    // The key cancel() + schedule() would assign: the new time and
+    // the next seq. Counted as that pair.
+    resift(slots_[idx].link, HeapEntry{when, next_seq_++, idx});
+    ++cancelled_;
+    ++scheduled_;
+    return true;
 }
 
 SimTime
 EventQueue::runOne()
 {
-    bh_assert(pending_ > 0, "runOne on empty event queue");
-    skipStale();
+    bh_assert(!heap_.empty(), "runOne on empty event queue");
     HeapEntry top = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-    heap_.pop_back();
+    removeAt(0);
     // Move the callback out and release the slot before invoking, so
     // the callback may schedule new events (possibly reusing this
     // very slot) without invalidating anything.
     Callback cb = std::move(slots_[top.slot].cb);
     releaseSlot(top.slot);
-    --pending_;
     ++dispatched_;
     cb();
     return top.when;

@@ -18,6 +18,13 @@ Simulation::after(SimTime delay, EventQueue::Callback cb)
     return queue_.schedule(now_ + delay, std::move(cb));
 }
 
+bool
+Simulation::rearm(EventId id, SimTime when)
+{
+    bh_assert(when >= now_, "scheduling into the past");
+    return queue_.rearm(id, when);
+}
+
 void
 Simulation::runUntil(SimTime limit)
 {

@@ -40,6 +40,13 @@ class Simulation
     bool cancel(EventId id) { return queue_.cancel(id); }
 
     /**
+     * Move a pending event to absolute time @p when (must be >= now);
+     * exactly cancel plus schedule of the same callback, without
+     * leaving anything behind (see EventQueue::rearm).
+     */
+    bool rearm(EventId id, SimTime when);
+
+    /**
      * Run events until the queue drains or the clock passes @p limit.
      *
      * The clock is left at min(limit, time of last event). Events
