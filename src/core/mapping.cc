@@ -26,8 +26,7 @@ MappingTable::toServer(vm::Ref remote) const
 }
 
 void
-MappingTable::forEachServerRef(
-    const gc::SemiSpaceCollector::RefVisitor &v)
+MappingTable::forEachServerRef(gc::SemiSpaceCollector::RefVisitor v)
 {
     // Keys are the server addresses; visiting mutates them, so
     // rebuild both maps afterwards via reindex().

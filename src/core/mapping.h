@@ -53,7 +53,7 @@ class MappingTable
      * updates them in place when objects move, after which the
      * reverse index is rebuilt.
      */
-    void forEachServerRef(const gc::SemiSpaceCollector::RefVisitor &v);
+    void forEachServerRef(gc::SemiSpaceCollector::RefVisitor v);
 
     /** Rebuild the reverse index after a moving collection. */
     void reindex();

@@ -104,10 +104,10 @@ SyncManager::needsRemoteAcquire(uint16_t endpoint, vm::Ref local) const
     return owner(server_ref) != endpoint;
 }
 
+template <typename Translate>
 uint64_t
-SyncManager::copyObjectState(
-    Heap &src_heap, Ref src, Heap &dst_heap, Ref dst,
-    const std::function<Value(Value)> &tr)
+SyncManager::copyObjectState(Heap &src_heap, Ref src, Heap &dst_heap,
+                             Ref dst, Translate &&tr)
 {
     const vm::ObjHeader &src_hdr = src_heap.header(src);
     vm::ObjHeader &dst_hdr = dst_heap.header(dst);
@@ -374,7 +374,7 @@ SyncManager::heldMonitors() const
 }
 
 void
-SyncManager::forEachServerRef(const RefVisitor &v)
+SyncManager::forEachServerRef(RefVisitor v)
 {
     // Lock-owner keys are canonical server addresses.
     std::vector<std::pair<vm::Ref, uint16_t>> owners(owners_.begin(),

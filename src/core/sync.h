@@ -144,8 +144,8 @@ class SyncManager
      * manager holds (lock-owner keys, server dirty refs) so a moving
      * collection can update them; indexes are rebuilt afterwards.
      */
-    using RefVisitor = std::function<void(vm::Ref &)>;
-    void forEachServerRef(const RefVisitor &v);
+    using RefVisitor = gc::SemiSpaceCollector::RefVisitor;
+    void forEachServerRef(RefVisitor v);
 
   private:
     struct Endpoint
@@ -162,11 +162,13 @@ class SyncManager
 
     /**
      * Copy @p src's fields into @p dst, translating every reference
-     * through @p translate. Returns bytes copied.
+     * through @p tr (a Value(Value) callable, inlined into the
+     * per-field loop). Returns bytes copied.
      */
-    uint64_t copyObjectState(
-        vm::Heap &src_heap, vm::Ref src, vm::Heap &dst_heap,
-        vm::Ref dst, const std::function<vm::Value(vm::Value)> &tr);
+    template <typename Translate>
+    uint64_t copyObjectState(vm::Heap &src_heap, vm::Ref src,
+                             vm::Heap &dst_heap, vm::Ref dst,
+                             Translate &&tr);
 
     /**
      * Flush one endpoint's dirty objects into the server heap,

@@ -37,6 +37,7 @@
 
 #include "sim/sim_time.h"
 #include "sim/stats.h"
+#include "support/function_ref.h"
 #include "vm/heap.h"
 #include "vm/value.h"
 
@@ -76,14 +77,18 @@ struct GcCostModel
 class SemiSpaceCollector
 {
   public:
-    /** Visits every value slot that may hold a root reference. */
-    using ValueVisitor = std::function<void(vm::Value &)>;
+    /**
+     * Visits every value slot that may hold a root reference. The
+     * visitors are called once per root, so they are non-owning
+     * references; providers are called once per collection.
+     */
+    using ValueVisitor = FunctionRef<void(vm::Value &)>;
     /** A provider enumerates its roots through the visitor. */
     using ValueRootProvider =
         std::function<void(const ValueVisitor &)>;
 
     /** Visits raw Ref roots (e.g. mapping-table entries). */
-    using RefVisitor = std::function<void(vm::Ref &)>;
+    using RefVisitor = FunctionRef<void(vm::Ref &)>;
     using RefRootProvider = std::function<void(const RefVisitor &)>;
 
     explicit SemiSpaceCollector(vm::Heap &heap,

@@ -54,15 +54,6 @@ VmContext::setStatic(KlassId klass, uint32_t slot, Value v)
 }
 
 void
-VmContext::forEachStatic(const std::function<void(Value &)> &fn)
-{
-    for (auto &[klass, slots] : statics_) {
-        for (Value &v : slots)
-            fn(v);
-    }
-}
-
-void
 VmContext::mapRemote(Ref remote, Ref local)
 {
     remote_map_[stripRemote(remote)] = local;

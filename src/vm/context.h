@@ -118,7 +118,15 @@ class VmContext
     Value getStatic(KlassId klass, uint32_t slot);
     void setStatic(KlassId klass, uint32_t slot, Value v);
     /** Iterate all static slots (GC roots, sync). */
-    void forEachStatic(const std::function<void(Value &)> &fn);
+    template <typename Fn>
+    void
+    forEachStatic(Fn &&fn)
+    {
+        for (auto &[klass, slots] : statics_) {
+            for (Value &v : slots)
+                fn(v);
+        }
+    }
     /// @}
 
     /** @name Remote object mapping (FaaS side) */

@@ -277,12 +277,6 @@ Heap::bytes(Ref r) const
         hdr.count);
 }
 
-uint32_t
-Heap::count(Ref r) const
-{
-    return header(r).count;
-}
-
 bool
 Heap::allocWouldFail(uint32_t slots_needed) const
 {
@@ -295,21 +289,6 @@ std::size_t
 Heap::usedBytes() const
 {
     return closure_.used() + space(alloc_space_).used();
-}
-
-void
-Heap::forEachObject(uint8_t space_id,
-                    const std::function<void(Ref)> &fn)
-{
-    Space &s = space(space_id);
-    uint64_t offset = Space::firstOffset();
-    while (offset < s.used()) {
-        Ref ref = makeRef(space_id, offset);
-        const ObjHeader &hdr = header(ref);
-        bh_assert(hdr.size >= sizeof(ObjHeader), "corrupt heap walk");
-        fn(ref);
-        offset += hdr.size;
-    }
 }
 
 std::string

@@ -263,9 +263,9 @@ class Heap
     /** Bytes currently in use across closure + active semispace. */
     std::size_t usedBytes() const;
 
-    /** Walk all objects in a space. */
-    void forEachObject(uint8_t space_id,
-                       const std::function<void(Ref)> &fn);
+    /** Walk all objects in a space, in address order. */
+    template <typename Fn>
+    void forEachObject(uint8_t space_id, Fn &&fn);
 
     /** Deep human-readable dump of one object (debugging). */
     std::string describe(Ref r) const;
@@ -356,6 +356,27 @@ inline const Value *
 Heap::slots(Ref r) const
 {
     return const_cast<Heap *>(this)->slots(r);
+}
+
+template <typename Fn>
+void
+Heap::forEachObject(uint8_t space_id, Fn &&fn)
+{
+    Space &s = space(space_id);
+    uint64_t offset = Space::firstOffset();
+    while (offset < s.used()) {
+        Ref ref = makeRef(space_id, offset);
+        const ObjHeader &hdr = header(ref);
+        bh_assert(hdr.size >= sizeof(ObjHeader), "corrupt heap walk");
+        fn(ref);
+        offset += hdr.size;
+    }
+}
+
+inline uint32_t
+Heap::count(Ref r) const
+{
+    return header(r).count;
 }
 
 inline Value

@@ -242,6 +242,403 @@ Interpreter::resumeExternal(Value result)
     push(result);
 }
 
+bool
+Interpreter::runInner(double quantum_ns, double instr_ns, bool check_remote)
+{
+    // The dispatch state lives in locals: nothing below makes a call
+    // that returns (the panics are cold and noreturn), so GCC keeps
+    // them in registers. They go back to the members at the one exit.
+    Window &f = frames_.back();
+    const Method &m = *f.method;
+    const Instr *const code = m.code.data();
+    const std::size_t code_size = m.code.size();
+    Value *const vals = values_.data();
+    const std::size_t cap = values_.size();
+    const std::size_t base = f.base;
+    const std::size_t stack_base = f.stack_base;
+    const std::size_t num_locals = stack_base - base;
+    const double mult = f.cost_multiplier;
+    const double step = instr_ns * mult;
+    // GetField feeds field-read recording and the race oracle, and
+    // ALoad the oracle, on the outer switch's path only.
+    const bool observed = recording_ || ctx_.raceOracle() != nullptr;
+    const Heap &heap = ctx_.heap();
+    uint32_t pc = f.pc;
+    std::size_t sp = sp_;
+    double pending = pending_cost_;
+    double qacc = quantum_acc_;
+    double total = cost_total_;
+    uint64_t count = stats_.instructions;
+    bool expired = false;
+
+    // charge() on the locals, in its order.
+    auto spend = [&](double ns) {
+        pending += ns;
+        qacc += ns;
+        total += ns;
+    };
+    // One instruction's count and charge.
+    auto tick = [&] {
+        ++count;
+        spend(step);
+    };
+    // A reference the outer switch must resolve first: the load
+    // barrier's rewrite or fault under check_remote_refs.
+    auto needsBarrier = [&](Value v) {
+        return check_remote && v.isRef() && isRemote(v.asRef());
+    };
+    auto isLocalObject = [](Value v) {
+        return v.isRef() && v.asRef() != kNullRef && !isRemote(v.asRef());
+    };
+    auto requireDepth = [&](std::size_t n) {
+        if (sp - stack_base < n) [[unlikely]]
+            stackUnderflow();
+    };
+    auto requireSlot = [&](int64_t slot) {
+        bh_assert(static_cast<std::size_t>(slot) < num_locals,
+                  "bad local slot");
+    };
+
+    while (true) {
+        // Cases that end in `break` advance the pc; jumps and the
+        // fused idioms set it themselves. A case that cannot run here
+        // jumps to `leave` before it charges or changes anything.
+        bh_assert(pc < code_size, "pc ran off method %s", m.name.c_str());
+        const Instr &in = code[pc];
+        switch (in.op) {
+          case Op::Nop:
+            tick();
+            break;
+
+          case Op::PushI:
+            if (sp == cap)
+                goto leave;
+            tick();
+            vals[sp++] = Value::ofInt(in.a);
+            break;
+
+          case Op::PushNil:
+            if (sp == cap)
+                goto leave;
+            tick();
+            vals[sp++] = Value::nil();
+            break;
+
+          case Op::Load:
+          load: {
+            requireSlot(in.a);
+            const Value v = vals[base + in.a];
+            if (needsBarrier(v) || sp == cap)
+                goto leave;
+            tick();
+            vals[sp++] = v;
+            break;
+          }
+
+          case Op::Store:
+            requireSlot(in.a);
+            requireDepth(1);
+            tick();
+            vals[base + in.a] = vals[--sp];
+            break;
+
+          case Op::Dup:
+            requireDepth(1);
+            if (sp == cap)
+                goto leave;
+            tick();
+            vals[sp] = vals[sp - 1];
+            ++sp;
+            break;
+
+          case Op::Pop:
+            requireDepth(1);
+            tick();
+            --sp;
+            break;
+
+          case Op::Add: case Op::Sub: case Op::Mul: {
+            requireDepth(2);
+            tick();
+            const Value b = vals[--sp];
+            const Value a = vals[sp - 1];
+            if (a.isInt() && b.isInt()) {
+                const int64_t x = a.asInt(), y = b.asInt();
+                vals[sp - 1] = Value::ofInt(in.op == Op::Add   ? x + y
+                                            : in.op == Op::Sub ? x - y
+                                                               : x * y);
+            } else {
+                const double x = a.asNumber(), y = b.asNumber();
+                vals[sp - 1] = Value::ofFloat(in.op == Op::Add   ? x + y
+                                              : in.op == Op::Sub ? x - y
+                                                                 : x * y);
+            }
+            break;
+          }
+
+          case Op::CmpEq: case Op::CmpNe: {
+            requireDepth(2);
+            tick();
+            const Value b = vals[--sp];
+            const Value a = vals[sp - 1];
+            const bool eq = a.isRef() || b.isRef()
+                                ? a == b
+                                : a.asNumber() == b.asNumber();
+            vals[sp - 1] = Value::ofInt((in.op == Op::CmpEq) == eq ? 1 : 0);
+            break;
+          }
+
+          case Op::CmpLt: case Op::CmpLe: case Op::CmpGt: case Op::CmpGe: {
+            requireDepth(2);
+            tick();
+            const double y = vals[--sp].asNumber();
+            const double x = vals[sp - 1].asNumber();
+            bool r = false;
+            switch (in.op) {
+              case Op::CmpLt: r = x < y; break;
+              case Op::CmpLe: r = x <= y; break;
+              case Op::CmpGt: r = x > y; break;
+              case Op::CmpGe: r = x >= y; break;
+              default: break;
+            }
+            vals[sp - 1] = Value::ofInt(r ? 1 : 0);
+            break;
+          }
+
+          case Op::And: case Op::Or: {
+            requireDepth(2);
+            tick();
+            const bool b = vals[--sp].truthy();
+            const bool a = vals[sp - 1].truthy();
+            const bool r = in.op == Op::And ? a && b : a || b;
+            vals[sp - 1] = Value::ofInt(r ? 1 : 0);
+            break;
+          }
+
+          case Op::Not:
+            requireDepth(1);
+            tick();
+            vals[sp - 1] = Value::ofInt(vals[sp - 1].truthy() ? 0 : 1);
+            break;
+
+          case Op::Jmp:
+            tick();
+            pc = static_cast<uint32_t>(in.a);
+            goto next;
+
+          case Op::Jz: case Op::Jnz:
+            requireDepth(1);
+            tick();
+            if (vals[--sp].truthy() == (in.op == Op::Jnz)) {
+                pc = static_cast<uint32_t>(in.a);
+                goto next;
+            }
+            break;
+
+          case Op::Compute:
+            tick();
+            spend(static_cast<double>(in.a) * mult);
+            break;
+
+          case Op::GetField: {
+            requireDepth(1);
+            const Value recv = vals[sp - 1];
+            if (observed || !isLocalObject(recv))
+                goto leave;
+            const Value v =
+                heap.field(recv.asRef(), static_cast<uint32_t>(in.a));
+            if (needsBarrier(v))
+                goto leave;
+            tick();
+            vals[sp - 1] = v;
+            break;
+          }
+
+          case Op::ALoad: {
+            requireDepth(2);
+            const Value arr = vals[sp - 2];
+            if (observed || !isLocalObject(arr))
+                goto leave;
+            bh_assert(vals[sp - 1].isInt(), "array index must be int");
+            const Value v = heap.elem(
+                arr.asRef(), static_cast<uint32_t>(vals[sp - 1].asInt()));
+            if (needsBarrier(v))
+                goto leave;
+            tick();
+            vals[--sp - 1] = v;
+            break;
+          }
+
+          case Op::ArrLen: case Op::BytesLen: {
+            requireDepth(1);
+            const Value obj = vals[sp - 1];
+            if (!isLocalObject(obj))
+                goto leave;
+            tick();
+            vals[sp - 1] = Value::ofInt(heap.count(obj.asRef()));
+            break;
+          }
+
+          // Fused idioms (vm::quicken). Each runs its constituents in
+          // order: one tick and one quantum check apiece. When the
+          // quantum expires after k of them, the stack is what they
+          // leave and the pc is the idiom's start + k, so the original
+          // instructions (still in place) resume the idiom. A head
+          // whose idiom needs the outer switch runs as its plain Load.
+          // `seq` is the idiom, head first.
+
+          case Op::LoadLeJnz: {
+            // load n; pushI c; cmpLe; jnz L
+            requireSlot(in.a);
+            const Value v = vals[base + in.a];
+            if (needsBarrier(v) || cap - sp < 2)
+                goto load;
+            const Instr *const seq = &in;
+            tick(); // load n
+            if (qacc >= quantum_ns) {
+                vals[sp++] = v;
+                pc += 1;
+                goto expire;
+            }
+            tick(); // pushI c
+            const Value c = Value::ofInt(seq[1].a);
+            if (qacc >= quantum_ns) {
+                vals[sp++] = v;
+                vals[sp++] = c;
+                pc += 2;
+                goto expire;
+            }
+            tick(); // cmpLe
+            const bool le = v.asNumber() <= c.asNumber();
+            if (qacc >= quantum_ns) {
+                vals[sp++] = Value::ofInt(le ? 1 : 0);
+                pc += 3;
+                goto expire;
+            }
+            tick(); // jnz L
+            pc = le ? static_cast<uint32_t>(seq[3].a) : pc + 4;
+            goto next;
+          }
+
+          case Op::LoadNotJnz: {
+            // load x; not; jnz L
+            requireSlot(in.a);
+            const Value v = vals[base + in.a];
+            if (needsBarrier(v) || sp == cap)
+                goto load;
+            const Instr *const seq = &in;
+            tick(); // load x
+            if (qacc >= quantum_ns) {
+                vals[sp++] = v;
+                pc += 1;
+                goto expire;
+            }
+            tick(); // not
+            const bool falsy = !v.truthy();
+            if (qacc >= quantum_ns) {
+                vals[sp++] = Value::ofInt(falsy ? 1 : 0);
+                pc += 2;
+                goto expire;
+            }
+            tick(); // jnz L
+            pc = falsy ? static_cast<uint32_t>(seq[2].a) : pc + 3;
+            goto next;
+          }
+
+          case Op::LoadFieldPop:
+          case Op::LoadFieldStore: {
+            // load x; getField f; pop    or    load x; getField f; store y
+            requireSlot(in.a);
+            const Value v = vals[base + in.a];
+            if (observed || !isLocalObject(v) || sp == cap)
+                goto load;
+            const Instr *const seq = &in;
+            // The field is read before the load is charged; a value
+            // the getField's barrier must rewrite or fault on runs the
+            // idiom as its plain instructions.
+            const Value fv =
+                heap.field(v.asRef(), static_cast<uint32_t>(seq[1].a));
+            if (needsBarrier(fv))
+                goto load;
+            tick(); // load x
+            if (qacc >= quantum_ns) {
+                vals[sp++] = v;
+                pc += 1;
+                goto expire;
+            }
+            tick(); // getField f
+            if (qacc >= quantum_ns) {
+                vals[sp++] = fv;
+                pc += 2;
+                goto expire;
+            }
+            tick(); // pop or store y
+            if (in.op == Op::LoadFieldStore) {
+                requireSlot(seq[2].a);
+                vals[base + seq[2].a] = fv;
+            }
+            pc += 3;
+            goto next;
+          }
+
+          case Op::LoadSubStore: {
+            // load n; pushI c; sub; store y
+            requireSlot(in.a);
+            const Value v = vals[base + in.a];
+            if (needsBarrier(v) || cap - sp < 2)
+                goto load;
+            const Instr *const seq = &in;
+            tick(); // load n
+            if (qacc >= quantum_ns) {
+                vals[sp++] = v;
+                pc += 1;
+                goto expire;
+            }
+            tick(); // pushI c
+            const Value c = Value::ofInt(seq[1].a);
+            if (qacc >= quantum_ns) {
+                vals[sp++] = v;
+                vals[sp++] = c;
+                pc += 2;
+                goto expire;
+            }
+            tick(); // sub
+            const Value r =
+                v.isInt() ? Value::ofInt(v.asInt() - c.asInt())
+                          : Value::ofFloat(v.asNumber() - c.asNumber());
+            if (qacc >= quantum_ns) {
+                vals[sp++] = r;
+                pc += 3;
+                goto expire;
+            }
+            tick(); // store y
+            requireSlot(seq[3].a);
+            vals[base + seq[3].a] = r;
+            pc += 4;
+            goto next;
+          }
+
+          default:
+            goto leave;
+        }
+        ++pc;
+      next:
+        if (qacc >= quantum_ns)
+            goto expire;
+    }
+
+  expire:
+    expired = true;
+  leave:
+    f.pc = pc;
+    sp_ = sp;
+    pending_cost_ = pending;
+    quantum_acc_ = qacc;
+    cost_total_ = total;
+    stats_.instructions = count;
+    return expired;
+}
+
 Suspend
 Interpreter::run()
 {
@@ -252,102 +649,53 @@ Interpreter::run()
     const double instr_ns = ctx_.config().instr_cost_ns;
     const bool check_remote = ctx_.config().check_remote_refs;
 
-    // The cost accumulators and the instruction count live in locals
-    // for the loop. spill() writes them back before invoke(), which
-    // charges the members, and at every return; reload() picks up
-    // what invoke() added. spend() makes charge()'s additions in
-    // charge()'s order, so every sum is bit-identical.
-    double pending = pending_cost_;
-    double qacc = quantum_acc_;
-    double total = cost_total_;
-    uint64_t count = stats_.instructions;
-    auto spend = [&](double ns) {
-        pending += ns;
-        qacc += ns;
-        total += ns;
-    };
-    auto spill = [&] {
-        pending_cost_ = pending;
-        quantum_acc_ = qacc;
-        cost_total_ = total;
-        stats_.instructions = count;
-    };
-    auto reload = [&] {
-        pending = pending_cost_;
-        qacc = quantum_acc_;
-        total = cost_total_;
-        count = stats_.instructions;
-    };
-
-    // A quickened head (vm::quicken) runs fused only when its Load
-    // needs no remote-ref rewrite and its @p pushes fit the value
-    // stack without growing it; otherwise it runs as the plain Load.
-    auto fusable = [&](Value v, std::size_t pushes) {
-        return !(check_remote && v.isRef() && isRemote(v.asRef())) &&
-               sp_ + pushes <= values_.size();
-    };
-    // The getField idioms also need a local non-null receiver, and
-    // no field-read recording or race oracle (the plain GetField
-    // feeds both).
-    auto fusableField = [&](Value v) {
-        return v.isRef() && v.asRef() != kNullRef && !isRemote(v.asRef()) &&
-               !recording_ && !ctx_.raceOracle() &&
-               sp_ + 1 <= values_.size();
-    };
-
-    // A fused idiom charges its constituents on copies of the
-    // accumulators taken by fuse() and written back by commit(). The
-    // loop's own copies live across calls, so GCC keeps them in
-    // memory; these live only inside one idiom, in registers.
-    double fp = 0.0, fq = 0.0, ft = 0.0;
-    uint64_t fc = 0;
-    auto fuse = [&] {
-        fp = pending;
-        fq = qacc;
-        ft = total;
-        fc = count;
-    };
-    auto constituent = [&](double ns) {
-        ++fc;
-        fp += ns;
-        fq += ns;
-        ft += ns;
-    };
-    auto commit = [&] {
-        pending = fp;
-        qacc = fq;
-        total = ft;
-        count = fc;
-    };
-
     Suspend out;
     while (true) {
-        // One instruction per iteration. Cases that end in `break`
-        // advance the pc; jumps, calls, returns and the fused idioms
-        // set it themselves and go straight to the quantum check.
+        if (runInner(quantum_ns, instr_ns, check_remote))
+            goto quantum;
+
+        // runInner() stopped before an instruction it cannot run.
         // Call and Ret may reallocate frames_, so nothing below them
         // may touch `f`.
         Window &f = top();
-        const Method &m = *f.method;
-        bh_assert(f.pc < m.code.size(), "pc ran off method %s",
-                  m.name.c_str());
-        const Instr &in = m.code[f.pc];
+        const Instr &in = f.method->code[f.pc];
         const double mult = f.cost_multiplier;
-        // One instruction's charge; a fused idiom pays it for each
-        // of its constituents.
-        const double step = instr_ns * mult;
 
-        ++count;
-        spend(step);
+        // A push runInner() owns stops there only to grow the value
+        // stack, and a Load (a fused head stops as its plain Load)
+        // also to resolve a remote local. Neither charges: the loop
+        // runs the instruction once it can. The reads it owns
+        // (GetField, ALoad, ArrLen, BytesLen) stop on their slow
+        // paths and run in full below.
+        switch (baseOp(in.op)) {
+          case Op::Load: {
+            Value &slot = values_[f.base + in.a];
+            if (check_remote && slot.isRef() && isRemote(slot.asRef())) {
+                // The load barrier: rewrite the slot in place (paper
+                // Section 4.1) or fault with the Load charged.
+                if (!checkLoadedValue(slot, out)) {
+                    ++stats_.instructions;
+                    charge(instr_ns * mult);
+                    goto done;
+                }
+                continue;
+            }
+            growValues(sp_ + 1);
+            continue;
+          }
+          case Op::PushI:
+          case Op::PushNil:
+          case Op::Dup:
+            growValues(sp_ + 1);
+            continue;
+          default:
+            break;
+        }
+
+        ++stats_.instructions;
+        charge(instr_ns * mult);
 
         switch (in.op) {
-          case Op::Nop:
-            break;
-
-          case Op::PushI:
-            push(Value::ofInt(in.a));
-            break;
-
           case Op::PushF: {
             double d;
             int64_t bits = in.a;
@@ -355,35 +703,6 @@ Interpreter::run()
             push(Value::ofFloat(d));
             break;
           }
-
-          case Op::PushNil:
-            push(Value::nil());
-            break;
-
-          case Op::Load:
-          load: {
-            bh_assert(static_cast<std::size_t>(in.a) < f.stack_base - f.base,
-                      "bad local slot");
-            if (!checkLoadedValue(values_[f.base + in.a], out))
-                goto done;
-            push(values_[f.base + in.a]);
-            break;
-          }
-
-          case Op::Store: {
-            bh_assert(static_cast<std::size_t>(in.a) < f.stack_base - f.base,
-                      "bad local slot");
-            values_[f.base + in.a] = pop();
-            break;
-          }
-
-          case Op::Dup:
-            push(peek());
-            break;
-
-          case Op::Pop:
-            pop();
-            break;
 
           case Op::Swap: {
             Value a = pop();
@@ -393,33 +712,20 @@ Interpreter::run()
             break;
           }
 
-          case Op::Add: case Op::Sub: case Op::Mul:
           case Op::Div: case Op::Mod: {
             Value b = pop();
             Value a = pop();
             if (a.isInt() && b.isInt()) {
-                int64_t x = a.asInt(), y = b.asInt(), r = 0;
-                switch (in.op) {
-                  case Op::Add: r = x + y; break;
-                  case Op::Sub: r = x - y; break;
-                  case Op::Mul: r = x * y; break;
-                  // Division by zero yields 0 by definition in HiveVM;
-                  // the apps never rely on trapping.
-                  case Op::Div: r = y == 0 ? 0 : x / y; break;
-                  case Op::Mod: r = y == 0 ? 0 : x % y; break;
-                  default: break;
-                }
+                // Division by zero yields 0 by definition in HiveVM;
+                // the apps never rely on trapping.
+                int64_t x = a.asInt(), y = b.asInt();
+                int64_t r = y == 0 ? 0 : in.op == Op::Div ? x / y : x % y;
                 push(Value::ofInt(r));
             } else {
-                double x = a.asNumber(), y = b.asNumber(), r = 0.0;
-                switch (in.op) {
-                  case Op::Add: r = x + y; break;
-                  case Op::Sub: r = x - y; break;
-                  case Op::Mul: r = x * y; break;
-                  case Op::Div: r = y == 0.0 ? 0.0 : x / y; break;
-                  case Op::Mod: r = y == 0.0 ? 0.0 : std::fmod(x, y); break;
-                  default: break;
-                }
+                double x = a.asNumber(), y = b.asNumber();
+                double r = y == 0.0             ? 0.0
+                           : in.op == Op::Div ? x / y
+                                              : std::fmod(x, y);
                 push(Value::ofFloat(r));
             }
             break;
@@ -434,70 +740,6 @@ Interpreter::run()
             break;
           }
 
-          case Op::CmpEq: case Op::CmpNe: {
-            Value b = pop();
-            Value a = pop();
-            bool eq;
-            if (a.isRef() || b.isRef())
-                eq = a == b;
-            else
-                eq = a.asNumber() == b.asNumber();
-            push(Value::ofInt((in.op == Op::CmpEq) == eq ? 1 : 0));
-            break;
-          }
-
-          case Op::CmpLt: case Op::CmpLe: case Op::CmpGt: case Op::CmpGe: {
-            Value b = pop();
-            Value a = pop();
-            double x = a.asNumber(), y = b.asNumber();
-            bool r = false;
-            switch (in.op) {
-              case Op::CmpLt: r = x < y; break;
-              case Op::CmpLe: r = x <= y; break;
-              case Op::CmpGt: r = x > y; break;
-              case Op::CmpGe: r = x >= y; break;
-              default: break;
-            }
-            push(Value::ofInt(r ? 1 : 0));
-            break;
-          }
-
-          case Op::And: {
-            Value b = pop();
-            Value a = pop();
-            push(Value::ofInt(a.truthy() && b.truthy() ? 1 : 0));
-            break;
-          }
-
-          case Op::Or: {
-            Value b = pop();
-            Value a = pop();
-            push(Value::ofInt(a.truthy() || b.truthy() ? 1 : 0));
-            break;
-          }
-
-          case Op::Not:
-            push(Value::ofInt(pop().truthy() ? 0 : 1));
-            break;
-
-          case Op::Jmp:
-            f.pc = static_cast<uint32_t>(in.a);
-            goto next;
-
-          case Op::Jz:
-            if (!pop().truthy()) {
-                f.pc = static_cast<uint32_t>(in.a);
-                goto next;
-            }
-            break;
-
-          case Op::Jnz:
-            if (pop().truthy()) {
-                f.pc = static_cast<uint32_t>(in.a);
-                goto next;
-            }
-            break;
-
           case Op::New: {
             KlassId k = static_cast<KlassId>(in.a);
             if (!requireKlass(k, out))
@@ -508,7 +750,7 @@ Interpreter::run()
                 goto done;
             }
             push(Value::ofRef(r));
-            spend(10.0 * mult);
+            charge(10.0 * mult);
             break;
           }
 
@@ -526,7 +768,7 @@ Interpreter::run()
             }
             pop();
             push(Value::ofRef(r));
-            spend(10.0 * mult + 0.1 * static_cast<double>(len.asInt()));
+            charge(10.0 * mult + 0.1 * static_cast<double>(len.asInt()));
             break;
           }
 
@@ -543,11 +785,12 @@ Interpreter::run()
                 goto done;
             }
             push(Value::ofRef(r));
-            spend(5.0 * mult + 0.05 * static_cast<double>(s.size()));
+            charge(5.0 * mult + 0.05 * static_cast<double>(s.size()));
             break;
           }
 
-          case Op::BytesLen: {
+          case Op::BytesLen:
+          case Op::ArrLen: {
             if (!resolveRef(peek(), out))
                 goto done;
             Ref r = pop().asRef();
@@ -628,14 +871,6 @@ Interpreter::run()
             break;
           }
 
-          case Op::ArrLen: {
-            if (!resolveRef(peek(), out))
-                goto done;
-            Ref arr = pop().asRef();
-            push(Value::ofInt(ctx_.heap().count(arr)));
-            break;
-          }
-
           case Op::GetStatic: {
             KlassId k = static_cast<KlassId>(in.a);
             if (!requireKlass(k, out))
@@ -675,10 +910,7 @@ Interpreter::run()
             bh_assert(in.op != Op::CallNative ||
                           ctx_.program().method(id).is_native,
                       "CallNative on bytecode method");
-            spill();
-            const bool ok = invoke(id, out);
-            reload();
-            if (!ok)
+            if (!invoke(id, out))
                 goto done;
             goto next; // pc handled by invoke
           }
@@ -698,11 +930,8 @@ Interpreter::run()
             bh_assert(ctx_.program().method(id).num_args == nargs,
                       "virtual arg count mismatch on %s",
                       ctx_.program().nameAt(name).c_str());
-            spend(5.0 * mult); // vtable walk
-            spill();
-            const bool ok = invoke(id, out);
-            reload();
-            if (!ok)
+            charge(5.0 * mult); // vtable walk
+            if (!invoke(id, out))
                 goto done;
             goto next;
           }
@@ -726,7 +955,7 @@ Interpreter::run()
             if (RaceOracle *ro = ctx_.raceOracle())
                 ro->acquire(race_tid_, obj);
             ++stats_.monitor_enters;
-            spend(15.0 * mult);
+            charge(15.0 * mult);
             break;
           }
 
@@ -745,7 +974,7 @@ Interpreter::run()
             if (RaceOracle *ro = ctx_.raceOracle())
                 ro->release(race_tid_, obj);
             ctx_.monitorReleased(obj);
-            spend(10.0 * mult);
+            charge(10.0 * mult);
             break;
           }
 
@@ -793,180 +1022,8 @@ Interpreter::run()
                 push(ctx_.heap().field(target,
                                        static_cast<uint32_t>(in.a)));
             }
-            spend(8.0 * mult);
+            charge(8.0 * mult);
             break;
-          }
-
-          case Op::Compute:
-            spend(static_cast<double>(in.a) * mult);
-            break;
-
-          // Fused idioms (vm::quicken). Each runs its constituents in
-          // order: one count, one charge and one quantum check apiece.
-          // When the quantum expires after k of them, the stack is what
-          // they leave and the pc is the idiom's start + k, so the
-          // original instructions (still in place) resume the idiom.
-          // `seq` is the idiom, head first.
-
-          case Op::LoadLeJnz: {
-            // load n; pushI c; cmpLe; jnz L
-            bh_assert(static_cast<std::size_t>(in.a) < f.stack_base - f.base,
-                      "bad local slot");
-            const Value v = values_[f.base + in.a];
-            if (!fusable(v, 2))
-                goto load;
-            fuse();
-            const Instr *const seq = &in;
-            const uint32_t at = f.pc;
-            if (fq >= quantum_ns) {
-                values_[sp_++] = v;
-                f.pc = at + 1;
-                commit();
-                goto quantum;
-            }
-            constituent(step); // pushI c
-            const Value c = Value::ofInt(seq[1].a);
-            if (fq >= quantum_ns) {
-                values_[sp_++] = v;
-                values_[sp_++] = c;
-                f.pc = at + 2;
-                commit();
-                goto quantum;
-            }
-            constituent(step); // cmpLe
-            const bool le = v.asNumber() <= c.asNumber();
-            if (fq >= quantum_ns) {
-                values_[sp_++] = Value::ofInt(le ? 1 : 0);
-                f.pc = at + 3;
-                commit();
-                goto quantum;
-            }
-            constituent(step); // jnz L
-            f.pc = le ? static_cast<uint32_t>(seq[3].a) : at + 4;
-            commit();
-            goto next;
-          }
-
-          case Op::LoadNotJnz: {
-            // load x; not; jnz L
-            bh_assert(static_cast<std::size_t>(in.a) < f.stack_base - f.base,
-                      "bad local slot");
-            const Value v = values_[f.base + in.a];
-            if (!fusable(v, 1))
-                goto load;
-            fuse();
-            const Instr *const seq = &in;
-            const uint32_t at = f.pc;
-            if (fq >= quantum_ns) {
-                values_[sp_++] = v;
-                f.pc = at + 1;
-                commit();
-                goto quantum;
-            }
-            constituent(step); // not
-            const bool falsy = !v.truthy();
-            if (fq >= quantum_ns) {
-                values_[sp_++] = Value::ofInt(falsy ? 1 : 0);
-                f.pc = at + 2;
-                commit();
-                goto quantum;
-            }
-            constituent(step); // jnz L
-            f.pc = falsy ? static_cast<uint32_t>(seq[2].a) : at + 3;
-            commit();
-            goto next;
-          }
-
-          case Op::LoadFieldPop:
-          case Op::LoadFieldStore: {
-            // load x; getField f; pop    or    load x; getField f; store y
-            bh_assert(static_cast<std::size_t>(in.a) < f.stack_base - f.base,
-                      "bad local slot");
-            const Value v = values_[f.base + in.a];
-            if (!fusableField(v))
-                goto load;
-            fuse();
-            const Instr *const seq = &in;
-            const uint32_t at = f.pc;
-            if (fq >= quantum_ns) {
-                values_[sp_++] = v;
-                f.pc = at + 1;
-                commit();
-                goto quantum;
-            }
-            constituent(step); // getField f
-            const Ref obj = v.asRef();
-            const uint32_t field = static_cast<uint32_t>(seq[1].a);
-            Value fv = ctx_.heap().field(obj, field);
-            if (!loadBarrier(fv, out, [&](Value &nv) {
-                    ctx_.heap().setField(obj, field, nv);
-                })) {
-                // ObjectFault: the getField retries with its receiver.
-                values_[sp_++] = v;
-                f.pc = at + 1;
-                commit();
-                goto done;
-            }
-            if (fq >= quantum_ns) {
-                values_[sp_++] = fv;
-                f.pc = at + 2;
-                commit();
-                goto quantum;
-            }
-            constituent(step); // pop or store y
-            if (in.op == Op::LoadFieldStore) {
-                bh_assert(static_cast<std::size_t>(seq[2].a) <
-                              f.stack_base - f.base,
-                          "bad local slot");
-                values_[f.base + seq[2].a] = fv;
-            }
-            f.pc = at + 3;
-            commit();
-            goto next;
-          }
-
-          case Op::LoadSubStore: {
-            // load n; pushI c; sub; store y
-            bh_assert(static_cast<std::size_t>(in.a) < f.stack_base - f.base,
-                      "bad local slot");
-            const Value v = values_[f.base + in.a];
-            if (!fusable(v, 2))
-                goto load;
-            fuse();
-            const Instr *const seq = &in;
-            const uint32_t at = f.pc;
-            if (fq >= quantum_ns) {
-                values_[sp_++] = v;
-                f.pc = at + 1;
-                commit();
-                goto quantum;
-            }
-            constituent(step); // pushI c
-            const Value c = Value::ofInt(seq[1].a);
-            if (fq >= quantum_ns) {
-                values_[sp_++] = v;
-                values_[sp_++] = c;
-                f.pc = at + 2;
-                commit();
-                goto quantum;
-            }
-            constituent(step); // sub
-            const Value r =
-                v.isInt() ? Value::ofInt(v.asInt() - c.asInt())
-                          : Value::ofFloat(v.asNumber() - c.asNumber());
-            if (fq >= quantum_ns) {
-                values_[sp_++] = r;
-                f.pc = at + 3;
-                commit();
-                goto quantum;
-            }
-            constituent(step); // store y
-            bh_assert(static_cast<std::size_t>(seq[3].a) < f.stack_base - f.base,
-                      "bad local slot");
-            values_[f.base + seq[3].a] = r;
-            f.pc = at + 4;
-            commit();
-            goto next;
           }
 
           case Op::Ret: {
@@ -977,7 +1034,7 @@ Interpreter::run()
                 if (ctx_.profiler()) {
                     ctx_.profiler()->recordExecution(
                         candidate_root_,
-                        total - candidate_cost_start_,
+                        cost_total_ - candidate_cost_start_,
                         recorded_klasses_, recorded_statics_,
                         stats_.monitor_enters - candidate_syncs_start_);
                 }
@@ -994,19 +1051,33 @@ Interpreter::run()
             push(result);
             goto next;
           }
+
+          // runInner() runs these whenever they can run at all: a
+          // push at the limit and a remote local were handled above,
+          // and bad slots and underflow panic in the loop.
+          case Op::Nop: case Op::PushI: case Op::PushNil: case Op::Load:
+          case Op::Store: case Op::Dup: case Op::Pop:
+          case Op::Add: case Op::Sub: case Op::Mul:
+          case Op::CmpEq: case Op::CmpNe: case Op::CmpLt: case Op::CmpLe:
+          case Op::CmpGt: case Op::CmpGe:
+          case Op::And: case Op::Or: case Op::Not:
+          case Op::Jmp: case Op::Jz: case Op::Jnz: case Op::Compute:
+          case Op::LoadLeJnz: case Op::LoadNotJnz: case Op::LoadFieldPop:
+          case Op::LoadFieldStore: case Op::LoadSubStore:
+            panic("op %d handed over by the inner loop in %s",
+                  static_cast<int>(in.op), f.method->name.c_str());
         }
 
         ++f.pc;
       next:
-        if (qacc >= quantum_ns)
+        if (quantum_acc_ >= quantum_ns)
             goto quantum;
     }
 
   quantum:
-    qacc = 0.0;
+    quantum_acc_ = 0.0;
     out.kind = Suspend::Kind::Quantum;
   done:
-    spill();
     return out;
 }
 
@@ -1058,14 +1129,6 @@ Interpreter::restoreFrames(const std::vector<Frame> &frames)
         frames_.push_back(w);
     }
     awaiting_external_ = false;
-}
-
-void
-Interpreter::forEachRoot(const std::function<void(Value &)> &fn)
-{
-    // The windows tile values_[0, sp_) in exactly the root order.
-    for (std::size_t i = 0; i < sp_; ++i)
-        fn(values_[i]);
 }
 
 } // namespace beehive::vm

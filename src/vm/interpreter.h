@@ -40,7 +40,6 @@
 #include <any>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <set>
 #include <vector>
 
@@ -162,7 +161,14 @@ class Interpreter
      * Iterate every root reference (GC): outermost frame first, each
      * frame's locals, then its operand stack.
      */
-    void forEachRoot(const std::function<void(Value &)> &fn);
+    template <typename Fn>
+    void
+    forEachRoot(Fn &&fn)
+    {
+        // The windows tile values_[0, sp_) in exactly the root order.
+        for (std::size_t i = 0; i < sp_; ++i)
+            fn(values_[i]);
+    }
 
     /** @name Profiling support */
     /// @{
@@ -309,6 +315,19 @@ class Interpreter
 
     /** Ensure a klass is loaded; otherwise fill @p out and fault. */
     bool requireKlass(KlassId id, Suspend &out);
+
+    /**
+     * The call-free inner loop of run(): runs the top frame's
+     * instructions while each is one it owns (stack, arithmetic,
+     * compare and branch ops, Compute, the fused idioms and the
+     * local-receiver paths of GetField, ALoad, ArrLen and BytesLen)
+     * and its fast path applies, with the dispatch state in locals.
+     * Stops before any other instruction, charging nothing for it,
+     * with the state written back to the members.
+     *
+     * @retval true when the quantum expired after an instruction.
+     */
+    bool runInner(double quantum_ns, double instr_ns, bool check_remote);
 
     void charge(double ns);
     /** Push a frame whose @c num_args arguments are the stack top. */

@@ -18,9 +18,13 @@
 
 #include <gtest/gtest.h>
 
+#include <any>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/external.h"
+#include "core/server.h"
 #include "fuzz_support.h"
 #include "harness/testbed.h"
 #include "quicken_support.h"
@@ -844,6 +848,282 @@ TEST(Quicken, GrowingTheValueStackFallsBack)
     }
 }
 
+// Hand-offs of the call-free inner loop (Interpreter::runInner). The
+// loop stops before an instruction whose fast path needs the outer
+// switch; each way it can stop must run like the unquickened twin.
+
+TEST(HandOff, PushAtTheValueStackLimitGrowsIt)
+{
+    // push(n) recurses 150 deep, one value-stack slot per frame, and
+    // each frame pushes with PushI, PushNil, Dup and a plain Load at
+    // the next four slots, so every one of those ops meets a push at
+    // exactly the stack's size (64, then 128) in some frame.
+    Program program;
+    Klass k;
+    k.name = "K";
+    KlassId k_id = program.addKlass(k);
+    CodeBuilder b(program, k_id, "push", 1);
+    auto base = b.newLabel();
+    b.pushI(7).pushNil().dup().load(0);
+    b.popv().popv().popv().popv();
+    b.load(0).logNot().jnz(base);      // LoadNotJnz
+    b.load(0).pushI(1).sub().callSelf().ret();
+    b.bind(base);
+    b.pushI(0).ret();
+    MethodId push = b.build();
+    for (int instrs : {1, 3, 1000}) {
+        SCOPED_TRACE(instrs);
+        Twins twins(program, idiomConfig(instrs));
+        std::vector<Seen> seen = twins.run(push, {Value::ofInt(150)});
+        ASSERT_FALSE(seen.empty());
+        EXPECT_EQ(seen.back().kind, Suspend::Kind::Done);
+        EXPECT_EQ(twins.quick().interp.stats().calls, 151u);
+    }
+}
+
+/**
+ * main(x, arr): a plain Load of x, a plain GetField of x.next and a
+ * plain ALoad of arr[0], none of them the head of an idiom, each
+ * followed by dup; pop; pop so its value is on the stack once.
+ */
+struct PlainReadProgram
+{
+    PlainReadProgram()
+    {
+        Klass node;
+        node.name = "Node";
+        node.fields = {"value", "next"};
+        node_k = program.addKlass(node);
+        Klass arr;
+        arr.name = "Array";
+        arr_k = program.addKlass(arr);
+        CodeBuilder b(program, node_k, "main", 2);
+        b.load(0).dup().popv().popv();
+        b.load(0).getField(1).dup().popv().popv();
+        b.load(1).pushI(0).aload().dup().popv().popv();
+        b.load(1).arrLen().popv();
+        b.pushI(0).ret();
+        main = b.build();
+    }
+
+    VmConfig
+    config(int instrs, bool check_remote) const
+    {
+        VmConfig cfg = idiomConfig(instrs);
+        cfg.check_remote_refs = check_remote;
+        cfg.array_klass = arr_k;
+        return cfg;
+    }
+
+    Program program;
+    KlassId node_k = kNoKlass;
+    KlassId arr_k = kNoKlass;
+    MethodId main = kNoMethod;
+};
+
+TEST(HandOff, RemoteLocalFieldAndElementTakeTheBarrier)
+{
+    PlainReadProgram p;
+    for (int instrs : kFallbackQuanta)
+    for (bool mapped : {true, false}) {
+        SCOPED_TRACE(testing::Message() << instrs << " mapped " << mapped);
+        Twins twins(p.program, p.config(instrs, true));
+        // x = remote node, node.next = remote next, arr[0] = remote elem.
+        Ref node = kNullRef, next = kNullRef, elem = kNullRef;
+        Ref arr = kNullRef;
+        for (TwinVm *vm : {&twins.plain(), &twins.quick()}) {
+            next = vm->heap.allocPlain(p.node_k);
+            elem = vm->heap.allocPlain(p.node_k);
+            node = vm->heap.allocPlain(p.node_k);
+            vm->heap.setField(node, 1, Value::ofRef(markRemote(next)));
+            arr = vm->heap.allocArray(p.arr_k, 1);
+            vm->heap.setElem(arr, 0, Value::ofRef(markRemote(elem)));
+            if (mapped) {
+                for (Ref r : {node, next, elem})
+                    vm->ctx.mapRemote(markRemote(r), r);
+            }
+        }
+        // ObjectFault: map the ref, as a fetch would, and retry.
+        auto resolve = [&](Interpreter &interp, const Suspend &s) {
+            if (s.kind != Suspend::Kind::ObjectFault)
+                return false;
+            interp.context().mapRemote(s.remote_ref,
+                                       stripRemote(s.remote_ref));
+            return true;
+        };
+        std::vector<Seen> seen =
+            twins.run(p.main, {Value::ofRef(markRemote(node)),
+                               Value::ofRef(arr)},
+                      resolve);
+        ASSERT_FALSE(seen.empty());
+        EXPECT_EQ(seen.back().kind, Suspend::Kind::Done);
+        // The local, the field and the element, each rewritten once.
+        EXPECT_EQ(twins.quick().interp.stats().remote_hits, 3u);
+        std::vector<uint32_t> faults;
+        for (const Seen &s : seen)
+            if (s.kind == Suspend::Kind::ObjectFault)
+                faults.push_back(s.pc);
+        // Unmapped, each read faults at itself, nothing charged twice.
+        const std::vector<uint32_t> expected_faults =
+            mapped ? std::vector<uint32_t>{}
+                   : std::vector<uint32_t>{0, 5, 11};
+        EXPECT_EQ(faults, expected_faults);
+        for (TwinVm *vm : {&twins.plain(), &twins.quick()}) {
+            EXPECT_EQ(vm->heap.field(node, 1), Value::ofRef(next));
+            EXPECT_EQ(vm->heap.elem(arr, 0), Value::ofRef(elem));
+        }
+    }
+}
+
+TEST(HandOff, ObservedReadsRunOnThePlainPath)
+{
+    // Field-read recording and the race oracle are fed only by the
+    // outer switch's GetField and ALoad; the inner loop hands both
+    // over while either is on, the fused field idioms included.
+    PlainReadProgram p;
+    for (int instrs : kFallbackQuanta)
+    for (bool oracle : {false, true}) {
+        SCOPED_TRACE(testing::Message() << instrs << " oracle " << oracle);
+        Program program = p.program;
+        CodeBuilder b(program, p.node_k, "walk", 1);
+        b.locals(1);
+        b.load(0).getField(0).popv();      // LoadFieldPop
+        b.load(0).getField(1).store(1);    // LoadFieldStore
+        b.load(1).load(1).call(p.main).ret();
+        MethodId walk = b.build();
+        Twins twins(program, p.config(instrs, false));
+        RaceOracle plain_oracle(program), quick_oracle(program);
+        Ref node = kNullRef;
+        for (TwinVm *vm : {&twins.plain(), &twins.quick()}) {
+            if (oracle)
+                vm->ctx.setRaceOracle(vm == &twins.plain() ? &plain_oracle
+                                                           : &quick_oracle);
+            else
+                vm->interp.enableRecording(true);
+            // main(arr, arr) reads arr's slot 1 as main's x.next.
+            Ref arr = vm->heap.allocArray(p.arr_k, 2);
+            node = vm->heap.allocPlain(p.node_k);
+            vm->heap.setField(node, 1, Value::ofRef(arr));
+            vm->heap.setElem(arr, 0, Value::ofInt(3));
+        }
+        std::vector<Seen> seen = twins.run(walk, {Value::ofRef(node)});
+        ASSERT_FALSE(seen.empty());
+        EXPECT_EQ(seen.back().kind, Suspend::Kind::Done);
+        if (oracle) {
+            EXPECT_GT(quick_oracle.checks(), 0u);
+            EXPECT_EQ(plain_oracle.checks(), quick_oracle.checks());
+        } else {
+            EXPECT_EQ(twins.quick().interp.recordedFieldReads().size(), 3u);
+            EXPECT_EQ(twins.plain().interp.recordedFieldReads(),
+                      twins.quick().interp.recordedFieldReads());
+        }
+    }
+}
+
+TEST(HandOff, QuantumExpiringRightAfterReentry)
+{
+    // Swap, Neg, PushF and Div run in the outer switch and charge one
+    // instruction each, like the inner loop's ops, so a quantum of k
+    // instructions suspends at pc k with k charges summed one by one,
+    // wherever k falls: on an outer op, or on the first inner op
+    // after the loop is re-entered.
+    Program program;
+    Klass k;
+    k.name = "K";
+    KlassId k_id = program.addKlass(k);
+    CodeBuilder b(program, k_id, "main", 0);
+    b.pushI(1).pushI(2).swap().popv();
+    b.neg().pushF(0.5).popv().pushI(3).div();
+    b.pushI(4).swap().popv().popv().pushI(0).ret();
+    MethodId main = b.build();
+    // Every instruction but the Ret, which ends the run instead.
+    const std::size_t length = program.method(main).code.size() - 1;
+    for (uint32_t instrs = 1; instrs < length; ++instrs) {
+        SCOPED_TRACE(instrs);
+        VmConfig cfg = idiomConfig(static_cast<int>(instrs));
+        cfg.jit_threshold = 0; // every step costs instr_cost_ns
+        Twins twins(program, cfg);
+        twins.quick().interp.start(main, {});
+        Suspend s = twins.quick().interp.run();
+        ASSERT_EQ(s.kind, Suspend::Kind::Quantum);
+        const std::vector<Frame> frames =
+            twins.quick().interp.snapshotFrames();
+        ASSERT_EQ(frames.size(), 1u);
+        EXPECT_EQ(frames[0].pc, instrs);
+        double expected = 0.0;
+        for (uint32_t i = 0; i < instrs; ++i)
+            expected += 1.1;
+        EXPECT_TRUE(quickentest::sameBits(
+            twins.quick().interp.consumeCost(), expected));
+        EXPECT_EQ(twins.quick().interp.stats().instructions, instrs);
+
+        Twins again(program, cfg);
+        std::vector<Seen> seen = again.run(main, {});
+        ASSERT_FALSE(seen.empty());
+        EXPECT_EQ(seen.back().kind, Suspend::Kind::Done);
+    }
+}
+
+/** A method of raw @p code over @p locals slots, never verified. */
+MethodId
+rawMethod(Program &program, const std::string &name, uint16_t locals,
+          std::vector<Instr> code)
+{
+    Method m;
+    m.name = name;
+    m.num_locals = locals;
+    m.code = std::move(code);
+    return program.addMethod(0, m);
+}
+
+/** Start @p entry with no arguments and run it to its end. */
+void
+runRaw(const Program &program, MethodId entry)
+{
+    NativeRegistry natives;
+    TwinVm vm(program, natives, idiomConfig(1000), 1 << 16);
+    vm.interp.start(entry, {});
+    while (vm.interp.run().kind == Suspend::Kind::Quantum) {
+    }
+}
+
+TEST(HandOffDeathTest, UnderflowAndBadSlotsPanicAsBefore)
+{
+    Program program;
+    Klass k;
+    k.name = "K";
+    program.addKlass(k);
+    for (Op op : {Op::Pop, Op::Dup, Op::Store, Op::Add, Op::CmpLt,
+                  Op::CmpEq, Op::And, Op::Not, Op::Jz, Op::GetField,
+                  Op::ALoad, Op::ArrLen}) {
+        SCOPED_TRACE(static_cast<int>(op));
+        MethodId m = rawMethod(program,
+                               "dry" + std::to_string(static_cast<int>(op)),
+                               1,
+                               {{op, 0, 0}, {Op::Ret, 0, 0}});
+        EXPECT_DEATH(runRaw(program, m), "stack underflow in dry");
+    }
+    MethodId load = rawMethod(program, "load", 1,
+                              {{Op::Load, 3, 0}, {Op::Ret, 0, 0}});
+    EXPECT_DEATH(runRaw(program, load), "bad local slot");
+    MethodId store = rawMethod(program, "store", 1,
+                               {{Op::PushI, 1, 0},
+                                {Op::Store, 3, 0},
+                                {Op::Ret, 0, 0}});
+    EXPECT_DEATH(runRaw(program, store), "bad local slot");
+    // A fused head whose idiom stores to a bad slot.
+    MethodId idiom = rawMethod(program, "idiom", 1,
+                               {{Op::Load, 0, 0},
+                                {Op::PushI, 1, 0},
+                                {Op::Sub, 0, 0},
+                                {Op::Store, 3, 0},
+                                {Op::PushI, 0, 0},
+                                {Op::Ret, 0, 0}});
+    Program quick = program;
+    ASSERT_EQ(quicken(quick), 1u);
+    EXPECT_DEATH(runRaw(quick, idiom), "bad local slot");
+}
+
 /** Rewrite every quickened head back to its Load: the oracle. */
 void
 dequicken(Program &program)
@@ -921,6 +1201,102 @@ TEST(Quicken, EveryAppRunsLikeItsUnquickenedTwin)
             EXPECT_EQ(q.remoteFetches(), t.remoteFetches()) << i;
             EXPECT_EQ(q.duration, t.duration) << i;
         }
+    }
+}
+
+/**
+ * Every suspension of the app's entry handler serving requests 1-3
+ * on a bare interpreter over a fresh server's context, with a
+ * quantum of @p quantum_ns, hashed by hashSuspension(). Database
+ * calls go straight to the proxy and monitors are granted at once,
+ * so the hash depends on the interpreter alone.
+ */
+uint64_t
+entryHandlerHash(harness::AppKind app, double quantum_ns)
+{
+    harness::TestbedOptions opts;
+    opts.app = app;
+    harness::Testbed bed(opts);
+    VmContext &ctx = bed.server().context();
+    ctx.config().quantum_ns = quantum_ns;
+    quickentest::Fnv1a hash;
+    for (int64_t id = 1; id <= 3; ++id) {
+        Interpreter interp(ctx);
+        interp.setSuppressOffload(true);
+        interp.start(bed.app().entry(), {Value::ofInt(id)});
+        while (true) {
+            Suspend s = interp.run();
+            quickentest::hashSuspension(hash, interp, s);
+            if (s.kind == Suspend::Kind::Done)
+                break;
+            switch (s.kind) {
+              case Suspend::Kind::Quantum:
+                break;
+              case Suspend::Kind::External: {
+                auto call = std::any_cast<core::DbCallPayload>(s.external);
+                db::Response resp = bed.proxy().request(
+                    static_cast<proxy::ConnId>(call.conn_token),
+                    call.request);
+                std::optional<Value> v =
+                    core::tryMaterializeDbResponse(ctx, call.request, resp);
+                EXPECT_TRUE(v.has_value()) << "server heap exhausted";
+                if (!v)
+                    return 0;
+                interp.resumeExternal(*v);
+                break;
+              }
+              case Suspend::Kind::MonitorAcquire:
+                interp.grantMonitor(s.monitor_obj);
+                break;
+              case Suspend::Kind::MonitorRelease:
+                interp.grantRelease();
+                break;
+              case Suspend::Kind::VolatileSync:
+                interp.grantVolatile(s.monitor_obj);
+                break;
+              default:
+                ADD_FAILURE() << "unexpected suspension "
+                              << static_cast<int>(s.kind);
+                return 0;
+            }
+        }
+        EXPECT_GT(interp.stats().instructions, 5000u);
+    }
+    return hash.value();
+}
+
+TEST(PinnedCost, EntryHandlersChargeLikeTheExactLoop)
+{
+    // Recorded from the dispatch loop that charged every instruction
+    // through the member accumulators one at a time. A change to the
+    // order or grouping of the charges, to the quantum boundaries or
+    // to the instruction count changes these hashes; the twin tests
+    // cannot see it, because both twins run through the same loop.
+    // A quantum of 1 ns suspends after every instruction.
+    using harness::AppKind;
+    struct Pin
+    {
+        AppKind app;
+        double quantum_ns;
+        uint64_t hash;
+    };
+    constexpr Pin kPins[] = {
+        {AppKind::Blog, 1.0, 0xf0eda1552a56ed7dull},
+        {AppKind::Blog, 7000.0, 0x1c911eb47131984full},
+        {AppKind::Blog, 100000.0, 0xaccc4f1b427ed42eull},
+        {AppKind::Pybbs, 1.0, 0x307a502bc97b6527ull},
+        {AppKind::Pybbs, 7000.0, 0x62cea6566fe41220ull},
+        {AppKind::Pybbs, 100000.0, 0x61333d5bb5fd1b58ull},
+        {AppKind::Thumbnail, 1.0, 0xc5a44bd67d4fc7ddull},
+        {AppKind::Thumbnail, 7000.0, 0x8f814c3b8e58200cull},
+        {AppKind::Thumbnail, 100000.0, 0xf9103c30f6133c18ull},
+    };
+    for (const Pin &pin : kPins) {
+        SCOPED_TRACE(testing::Message()
+                     << harness::appName(pin.app) << " quantum "
+                     << pin.quantum_ns);
+        const uint64_t got = entryHandlerHash(pin.app, pin.quantum_ns);
+        EXPECT_EQ(got, pin.hash) << std::hex << "0x" << got;
     }
 }
 

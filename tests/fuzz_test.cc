@@ -37,6 +37,7 @@
 #include "vm/heap.h"
 #include "vm/interpreter.h"
 #include "vm/program.h"
+#include "vm/quicken.h"
 #include "vm/verifier.h"
 
 namespace beehive::vm {
@@ -321,6 +322,34 @@ emitRandomStream(Rng &rng, std::vector<Instr> &code, KlassId node_k,
 }
 
 /**
+ * Build the stream of @p seed into an empty @p program: a Node klass
+ * (returned in @p node_k) and one method, `stream`, over
+ * kStreamLocals locals.
+ *
+ * @return The stream's method, or kNoMethod when the strict verifier
+ *         rejects the program.
+ */
+MethodId
+buildStream(uint64_t seed, Program &program, KlassId &node_k)
+{
+    Rng rng(seed * 0x9E3779B97F4A7C15ull);
+    Klass node;
+    node.name = "Node";
+    node.fields = {"next", "payload"};
+    node.statics = {"a", "b"};
+    node_k = program.addKlass(node);
+    uint32_t str0 = program.internString("fuzz");
+    Method m;
+    m.name = "stream";
+    m.num_locals = kStreamLocals;
+    emitRandomStream(rng, m.code, node_k, str0);
+    MethodId entry = program.addMethod(node_k, m);
+    VerifyOptions options;
+    options.strict_types = true;
+    return Verifier(program, options).verifyAll().ok() ? entry : kNoMethod;
+}
+
+/**
  * Run an oracle-accepted program under a budget. Nontermination and
  * heap exhaustion are allowed (the oracle only promises "no crash"),
  * so the run is abandoned once the budget is spent.
@@ -370,26 +399,10 @@ TEST(VerifierOracle, AcceptedStreamsExecuteWithoutCrashing)
     constexpr uint64_t kPrograms = 10000;
 
     for (uint64_t seed = 1; seed <= kPrograms; ++seed) {
-        Rng rng(seed * 0x9E3779B97F4A7C15ull);
         Program program;
-        Klass node;
-        node.name = "Node";
-        node.fields = {"next", "payload"};
-        node.statics = {"a", "b"};
-        KlassId node_k = program.addKlass(node);
-        uint32_t str0 = program.internString("fuzz");
-
-        Method m;
-        m.name = "stream";
-        m.num_locals = kStreamLocals;
-        emitRandomStream(rng, m.code, node_k, str0);
-        MethodId entry = program.addMethod(node_k, m);
-
-        VerifyOptions options;
-        options.strict_types = true;
-        VerifyResult result =
-            Verifier(program, options).verifyAll();
-        if (!result.ok()) {
+        KlassId node_k = kNoKlass;
+        MethodId entry = buildStream(seed, program, node_k);
+        if (entry == kNoMethod) {
             ++rejected; // rejected programs are never executed
             continue;
         }
@@ -409,22 +422,10 @@ TEST(VerifierOracle, AcceptedStreamsRunLikeTheirQuickenedTwins)
     // each must run like its unquickened twin while its budget lasts.
     int quickened = 0;
     for (uint64_t seed = 1; seed <= 3000; ++seed) {
-        Rng rng(seed * 0x9E3779B97F4A7C15ull);
         Program program;
-        Klass node;
-        node.name = "Node";
-        node.fields = {"next", "payload"};
-        node.statics = {"a", "b"};
-        KlassId node_k = program.addKlass(node);
-        uint32_t str0 = program.internString("fuzz");
-        Method m;
-        m.name = "stream";
-        m.num_locals = kStreamLocals;
-        emitRandomStream(rng, m.code, node_k, str0);
-        MethodId entry = program.addMethod(node_k, m);
-        VerifyOptions options;
-        options.strict_types = true;
-        if (!Verifier(program, options).verifyAll().ok())
+        KlassId node_k = kNoKlass;
+        MethodId entry = buildStream(seed, program, node_k);
+        if (entry == kNoMethod)
             continue;
 
         VmConfig cfg;
@@ -442,6 +443,49 @@ TEST(VerifierOracle, AcceptedStreamsRunLikeTheirQuickenedTwins)
         }
     }
     EXPECT_GT(quickened, 200);
+}
+
+TEST(VerifierOracle, AcceptedStreamsChargeLikeTheExactLoop)
+{
+    // Every suspension of every accepted stream among seeds 1-3000,
+    // plain and quickened, hashed in seed order while a 64-run budget
+    // lasts. Recorded from the dispatch loop that charged every
+    // instruction through the member accumulators one at a time; the
+    // instruction cost is not a binary fraction, so grouping two
+    // charges into one add changes the cost bits as well as the
+    // quantum boundaries.
+    constexpr uint64_t kPinned = 0xa82e86207432d509ull;
+    quickentest::Fnv1a hash;
+    int accepted = 0;
+    for (uint64_t seed = 1; seed <= 3000; ++seed) {
+        Program program;
+        KlassId node_k = kNoKlass;
+        MethodId entry = buildStream(seed, program, node_k);
+        if (entry == kNoMethod)
+            continue;
+        ++accepted;
+
+        Program quick = program;
+        quicken(quick);
+        VmConfig cfg;
+        cfg.instr_cost_ns = 1.1;
+        cfg.quantum_ns = 41.0;
+        cfg.bytes_klass = node_k;
+        cfg.array_klass = node_k;
+        NativeRegistry natives;
+        for (const Program *p : {&program, &quick}) {
+            quickentest::TwinVm vm(*p, natives, cfg, 1 << 20);
+            vm.interp.start(entry, {});
+            for (int budget = 0; budget < 64; ++budget) {
+                Suspend s = vm.interp.run();
+                quickentest::hashSuspension(hash, vm.interp, s);
+                if (s.kind != Suspend::Kind::Quantum)
+                    break;
+            }
+        }
+    }
+    EXPECT_GT(accepted, 1000);
+    EXPECT_EQ(hash.value(), kPinned) << std::hex << "0x" << hash.value();
 }
 
 } // namespace

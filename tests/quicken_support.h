@@ -9,6 +9,11 @@
  * identical configurations. After every run() they must agree on the
  * Suspend, bit for bit on consumeCost(), on stats().instructions and
  * on snapshotFrames(): quickening may change host time only.
+ *
+ * Both twins run through the same dispatch loop, so the twins alone
+ * cannot tell a change to that loop's charging. SuspensionHash pins
+ * it instead: a hash over every suspension of a run, compared with
+ * constants recorded from a build whose loop is known to be exact.
  */
 
 #ifndef BEEHIVE_TESTS_QUICKEN_SUPPORT_H
@@ -17,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -36,6 +42,45 @@ inline bool
 sameBits(double a, double b)
 {
     return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** 64-bit FNV-1a over the little-endian bytes of 64-bit words. */
+class Fnv1a
+{
+  public:
+    void
+    add(uint64_t word)
+    {
+        for (int i = 0; i < 8; ++i) {
+            hash_ ^= (word >> (8 * i)) & 0xff;
+            hash_ *= 0x100000001b3ull;
+        }
+    }
+
+    uint64_t value() const { return hash_; }
+
+  private:
+    uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+/**
+ * Mix one suspension of @p interp into @p hash: its kind, the frame
+ * depth, the top frame's pc and operand-stack depth, the bits of
+ * consumeCost() (which this consumes) and stats().instructions.
+ */
+inline void
+hashSuspension(Fnv1a &hash, Interpreter &interp, const Suspend &s)
+{
+    hash.add(static_cast<uint64_t>(s.kind));
+    const std::vector<Frame> frames = interp.snapshotFrames();
+    hash.add(frames.size());
+    hash.add(frames.empty() ? 0 : frames.back().pc);
+    hash.add(frames.empty() ? 0 : frames.back().stack.size());
+    const double cost = interp.consumeCost();
+    uint64_t bits;
+    std::memcpy(&bits, &cost, sizeof bits);
+    hash.add(bits);
+    hash.add(interp.stats().instructions);
 }
 
 /** Every fused head of @p program, as (method, pc). */
