@@ -185,6 +185,10 @@ installClosure(const Closure &closure, vm::VmContext &server_ctx,
         result.bytes += program.klass(k).code_bytes;
     }
 
+    // Size the address tables once for every object pass 2 maps.
+    map.reserve(closure.objects.size());
+    fn_ctx.reserveRemote(closure.objects.size());
+
     // Pass 1: clone every object into the function's closure space.
     std::unordered_map<Ref, Ref> local_of;
     for (Ref server_ref : closure.objects) {

@@ -1,37 +1,20 @@
 #include "core/mapping.h"
 
-#include "support/logging.h"
+#include <utility>
+#include <vector>
 
 namespace beehive::core {
 
 void
-MappingTable::add(vm::Ref server, vm::Ref remote)
-{
-    server_to_remote_[server] = remote;
-    remote_to_server_[remote] = server;
-}
-
-vm::Ref
-MappingTable::toRemote(vm::Ref server) const
-{
-    auto it = server_to_remote_.find(server);
-    return it == server_to_remote_.end() ? vm::kNullRef : it->second;
-}
-
-vm::Ref
-MappingTable::toServer(vm::Ref remote) const
-{
-    auto it = remote_to_server_.find(remote);
-    return it == remote_to_server_.end() ? vm::kNullRef : it->second;
-}
-
-void
 MappingTable::forEachServerRef(gc::SemiSpaceCollector::RefVisitor v)
 {
-    // Keys are the server addresses; visiting mutates them, so
-    // rebuild both maps afterwards via reindex().
-    std::vector<std::pair<vm::Ref, vm::Ref>> entries(
-        server_to_remote_.begin(), server_to_remote_.end());
+    // Keys are the server addresses and visiting may move them, so
+    // visit a copy of the pairs and rebuild both directions from it.
+    std::vector<std::pair<vm::Ref, vm::Ref>> entries;
+    entries.reserve(size());
+    server_to_remote_.forEach([&](vm::Ref server, vm::Ref remote) {
+        entries.emplace_back(server, remote);
+    });
     bool changed = false;
     for (auto &[server, remote] : entries) {
         vm::Ref before = server;
@@ -44,14 +27,6 @@ MappingTable::forEachServerRef(gc::SemiSpaceCollector::RefVisitor v)
         for (auto &[server, remote] : entries)
             add(server, remote);
     }
-}
-
-void
-MappingTable::reindex()
-{
-    remote_to_server_.clear();
-    for (const auto &[server, remote] : server_to_remote_)
-        remote_to_server_[remote] = server;
 }
 
 } // namespace beehive::core

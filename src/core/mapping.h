@@ -19,10 +19,9 @@
 #define BEEHIVE_CORE_MAPPING_H
 
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
 
 #include "gc/collector.h"
+#include "vm/ref_table.h"
 #include "vm/value.h"
 
 namespace beehive::core {
@@ -32,13 +31,32 @@ class MappingTable
 {
   public:
     /** Record that server object @p server lives at @p remote. */
-    void add(vm::Ref server, vm::Ref remote);
+    void
+    add(vm::Ref server, vm::Ref remote)
+    {
+        server_to_remote_.put(server, remote);
+        remote_to_server_.put(remote, server);
+    }
 
     /** Function-side address of a server object (kNullRef if none). */
-    vm::Ref toRemote(vm::Ref server) const;
+    vm::Ref toRemote(vm::Ref server) const
+    {
+        return server_to_remote_.find(server);
+    }
 
     /** Server-side address for a function address (kNullRef if none). */
-    vm::Ref toServer(vm::Ref remote) const;
+    vm::Ref toServer(vm::Ref remote) const
+    {
+        return remote_to_server_.find(remote);
+    }
+
+    /** Make room for @p more entries beyond the current ones. */
+    void
+    reserve(std::size_t more)
+    {
+        server_to_remote_.reserve(size() + more);
+        remote_to_server_.reserve(size() + more);
+    }
 
     std::size_t size() const { return server_to_remote_.size(); }
 
@@ -49,18 +67,15 @@ class MappingTable
     }
 
     /**
-     * GC integration: visit all server-side refs; the collector
-     * updates them in place when objects move, after which the
-     * reverse index is rebuilt.
+     * GC integration: visit all server-side refs, in slot order; the
+     * collector updates them in place when objects move, after which
+     * both directions are rebuilt.
      */
     void forEachServerRef(gc::SemiSpaceCollector::RefVisitor v);
 
-    /** Rebuild the reverse index after a moving collection. */
-    void reindex();
-
   private:
-    std::unordered_map<vm::Ref, vm::Ref> server_to_remote_;
-    std::unordered_map<vm::Ref, vm::Ref> remote_to_server_;
+    vm::RefTable server_to_remote_;
+    vm::RefTable remote_to_server_;
 };
 
 } // namespace beehive::core

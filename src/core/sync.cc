@@ -125,7 +125,10 @@ void
 SyncManager::logFlush(Ref server_ref)
 {
     flush_log_.push_back(server_ref);
-    latest_flush_[server_ref] = flush_log_.size();
+    superseded_.push_back(0);
+    std::size_t older = latest_flush_.put(server_ref, flush_log_.size());
+    if (older != 0)
+        superseded_[older - 1] = 1;
 }
 
 std::set<Ref>
@@ -218,15 +221,12 @@ SyncManager::pullUpdates(uint16_t endpoint, SyncResult &result)
         return Value::ofRef(vm::markRemote(r));
     };
 
-    std::set<Ref> delivered;
+    // Only the newest publication of an object is applied, so each
+    // object is delivered at most once, at its newest position.
     for (std::size_t i = from; i < flush_log_.size(); ++i) {
+        if (superseded_[i])
+            continue;
         Ref server_ref = flush_log_[i];
-        // Skip superseded entries: only the newest publication of
-        // an object is applied.
-        if (latest_flush_[server_ref] != i + 1)
-            continue;
-        if (!delivered.insert(server_ref).second)
-            continue;
         Ref local = e.map->toRemote(server_ref);
         if (local == vm::kNullRef)
             continue; // never shipped here: faulted in on demand
@@ -400,13 +400,22 @@ SyncManager::forEachServerRef(RefVisitor v)
         it->second.dirty.clear();
         it->second.dirty.insert(dirty.begin(), dirty.end());
     }
-    // The flush log and its index hold server addresses.
+    // The flush log and its index hold server addresses. Every
+    // entry is a root, duplicates included. A marked entry stays
+    // marked, as its object's newer entry moves with it; the index
+    // is rebuilt from the unmarked entries in log order, marking an
+    // older one that a put displaces, as logFlush does.
     if (!flush_log_.empty()) {
         for (Ref &r : flush_log_)
             v(r);
         latest_flush_.clear();
-        for (std::size_t i = 0; i < flush_log_.size(); ++i)
-            latest_flush_[flush_log_[i]] = i + 1;
+        for (std::size_t i = 0; i < flush_log_.size(); ++i) {
+            if (superseded_[i])
+                continue;
+            std::size_t older = latest_flush_.put(flush_log_[i], i + 1);
+            if (older != 0)
+                superseded_[older - 1] = 1;
+        }
     }
     // Monitor-table keys are canonical server addresses as well.
     if (!monitors_.empty()) {

@@ -29,10 +29,12 @@
 #include <map>
 #include <set>
 #include <unordered_map>
+#include <vector>
 
 #include "core/mapping.h"
 #include "vm/context.h"
 #include "vm/heap.h"
+#include "vm/ref_table.h"
 
 namespace beehive::core {
 
@@ -220,12 +222,15 @@ class SyncManager
     /**
      * Publication order of server-copy updates. Every release (and
      * server-side write flush) appends the touched server refs;
-     * acquirers replay the suffix they have not seen. latest_flush_
-     * marks the newest position per object so superseded entries
-     * are skipped.
+     * acquirers replay the suffix they have not seen. When an object
+     * is published again, logFlush marks its older entry superseded,
+     * so a replay applies only each object's newest publication
+     * without looking anything up. latest_flush_ holds the newest
+     * position (plus one) per object, for that marking.
      */
     std::vector<vm::Ref> flush_log_;
-    std::unordered_map<vm::Ref, std::size_t> latest_flush_;
+    std::vector<uint8_t> superseded_; //!< parallel to flush_log_
+    vm::RefTable latest_flush_;
     Stats stats_;
 };
 

@@ -134,7 +134,7 @@ runBurstExperiment(const BurstOptions &options)
 
     // --- The burst handler.
     std::unique_ptr<cloud::InstanceScaler> scaler;
-    double instance_ready = -1.0; //!< baselines: see BurstResult
+    double instance_ready = -1.0; //!< see BurstResult
     if (options.solution == Solution::Combo) {
         // Section 5.7: offload immediately, request an on-demand
         // instance, and stop offloading once it is ready.
@@ -150,6 +150,7 @@ runBurstExperiment(const BurstOptions &options)
                     bed.addBaselineServer(machine);
                 *second_sink = bed.sinkTo(second);
                 mgr->setOffloadRatio(0.0);
+                instance_ready = (bed.sim().now() - t0).toSeconds();
             });
         });
     } else if (isBeeHive(options.solution)) {
@@ -236,8 +237,8 @@ runBurstExperiment(const BurstOptions &options)
     double threshold = std::max(result.stable_p99 * 1.25, pre_band);
     std::size_t search_from = static_cast<std::size_t>(burst_s);
     bool can_settle = !std::isnan(result.stable_p99);
+    result.instance_ready_seconds = instance_ready;
     if (!isBeeHive(options.solution)) {
-        result.instance_ready_seconds = instance_ready;
         if (instance_ready < 0)
             can_settle = false;
         else

@@ -114,9 +114,10 @@ struct BurstResult
      * (negative when it never did; an instance-scaling baseline
      * cannot stabilize before its scale-out instance serves). */
     double stabilization_seconds = -1.0;
-    /** Experiment second at which an instance-scaling baseline's
-     * scale-out instance began serving (negative when it never did
-     * and for BeeHive solutions). */
+    /** Experiment second at which the scale-out instance of a
+     * baseline or of Combo began serving (negative when it never
+     * did, and for BeeHiveO/L). Only a baseline's stabilization
+     * waits for it. */
     double instance_ready_seconds = -1.0;
 
     /** Scaling-related cost of the whole run (Table 3). */

@@ -8,7 +8,9 @@ namespace beehive::vm {
 VmContext::VmContext(const Program &program, NativeRegistry &natives,
                      Heap &heap, VmConfig config)
     : program_(program), natives_(natives), heap_(heap),
-      config_(config), loaded_(program.klassCount(), false)
+      config_(config), loaded_(program.klassCount(), false),
+      statics_(program.klassCount()),
+      invocation_counts_(program.methodCount(), 0)
 {
 }
 
@@ -22,10 +24,8 @@ VmContext::loadKlass(KlassId id)
     ++loaded_count_;
     // Statics come into existence (zeroed) when the klass loads.
     const Klass &k = program_.klass(id);
-    if (!k.statics.empty()) {
-        statics_.try_emplace(
-            id, std::vector<Value>(k.statics.size(), Value::nil()));
-    }
+    if (!k.statics.empty())
+        statics_[id].assign(k.statics.size(), Value::nil());
 }
 
 void
@@ -38,37 +38,32 @@ VmContext::loadAll()
 Value
 VmContext::getStatic(KlassId klass, uint32_t slot)
 {
-    auto it = statics_.find(klass);
-    bh_assert(it != statics_.end(), "statics of unloaded klass");
-    bh_assert(slot < it->second.size(), "bad static slot");
-    return it->second[slot];
+    bh_assert(klass < statics_.size() && !statics_[klass].empty(),
+              "statics of unloaded klass");
+    bh_assert(slot < statics_[klass].size(), "bad static slot");
+    return statics_[klass][slot];
 }
 
 void
 VmContext::setStatic(KlassId klass, uint32_t slot, Value v)
 {
-    auto it = statics_.find(klass);
-    bh_assert(it != statics_.end(), "statics of unloaded klass");
-    bh_assert(slot < it->second.size(), "bad static slot");
-    it->second[slot] = v;
+    bh_assert(klass < statics_.size() && !statics_[klass].empty(),
+              "statics of unloaded klass");
+    bh_assert(slot < statics_[klass].size(), "bad static slot");
+    statics_[klass][slot] = v;
 }
 
 void
 VmContext::mapRemote(Ref remote, Ref local)
 {
-    remote_map_[stripRemote(remote)] = local;
-}
-
-Ref
-VmContext::lookupRemote(Ref remote) const
-{
-    auto it = remote_map_.find(stripRemote(remote));
-    return it == remote_map_.end() ? kNullRef : it->second;
+    remote_map_.put(stripRemote(remote), local);
 }
 
 double
 VmContext::methodEntered(MethodId id)
 {
+    if (id >= invocation_counts_.size())
+        invocation_counts_.resize(id + 1, 0);
     uint64_t &count = invocation_counts_[id];
     double mult = count < config_.jit_threshold ? config_.cold_multiplier
                                                 : 1.0;
@@ -79,16 +74,15 @@ VmContext::methodEntered(MethodId id)
 double
 VmContext::costMultiplier(MethodId id) const
 {
-    auto it = invocation_counts_.find(id);
-    uint64_t count = it == invocation_counts_.end() ? 0 : it->second;
-    return count < config_.jit_threshold ? config_.cold_multiplier : 1.0;
+    return invocations(id) < config_.jit_threshold
+               ? config_.cold_multiplier
+               : 1.0;
 }
 
 uint64_t
 VmContext::invocations(MethodId id) const
 {
-    auto it = invocation_counts_.find(id);
-    return it == invocation_counts_.end() ? 0 : it->second;
+    return id < invocation_counts_.size() ? invocation_counts_[id] : 0;
 }
 
 } // namespace beehive::vm

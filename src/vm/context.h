@@ -13,14 +13,13 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "vm/heap.h"
 #include "vm/natives.h"
 #include "vm/program.h"
+#include "vm/ref_table.h"
 #include "vm/value.h"
 
 namespace beehive::vm {
@@ -117,12 +116,13 @@ class VmContext
     /// @{
     Value getStatic(KlassId klass, uint32_t slot);
     void setStatic(KlassId klass, uint32_t slot, Value v);
-    /** Iterate all static slots (GC roots, sync). */
+    /** Iterate all static slots in ascending klass order (GC roots,
+     * sync). */
     template <typename Fn>
     void
     forEachStatic(Fn &&fn)
     {
-        for (auto &[klass, slots] : statics_) {
+        for (std::vector<Value> &slots : statics_) {
             for (Value &v : slots)
                 fn(v);
         }
@@ -134,8 +134,15 @@ class VmContext
     /** Record that server object @p remote now lives at @p local. */
     void mapRemote(Ref remote, Ref local);
     /** Local address for a fetched remote object (kNullRef if none). */
-    Ref lookupRemote(Ref remote) const;
-    std::size_t remoteMapSize() const { return remote_map_.size(); }
+    Ref lookupRemote(Ref remote) const
+    {
+        return remote_map_.find(stripRemote(remote));
+    }
+    /** Make room for @p more mappings beyond the current ones. */
+    void reserveRemote(std::size_t more)
+    {
+        remote_map_.reserve(remote_map_.size() + more);
+    }
     /// @}
 
     /** @name Warmup model */
@@ -222,9 +229,13 @@ class VmContext
 
     std::vector<bool> loaded_;
     std::size_t loaded_count_ = 0;
-    std::map<KlassId, std::vector<Value>> statics_;
-    std::unordered_map<Ref, Ref> remote_map_;
-    std::unordered_map<MethodId, uint64_t> invocation_counts_;
+    /** Static slots by klass id; empty until a klass with statics
+     * loads. */
+    std::vector<std::vector<Value>> statics_;
+    /** Stripped server address -> local address. */
+    RefTable remote_map_;
+    /** Invocations by method id; grows on demand. */
+    std::vector<uint64_t> invocation_counts_;
 
     OffloadPolicy offload_policy_;
     MonitorPolicy monitor_policy_;

@@ -930,6 +930,372 @@ TEST_P(SyncInterleavingProperty, LockProtectedCountsAreExact)
 INSTANTIATE_TEST_SUITE_P(Seeds, SyncInterleavingProperty,
                          ::testing::Values(1, 2, 3, 7, 11, 42, 1234));
 
+// ---------------------------------------------------------------------
+// SyncPull: the flush-log replay against the log walk it replaced
+// ---------------------------------------------------------------------
+
+/**
+ * A server heap with shared cells and three function heaps, each
+ * holding copies of a subset of the cells, plus their mapping tables
+ * and a server collector whose first roots are the cells (so two
+ * worlds driven alike lay their survivors out alike).
+ */
+struct SyncWorld
+{
+    static constexpr int kFns = 3;
+
+    SyncWorld(const vm::Program &program, vm::NativeRegistry &natives)
+        : server_heap(program, 1 << 16, 1 << 18),
+          server_ctx(program, natives, server_heap, vm::VmConfig{}),
+          collector(server_heap)
+    {
+        server_ctx.loadAll();
+        for (int f = 0; f < kFns; ++f) {
+            fn_heaps.push_back(
+                std::make_unique<vm::Heap>(program, 1 << 16, 1 << 16));
+            vm::VmConfig cfg;
+            cfg.endpoint = static_cast<uint16_t>(f + 1);
+            fn_ctxs.push_back(std::make_unique<vm::VmContext>(
+                program, natives, *fn_heaps.back(), cfg));
+            fn_ctxs.back()->loadAll();
+        }
+        collector.addRefRoots([this](const auto &visit) {
+            for (Ref &r : cells)
+                visit(r);
+            for (MappingTable &map : maps)
+                map.forEachServerRef(visit);
+        });
+    }
+
+    vm::Heap &heap(int e) { return e == 0 ? server_heap : *fn_heaps[e - 1]; }
+
+    /** Endpoint @p e's copy of cell @p c (kNullRef: not shipped). */
+    Ref copyOf(int e, int c) const
+    {
+        return e == 0 ? cells[c] : local[e - 1][c];
+    }
+
+    vm::Heap server_heap;
+    vm::VmContext server_ctx;
+    std::vector<std::unique_ptr<vm::Heap>> fn_heaps;
+    std::vector<std::unique_ptr<vm::VmContext>> fn_ctxs;
+    MappingTable maps[kFns];
+    std::vector<Ref> cells;
+    std::vector<Ref> local[kFns];
+    gc::SemiSpaceCollector collector;
+};
+
+/**
+ * The flush-log replay as it was before superseded marks: walk every
+ * entry since the endpoint's last pull, apply an entry only when the
+ * index names it its object's newest (latest == i + 1), and keep a
+ * delivered set. Flushes and acquires follow SyncManager for what
+ * this test drives (no promotion, no monitor queue).
+ */
+class LogWalkSync
+{
+  public:
+    explicit LogWalkSync(SyncWorld &w) : w_(w)
+    {
+        w.collector.addRefRoots(
+            [this](const auto &visit) { visitServerRefs(visit); });
+    }
+
+    void markDirty(uint16_t e, Ref local) { dirty_[e].insert(local); }
+
+    SyncManager::SyncResult
+    acquire(uint16_t e, Ref local)
+    {
+        SyncManager::SyncResult result;
+        Ref server_ref = e == 0 ? local : w_.maps[e - 1].toServer(local);
+        if (server_ref == vm::kNullRef)
+            return result;
+        auto it = owners_.find(server_ref);
+        uint16_t prev = it == owners_.end() ? 0 : it->second;
+        result.prev_owner = prev;
+        if (prev == e)
+            return result;
+        ++stats_.remote_acquires;
+        result.remote = true;
+        flush(prev, result);
+        pull(e, result);
+        owners_[server_ref] = e;
+        stats_.objects_transferred += result.objects_transferred;
+        stats_.bytes_transferred += result.bytes_transferred;
+        return result;
+    }
+
+    /** A monitor release publishes the releaser's writes. */
+    void
+    release(uint16_t e)
+    {
+        SyncManager::SyncResult publish;
+        flush(e, publish);
+    }
+
+    const SyncManager::Stats &stats() const { return stats_; }
+
+  private:
+    template <typename Translate>
+    static uint64_t
+    copyState(vm::Heap &src_heap, Ref src, vm::Heap &dst_heap, Ref dst,
+              Translate &&tr)
+    {
+        const vm::ObjHeader &src_hdr = src_heap.header(src);
+        uint32_t n = std::min(src_hdr.count, dst_heap.header(dst).count);
+        for (uint32_t i = 0; i < n; ++i)
+            dst_heap.setFieldRaw(dst, i, tr(src_heap.field(src, i)));
+        return src_hdr.size;
+    }
+
+    void
+    logFlush(Ref server_ref)
+    {
+        log_.push_back(server_ref);
+        latest_[server_ref] = log_.size();
+    }
+
+    void
+    flush(uint16_t e, SyncManager::SyncResult &result)
+    {
+        std::set<Ref> queue;
+        queue.swap(dirty_[e]);
+        if (e == 0) {
+            for (Ref r : queue)
+                logFlush(r);
+            return;
+        }
+        MappingTable &map = w_.maps[e - 1];
+        auto translate = [&](Value v) -> Value {
+            if (!v.isRef() || v.asRef() == vm::kNullRef ||
+                vm::isRemote(v.asRef()))
+                return v;
+            Ref server_ref = map.toServer(v.asRef());
+            if (server_ref == vm::kNullRef)
+                ADD_FAILURE() << "the test never needs a promotion";
+            return Value::ofRef(server_ref);
+        };
+        for (Ref local : queue) {
+            Ref server_ref = map.toServer(local);
+            if (server_ref == vm::kNullRef)
+                continue;
+            result.bytes_transferred += copyState(
+                w_.heap(e), local, w_.server_heap, server_ref, translate);
+            ++result.objects_transferred;
+            logFlush(server_ref);
+        }
+    }
+
+    void
+    pull(uint16_t e, SyncManager::SyncResult &result)
+    {
+        std::size_t from = synced_upto_[e];
+        synced_upto_[e] = log_.size();
+        if (e == 0)
+            return;
+        MappingTable &map = w_.maps[e - 1];
+        auto translate = [&](Value v) -> Value {
+            if (!v.isRef() || v.asRef() == vm::kNullRef ||
+                vm::isRemote(v.asRef()))
+                return v;
+            Ref local = map.toRemote(v.asRef());
+            return Value::ofRef(local != vm::kNullRef
+                                    ? local
+                                    : vm::markRemote(v.asRef()));
+        };
+        std::set<Ref> delivered;
+        for (std::size_t i = from; i < log_.size(); ++i) {
+            Ref server_ref = log_[i];
+            if (latest_[server_ref] != i + 1)
+                continue;
+            if (!delivered.insert(server_ref).second)
+                continue;
+            Ref local = map.toRemote(server_ref);
+            if (local == vm::kNullRef || dirty_[e].count(local))
+                continue;
+            result.bytes_transferred += copyState(
+                w_.server_heap, server_ref, w_.heap(e), local, translate);
+            ++result.objects_transferred;
+        }
+    }
+
+    template <typename Visit>
+    void
+    visitServerRefs(const Visit &visit)
+    {
+        std::vector<std::pair<Ref, uint16_t>> owners(owners_.begin(),
+                                                     owners_.end());
+        owners_.clear();
+        for (auto &[ref, owner] : owners) {
+            visit(ref);
+            owners_[ref] = owner;
+        }
+        std::vector<Ref> dirty(dirty_[0].begin(), dirty_[0].end());
+        dirty_[0].clear();
+        for (Ref &r : dirty) {
+            visit(r);
+            dirty_[0].insert(r);
+        }
+        for (Ref &r : log_)
+            visit(r);
+        latest_.clear();
+        for (std::size_t i = 0; i < log_.size(); ++i)
+            latest_[log_[i]] = i + 1;
+    }
+
+    SyncWorld &w_;
+    std::unordered_map<Ref, uint16_t> owners_;
+    std::set<Ref> dirty_[SyncWorld::kFns + 1];
+    std::size_t synced_upto_[SyncWorld::kFns + 1] = {};
+    std::vector<Ref> log_;
+    std::unordered_map<Ref, std::size_t> latest_;
+    SyncManager::Stats stats_;
+};
+
+/**
+ * Property: under random writes, publications (monitor releases,
+ * republishing the same cells), acquires and server collections
+ * across the server and three functions, SyncManager's replay
+ * transfers exactly what the log walk does and leaves every copy on
+ * every endpoint with the same fields.
+ */
+class SyncPullProperty : public ::testing::TestWithParam<uint64_t>
+{};
+
+TEST_P(SyncPullProperty, ReplayMatchesTheLogWalk)
+{
+    vm::Program program;
+    vm::NativeRegistry natives;
+    vm::Klass cell;
+    cell.name = "Cell";
+    cell.fields = {"val", "link", "aux"};
+    vm::KlassId cell_k = program.addKlass(cell);
+    constexpr int kCells = 10;
+    constexpr int kEndpoints = SyncWorld::kFns + 1;
+
+    SyncWorld a(program, natives), b(program, natives);
+    SyncManager sync;
+    sync.registerServer(&a.server_ctx);
+    for (int f = 0; f < SyncWorld::kFns; ++f) {
+        sync.registerFunction(static_cast<uint16_t>(f + 1),
+                              a.fn_ctxs[f].get(), &a.maps[f]);
+    }
+    a.collector.addRefRoots(
+        [&](const auto &visit) { sync.forEachServerRef(visit); });
+    LogWalkSync walk(b);
+
+    Rng rng(GetParam() * 977 + 3);
+    for (SyncWorld *w : {&a, &b}) {
+        for (int c = 0; c < kCells; ++c) {
+            Ref r = w->server_heap.allocPlain(cell_k);
+            w->server_heap.header(r).flags |= vm::kFlagShared;
+            w->server_heap.setFieldRaw(r, 0, Value::ofInt(c));
+            w->cells.push_back(r);
+        }
+    }
+    // Ship each cell to about two thirds of the functions.
+    for (int f = 0; f < SyncWorld::kFns; ++f) {
+        for (int c = 0; c < kCells; ++c) {
+            bool ship = rng.uniformInt(0, 2) != 0;
+            for (SyncWorld *w : {&a, &b}) {
+                Ref local = vm::kNullRef;
+                if (ship) {
+                    local = w->fn_heaps[f]->cloneFrom(
+                        w->server_heap, w->cells[c],
+                        vm::Heap::kClosureSpaceId);
+                    w->maps[f].add(w->cells[c], local);
+                }
+                w->local[f].push_back(local);
+            }
+        }
+    }
+
+    auto expect_same = [&](const SyncManager::SyncResult &x,
+                           const SyncManager::SyncResult &y, int op) {
+        EXPECT_EQ(x.prev_owner, y.prev_owner) << "op " << op;
+        EXPECT_EQ(x.remote, y.remote) << "op " << op;
+        EXPECT_EQ(x.objects_transferred, y.objects_transferred)
+            << "op " << op;
+        EXPECT_EQ(x.bytes_transferred, y.bytes_transferred)
+            << "op " << op;
+    };
+
+    const int kOps = 400;
+    int acquires = 0, collections = 0;
+    for (int op = 0; op < kOps; ++op) {
+        int64_t what = rng.uniformInt(0, 99);
+        auto e = static_cast<uint16_t>(rng.uniformInt(0, kEndpoints - 1));
+        int c = static_cast<int>(rng.uniformInt(0, kCells - 1));
+        if (what >= 96) {
+            a.collector.collect();
+            b.collector.collect();
+            ++collections;
+        } else if (a.copyOf(e, c) == vm::kNullRef) {
+            continue;
+        } else if (what < 45) {
+            // A write to the endpoint's copy: an int, or a link to
+            // another cell's copy on the same endpoint (or nil).
+            auto field = static_cast<uint32_t>(rng.uniformInt(0, 2));
+            int target = static_cast<int>(rng.uniformInt(0, kCells - 1));
+            int64_t n = rng.uniformInt(0, 999);
+            for (SyncWorld *w : {&a, &b}) {
+                Value v = Value::ofInt(n);
+                if (field == 1) {
+                    Ref t = w->copyOf(e, target);
+                    v = t == vm::kNullRef ? Value::nil()
+                                          : Value::ofRef(t);
+                }
+                w->heap(e).setFieldRaw(w->copyOf(e, c), field, v);
+            }
+            sync.markDirty(e, a.copyOf(e, c));
+            walk.markDirty(e, b.copyOf(e, c));
+        } else if (what < 70) {
+            expect_same(sync.acquire(e, a.copyOf(e, c)),
+                        walk.acquire(e, b.copyOf(e, c)), op);
+            ++acquires;
+        } else {
+            // Acquire the monitor, then release it: the release
+            // publishes the endpoint's writes (republishing cells).
+            int token = op;
+            SyncManager::SyncResult granted;
+            sync.acquireMonitor(
+                e, &token, a.copyOf(e, c),
+                [&](const SyncManager::SyncResult &r) { granted = r; });
+            sync.releaseMonitor(e, &token, a.copyOf(e, c));
+            expect_same(granted, walk.acquire(e, b.copyOf(e, c)), op);
+            walk.release(e);
+            ++acquires;
+        }
+
+        ASSERT_EQ(sync.stats().remote_acquires,
+                  walk.stats().remote_acquires) << "op " << op;
+        ASSERT_EQ(sync.stats().objects_transferred,
+                  walk.stats().objects_transferred) << "op " << op;
+        ASSERT_EQ(sync.stats().bytes_transferred,
+                  walk.stats().bytes_transferred) << "op " << op;
+        for (int ep = 0; ep < kEndpoints; ++ep) {
+            for (int k = 0; k < kCells; ++k) {
+                Ref ra = a.copyOf(ep, k), rb = b.copyOf(ep, k);
+                ASSERT_EQ(ra, rb);
+                if (ra == vm::kNullRef)
+                    continue;
+                for (uint32_t i = 0; i < 3; ++i) {
+                    ASSERT_EQ(a.heap(ep).field(ra, i),
+                              b.heap(ep).field(rb, i))
+                        << "op " << op << " endpoint " << ep
+                        << " cell " << k << " field " << i;
+                }
+            }
+        }
+    }
+    EXPECT_GT(acquires, 100);
+    EXPECT_GT(collections, 0);
+    EXPECT_GT(sync.stats().objects_transferred, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(SyncPullSeeds, SyncPullProperty,
+                         ::testing::Range<uint64_t>(1, 41));
+
 TEST_F(CoreTest, MaterializeDbResponseShapes)
 {
     makeServer();

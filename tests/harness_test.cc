@@ -245,6 +245,37 @@ TEST(BurstTest, BaselineStabilizesNoEarlierThanItsInstance)
               std::floor(r.instance_ready_seconds));
 }
 
+TEST(BurstTest, ComboHandsOffToItsInstance)
+{
+    // Section 5.7: Combo offloads from the burst until its on-demand
+    // instance serves (~95 s later), then stops offloading. The
+    // window outlasts the boot, so the hand-off happens.
+    BurstOptions opts;
+    opts.app = AppKind::Blog;
+    opts.framework = tinyFramework();
+    opts.duration = SimTime::sec(150);
+    opts.burst_at = SimTime::sec(30);
+    opts.solution = Solution::Combo;
+    BurstResult combo = runBurstExperiment(opts);
+    opts.solution = Solution::BeeHiveO;
+    BurstResult beehive = runBurstExperiment(opts);
+
+    ASSERT_GE(combo.instance_ready_seconds, 30.0 + 60.0);
+    ASSERT_LT(combo.instance_ready_seconds, 150.0);
+    EXPECT_LT(beehive.instance_ready_seconds, 0.0);
+    EXPECT_GT(combo.offload.flights, 0u);
+    EXPECT_LT(combo.offload.flights, beehive.offload.flights);
+    // Offloading stops at the hand-off: Combo flies about what
+    // BeeHiveO flies in the seconds before the instance served (3%
+    // slack). Had the ratio stayed up, the primary would go on
+    // offloading half of its share, about 10% more flights here.
+    double before_handoff =
+        (combo.instance_ready_seconds - 30.0) / (150.0 - 30.0);
+    EXPECT_LT(static_cast<double>(combo.offload.flights),
+              static_cast<double>(beehive.offload.flights) *
+                  before_handoff * 1.03);
+}
+
 /** A short cold burst cell (seconds of simulated time). */
 BurstCell
 shortCell(Solution sol)

@@ -12,6 +12,7 @@
 #include <span>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "vm/code_builder.h"
@@ -20,7 +21,9 @@
 #include "vm/interpreter.h"
 #include "vm/natives.h"
 #include "vm/profiler.h"
+#include "support/rng.h"
 #include "vm/program.h"
+#include "vm/ref_table.h"
 #include "vm/value.h"
 
 namespace beehive::vm {
@@ -1650,6 +1653,173 @@ TEST_P(SumProperty, LoopMatchesClosedForm)
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SumProperty,
                          ::testing::Values(0, 1, 2, 7, 100, 999, 5000));
+
+// ---------------------------------------------------------------------
+// RefTable
+// ---------------------------------------------------------------------
+
+TEST(RefTableTest, MissesReturnZeroAndNullIsNeverAKey)
+{
+    RefTable t;
+    EXPECT_EQ(t.find(0x40), 0u);
+    EXPECT_EQ(t.find(kNullRef), 0u);
+    EXPECT_EQ(t.put(0x40, 7), 0u);
+    EXPECT_EQ(t.put(0x40, 9), 7u); // overwrite returns the old value
+    EXPECT_EQ(t.find(0x40), 9u);
+    EXPECT_EQ(t.find(kNullRef), 0u);
+    EXPECT_EQ(t.size(), 1u);
+    EXPECT_DEATH(t.put(kNullRef, 1), "kNullRef is not a RefTable key");
+}
+
+/** The table's entries, gathered through forEach (each once). */
+std::unordered_map<Ref, uint64_t>
+contentsOf(const RefTable &t)
+{
+    std::unordered_map<Ref, uint64_t> out;
+    t.forEach([&](Ref k, uint64_t v) {
+        EXPECT_NE(k, kNullRef);
+        EXPECT_TRUE(out.emplace(k, v).second) << "key visited twice";
+    });
+    return out;
+}
+
+/**
+ * Property: a RefTable behaves like a std::unordered_map under random
+ * puts, overwrites, lookups, reserves and GC-style rebuilds, with
+ * keys that collide modulo every capacity the table passes through.
+ */
+class RefTableProperty : public ::testing::TestWithParam<uint64_t>
+{};
+
+TEST_P(RefTableProperty, AgreesWithUnorderedMap)
+{
+    Rng rng(GetParam() * 131 + 17);
+    RefTable table;
+    std::unordered_map<Ref, uint64_t> model;
+    auto lookup = [&](Ref k) -> uint64_t {
+        auto it = model.find(k);
+        return it == model.end() ? 0 : it->second;
+    };
+    auto draw_key = [&]() -> Ref {
+        switch (rng.uniformInt(0, 3)) {
+          case 0: // small dense keys
+            return static_cast<Ref>(rng.uniformInt(1, 48));
+          case 1: // equal modulo 2^4 .. 2^16: one residue, many keys
+            return 5 + (static_cast<Ref>(rng.uniformInt(1, 60))
+                        << rng.uniformInt(4, 16));
+          case 2: // a remote-marked address
+            return markRemote(makeRef(
+                1, 8 * static_cast<uint64_t>(rng.uniformInt(1, 3000))));
+          default: // heap-shaped: space id high, 8-byte offsets
+            return makeRef(
+                static_cast<uint8_t>(rng.uniformInt(0, 3)),
+                8 * static_cast<uint64_t>(rng.uniformInt(1, 3000)));
+        }
+    };
+    auto check_all = [&] {
+        ASSERT_EQ(table.size(), model.size());
+        ASSERT_EQ(contentsOf(table), model);
+    };
+
+    const int kOps = 4000;
+    for (int op = 0; op < kOps; ++op) {
+        int64_t what = rng.uniformInt(0, 99);
+        if (what < 55) {
+            Ref k = draw_key();
+            uint64_t v = rng.next() | 1;
+            ASSERT_EQ(table.put(k, v), lookup(k)) << "op " << op;
+            model[k] = v;
+        } else if (what < 65 && !model.empty()) {
+            // Overwrite an existing key.
+            auto it = model.begin();
+            std::advance(it, rng.uniformInt(
+                                 0, static_cast<int64_t>(model.size()) - 1));
+            uint64_t v = rng.next() | 1;
+            ASSERT_EQ(table.put(it->first, v), it->second);
+            it->second = v;
+        } else if (what < 93) {
+            Ref k = what == 92 ? kNullRef : draw_key();
+            ASSERT_EQ(table.find(k), lookup(k)) << "op " << op;
+        } else if (what < 97) {
+            table.reserve(static_cast<std::size_t>(rng.uniformInt(
+                0, static_cast<int64_t>(model.size()) * 3 + 64)));
+            check_all();
+        } else {
+            // Collect, visit (a moving GC: an injective key map),
+            // rebuild -- the mapping tables' pattern.
+            std::vector<std::pair<Ref, uint64_t>> entries;
+            table.forEach([&](Ref k, uint64_t v) {
+                entries.emplace_back(k, v);
+            });
+            Ref shift = 8 * static_cast<Ref>(rng.uniformInt(1, 4096));
+            table.clear();
+            EXPECT_EQ(table.size(), 0u);
+            EXPECT_TRUE(contentsOf(table).empty());
+            model.clear();
+            for (auto &[k, v] : entries) {
+                table.put(k + shift, v);
+                model[k + shift] = v;
+            }
+            check_all();
+        }
+    }
+    check_all();
+    // Growth crossed several doublings.
+    EXPECT_GT(model.size(), 256u);
+    for (const auto &[k, v] : model)
+        ASSERT_EQ(table.find(k), v);
+}
+
+INSTANTIATE_TEST_SUITE_P(RefTableSeeds, RefTableProperty,
+                         ::testing::Range<uint64_t>(1, 41));
+
+// ---------------------------------------------------------------------
+// Id-keyed VmContext tables
+// ---------------------------------------------------------------------
+
+TEST(VmContextTables, StaticsVisitInKlassOrderAndWarmupCounts)
+{
+    Program program;
+    Klass a;
+    a.name = "A";
+    a.statics = {"x", "y"};
+    KlassId ka = program.addKlass(a);
+    Klass none;
+    none.name = "NoStatics";
+    KlassId kn = program.addKlass(none);
+    Klass b;
+    b.name = "B";
+    b.statics = {"z"};
+    KlassId kb = program.addKlass(b);
+
+    NativeRegistry natives;
+    Heap heap(program, 1 << 16, 1 << 16);
+    VmConfig cfg;
+    cfg.jit_threshold = 2;
+    cfg.cold_multiplier = 8.0;
+    VmContext ctx(program, natives, heap, cfg);
+    // Load out of order: the visit order is still ascending klass id.
+    ctx.loadKlass(kb);
+    ctx.loadKlass(kn);
+    ctx.loadKlass(ka);
+    ctx.setStatic(ka, 0, Value::ofInt(1));
+    ctx.setStatic(ka, 1, Value::ofInt(2));
+    ctx.setStatic(kb, 0, Value::ofInt(3));
+    std::vector<int64_t> seen;
+    ctx.forEachStatic([&](Value &v) { seen.push_back(v.asInt()); });
+    EXPECT_EQ(seen, (std::vector<int64_t>{1, 2, 3}));
+    EXPECT_DEATH(ctx.getStatic(kn, 0), "statics of unloaded klass");
+
+    // Method ids beyond the program's count grow the table on demand.
+    MethodId far = static_cast<MethodId>(program.methodCount() + 40);
+    EXPECT_EQ(ctx.invocations(far), 0u);
+    EXPECT_DOUBLE_EQ(ctx.costMultiplier(far), 8.0);
+    EXPECT_DOUBLE_EQ(ctx.methodEntered(far), 8.0);
+    EXPECT_DOUBLE_EQ(ctx.methodEntered(far), 8.0);
+    EXPECT_DOUBLE_EQ(ctx.methodEntered(far), 1.0);
+    EXPECT_EQ(ctx.invocations(far), 3u);
+    EXPECT_EQ(ctx.invocations(far - 1), 0u);
+}
 
 } // namespace
 } // namespace beehive::vm
