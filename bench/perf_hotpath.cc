@@ -12,6 +12,8 @@
  *   - the interpreter: host nanoseconds per simulated bytecode
  *     instruction on a CallVirt-heavy loop, and on the framework's
  *     config walk with and without quickening (vm/quicken.h);
+ *   - calls: host nanoseconds per native call and per bytecode call
+ *     from a quickened counting loop;
  *   - the event queue: schedule/cancel/fire operations per second;
  *   - function-VM heap set-up: construct a function-sized Heap, make
  *     its first allocation, destroy it;
@@ -30,6 +32,8 @@
 #include <cstdio>
 #include <memory>
 #include <set>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -203,6 +207,84 @@ benchInterpreter(uint64_t iterations)
     r.instructions = interp.stats().instructions;
     r.ns_per_instruction =
         ns / static_cast<double>(r.instructions ? r.instructions : 1);
+    return r;
+}
+
+/** Host ns per call, through a native and through a bytecode method. */
+struct CallResult
+{
+    uint64_t calls = 0; //!< per callee
+    double native_ns = 0.0;
+    double bytecode_ns = 0.0;
+};
+
+/**
+ * count(n) calls one callee n times from a quickened counting loop:
+ * LoadLeJnz, the call, Pop, LoadSubStore and Jmp. The callee is a
+ * stateless 0-argument native, or a bytecode method returning a
+ * constant; each time per call includes that loop's ten other
+ * instructions.
+ */
+CallResult
+benchCalls(uint64_t calls)
+{
+    vm::Program program;
+    vm::Klass k;
+    k.name = "Thread";
+    vm::KlassId k_id = program.addKlass(k);
+    vm::NativeRegistry natives;
+    vm::Method native;
+    native.name = "currentThread";
+    native.is_native = true;
+    native.native_category = vm::NativeCategory::Stateless;
+    native.native_id = natives.add(
+        "Thread.currentThread", vm::NativeCategory::Stateless,
+        [](vm::VmContext &, std::span<const vm::Value>) {
+            vm::NativeResult r;
+            r.cost_ns = 30.0;
+            r.ret = vm::Value::ofInt(1);
+            return r;
+        });
+    vm::MethodId native_m = program.addMethod(k_id, native);
+    vm::CodeBuilder one(program, k_id, "one", 0);
+    one.pushI(1).ret();
+    vm::MethodId bytecode_m = one.build();
+
+    auto countLoop = [&](const std::string &name, vm::MethodId callee) {
+        vm::CodeBuilder b(program, k_id, name, 1);
+        auto top = b.newLabel(), done = b.newLabel();
+        b.bind(top);
+        b.load(0).pushI(0).cmpLe().jnz(done);
+        b.call(callee).popv();
+        b.load(0).pushI(1).sub().store(0);
+        b.jmp(top);
+        b.bind(done);
+        b.pushI(0).ret();
+        return b.build();
+    };
+    vm::MethodId native_loop = countLoop("countNative", native_m);
+    vm::MethodId bytecode_loop = countLoop("countBytecode", bytecode_m);
+    vm::quicken(program);
+
+    vm::Heap heap(program, 1 << 20, 1 << 20);
+    vm::VmConfig config;
+    config.jit_threshold = 0;
+    vm::VmContext ctx(program, natives, heap, config);
+    ctx.loadAll();
+    auto nsPerCall = [&](vm::MethodId entry) {
+        vm::Interpreter interp(ctx);
+        interp.start(entry,
+                     {vm::Value::ofInt(static_cast<int64_t>(calls))});
+        Clock::time_point t0 = Clock::now();
+        while (interp.run().kind == vm::Suspend::Kind::Quantum) {
+        }
+        return elapsedNs(t0) / static_cast<double>(calls);
+    };
+
+    CallResult r;
+    r.calls = calls;
+    r.native_ns = nsPerCall(native_loop);
+    r.bytecode_ns = nsPerCall(bytecode_loop);
     return r;
 }
 
@@ -536,7 +618,10 @@ main(int argc, char **argv)
 {
     BenchArgs args = parseArgs(argc, argv);
     const uint64_t dispatch_target = args.quick ? 200000 : 2000000;
-    const uint64_t interp_iters = args.quick ? 100000 : 1000000;
+    // About 17 instructions per iteration: --quick times 20M.
+    const uint64_t interp_iters = args.quick ? 1200000 : 6000000;
+    const uint64_t config_walks = args.quick ? 1000 : 10000;
+    const uint64_t calls = args.quick ? 2000000 : 20000000;
     const uint64_t event_ops = args.quick ? 500000 : 5000000;
     const uint64_t heap_vms = args.quick ? 2000 : 20000;
     const uint64_t field_writes = args.quick ? 2000000 : 20000000;
@@ -555,7 +640,8 @@ main(int argc, char **argv)
     DispatchResult dispatch =
         benchDispatch(corpus_bed.program(), dispatch_target);
     InterpResult interp = benchInterpreter(interp_iters);
-    WalkResult walk = benchConfigWalk(interp_iters / 100);
+    WalkResult walk = benchConfigWalk(config_walks);
+    CallResult call = benchCalls(calls);
     EventResult events = benchEventQueue(event_ops);
     HeapResult heaps = benchHeapConstruct(heap_vms);
     FieldWriteResult fields = benchFieldWrite(field_writes);
@@ -580,6 +666,12 @@ main(int argc, char **argv)
                 "%.2f ns/instr quickened\n",
                 static_cast<unsigned long long>(walk.instructions),
                 walk.plain_ns, walk.quick_ns);
+    std::printf("native_call: %llu calls, %.2f ns/call\n",
+                static_cast<unsigned long long>(call.calls),
+                call.native_ns);
+    std::printf("bytecode_call: %llu calls, %.2f ns/call\n",
+                static_cast<unsigned long long>(call.calls),
+                call.bytecode_ns);
     std::printf("event queue: %llu ops, %.2f ns/op, %.0f events/s\n",
                 static_cast<unsigned long long>(events.operations),
                 events.ns_per_op, events.events_per_sec);
@@ -623,6 +715,16 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(walk.instructions),
                      walk.plain_ns, walk.quick_ns);
         std::fprintf(json,
+                     "  \"native_call\": {\"calls\": %llu, "
+                     "\"ns_per_call\": %.3f},\n",
+                     static_cast<unsigned long long>(call.calls),
+                     call.native_ns);
+        std::fprintf(json,
+                     "  \"bytecode_call\": {\"calls\": %llu, "
+                     "\"ns_per_call\": %.3f},\n",
+                     static_cast<unsigned long long>(call.calls),
+                     call.bytecode_ns);
+        std::fprintf(json,
                      "  \"event_queue\": {\"operations\": %llu, "
                      "\"ns_per_op\": %.3f, "
                      "\"events_per_sec\": %.0f},\n",
@@ -657,10 +759,12 @@ main(int argc, char **argv)
     }
 
     std::printf("PERF dispatch_speedup=%.2f ns_per_instr=%.2f "
+                "native_call_ns=%.2f bytecode_call_ns=%.2f "
                 "events_per_sec=%.0f heap_ns_per_vm=%.0f "
                 "field_write_ns=%.2f barrier_write_ns=%.2f "
                 "remote_lookup_ns=%.2f closure_build_us=%.1f\n",
                 dispatch.speedup, interp.ns_per_instruction,
+                call.native_ns, call.bytecode_ns,
                 events.events_per_sec, heaps.ns_per_vm,
                 fields.plain_ns, fields.barrier_ns,
                 remote.ns_per_lookup, closures.us_per_build);

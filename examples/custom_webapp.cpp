@@ -72,13 +72,13 @@ main()
 
     // --- Database + proxy + machines.
     db::RecordStore store;
+    std::vector<db::RecordRef> slug_rows;
     for (int i = 0; i < 500; ++i) {
-        db::Row row;
-        row.id = i;
-        row.fields["url"] = "https://example.com/" +
-                            std::to_string(i);
-        store.load("slugs", {row});
+        const std::string url = "https://example.com/" + std::to_string(i);
+        const db::Field fields[] = {{"url", url}};
+        slug_rows.push_back(db::Record::make(i, fields));
     }
+    store.load("slugs", std::move(slug_rows));
     store.createTable("access_log");
     cloud::Instance db_machine(sim, net, cloud::m410XLarge(), "db",
                                "db");

@@ -1,7 +1,5 @@
 #include "apps/blog.h"
 
-#include "support/strutil.h"
-
 namespace beehive::apps {
 
 using vm::CodeBuilder;
@@ -94,16 +92,17 @@ BlogApp::BlogApp(Framework &framework) : fw_(framework)
 void
 BlogApp::seedDatabase(db::RecordStore &store) const
 {
-    std::vector<db::Row> rows;
-    rows.reserve(kPosts);
+    // Each row's fields are listed in key order, as records take
+    // them; the labels are short enough to stay off the heap.
+    const std::string body(600, 'b');
+    std::vector<db::RecordRef> posts;
+    posts.reserve(kPosts);
     for (int i = 0; i < kPosts; ++i) {
-        db::Row row;
-        row.id = i;
-        row.fields["title"] = strprintf("post-%d", i);
-        row.fields["body"] = std::string(600, 'b');
-        rows.push_back(std::move(row));
+        const std::string title = "post-" + std::to_string(i);
+        const db::Field fields[] = {{"body", body}, {"title", title}};
+        posts.push_back(db::Record::make(i, fields));
     }
-    store.load("posts", rows);
+    store.load("posts", std::move(posts));
 }
 
 void

@@ -749,8 +749,10 @@ manifestSeedCheck(Reporter &rep)
     std::set<vm::Ref> manifest_set(manifest.begin(),
                                    manifest.end());
 
+    // The soundness check covers field reads too, so this run opts
+    // into recording them; the server's profiling phase does not.
     vm::Interpreter run(ctx);
-    run.enableRecording(true);
+    run.enableRecording(true, /*field_reads=*/true);
     run.start(handler, {vm::Value::ofInt(0)});
     drive(run);
 

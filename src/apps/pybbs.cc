@@ -1,7 +1,5 @@
 #include "apps/pybbs.h"
 
-#include "support/strutil.h"
-
 namespace beehive::apps {
 
 using vm::CodeBuilder;
@@ -129,25 +127,27 @@ PybbsApp::PybbsApp(Framework &framework) : fw_(framework)
 void
 PybbsApp::seedDatabase(db::RecordStore &store) const
 {
-    std::vector<db::Row> users;
+    // Each row's fields are listed in key order, as records take
+    // them; the labels are short enough to stay off the heap.
+    const std::string bio(120, 'u');
+    std::vector<db::RecordRef> users;
+    users.reserve(kUsers);
     for (int i = 0; i < kUsers; ++i) {
-        db::Row row;
-        row.id = i;
-        row.fields["name"] = strprintf("user-%d", i);
-        row.fields["bio"] = std::string(120, 'u');
-        users.push_back(std::move(row));
+        const std::string name = "user-" + std::to_string(i);
+        const db::Field fields[] = {{"bio", bio}, {"name", name}};
+        users.push_back(db::Record::make(i, fields));
     }
-    store.load("users", users);
+    store.load("users", std::move(users));
 
-    std::vector<db::Row> topics;
+    const std::string body(400, 't');
+    std::vector<db::RecordRef> topics;
+    topics.reserve(kTopics);
     for (int i = 0; i < kTopics; ++i) {
-        db::Row row;
-        row.id = i;
-        row.fields["title"] = strprintf("topic-%d", i);
-        row.fields["body"] = std::string(400, 't');
-        topics.push_back(std::move(row));
+        const std::string title = "topic-" + std::to_string(i);
+        const db::Field fields[] = {{"body", body}, {"title", title}};
+        topics.push_back(db::Record::make(i, fields));
     }
-    store.load("topics", topics);
+    store.load("topics", std::move(topics));
     store.createTable("comments");
 }
 

@@ -1,7 +1,5 @@
 #include "apps/thumbnail.h"
 
-#include "support/strutil.h"
-
 namespace beehive::apps {
 
 using vm::CodeBuilder;
@@ -66,15 +64,13 @@ ThumbnailApp::ThumbnailApp(Framework &framework) : fw_(framework)
 void
 ThumbnailApp::seedDatabase(db::RecordStore &store) const
 {
-    std::vector<db::Row> rows;
-    rows.reserve(kImages);
-    for (int i = 0; i < kImages; ++i) {
-        db::Row row;
-        row.id = i;
-        row.fields["image"] = std::string(2048, 'p');
-        rows.push_back(std::move(row));
-    }
-    store.load("images", rows);
+    const std::string image(2048, 'p');
+    const db::Field fields[] = {{"image", image}};
+    std::vector<db::RecordRef> images;
+    images.reserve(kImages);
+    for (int i = 0; i < kImages; ++i)
+        images.push_back(db::Record::make(i, fields));
+    store.load("images", std::move(images));
     store.createTable("thumbs");
 }
 

@@ -716,32 +716,6 @@ BeeHiveFunction::BeeHiveFunction(BeeHiveServer &server,
         return server_.sync().monitorIsShared(endpoint_id_, obj);
     });
 
-    // Native dispositions on FaaS (Section 3.2): pure on-heap and
-    // stateless natives run locally; network natives run locally
-    // and route through the proxy at the driver level; hidden-state
-    // natives need a packed Packageable receiver.
-    ctx_->setNativePolicy(
-        [this](const vm::NativeMethod &native,
-               std::span<const Value> args) {
-            switch (native.category) {
-              case vm::NativeCategory::PureOnHeap:
-              case vm::NativeCategory::Stateless:
-              case vm::NativeCategory::Network:
-                return vm::NativeDisposition::RunLocal;
-              case vm::NativeCategory::HiddenState: {
-                if (!args.empty() && args[0].isRef() &&
-                    args[0].asRef() != vm::kNullRef &&
-                    !vm::isRemote(args[0].asRef()) &&
-                    (heap_->header(args[0].asRef()).flags &
-                     vm::kFlagPacked)) {
-                    return vm::NativeDisposition::RunLocal;
-                }
-                return vm::NativeDisposition::Fallback;
-              }
-            }
-            return vm::NativeDisposition::RunLocal;
-        });
-
     collector_ = std::make_unique<gc::SemiSpaceCollector>(*heap_);
     collector_->addValueRoots([this](const auto &visit) {
         if (invocation_)

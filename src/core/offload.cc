@@ -133,6 +133,8 @@ OffloadManager::enableRoot(vm::MethodId root,
     state.has_capture = true;
     state.enabled = true;
     state.sample_args = std::move(sample_args);
+    // Calls to the root now ask the offload policy.
+    server_.context().markOffloadCandidate(root);
 
     if (server_.config().static_manifests) {
         if (snapshot::SnapshotStore *snaps = server_.snapshots()) {

@@ -40,22 +40,39 @@ Row::wireSize() const
     return size;
 }
 
-Record::Record(int64_t id, const Row &row)
-    : id_(id), wire_size_(row.wireSize())
+template <typename Fields>
+void
+Record::encode(const Fields &fields)
 {
     char digits[24];
-    char *end = std::to_chars(digits, digits + sizeof(digits), id).ptr;
+    char *end = std::to_chars(digits, digits + sizeof(digits), id_).ptr;
     std::size_t size = static_cast<std::size_t>(end - digits);
-    for (const auto &[k, v] : row.fields)
+    for (const auto &[k, v] : fields) {
         size += 2 + k.size() + v.size();
+        // Row::wireSize(): key + value + 8 per field.
+        wire_size_ += k.size() + v.size() + 8;
+    }
     wire_.reserve(size);
     wire_.append(digits, end);
-    for (const auto &[k, v] : row.fields) {
+    for (const auto &[k, v] : fields) {
         wire_ += '|';
         wire_ += k;
         wire_ += '=';
         wire_ += v;
     }
+}
+
+Record::Record(int64_t id, std::span<const Field> fields) : id_(id)
+{
+    for (std::size_t i = 1; i < fields.size(); ++i)
+        bh_assert(fields[i - 1].first < fields[i].first,
+                  "record fields must be sorted by key");
+    encode(fields);
+}
+
+Record::Record(int64_t id, const Row &row) : id_(id)
+{
+    encode(row.fields);
 }
 
 uint64_t
@@ -200,13 +217,17 @@ RecordStore::serviceTime(const Request &req) const
 }
 
 void
-RecordStore::load(const std::string &table, const std::vector<Row> &rows)
+RecordStore::load(const std::string &table, std::vector<RecordRef> records)
 {
-    createTable(table);
     Table &t = tables_[table];
-    // Later rows win on a repeated id, as a Put would.
-    for (const auto &r : rows)
-        upsert(t, Record::make(r.id, r));
+    for (RecordRef &r : records) {
+        // Ids in ascending order append; any other id is an upsert,
+        // so on a repeated id the later record wins.
+        if (t.empty() || t.back()->id() < r->id())
+            t.push_back(std::move(r));
+        else
+            upsert(t, std::move(r));
+    }
 }
 
 } // namespace beehive::db

@@ -18,6 +18,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -38,6 +39,9 @@ struct Row
     uint64_t wireSize() const;
 };
 
+/** One field of a row as views: key, value. */
+using Field = std::pair<std::string_view, std::string_view>;
+
 class Record;
 
 /** Shared handle to a stored row. */
@@ -55,9 +59,16 @@ using RecordRef = std::shared_ptr<const Record>;
 class Record
 {
   public:
+    /** Encode @p fields, sorted by key, under @p id. */
+    Record(int64_t id, std::span<const Field> fields);
     /** Encode @p row's fields under @p id (row.id is not read). */
     Record(int64_t id, const Row &row);
 
+    /** A shared immutable record of @p fields under @p id. */
+    static RecordRef make(int64_t id, std::span<const Field> fields)
+    {
+        return std::make_shared<const Record>(id, fields);
+    }
     /** A shared immutable record of @p row's fields under @p id. */
     static RecordRef make(int64_t id, const Row &row)
     {
@@ -71,9 +82,13 @@ class Record
     uint64_t wireSize() const { return wire_size_; }
 
   private:
+    /** The one encoder: @p fields are (key, value) pairs in key order. */
+    template <typename Fields>
+    void encode(const Fields &fields);
+
     int64_t id_;
     std::string wire_;
-    uint64_t wire_size_;
+    uint64_t wire_size_ = 16; // key + framing
 };
 
 /** Database operation kinds. */
@@ -165,8 +180,13 @@ class RecordStore
      */
     sim::SimTime serviceTime(const Request &req) const;
 
-    /** Bulk-load helper used by workload setup. */
-    void load(const std::string &table, const std::vector<Row> &rows);
+    /**
+     * Bulk-load helper used by workload setup: store @p records in
+     * @p table (created if missing). A record whose id is already
+     * stored replaces it, so on a repeated id the later one wins, as
+     * a Put would.
+     */
+    void load(const std::string &table, std::vector<RecordRef> records);
 
     /**
      * Install a connection-fault hook consulted before each

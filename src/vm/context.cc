@@ -35,40 +35,18 @@ VmContext::loadAll()
         loadKlass(id);
 }
 
-Value
-VmContext::getStatic(KlassId klass, uint32_t slot)
-{
-    bh_assert(klass < statics_.size() && !statics_[klass].empty(),
-              "statics of unloaded klass");
-    bh_assert(slot < statics_[klass].size(), "bad static slot");
-    return statics_[klass][slot];
-}
-
 void
-VmContext::setStatic(KlassId klass, uint32_t slot, Value v)
+VmContext::markOffloadCandidate(MethodId id)
 {
-    bh_assert(klass < statics_.size() && !statics_[klass].empty(),
-              "statics of unloaded klass");
-    bh_assert(slot < statics_[klass].size(), "bad static slot");
-    statics_[klass][slot] = v;
+    if (id >= offload_marks_.size())
+        offload_marks_.resize(id + 1, 0);
+    offload_marks_[id] = 1;
 }
 
 void
 VmContext::mapRemote(Ref remote, Ref local)
 {
     remote_map_.put(stripRemote(remote), local);
-}
-
-double
-VmContext::methodEntered(MethodId id)
-{
-    if (id >= invocation_counts_.size())
-        invocation_counts_.resize(id + 1, 0);
-    uint64_t &count = invocation_counts_[id];
-    double mult = count < config_.jit_threshold ? config_.cold_multiplier
-                                                : 1.0;
-    ++count;
-    return mult;
 }
 
 double

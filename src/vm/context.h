@@ -5,6 +5,12 @@
  * One VmContext is the analogue of one JVM instance: the server runs
  * one, and every FaaS function instance runs one. Interpreters (one
  * per in-flight request) share their endpoint's context.
+ *
+ * The runtime steers the interpreter through a few policies and
+ * flat marks, not through a per-native policy: the offload policy is
+ * asked only at calls to methods marked as offload candidates, and a
+ * native's disposition follows from its category and the endpoint's
+ * check_remote_refs (see Interpreter).
  */
 
 #ifndef BEEHIVE_VM_CONTEXT_H
@@ -13,7 +19,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "vm/heap.h"
@@ -27,20 +32,18 @@ namespace beehive::vm {
 class Profiler;
 class RaceOracle;
 
-/** How the interpreter should treat a native call on this endpoint. */
-enum class NativeDisposition
-{
-    RunLocal,  //!< execute the handler here
-    Fallback,  //!< suspend; the driver performs a server round trip
-};
-
 /** Tuning knobs of one VM instance. */
 struct VmConfig
 {
     /** Endpoint number used for lock-owner words (0 = server). */
     uint16_t endpoint = 0;
 
-    /** FaaS-side remote-reference load checks (paper Section 4.1). */
+    /**
+     * FaaS-side remote-reference load checks (paper Section 4.1).
+     * Such an endpoint also runs a HiddenState native only on a
+     * local, packed receiver (Section 3.2); any other one suspends
+     * NativeFallback.
+     */
     bool check_remote_refs = false;
 
     /** Suspend after this much accumulated compute (CPU ns). */
@@ -80,14 +83,6 @@ class VmContext
     /** Hook fired when a monitor is released (release consistency). */
     using MonitorReleaseHook = std::function<void(Ref obj)>;
 
-    /**
-     * Policy asked before running a native on this endpoint, with the
-     * arguments as a view of the caller's stack top (see NativeFn).
-     * Installed by the BeeHive runtime; null means RunLocal.
-     */
-    using NativePolicy = std::function<NativeDisposition(
-        const NativeMethod &native, std::span<const Value> args)>;
-
     VmContext(const Program &program, NativeRegistry &natives,
               Heap &heap, VmConfig config);
 
@@ -114,8 +109,16 @@ class VmContext
 
     /** @name Statics */
     /// @{
-    Value getStatic(KlassId klass, uint32_t slot);
-    void setStatic(KlassId klass, uint32_t slot, Value v);
+    Value
+    getStatic(KlassId klass, uint32_t slot) const
+    {
+        return staticSlot(klass, slot);
+    }
+    void
+    setStatic(KlassId klass, uint32_t slot, Value v)
+    {
+        staticSlot(klass, slot) = v;
+    }
     /** Iterate all static slots in ascending klass order (GC roots,
      * sync). */
     template <typename Fn>
@@ -148,17 +151,30 @@ class VmContext
     /** @name Warmup model */
     /// @{
     /** Count an invocation; returns the cost multiplier to apply. */
-    double methodEntered(MethodId id);
+    double
+    methodEntered(MethodId id)
+    {
+        if (id >= invocation_counts_.size()) [[unlikely]]
+            invocation_counts_.resize(id + 1, 0);
+        uint64_t &count = invocation_counts_[id];
+        const double mult = count < config_.jit_threshold
+                                ? config_.cold_multiplier
+                                : 1.0;
+        ++count;
+        return mult;
+    }
     /** Current multiplier without counting. */
     double costMultiplier(MethodId id) const;
     uint64_t invocations(MethodId id) const;
     /// @}
 
     /**
-     * Policy asked at every bytecode call site: should this call be
-     * redirected to a FaaS function (the Semi-FaaS split)? The
-     * offload manager installs it on the server; it must return
-     * true only when an offload will actually be dispatched.
+     * Policy asked at a call to an offload candidate: should this
+     * call be redirected to a FaaS function (the Semi-FaaS split)?
+     * The offload manager installs it on the server and marks each
+     * root it enables; it must return true only when an offload will
+     * actually be dispatched. A call to an unmarked method never
+     * asks it.
      */
     using OffloadPolicy = std::function<bool(MethodId)>;
 
@@ -168,17 +184,24 @@ class VmContext
     {
         offload_policy_ = std::move(p);
     }
+    /** Mark @p id as a method the offload policy decides about. */
+    void markOffloadCandidate(MethodId id);
+    bool
+    isOffloadCandidate(MethodId id) const
+    {
+        return id < offload_marks_.size() && offload_marks_[id];
+    }
     bool
     shouldOffload(MethodId id) const
     {
-        return offload_policy_ && offload_policy_(id);
+        return isOffloadCandidate(id) && offload_policy_ &&
+               offload_policy_(id);
     }
     void setMonitorPolicy(MonitorPolicy p) { monitor_policy_ = std::move(p); }
     void setMonitorReleaseHook(MonitorReleaseHook h)
     {
         monitor_release_ = std::move(h);
     }
-    void setNativePolicy(NativePolicy p) { native_policy_ = std::move(p); }
     void setProfiler(Profiler *p) { profiler_ = p; }
     Profiler *profiler() { return profiler_; }
     /** Dynamic race oracle (tests install one); null = not tracking. */
@@ -194,17 +217,15 @@ class VmContext
         if (monitor_release_)
             monitor_release_(obj);
     }
-    NativeDisposition
-    nativeDisposition(const NativeMethod &native,
-                      std::span<const Value> args) const
-    {
-        return native_policy_ ? native_policy_(native, args)
-                              : NativeDisposition::RunLocal;
-    }
     /// @}
 
-    /** One-shot override: run the next faulting native locally. */
+    /**
+     * One-shot override: run the next native locally, whatever its
+     * category and receiver. The function endpoint sets it after
+     * serving a NativeFallback; the next native call consumes it.
+     */
     void forceNextNativeLocal() { force_local_native_ = true; }
+    bool forceLocalNativePending() const { return force_local_native_; }
     bool consumeForceLocalNative()
     {
         bool v = force_local_native_;
@@ -222,6 +243,20 @@ class VmContext
     void resetNativeCounts() { native_counts_.fill(0); }
 
   private:
+    Value &
+    staticSlot(KlassId klass, uint32_t slot)
+    {
+        bh_assert(klass < statics_.size() && !statics_[klass].empty(),
+                  "statics of unloaded klass");
+        bh_assert(slot < statics_[klass].size(), "bad static slot");
+        return statics_[klass][slot];
+    }
+    const Value &
+    staticSlot(KlassId klass, uint32_t slot) const
+    {
+        return const_cast<VmContext *>(this)->staticSlot(klass, slot);
+    }
+
     const Program &program_;
     NativeRegistry &natives_;
     Heap &heap_;
@@ -238,9 +273,10 @@ class VmContext
     std::vector<uint64_t> invocation_counts_;
 
     OffloadPolicy offload_policy_;
+    /** Offload candidates by method id; grows on demand. */
+    std::vector<uint8_t> offload_marks_;
     MonitorPolicy monitor_policy_;
     MonitorReleaseHook monitor_release_;
-    NativePolicy native_policy_;
     Profiler *profiler_ = nullptr;
     RaceOracle *race_oracle_ = nullptr;
     bool force_local_native_ = false;

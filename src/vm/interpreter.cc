@@ -61,15 +61,48 @@ Interpreter::consumeCost()
 }
 
 void
-Interpreter::clearRecording()
+Interpreter::sizeMarks()
 {
-    recorded_klasses_.clear();
-    recorded_statics_.clear();
-    recorded_field_reads_.clear();
+    const Program &program = ctx_.program();
+    if (klass_marks_.size() == program.klassCount())
+        return;
+    klass_marks_.resize(program.klassCount(), 0);
+    static_base_.assign(program.klassCount(), 0);
+    uint32_t slots = 0;
+    for (KlassId k = 0; k < program.klassCount(); ++k) {
+        static_base_[k] = slots;
+        slots += static_cast<uint32_t>(program.klass(k).statics.size());
+    }
+    // Marks already set keep their slots: klasses are only appended.
+    static_marks_.resize(slots, 0);
+}
+
+std::set<KlassId>
+Interpreter::recordedKlasses() const
+{
+    return {marked_klasses_.begin(), marked_klasses_.end()};
+}
+
+std::set<std::pair<KlassId, uint32_t>>
+Interpreter::recordedStatics() const
+{
+    return {marked_statics_.begin(), marked_statics_.end()};
 }
 
 void
-Interpreter::enterMethod(MethodId id, const Method &m)
+Interpreter::clearRecording()
+{
+    for (KlassId k : marked_klasses_)
+        klass_marks_[k] = 0;
+    marked_klasses_.clear();
+    for (const auto &[k, slot] : marked_statics_)
+        static_marks_[static_base_[k] + slot] = 0;
+    marked_statics_.clear();
+    recorded_field_reads_.clear();
+}
+
+inline Interpreter::Window &
+Interpreter::pushFrame(MethodId id, const Method &m, std::size_t sp)
 {
     bh_assert(!m.is_native, "enterMethod on native");
     Window w;
@@ -78,22 +111,29 @@ Interpreter::enterMethod(MethodId id, const Method &m)
     w.cost_multiplier = ctx_.methodEntered(id);
     // The arguments stay where the caller pushed them and become
     // locals [0, num_args); the remaining locals start out nil.
-    w.base = sp_ - m.num_args;
+    w.base = sp - m.num_args;
     w.stack_base = w.base + m.num_locals;
-    if (w.stack_base > values_.size())
-        growValues(w.stack_base);
-    for (std::size_t i = sp_; i < w.stack_base; ++i)
+    for (std::size_t i = sp; i < w.stack_base; ++i)
         values_[i] = Value::nil();
-    sp_ = w.stack_base;
     frames_.push_back(w);
     ++stats_.calls;
+    return frames_.back();
+}
+
+void
+Interpreter::enterMethod(MethodId id, const Method &m)
+{
+    const std::size_t stack_base = sp_ - m.num_args + m.num_locals;
+    if (stack_base > values_.size())
+        growValues(stack_base);
+    sp_ = pushFrame(id, m, sp_).stack_base;
 }
 
 bool
 Interpreter::requireKlass(KlassId id, Suspend &out)
 {
     if (recording_)
-        recorded_klasses_.insert(id);
+        markKlass(id);
     if (ctx_.isLoaded(id))
         return true;
     out.kind = Suspend::Kind::ClassFault;
@@ -149,6 +189,29 @@ Interpreter::resolveRefSlow(Value &v, Suspend &out)
     return loadBarrier(v, out, [](Value &) {});
 }
 
+namespace {
+
+/**
+ * BeeHive's one rule for natives on FaaS (paper Section 3.2): on an
+ * endpoint that checks remote references, a HiddenState native runs
+ * only on a local, packed (Packageable) receiver; every other native
+ * runs where it is called.
+ */
+bool
+nativeFallsBack(NativeCategory category, std::span<const Value> args,
+                const Heap &heap, bool check_remote)
+{
+    if (category != NativeCategory::HiddenState || !check_remote)
+        return false;
+    const bool packed_receiver =
+        !args.empty() && args[0].isRef() && args[0].asRef() != kNullRef &&
+        !isRemote(args[0].asRef()) &&
+        (heap.header(args[0].asRef()).flags & kFlagPacked);
+    return !packed_receiver;
+}
+
+} // namespace
+
 bool
 Interpreter::invokeNative(const Method &m, Suspend &out)
 {
@@ -163,8 +226,8 @@ Interpreter::invokeNative(const Method &m, Suspend &out)
     std::span<const Value> args(values_.data() + args_at, m.num_args);
 
     if (!ctx_.consumeForceLocalNative() &&
-        ctx_.nativeDisposition(native, args) ==
-            NativeDisposition::Fallback) {
+        nativeFallsBack(native.category, args, ctx_.heap(),
+                        ctx_.config().check_remote_refs)) {
         out.kind = Suspend::Kind::NativeFallback;
         out.native_id = m.native_id;
         return false;
@@ -177,10 +240,10 @@ Interpreter::invokeNative(const Method &m, Suspend &out)
     NativeResult result = native.fn(ctx_, args);
     sp_ = args_at;
     charge(result.cost_ns);
-    if (result.external) {
+    if (result.external.has_value()) {
         awaiting_external_ = true;
         out.kind = Suspend::Kind::External;
-        out.external = std::move(*result.external);
+        out.external = std::move(result.external);
         return false;
     }
     push(result.ret);
@@ -229,6 +292,7 @@ Interpreter::invoke(MethodId id, Suspend &out)
         candidate_cost_start_ = cost_total_;
         candidate_syncs_start_ = stats_.monitor_enters;
         recording_ = true;
+        sizeMarks();
         clearRecording();
     }
     return true;
@@ -242,34 +306,58 @@ Interpreter::resumeExternal(Value result)
     push(result);
 }
 
-bool
-Interpreter::runInner(double quantum_ns, double instr_ns, bool check_remote)
+Interpreter::Stop
+Interpreter::runInner(double quantum_ns, double instr_ns, bool check_remote,
+                      Suspend &out)
 {
-    // The dispatch state lives in locals: nothing below makes a call
-    // that returns (the panics are cold and noreturn), so GCC keeps
-    // them in registers. They go back to the members at the one exit.
-    Window &f = frames_.back();
-    const Method &m = *f.method;
-    const Instr *const code = m.code.data();
-    const std::size_t code_size = m.code.size();
+    // The dispatch state lives in locals. What the loop calls (a
+    // native's function, an allocation, the cold growth of frames_)
+    // cannot reach them, so GCC keeps them in registers; they go
+    // back to the members at the exits. The frame's values are
+    // reloaded only when a call or a return changes the frame, and
+    // values_ never grows in here.
+    Window *fp = &frames_.back();
+    const Method *m = fp->method;
+    const Instr *code = m->code.data();
+    std::size_t code_size = m->code.size();
     Value *const vals = values_.data();
     const std::size_t cap = values_.size();
-    const std::size_t base = f.base;
-    const std::size_t stack_base = f.stack_base;
-    const std::size_t num_locals = stack_base - base;
-    const double mult = f.cost_multiplier;
-    const double step = instr_ns * mult;
-    // GetField feeds field-read recording and the race oracle, and
-    // ALoad the oracle, on the outer switch's path only.
-    const bool observed = recording_ || ctx_.raceOracle() != nullptr;
-    const Heap &heap = ctx_.heap();
-    uint32_t pc = f.pc;
+    std::size_t base = fp->base;
+    std::size_t stack_base = fp->stack_base;
+    std::size_t num_locals = stack_base - base;
+    double mult = fp->cost_multiplier;
+    double step = instr_ns * mult;
+    uint32_t pc = fp->pc;
     std::size_t sp = sp_;
     double pending = pending_cost_;
     double qacc = quantum_acc_;
     double total = cost_total_;
     uint64_t count = stats_.instructions;
-    bool expired = false;
+    Stop stop = Stop::HandOff;
+
+    const Program &program = ctx_.program();
+    const NativeRegistry &natives = ctx_.natives();
+    Heap &heap = ctx_.heap();
+    // Observed accesses run on the outer switch: GetField, ALoad and
+    // the fused field reads while a race oracle watches or field
+    // reads are recorded, GetStatic and PutStatic under the oracle.
+    const bool oracle = ctx_.raceOracle() != nullptr;
+    const bool observed = oracle || (recording_ && record_field_reads_);
+    const bool recording = recording_;
+    // Calls the outer switch makes: into an offload candidate unless
+    // offloading is suppressed, and into a profiler candidate while
+    // candidate profiling waits for one. The active candidate's Ret
+    // flushes its profile there too.
+    const bool offload_calls = !suppress_offload_;
+    const Profiler *const profiler =
+        candidate_profiling_ && !candidate_active_ ? ctx_.profiler()
+                                                   : nullptr;
+    const std::size_t candidate_depth =
+        candidate_active_ ? candidate_depth_ : 0;
+    // The call being made: set by Call/CallNative and CallVirt.
+    MethodId callee_id = kNoMethod;
+    const Method *callee = nullptr;
+    bool virtual_call = false;
 
     // charge() on the locals, in its order.
     auto spend = [&](double ns) {
@@ -298,12 +386,26 @@ Interpreter::runInner(double quantum_ns, double instr_ns, bool check_remote)
         bh_assert(static_cast<std::size_t>(slot) < num_locals,
                   "bad local slot");
     };
+    // Switch to frame @p w: a callee just pushed, or a caller
+    // returned to.
+    auto enterFrame = [&](Window *w) {
+        fp = w;
+        m = w->method;
+        code = m->code.data();
+        code_size = m->code.size();
+        base = w->base;
+        stack_base = w->stack_base;
+        num_locals = stack_base - base;
+        mult = w->cost_multiplier;
+        step = instr_ns * mult;
+        pc = w->pc;
+    };
 
     while (true) {
         // Cases that end in `break` advance the pc; jumps and the
         // fused idioms set it themselves. A case that cannot run here
         // jumps to `leave` before it charges or changes anything.
-        bh_assert(pc < code_size, "pc ran off method %s", m.name.c_str());
+        bh_assert(pc < code_size, "pc ran off method %s", m->name.c_str());
         const Instr &in = code[pc];
         switch (in.op) {
           case Op::Nop:
@@ -415,6 +517,28 @@ Interpreter::runInner(double quantum_ns, double instr_ns, bool check_remote)
             break;
           }
 
+          case Op::Div: case Op::Mod: {
+            requireDepth(2);
+            tick();
+            const Value b = vals[--sp];
+            const Value a = vals[sp - 1];
+            if (a.isInt() && b.isInt()) {
+                // Division by zero yields 0 by definition in HiveVM;
+                // the apps never rely on trapping.
+                const int64_t x = a.asInt(), y = b.asInt();
+                vals[sp - 1] = Value::ofInt(y == 0              ? 0
+                                            : in.op == Op::Div ? x / y
+                                                               : x % y);
+            } else {
+                const double x = a.asNumber(), y = b.asNumber();
+                vals[sp - 1] =
+                    Value::ofFloat(y == 0.0            ? 0.0
+                                   : in.op == Op::Div ? x / y
+                                                      : std::fmod(x, y));
+            }
+            break;
+          }
+
           case Op::Not:
             requireDepth(1);
             tick();
@@ -477,6 +601,108 @@ Interpreter::runInner(double quantum_ns, double instr_ns, bool check_remote)
             tick();
             vals[sp - 1] = Value::ofInt(heap.count(obj.asRef()));
             break;
+          }
+
+          case Op::New: {
+            const KlassId k = static_cast<KlassId>(in.a);
+            if (!ctx_.isLoaded(k) || sp == cap)
+                goto leave;
+            tick();
+            if (recording)
+                markKlass(k);
+            const Ref r = heap.allocPlain(k);
+            if (r == kNullRef) {
+                out.kind = Suspend::Kind::HeapFull;
+                stop = Stop::Suspended;
+                goto leave;
+            }
+            vals[sp++] = Value::ofRef(r);
+            spend(10.0 * mult);
+            break;
+          }
+
+          case Op::GetStatic: {
+            const KlassId k = static_cast<KlassId>(in.a);
+            const uint32_t slot = static_cast<uint32_t>(in.b);
+            if (oracle || !ctx_.isLoaded(k))
+                goto leave;
+            const Value v = ctx_.getStatic(k, slot);
+            if (needsBarrier(v) || sp == cap)
+                goto leave;
+            tick();
+            if (recording) {
+                markKlass(k);
+                markStatic(k, slot);
+            }
+            vals[sp++] = v;
+            break;
+          }
+
+          case Op::PutStatic: {
+            const KlassId k = static_cast<KlassId>(in.a);
+            const uint32_t slot = static_cast<uint32_t>(in.b);
+            if (oracle || !ctx_.isLoaded(k))
+                goto leave;
+            requireDepth(1);
+            tick();
+            ctx_.setStatic(k, slot, vals[--sp]);
+            if (recording) {
+                markKlass(k);
+                markStatic(k, slot);
+            }
+            break;
+          }
+
+          case Op::Call: case Op::CallNative:
+            callee_id = static_cast<MethodId>(in.a);
+            callee = &program.method(callee_id);
+            bh_assert(in.op != Op::CallNative || callee->is_native,
+                      "CallNative on bytecode method");
+            virtual_call = false;
+            goto call;
+
+          case Op::CallVirt: {
+            const NameId name = static_cast<NameId>(in.a);
+            const uint16_t nargs = static_cast<uint16_t>(in.b);
+            bh_assert(nargs >= 1, "CallVirt needs a receiver");
+            requireDepth(nargs);
+            const Value recv = vals[sp - nargs];
+            if (!isLocalObject(recv))
+                goto leave;
+            const KlassId k = heap.header(recv.asRef()).klass;
+            callee_id = program.resolveVirtual(k, name);
+            bh_assert(callee_id != kNoMethod, "no virtual %s on %s",
+                      program.nameAt(name).c_str(),
+                      program.klass(k).name.c_str());
+            callee = &program.method(callee_id);
+            bh_assert(callee->num_args == nargs,
+                      "virtual arg count mismatch on %s",
+                      program.nameAt(name).c_str());
+            virtual_call = true;
+            goto call;
+          }
+
+          case Op::Ret: {
+            // The active candidate's Ret flushes its profile on the
+            // outer switch, which also grows the stack when the
+            // caller's copy of the result needs it.
+            const std::size_t depth = frames_.size();
+            if (depth == candidate_depth || (depth > 1 && base == cap))
+                goto leave;
+            tick();
+            const Value result =
+                sp == stack_base ? Value::nil() : vals[sp - 1];
+            sp = base;
+            frames_.pop_back();
+            if (depth == 1) {
+                out.kind = Suspend::Kind::Done;
+                out.result = result;
+                stop = Stop::Suspended;
+                goto finish;
+            }
+            enterFrame(&frames_.back());
+            vals[sp++] = result;
+            goto next;
           }
 
           // Fused idioms (vm::quicken). Each runs its constituents in
@@ -625,18 +851,84 @@ Interpreter::runInner(double quantum_ns, double instr_ns, bool check_remote)
       next:
         if (qacc >= quantum_ns)
             goto expire;
+        continue;
+
+      call: {
+        // callee is the resolved target of a Call, CallNative or
+        // CallVirt; a CallVirt adds its vtable walk after the tick.
+        const Method &cm = *callee;
+        if (!ctx_.isLoaded(cm.owner))
+            goto leave;
+        if (cm.is_native) {
+            const NativeMethod &native = natives.get(cm.native_id);
+            bh_assert(sp - stack_base >= cm.num_args,
+                      "not enough args for native %s", native.name.c_str());
+            // The outer switch consumes a force-local one-shot, and
+            // grows the stack for a 0-argument native's result.
+            if (ctx_.forceLocalNativePending() ||
+                (cm.num_args == 0 && sp == cap))
+                goto leave;
+            const std::size_t args_at = sp - cm.num_args;
+            const std::span<const Value> args(vals + args_at, cm.num_args);
+            tick();
+            if (virtual_call)
+                spend(5.0 * mult);
+            if (recording)
+                markKlass(cm.owner);
+            if (nativeFallsBack(native.category, args, heap, check_remote)) {
+                // The arguments stay on the stack: the call retries.
+                out.kind = Suspend::Kind::NativeFallback;
+                out.native_id = cm.native_id;
+                stop = Stop::Suspended;
+                goto leave;
+            }
+            ++pc;
+            ++stats_.native_calls;
+            ctx_.countNative(native.category);
+            NativeResult result = native.fn(ctx_, args);
+            sp = args_at;
+            spend(result.cost_ns);
+            if (result.external.has_value()) {
+                awaiting_external_ = true;
+                out.kind = Suspend::Kind::External;
+                out.external = std::move(result.external);
+                stop = Stop::Suspended;
+                goto leave;
+            }
+            vals[sp++] = result.ret;
+            goto next;
+        }
+        bh_assert(sp - stack_base >= cm.num_args, "not enough args for %s",
+                  cm.name.c_str());
+        if ((offload_calls && ctx_.isOffloadCandidate(callee_id)) ||
+            (profiler && profiler->isCandidate(callee_id)) ||
+            sp - cm.num_args + cm.num_locals > cap)
+            goto leave;
+        tick();
+        if (virtual_call)
+            spend(5.0 * mult);
+        if (recording)
+            markKlass(cm.owner);
+        fp->pc = pc + 1;
+        spend(20.0 * mult); // call overhead
+        Window &callee_frame = pushFrame(callee_id, cm, sp);
+        sp = callee_frame.stack_base;
+        enterFrame(&callee_frame);
+        goto next;
+      }
     }
 
   expire:
-    expired = true;
+    stop = Stop::Quantum;
   leave:
-    f.pc = pc;
+    fp->pc = pc;
+  finish:
     sp_ = sp;
     pending_cost_ = pending;
     quantum_acc_ = qacc;
     cost_total_ = total;
     stats_.instructions = count;
-    return expired;
+    return stop;
 }
 
 Suspend
@@ -651,10 +943,16 @@ Interpreter::run()
 
     Suspend out;
     while (true) {
-        if (runInner(quantum_ns, instr_ns, check_remote))
+        switch (runInner(quantum_ns, instr_ns, check_remote, out)) {
+          case Stop::Quantum:
             goto quantum;
+          case Stop::Suspended:
+            goto done;
+          case Stop::HandOff:
+            break;
+        }
 
-        // runInner() stopped before an instruction it cannot run.
+        // runInner() stopped before an instruction it hands over.
         // Call and Ret may reallocate frames_, so nothing below them
         // may touch `f`.
         Window &f = top();
@@ -709,25 +1007,6 @@ Interpreter::run()
             Value b = pop();
             push(a);
             push(b);
-            break;
-          }
-
-          case Op::Div: case Op::Mod: {
-            Value b = pop();
-            Value a = pop();
-            if (a.isInt() && b.isInt()) {
-                // Division by zero yields 0 by definition in HiveVM;
-                // the apps never rely on trapping.
-                int64_t x = a.asInt(), y = b.asInt();
-                int64_t r = y == 0 ? 0 : in.op == Op::Div ? x / y : x % y;
-                push(Value::ofInt(r));
-            } else {
-                double x = a.asNumber(), y = b.asNumber();
-                double r = y == 0.0             ? 0.0
-                           : in.op == Op::Div ? x / y
-                                              : std::fmod(x, y);
-                push(Value::ofFloat(r));
-            }
             break;
           }
 
@@ -802,7 +1081,7 @@ Interpreter::run()
             if (!resolveRef(peek(), out))
                 goto done;
             Ref obj = peek().asRef();
-            if (recording_)
+            if (recording_ && record_field_reads_)
                 recorded_field_reads_.insert(
                     {ctx_.heap().header(obj).klass,
                      static_cast<uint32_t>(in.a)});
@@ -875,10 +1154,9 @@ Interpreter::run()
             KlassId k = static_cast<KlassId>(in.a);
             if (!requireKlass(k, out))
                 goto done;
-            if (recording_)
-                recorded_statics_.insert(
-                    {k, static_cast<uint32_t>(in.b)});
             Value v = ctx_.getStatic(k, static_cast<uint32_t>(in.b));
+            if (recording_)
+                markStatic(k, static_cast<uint32_t>(in.b));
             if (!loadBarrier(v, out, [&](Value &nv) {
                     ctx_.setStatic(k, static_cast<uint32_t>(in.b), nv);
                 }))
@@ -894,10 +1172,9 @@ Interpreter::run()
             KlassId k = static_cast<KlassId>(in.a);
             if (!requireKlass(k, out))
                 goto done;
-            if (recording_)
-                recorded_statics_.insert(
-                    {k, static_cast<uint32_t>(in.b)});
             ctx_.setStatic(k, static_cast<uint32_t>(in.b), pop());
+            if (recording_)
+                markStatic(k, static_cast<uint32_t>(in.b));
             if (RaceOracle *ro = ctx_.raceOracle())
                 ro->staticAccess(race_tid_, k,
                                  static_cast<uint32_t>(in.b), true);
@@ -1010,7 +1287,7 @@ Interpreter::run()
                 ctx_.monitorReleased(target); // release edge
             } else {
                 Ref target = pop().asRef();
-                if (recording_)
+                if (recording_ && record_field_reads_)
                     recorded_field_reads_.insert(
                         {ctx_.heap().header(target).klass,
                          static_cast<uint32_t>(in.a)});
@@ -1035,7 +1312,7 @@ Interpreter::run()
                     ctx_.profiler()->recordExecution(
                         candidate_root_,
                         cost_total_ - candidate_cost_start_,
-                        recorded_klasses_, recorded_statics_,
+                        recordedKlasses(), recordedStatics(),
                         stats_.monitor_enters - candidate_syncs_start_);
                 }
                 candidate_active_ = false;
@@ -1058,6 +1335,7 @@ Interpreter::run()
           case Op::Nop: case Op::PushI: case Op::PushNil: case Op::Load:
           case Op::Store: case Op::Dup: case Op::Pop:
           case Op::Add: case Op::Sub: case Op::Mul:
+          case Op::Div: case Op::Mod:
           case Op::CmpEq: case Op::CmpNe: case Op::CmpLt: case Op::CmpLe:
           case Op::CmpGt: case Op::CmpGe:
           case Op::And: case Op::Or: case Op::Not:

@@ -13,7 +13,9 @@
  *     missing-data fallbacks (Section 3.1); the instruction is NOT
  *     advanced, so resolving the fault and calling run() retries it;
  *   - NativeFallback: a native call this endpoint may not run
- *     locally (Section 3.2);
+ *     locally (Section 3.2): a HiddenState native whose receiver is
+ *     not a local, packed object, on an endpoint that checks remote
+ *     references (a FaaS function);
  *   - MonitorAcquire: the monitor's last owner is another endpoint,
  *     so a JMM-style synchronization is required (Section 4.2);
  *   - External: a native requested an external operation (e.g. a
@@ -32,6 +34,14 @@
  * Because suspension happens only between instructions, the windows
  * can be materialised on demand as plain-data Frame snapshots for
  * failure recovery (Section 4.5) and rebuilt from them.
+ *
+ * run() spends nearly all its time in one register loop (runInner):
+ * it runs natives through their function pointers and bytecode calls
+ * and returns itself, changing frames without leaving. It hands an
+ * instruction to run()'s outer switch only when that instruction may
+ * fault, must grow the value stack, is watched (a race oracle, or
+ * field-read recording), or calls into a method carrying an offload-
+ * or profiler-candidate mark.
  */
 
 #ifndef BEEHIVE_VM_INTERPRETER_H
@@ -41,6 +51,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "vm/context.h"
@@ -185,18 +196,27 @@ class Interpreter
         candidate_profiling_ = on;
     }
 
-    /** Record klass-use and static-access sets during execution. */
-    void enableRecording(bool on) { recording_ = on; }
-    const std::set<KlassId> &recordedKlasses() const
+    /**
+     * Record the klasses used and the statics touched during
+     * execution, as flat per-id marks the dispatch loop writes.
+     * With @p field_reads, also record every (receiver klass, field)
+     * pair read; that set is kept for hivelint and tests, and field
+     * reads then run on the outer switch.
+     */
+    void
+    enableRecording(bool on, bool field_reads = false)
     {
-        return recorded_klasses_;
+        recording_ = on;
+        record_field_reads_ = field_reads;
+        if (on)
+            sizeMarks();
     }
-    const std::set<std::pair<KlassId, uint32_t>> &
-    recordedStatics() const
-    {
-        return recorded_statics_;
-    }
-    /** (receiver klass, field index) pairs actually read. */
+    /** The marked klasses, as a set. */
+    std::set<KlassId> recordedKlasses() const;
+    /** The marked (klass, static slot) pairs, as a set. */
+    std::set<std::pair<KlassId, uint32_t>> recordedStatics() const;
+    /** (receiver klass, field index) pairs actually read; filled only
+     * under enableRecording(true, true). */
     const std::set<std::pair<KlassId, uint32_t>> &
     recordedFieldReads() const
     {
@@ -316,20 +336,62 @@ class Interpreter
     /** Ensure a klass is loaded; otherwise fill @p out and fault. */
     bool requireKlass(KlassId id, Suspend &out);
 
+    /** @name Recording marks */
+    /// @{
+    /** Size the marks to the program (a no-op once they fit). */
+    void sizeMarks();
+    void
+    markKlass(KlassId id)
+    {
+        if (!klass_marks_[id]) {
+            klass_marks_[id] = 1;
+            marked_klasses_.push_back(id);
+        }
+    }
+    void
+    markStatic(KlassId klass, uint32_t slot)
+    {
+        uint8_t &mark = static_marks_[static_base_[klass] + slot];
+        if (!mark) {
+            mark = 1;
+            marked_statics_.emplace_back(klass, slot);
+        }
+    }
+    /// @}
+
+    /** Why runInner() returned. */
+    enum class Stop
+    {
+        HandOff,   //!< the outer switch must run the instruction at pc
+        Quantum,   //!< the quantum expired after an instruction
+        Suspended, //!< @c out holds the suspension
+    };
+
     /**
-     * The call-free inner loop of run(): runs the top frame's
-     * instructions while each is one it owns (stack, arithmetic,
-     * compare and branch ops, Compute, the fused idioms and the
-     * local-receiver paths of GetField, ALoad, ArrLen and BytesLen)
-     * and its fast path applies, with the dispatch state in locals.
-     * Stops before any other instruction, charging nothing for it,
-     * with the state written back to the members.
-     *
-     * @retval true when the quantum expired after an instruction.
+     * The register loop of run(): runs instructions with the dispatch
+     * state in locals while each is one it owns and its fast path
+     * applies. It owns the stack, arithmetic (Div and Mod too),
+     * compare and branch ops, Compute, the fused idioms, the
+     * local-receiver paths of GetField, ALoad, ArrLen and BytesLen,
+     * New, GetStatic and PutStatic, natives, bytecode Call and
+     * CallVirt, and Ret. It suspends itself for a native's fallback
+     * or External request, a full heap and the root's Ret. It hands
+     * over, before charging anything for it, an instruction that
+     * must fault on a klass or a remote reference, must grow the
+     * value stack, is observed (a race oracle, or field reads being
+     * recorded), calls a marked offload or profiler candidate, is the
+     * active candidate's Ret, or is a native while a force-local
+     * one-shot is pending.
      */
-    bool runInner(double quantum_ns, double instr_ns, bool check_remote);
+    Stop runInner(double quantum_ns, double instr_ns, bool check_remote,
+                  Suspend &out);
 
     void charge(double ns);
+    /**
+     * Push a frame for @p m whose arguments end at @p sp: nil-fill its
+     * other locals (values_ must hold them) and return its window.
+     */
+    Window &pushFrame(MethodId id, const Method &m, std::size_t sp);
     /** Push a frame whose @c num_args arguments are the stack top. */
     void enterMethod(MethodId id, const Method &m);
     bool invoke(MethodId id, Suspend &out);
@@ -360,8 +422,14 @@ class Interpreter
     uint64_t candidate_syncs_start_ = 0;
     int race_tid_ = -1;
     bool recording_ = false;
-    std::set<KlassId> recorded_klasses_;
-    std::set<std::pair<KlassId, uint32_t>> recorded_statics_;
+    bool record_field_reads_ = false;
+    /** Klass marks by KlassId, and the marked ids in mark order. */
+    std::vector<uint8_t> klass_marks_;
+    std::vector<KlassId> marked_klasses_;
+    /** Static marks by slot: klass k's slot s is static_base_[k] + s. */
+    std::vector<uint32_t> static_base_;
+    std::vector<uint8_t> static_marks_;
+    std::vector<std::pair<KlassId, uint32_t>> marked_statics_;
     std::set<std::pair<KlassId, uint32_t>> recorded_field_reads_;
     InterpStats stats_;
 };

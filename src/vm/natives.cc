@@ -12,16 +12,8 @@ NativeRegistry::add(std::string name, NativeCategory category,
               "duplicate native %s", name.c_str());
     uint32_t id = static_cast<uint32_t>(natives_.size());
     by_name_[name] = id;
-    natives_.push_back(
-        NativeMethod{std::move(name), category, std::move(fn)});
+    natives_.push_back(NativeMethod{std::move(name), category, fn});
     return id;
-}
-
-const NativeMethod &
-NativeRegistry::get(uint32_t id) const
-{
-    bh_assert(id < natives_.size(), "bad native id %u", id);
-    return natives_[id];
 }
 
 uint32_t

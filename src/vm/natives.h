@@ -11,7 +11,9 @@
  * stateless -- which drive BeeHive's offloadability
  * policy (Section 3.2): pure/stateless run anywhere, hidden-state
  * natives need a *packed* Packageable receiver on FaaS, and network
- * natives route through the connection proxy.
+ * natives route through the connection proxy. The interpreter applies
+ * that rule itself from the category (Interpreter::run), so a native
+ * is only a table entry: a plain function pointer, called by id.
  */
 
 #ifndef BEEHIVE_VM_NATIVES_H
@@ -19,13 +21,12 @@
 
 #include <any>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "support/logging.h"
 #include "vm/program.h"
 #include "vm/value.h"
 
@@ -43,24 +44,24 @@ struct NativeResult
     double cost_ns = 0.0;
 
     /**
-     * When set, the interpreter suspends with an External request
-     * carrying this payload instead of completing the call; the
-     * endpoint driver performs the operation (e.g. a database round
-     * trip via the proxy) and resumes with the real return value.
-     * Handlers must not mutate the heap before requesting external
-     * completion.
+     * When it holds a value, the interpreter suspends with an
+     * External request carrying this payload instead of completing
+     * the call; the endpoint performs the operation (e.g. a database
+     * round trip via the proxy) and resumes the interpreter with the
+     * real return value. Handlers must not mutate the heap before
+     * requesting external completion.
      */
-    std::optional<std::any> external;
+    std::any external;
 };
 
 /**
- * A native method implementation. The arguments are a read-only view
- * of the caller's operand-stack top, in push order; it is valid only
+ * A native method implementation: a plain function, so a handler
+ * keeps no state of its own. The arguments are a read-only view of
+ * the caller's operand-stack top, in push order; it is valid only
  * for the duration of the call (the interpreter pops the arguments
  * once the handler returns).
  */
-using NativeFn =
-    std::function<NativeResult(VmContext &, std::span<const Value>)>;
+using NativeFn = NativeResult (*)(VmContext &, std::span<const Value>);
 
 /** Registered native method. */
 struct NativeMethod
@@ -77,7 +78,12 @@ class NativeRegistry
     /** Register a native; returns its id. */
     uint32_t add(std::string name, NativeCategory category, NativeFn fn);
 
-    const NativeMethod &get(uint32_t id) const;
+    const NativeMethod &
+    get(uint32_t id) const
+    {
+        bh_assert(id < natives_.size(), "bad native id %u", id);
+        return natives_[id];
+    }
     bool has(uint32_t id) const { return id < natives_.size(); }
     std::size_t size() const { return natives_.size(); }
 

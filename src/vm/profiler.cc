@@ -9,20 +9,22 @@ namespace beehive::vm {
 void
 Profiler::addCandidateAnnotation(const std::string &name)
 {
-    for (MethodId id : program_.methodsWithAnnotation(name))
-        candidates_.insert(id);
-}
-
-bool
-Profiler::isCandidate(MethodId id) const
-{
-    return candidates_.count(id) > 0;
+    for (MethodId id : program_.methodsWithAnnotation(name)) {
+        if (id >= candidate_marks_.size())
+            candidate_marks_.resize(id + 1, 0);
+        candidate_marks_[id] = 1;
+    }
 }
 
 std::vector<MethodId>
 Profiler::candidates() const
 {
-    return {candidates_.begin(), candidates_.end()};
+    std::vector<MethodId> out;
+    for (MethodId id = 0; id < candidate_marks_.size(); ++id) {
+        if (candidate_marks_[id])
+            out.push_back(id);
+    }
+    return out;
 }
 
 void

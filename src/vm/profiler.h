@@ -72,7 +72,13 @@ class Profiler
      */
     void addCandidateAnnotation(const std::string &name);
 
-    bool isCandidate(MethodId id) const;
+    /** A flat mark per method id: the interpreter asks at calls. */
+    bool
+    isCandidate(MethodId id) const
+    {
+        return id < candidate_marks_.size() && candidate_marks_[id];
+    }
+    /** Every candidate, in ascending id order. */
     std::vector<MethodId> candidates() const;
 
     /** Merge one observed execution of @p root into its profile. */
@@ -113,7 +119,8 @@ class Profiler
 
   private:
     const Program &program_;
-    std::set<MethodId> candidates_;
+    /** Candidates by method id; grows on demand. */
+    std::vector<uint8_t> candidate_marks_;
     std::map<MethodId, RootProfile> profiles_;
 };
 

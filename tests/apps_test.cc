@@ -10,6 +10,7 @@
 #include "apps/framework.h"
 #include "apps/pybbs.h"
 #include "apps/thumbnail.h"
+#include "support/strutil.h"
 #include "vm/interpreter.h"
 
 namespace beehive::apps {
@@ -243,6 +244,96 @@ TEST(AppsTest, SeedsPopulateExpectedTables)
               static_cast<std::size_t>(BlogApp::kPosts));
     EXPECT_TRUE(store.hasTable("comments"));
     EXPECT_TRUE(store.hasTable("thumbs"));
+}
+
+/**
+ * The tables seeded the way the apps once seeded them: a db::Row per
+ * row, its fields set in a std::map and its labels formatted by
+ * strprintf, each stored as Record::make(row.id, row).
+ */
+void
+seedThroughRows(db::RecordStore &store)
+{
+    auto load = [&](const std::string &table,
+                    const std::vector<db::Row> &rows) {
+        std::vector<db::RecordRef> records;
+        for (const db::Row &row : rows)
+            records.push_back(db::Record::make(row.id, row));
+        store.load(table, std::move(records));
+    };
+    std::vector<db::Row> images;
+    for (int i = 0; i < ThumbnailApp::kImages; ++i) {
+        db::Row row;
+        row.id = i;
+        row.fields["image"] = std::string(2048, 'p');
+        images.push_back(std::move(row));
+    }
+    load("images", images);
+    store.createTable("thumbs");
+
+    std::vector<db::Row> users;
+    for (int i = 0; i < PybbsApp::kUsers; ++i) {
+        db::Row row;
+        row.id = i;
+        row.fields["name"] = strprintf("user-%d", i);
+        row.fields["bio"] = std::string(120, 'u');
+        users.push_back(std::move(row));
+    }
+    load("users", users);
+    std::vector<db::Row> topics;
+    for (int i = 0; i < PybbsApp::kTopics; ++i) {
+        db::Row row;
+        row.id = i;
+        row.fields["title"] = strprintf("topic-%d", i);
+        row.fields["body"] = std::string(400, 't');
+        topics.push_back(std::move(row));
+    }
+    load("topics", topics);
+    store.createTable("comments");
+
+    std::vector<db::Row> posts;
+    for (int i = 0; i < BlogApp::kPosts; ++i) {
+        db::Row row;
+        row.id = i;
+        row.fields["title"] = strprintf("post-%d", i);
+        row.fields["body"] = std::string(600, 'b');
+        posts.push_back(std::move(row));
+    }
+    load("posts", posts);
+}
+
+TEST(AppsTest, SeededRecordsMatchTheRowPath)
+{
+    vm::Program program;
+    vm::NativeRegistry natives;
+    Framework fw(program, natives, tinyOptions());
+    ThumbnailApp thumbnail(fw);
+    PybbsApp pybbs(fw);
+    BlogApp blog(fw);
+
+    db::RecordStore seeded, reference;
+    thumbnail.seedDatabase(seeded);
+    pybbs.seedDatabase(seeded);
+    blog.seedDatabase(seeded);
+    seedThroughRows(reference);
+    for (const char *table : {"images", "thumbs", "users", "topics",
+                              "comments", "posts"}) {
+        SCOPED_TRACE(table);
+        ASSERT_TRUE(seeded.hasTable(table));
+        ASSERT_EQ(seeded.tableSize(table), reference.tableSize(table));
+        db::Request scan{db::OpKind::Scan, table};
+        scan.limit = static_cast<int64_t>(reference.tableSize(table));
+        const db::Response got = seeded.execute(scan);
+        const db::Response want = reference.execute(scan);
+        ASSERT_EQ(got.rows.size(), want.rows.size());
+        for (std::size_t i = 0; i < got.rows.size(); ++i) {
+            EXPECT_EQ(got.rows[i]->id(), want.rows[i]->id()) << i;
+            EXPECT_EQ(got.rows[i]->wire(), want.rows[i]->wire()) << i;
+            EXPECT_EQ(got.rows[i]->wireSize(), want.rows[i]->wireSize())
+                << i;
+        }
+        EXPECT_EQ(got.wireSize(), want.wireSize());
+    }
 }
 
 TEST(AppsTest, ThumbnailUsesBiggerLambda)

@@ -377,7 +377,8 @@ TEST(Chaos, ProxyAbsorbsReadResetWithOneRetry)
 {
     db::RecordStore store;
     store.createTable("t");
-    store.load("t", {db::Row{1, {{"v", "x"}}}});
+    const db::Field fields[] = {{"v", "x"}};
+    store.load("t", {db::Record::make(1, fields)});
     proxy::ConnectionProxy proxy(store);
     proxy::ConnId conn = proxy.openConnection(1);
 

@@ -22,6 +22,13 @@ makeRow(int64_t id, const std::string &body)
     return r;
 }
 
+RecordRef
+makeRecord(int64_t id, const std::string &body)
+{
+    const Field fields[] = {{"body", body}};
+    return Record::make(id, fields);
+}
+
 class RecordStoreTest : public ::testing::Test
 {
   protected:
@@ -29,8 +36,8 @@ class RecordStoreTest : public ::testing::Test
     {
         store.createTable("topics");
         for (int64_t i = 1; i <= 10; ++i)
-            store.load("topics", {makeRow(i, "topic-" +
-                                               std::to_string(i))});
+            store.load("topics", {makeRecord(i, "topic-" +
+                                                     std::to_string(i))});
     }
 
     RecordStore store;
@@ -117,7 +124,7 @@ TEST_F(RecordStoreTest, ScanPastEndReturnsShortResult)
 TEST(RecordStore, PutsIntoTheMiddleScanInIdOrder)
 {
     RecordStore store;
-    store.load("t", {makeRow(30, "c"), makeRow(10, "a")});
+    store.load("t", {makeRecord(30, "c"), makeRecord(10, "a")});
     for (int64_t id : {20, 5, 25}) {
         Request put{OpKind::Put, "t", id};
         put.row = makeRow(0, "p" + std::to_string(id));
@@ -133,6 +140,51 @@ TEST(RecordStore, PutsIntoTheMiddleScanInIdOrder)
     EXPECT_EQ(wires, (std::vector<std::string>{
                          "5|body=p5", "10|body=a", "20|body=p20",
                          "25|body=p25", "30|body=c"}));
+}
+
+TEST(RecordStore, LoadKeepsTheLaterRecordOfARepeatedId)
+{
+    // Out-of-order and repeated ids, within one load and across two:
+    // the later record wins, as a Put would, and scans run in id
+    // order.
+    RecordStore store;
+    store.load("t", {makeRecord(20, "b"), makeRecord(10, "a"),
+                     makeRecord(20, "b2"), makeRecord(30, "c")});
+    store.load("t", {makeRecord(10, "a2"), makeRecord(40, "d")});
+    EXPECT_EQ(store.tableSize("t"), 4u);
+    Request scan{OpKind::Scan, "t"};
+    scan.limit = 100;
+    Response resp = store.execute(scan);
+    ASSERT_TRUE(resp.ok);
+    std::vector<std::string> wires;
+    for (const RecordRef &r : resp.rows)
+        wires.emplace_back(r->wire());
+    EXPECT_EQ(wires, (std::vector<std::string>{
+                         "10|body=a2", "20|body=b2", "30|body=c",
+                         "40|body=d"}));
+}
+
+TEST(Record, SortedFieldsEncodeLikeTheirRow)
+{
+    Row two;
+    two.fields["title"] = "post-1";
+    two.fields["body"] = std::string(600, 'b');
+    const std::string body(600, 'b');
+    const Field fields[] = {{"body", body}, {"title", "post-1"}};
+    const Record from_fields(12345, fields);
+    const Record from_row(12345, two);
+    EXPECT_EQ(from_fields.wire(), from_row.wire());
+    EXPECT_EQ(from_fields.wireSize(), 647u);
+    EXPECT_EQ(from_row.wireSize(), 647u);
+    const Record bare(-7, std::span<const Field>{});
+    EXPECT_EQ(bare.wire(), "-7");
+    EXPECT_EQ(bare.wireSize(), Row{}.wireSize());
+}
+
+TEST(RecordDeathTest, FieldsOutOfKeyOrderPanic)
+{
+    const Field fields[] = {{"title", "t"}, {"body", "b"}};
+    EXPECT_DEATH(Record(1, fields), "sorted by key");
 }
 
 TEST_F(RecordStoreTest, ScanSkipsDeletedRow)

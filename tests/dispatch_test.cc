@@ -20,6 +20,8 @@
 
 #include <any>
 #include <optional>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,6 +34,7 @@
 #include "vm/code_builder.h"
 #include "vm/context.h"
 #include "vm/interpreter.h"
+#include "vm/profiler.h"
 #include "vm/program.h"
 #include "vm/quicken.h"
 #include "vm/race_oracle.h"
@@ -789,7 +792,7 @@ TEST(Quicken, RecordingMatchesTwin)
         Ref node = kNullRef;
         for (TwinVm *vm : {&twins.plain(), &twins.quick()}) {
             node = p.seed(*vm, Value::nil());
-            vm->interp.enableRecording(true);
+            vm->interp.enableRecording(true, /*field_reads=*/true);
         }
         std::vector<Seen> seen = twins.run(p.main, {Value::ofRef(node)});
         ASSERT_FALSE(seen.empty());
@@ -999,7 +1002,7 @@ TEST(HandOff, ObservedReadsRunOnThePlainPath)
                 vm->ctx.setRaceOracle(vm == &twins.plain() ? &plain_oracle
                                                            : &quick_oracle);
             else
-                vm->interp.enableRecording(true);
+                vm->interp.enableRecording(true, /*field_reads=*/true);
             // main(arr, arr) reads arr's slot 1 as main's x.next.
             Ref arr = vm->heap.allocArray(p.arr_k, 2);
             node = vm->heap.allocPlain(p.node_k);
@@ -1022,11 +1025,11 @@ TEST(HandOff, ObservedReadsRunOnThePlainPath)
 
 TEST(HandOff, QuantumExpiringRightAfterReentry)
 {
-    // Swap, Neg, PushF and Div run in the outer switch and charge one
-    // instruction each, like the inner loop's ops, so a quantum of k
-    // instructions suspends at pc k with k charges summed one by one,
-    // wherever k falls: on an outer op, or on the first inner op
-    // after the loop is re-entered.
+    // Swap, Neg and PushF run in the outer switch and charge one
+    // instruction each, like the register loop's ops (Div among
+    // them), so a quantum of k instructions suspends at pc k with k
+    // charges summed one by one, wherever k falls: on an outer op,
+    // or on the first loop op after the loop is re-entered.
     Program program;
     Klass k;
     k.name = "K";
@@ -1061,6 +1064,402 @@ TEST(HandOff, QuantumExpiringRightAfterReentry)
         std::vector<Seen> seen = again.run(main, {});
         ASSERT_FALSE(seen.empty());
         EXPECT_EQ(seen.back().kind, Suspend::Kind::Done);
+    }
+}
+
+/** Register a native and add it to @p owner as a method. */
+MethodId
+addNative(Program &program, NativeRegistry &natives, KlassId owner,
+          const std::string &name, NativeCategory category,
+          uint16_t num_args, NativeFn fn)
+{
+    Method m;
+    m.name = name;
+    m.num_args = num_args;
+    m.is_native = true;
+    m.native_id = natives.add(name, category, fn);
+    m.native_category = category;
+    return program.addMethod(owner, m);
+}
+
+/** A klass named @p name with @p statics static slots. */
+KlassId
+addKlass(Program &program, const std::string &name,
+         std::vector<std::string> statics = {})
+{
+    Klass k;
+    k.name = name;
+    k.fields = {"value"};
+    k.statics = std::move(statics);
+    return program.addKlass(k);
+}
+
+TEST(HandOff, OffloadPolicyIsAskedOnceAtEachCandidateCall)
+{
+    // main(n) calls helper and then handler n times; only handler is
+    // an offload candidate, and its klass faults in on the first
+    // call. The offload manager's policy draws from its RNG, so
+    // asking it twice for one call, or at all for another method,
+    // would change the run.
+    Program program;
+    const KlassId k = addKlass(program, "K");
+    const KlassId lazy_k = addKlass(program, "Lazy");
+    CodeBuilder h(program, lazy_k, "handler", 1);
+    h.load(0).pushI(1).add().ret();
+    const MethodId handler = h.build();
+    CodeBuilder g(program, k, "helper", 1);
+    g.load(0).pushI(2).mul().ret();
+    const MethodId helper = g.build();
+    CodeBuilder b(program, k, "main", 1);
+    b.locals(1);
+    auto top = b.newLabel(), done = b.newLabel();
+    b.pushI(0).store(1);
+    b.bind(top);
+    b.load(0).pushI(0).cmpLe().jnz(done);
+    b.load(1).call(helper).call(handler).store(1);
+    b.load(0).pushI(1).sub().store(0);
+    b.jmp(top);
+    b.bind(done);
+    b.load(1).ret();
+    const MethodId main = b.build();
+    quicken(program);
+
+    for (int instrs : {1, 3, 1000})
+    for (bool offload : {false, true}) {
+        SCOPED_TRACE(testing::Message() << instrs << " offload " << offload);
+        NativeRegistry natives;
+        Heap heap(program, 1 << 16, 1 << 20);
+        VmContext ctx(program, natives, heap, idiomConfig(instrs));
+        ctx.loadKlass(k);
+        std::vector<MethodId> asked;
+        ctx.setOffloadPolicy([&](MethodId id) {
+            asked.push_back(id);
+            return offload;
+        });
+        ctx.markOffloadCandidate(handler);
+        Interpreter interp(ctx);
+        interp.start(main, {Value::ofInt(5)});
+        int faults = 0, offloads = 0;
+        Suspend s;
+        do {
+            s = interp.run();
+            if (s.kind == Suspend::Kind::ClassFault) {
+                EXPECT_EQ(s.klass, lazy_k);
+                ctx.loadKlass(s.klass);
+                ++faults;
+            } else if (s.kind == Suspend::Kind::OffloadCall) {
+                // The FaaS side runs handler: x + 1.
+                ASSERT_EQ(s.offload_method, handler);
+                ASSERT_EQ(s.offload_args.size(), 1u);
+                interp.resumeExternal(
+                    Value::ofInt(s.offload_args[0].asInt() + 1));
+                ++offloads;
+            } else {
+                ASSERT_TRUE(s.kind == Suspend::Kind::Quantum ||
+                            s.kind == Suspend::Kind::Done)
+                    << static_cast<int>(s.kind);
+            }
+        } while (s.kind != Suspend::Kind::Done);
+        EXPECT_EQ(s.result.asInt(), 31); // x -> 2x + 1, five times
+        EXPECT_EQ(faults, 1);
+        EXPECT_EQ(asked, std::vector<MethodId>(5, handler));
+        EXPECT_EQ(offloads, offload ? 5 : 0);
+    }
+}
+
+/** Method.invoke0(receiver, x): x * 10, a hidden-state native. */
+NativeResult
+invoke0(VmContext &, std::span<const Value> args)
+{
+    NativeResult r;
+    r.cost_ns = 150.0;
+    r.ret = Value::ofInt(args[1].asInt() * 10);
+    return r;
+}
+
+TEST(HandOff, HiddenStateNativeNeedsALocalPackedReceiverOnAFunction)
+{
+    // main(recv) = 5 + invoke0(recv, 4). On an endpoint that checks
+    // remote references (a FaaS function) the native runs only on a
+    // local, packed receiver; otherwise the call suspends with its
+    // arguments on the stack and runs once forceNextNativeLocal()
+    // forces it.
+    Program program;
+    const KlassId k = addKlass(program, "Method");
+    NativeRegistry natives;
+    const MethodId invoke = addNative(program, natives, k, "Method.invoke0",
+                                      NativeCategory::HiddenState, 2,
+                                      invoke0);
+    CodeBuilder b(program, k, "main", 1);
+    b.pushI(5).load(0).pushI(4).call(invoke).add().ret();
+    const MethodId main = b.build();
+    const uint32_t call_pc = 3;
+
+    enum class Receiver { Unpacked, Packed, Null, Int };
+    for (bool check_remote : {false, true})
+    for (Receiver kind : {Receiver::Unpacked, Receiver::Packed,
+                          Receiver::Null, Receiver::Int}) {
+        SCOPED_TRACE(testing::Message() << "check_remote " << check_remote
+                                        << " receiver "
+                                        << static_cast<int>(kind));
+        VmConfig cfg = idiomConfig(1000);
+        cfg.check_remote_refs = check_remote;
+        TwinVm vm(program, natives, cfg, 1 << 20);
+        Value recv = Value::ofInt(7);
+        if (kind == Receiver::Null) {
+            recv = Value::ofRef(kNullRef);
+        } else if (kind != Receiver::Int) {
+            const Ref obj = vm.heap.allocPlain(k);
+            if (kind == Receiver::Packed)
+                vm.heap.header(obj).flags |= kFlagPacked;
+            recv = Value::ofRef(obj);
+        }
+        vm.interp.start(main, {recv});
+        Suspend s = vm.interp.run();
+        const bool falls_back = check_remote && kind != Receiver::Packed;
+        if (falls_back) {
+            ASSERT_EQ(s.kind, Suspend::Kind::NativeFallback);
+            EXPECT_EQ(s.native_id, program.method(invoke).native_id);
+            EXPECT_EQ(vm.interp.stats().native_calls, 0u);
+            const std::vector<Frame> frames = vm.interp.snapshotFrames();
+            ASSERT_EQ(frames.size(), 1u);
+            EXPECT_EQ(frames[0].pc, call_pc);
+            EXPECT_EQ(frames[0].stack,
+                      (std::vector<Value>{Value::ofInt(5), recv,
+                                          Value::ofInt(4)}));
+            vm.ctx.forceNextNativeLocal();
+            s = vm.interp.run();
+        }
+        ASSERT_EQ(s.kind, Suspend::Kind::Done);
+        EXPECT_EQ(s.result.asInt(), 45);
+        EXPECT_EQ(vm.interp.stats().native_calls, 1u);
+        EXPECT_EQ(vm.ctx.nativeCount(NativeCategory::HiddenState), 1u);
+    }
+}
+
+/** Thread.currentThread(): 1, a stateless native. */
+NativeResult
+currentThread(VmContext &, std::span<const Value>)
+{
+    NativeResult r;
+    r.cost_ns = 30.0;
+    r.ret = Value::ofInt(1);
+    return r;
+}
+
+TEST(HandOff, ForceLocalOneShotIsConsumedByOneNative)
+{
+    // main(recv) = currentThread() + invoke0(recv, 1) + invoke0(recv, 2)
+    // on a function endpoint, with an unpacked receiver: the one-shot
+    // is taken by the next native, whatever its category, and by no
+    // other.
+    Program program;
+    const KlassId k = addKlass(program, "Method");
+    NativeRegistry natives;
+    const MethodId current = addNative(program, natives, k,
+                                       "Thread.currentThread",
+                                       NativeCategory::Stateless, 0,
+                                       currentThread);
+    const MethodId invoke = addNative(program, natives, k, "Method.invoke0",
+                                      NativeCategory::HiddenState, 2,
+                                      invoke0);
+    CodeBuilder b(program, k, "main", 1);
+    b.call(current);
+    b.load(0).pushI(1).call(invoke).add();
+    b.load(0).pushI(2).call(invoke).add();
+    b.ret();
+    const MethodId main = b.build();
+    VmConfig cfg = idiomConfig(1000);
+    cfg.check_remote_refs = true;
+    TwinVm vm(program, natives, cfg, 1 << 20);
+    const Value recv = Value::ofRef(vm.heap.allocPlain(k));
+    vm.interp.start(main, {recv});
+
+    auto pc = [&] { return vm.interp.snapshotFrames().back().pc; };
+    // Taken by currentThread, so the first invoke0 falls back.
+    vm.ctx.forceNextNativeLocal();
+    Suspend s = vm.interp.run();
+    ASSERT_EQ(s.kind, Suspend::Kind::NativeFallback);
+    EXPECT_EQ(pc(), 3u);
+    EXPECT_FALSE(vm.ctx.forceLocalNativePending());
+    EXPECT_EQ(vm.interp.stats().native_calls, 1u);
+    // Taken by the first invoke0 alone: the second falls back.
+    vm.ctx.forceNextNativeLocal();
+    s = vm.interp.run();
+    ASSERT_EQ(s.kind, Suspend::Kind::NativeFallback);
+    EXPECT_EQ(pc(), 7u);
+    EXPECT_FALSE(vm.ctx.forceLocalNativePending());
+    EXPECT_EQ(vm.interp.stats().native_calls, 2u);
+    vm.ctx.forceNextNativeLocal();
+    s = vm.interp.run();
+    ASSERT_EQ(s.kind, Suspend::Kind::Done);
+    EXPECT_EQ(s.result.asInt(), 1 + 10 + 20);
+    EXPECT_EQ(vm.interp.stats().native_calls, 3u);
+}
+
+/** Calls left for countdown(); each call takes one. */
+int64_t countdown_left = 0;
+
+/** countdown(): the calls left after this one. */
+NativeResult
+countdown(VmContext &, std::span<const Value>)
+{
+    NativeResult r;
+    r.cost_ns = 30.0;
+    r.ret = Value::ofInt(--countdown_left);
+    return r;
+}
+
+TEST(HandOff, ZeroArgumentNativeAtTheValueStackLimitGrowsIt)
+{
+    // rec() has one local and no arguments: frame i's local is slot
+    // i, and its only push is countdown()'s result at slot i + 1, so
+    // frame 63 calls the native with the stack exactly full (64
+    // slots), and its result must grow the stack first.
+    Program program;
+    const KlassId k = addKlass(program, "K");
+    NativeRegistry natives;
+    const MethodId tick = addNative(program, natives, k, "countdown",
+                                    NativeCategory::Stateless, 0,
+                                    countdown);
+    CodeBuilder b(program, k, "rec", 0);
+    b.locals(1);
+    auto base = b.newLabel();
+    b.call(tick).jz(base);
+    b.callSelf().ret();
+    b.bind(base);
+    b.pushI(0).ret();
+    const MethodId rec = b.build();
+    for (int instrs : {1, 2, 1000}) {
+        SCOPED_TRACE(instrs);
+        countdown_left = 150;
+        TwinVm vm(program, natives, idiomConfig(instrs), 1 << 20);
+        vm.interp.start(rec, {});
+        Suspend s;
+        do {
+            s = vm.interp.run();
+        } while (s.kind == Suspend::Kind::Quantum);
+        ASSERT_EQ(s.kind, Suspend::Kind::Done);
+        EXPECT_EQ(s.result.asInt(), 0);
+        EXPECT_EQ(vm.interp.stats().native_calls, 150u);
+        EXPECT_EQ(vm.interp.stats().calls, 150u);
+    }
+}
+
+/** Socket.read0(a, b): an External request carrying 100a + b. */
+NativeResult
+socketRead(VmContext &, std::span<const Value> args)
+{
+    NativeResult r;
+    r.cost_ns = 250.0;
+    r.external = std::any(args[0].asInt() * 100 + args[1].asInt());
+    return r;
+}
+
+TEST(HandOff, ExternalNativeLeavesPcPastTheCallAndItsArgumentsPopped)
+{
+    Program program;
+    const KlassId k = addKlass(program, "Socket");
+    NativeRegistry natives;
+    const MethodId read = addNative(program, natives, k, "Socket.read0",
+                                    NativeCategory::Network, 2, socketRead);
+    CodeBuilder b(program, k, "main", 0);
+    b.pushI(9).pushI(4).pushI(2).call(read).add().ret();
+    const MethodId main = b.build();
+    for (int instrs : {1, 1000}) {
+        SCOPED_TRACE(instrs);
+        TwinVm vm(program, natives, idiomConfig(instrs), 1 << 20);
+        vm.interp.start(main, {});
+        Suspend s;
+        do {
+            s = vm.interp.run();
+        } while (s.kind == Suspend::Kind::Quantum);
+        ASSERT_EQ(s.kind, Suspend::Kind::External);
+        EXPECT_EQ(std::any_cast<int64_t>(s.external), 402);
+        const std::vector<Frame> frames = vm.interp.snapshotFrames();
+        ASSERT_EQ(frames.size(), 1u);
+        EXPECT_EQ(frames[0].pc, 4u);
+        EXPECT_EQ(frames[0].stack, std::vector<Value>{Value::ofInt(9)});
+        EXPECT_EQ(vm.interp.stats().native_calls, 1u);
+        vm.interp.resumeExternal(Value::ofInt(5));
+        do {
+            s = vm.interp.run();
+        } while (s.kind == Suspend::Kind::Quantum);
+        ASSERT_EQ(s.kind, Suspend::Kind::Done);
+        EXPECT_EQ(s.result.asInt(), 14);
+    }
+}
+
+TEST(HandOff, ProfilerCandidateRecordsOneExecutionPerCall)
+{
+    // entry(n) allocates an Outside object, then calls the annotated
+    // handler n times through a wrapper. The handler allocates a
+    // Used object, reads a static and a field, and calls a helper
+    // and a native. Each call must flush exactly one sample, holding
+    // what the handler's extent used and nothing from outside it,
+    // whatever the quantum.
+    Program program;
+    const KlassId entry_k = addKlass(program, "Entry");
+    const KlassId handler_k = addKlass(program, "Handler");
+    const KlassId used_k = addKlass(program, "Used");
+    const KlassId outside_k = addKlass(program, "Outside");
+    const KlassId counter_k = addKlass(program, "Counter", {"a", "hits"});
+    const KlassId helper_k = addKlass(program, "Helper");
+    NativeRegistry natives;
+    const MethodId current = addNative(program, natives, helper_k,
+                                       "Thread.currentThread",
+                                       NativeCategory::Stateless, 0,
+                                       currentThread);
+    CodeBuilder hb(program, helper_k, "helper", 1);
+    hb.load(0).call(current).add().ret();
+    const MethodId helper = hb.build();
+    CodeBuilder h(program, handler_k, "handler", 1);
+    h.annotate("RequestMapping");
+    h.locals(1);
+    h.newObj(used_k).store(1);
+    h.load(1).getField(0).popv();
+    h.getStatic(counter_k, 1).popv();
+    h.load(0).call(helper).ret();
+    const MethodId handler = h.build();
+    CodeBuilder w(program, entry_k, "wrapper", 1);
+    w.load(0).call(handler).ret();
+    const MethodId wrapper = w.build();
+    CodeBuilder e(program, entry_k, "entry", 1);
+    auto top = e.newLabel(), done = e.newLabel();
+    e.newObj(outside_k).popv();
+    e.bind(top);
+    e.load(0).pushI(0).cmpLe().jnz(done);
+    e.load(0).call(wrapper).popv();
+    e.load(0).pushI(1).sub().store(0);
+    e.jmp(top);
+    e.bind(done);
+    e.newObj(outside_k).popv();
+    e.pushI(0).ret();
+    const MethodId entry = e.build();
+
+    double cost = -1.0;
+    for (int instrs : {1, 3, 7, 1000}) {
+        SCOPED_TRACE(instrs);
+        TwinVm vm(program, natives, idiomConfig(instrs), 1 << 20);
+        Profiler prof(program);
+        prof.addCandidateAnnotation("RequestMapping");
+        vm.ctx.setProfiler(&prof);
+        vm.interp.enableCandidateProfiling(true);
+        vm.interp.start(entry, {Value::ofInt(4)});
+        while (vm.interp.run().kind == Suspend::Kind::Quantum) {
+        }
+        const RootProfile *p = prof.profile(handler);
+        ASSERT_NE(p, nullptr);
+        EXPECT_EQ(p->invocations, 4u);
+        EXPECT_EQ(p->klasses,
+                  (std::set<KlassId>{used_k, counter_k, helper_k}));
+        EXPECT_EQ(p->statics,
+                  (std::set<std::pair<KlassId, uint32_t>>{{counter_k, 1}}));
+        if (cost < 0.0)
+            cost = p->total_cost_ns;
+        EXPECT_TRUE(quickentest::sameBits(p->total_cost_ns, cost));
+        // Field reads are recorded only when a caller asks.
+        EXPECT_TRUE(vm.interp.recordedFieldReads().empty());
     }
 }
 
@@ -1296,6 +1695,68 @@ TEST(PinnedCost, EntryHandlersChargeLikeTheExactLoop)
                      << harness::appName(pin.app) << " quantum "
                      << pin.quantum_ns);
         const uint64_t got = entryHandlerHash(pin.app, pin.quantum_ns);
+        EXPECT_EQ(got, pin.hash) << std::hex << "0x" << got;
+    }
+}
+
+/**
+ * Every RootProfile the profiling phase leaves for @p app's
+ * candidates, and the roots Testbed::runProfilingPhase() selects from
+ * them, hashed: invocations, the bits of the total cost, the klasses,
+ * the statics and the monitor enters.
+ */
+uint64_t
+profilingPhaseHash(harness::AppKind app)
+{
+    harness::TestbedOptions opts;
+    opts.app = app;
+    harness::Testbed bed(opts);
+    EXPECT_TRUE(bed.runProfilingPhase());
+    const Profiler &prof = bed.server().profiler();
+    quickentest::Fnv1a hash;
+    for (MethodId root : prof.candidates()) {
+        hash.add(root);
+        const RootProfile *p = prof.profile(root);
+        if (!p) {
+            hash.add(~uint64_t{0});
+            continue;
+        }
+        hash.add(p->invocations);
+        uint64_t cost_bits;
+        std::memcpy(&cost_bits, &p->total_cost_ns, sizeof cost_bits);
+        hash.add(cost_bits);
+        hash.add(p->klasses.size());
+        for (KlassId k : p->klasses)
+            hash.add(k);
+        hash.add(p->statics.size());
+        for (const auto &[k, slot] : p->statics)
+            hash.add(uint64_t{k} << 32 | slot);
+        hash.add(p->monitor_enters);
+    }
+    for (MethodId root : prof.selectRoots(5e6, 1e6))
+        hash.add(root);
+    return hash.value();
+}
+
+TEST(PinnedProfile, ProfilingPhaseRecordsTheSameSets)
+{
+    // Recorded from the build whose recording inserted every klass
+    // and static into std::sets as it ran; the flat marks must feed
+    // the profiler the same sets, costs and counts.
+    using harness::AppKind;
+    struct Pin
+    {
+        AppKind app;
+        uint64_t hash;
+    };
+    constexpr Pin kPins[] = {
+        {AppKind::Blog, 0x82a6a5fdd46607faull},
+        {AppKind::Pybbs, 0xa263b347799fbccdull},
+        {AppKind::Thumbnail, 0x85345a989746375eull},
+    };
+    for (const Pin &pin : kPins) {
+        SCOPED_TRACE(harness::appName(pin.app));
+        const uint64_t got = profilingPhaseHash(pin.app);
         EXPECT_EQ(got, pin.hash) << std::hex << "0x" << got;
     }
 }

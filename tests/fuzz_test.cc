@@ -177,7 +177,7 @@ TEST_P(FuzzProperty, StaticCaptureCoversDynamicReads)
     Interpreter interp(ctx);
     collector.addValueRoots(
         [&](const auto &visit) { interp.forEachRoot(visit); });
-    interp.enableRecording(true);
+    interp.enableRecording(true, /*field_reads=*/true);
 
     interp.start(entry, {});
     while (true) {

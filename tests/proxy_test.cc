@@ -23,13 +23,21 @@ makeRow(int64_t id, const std::string &body)
     return r;
 }
 
+db::RecordRef
+makeRecord(int64_t id, const std::string &body)
+{
+    const db::Field fields[] = {{"body", body}};
+    return db::Record::make(id, fields);
+}
+
 class ProxyTest : public ::testing::Test
 {
   protected:
     ProxyTest() : proxy(store)
     {
         store.createTable("comments");
-        store.load("comments", {makeRow(1, "first"), makeRow(2, "second")});
+        store.load("comments",
+                   {makeRecord(1, "first"), makeRecord(2, "second")});
         server = net.addNode("server", "vpc");
         faas = net.addNode("fn-1", "vpc");
         conn = proxy.openConnection(server);
@@ -199,7 +207,7 @@ TEST_F(ProxyTest, ConcurrentShadowSessionsAreIsolated)
 TEST(ShadowSession, DeleteHidesStoreRow)
 {
     db::RecordStore store;
-    store.load("t", {makeRow(1, "a"), makeRow(2, "b")});
+    store.load("t", {makeRecord(1, "a"), makeRecord(2, "b")});
     ShadowSession shadow;
 
     db::Request del{db::OpKind::Delete, "t", 1};
@@ -214,7 +222,7 @@ TEST(ShadowSession, DeleteHidesStoreRow)
 TEST(ShadowSession, PutAfterDeleteResurrects)
 {
     db::RecordStore store;
-    store.load("t", {makeRow(1, "a")});
+    store.load("t", {makeRecord(1, "a")});
     ShadowSession shadow;
 
     db::Request del{db::OpKind::Delete, "t", 1};
@@ -232,7 +240,7 @@ TEST(ShadowSession, PutAfterDeleteResurrects)
 TEST(ShadowSession, ScanMergesOverlayAndStore)
 {
     db::RecordStore store;
-    store.load("t", {makeRow(1, "a"), makeRow(3, "c")});
+    store.load("t", {makeRecord(1, "a"), makeRecord(3, "c")});
     ShadowSession shadow;
 
     db::Request put{db::OpKind::Put, "t", 2};
@@ -253,7 +261,7 @@ TEST(ShadowSession, ScanMergesOverlayAndStore)
 TEST(ShadowSession, ScanOverlayReplacesStoreRow)
 {
     db::RecordStore store;
-    store.load("t", {makeRow(1, "old")});
+    store.load("t", {makeRecord(1, "old")});
     ShadowSession shadow;
 
     db::Request put{db::OpKind::Put, "t", 1};
@@ -270,7 +278,7 @@ TEST(ShadowSession, ScanOverlayReplacesStoreRow)
 TEST(ShadowSession, CountAccountsForOverlayInsertsAndDeletes)
 {
     db::RecordStore store;
-    store.load("t", {makeRow(1, "a"), makeRow(2, "b")});
+    store.load("t", {makeRecord(1, "a"), makeRecord(2, "b")});
     ShadowSession shadow;
 
     db::Request put{db::OpKind::Put, "t", 5};

@@ -111,7 +111,7 @@ TEST_P(ManifestFuzz, StaticManifestCoversDynamicWorkingSet)
     };
 
     Interpreter run(ctx);
-    run.enableRecording(true);
+    run.enableRecording(true, /*field_reads=*/true);
     runToDone(run, mp.handler,
               {Value::ofInt(static_cast<int64_t>(seed))});
 

@@ -805,14 +805,12 @@ TEST_F(VmTest, NativeFallbackSuspendsAndRetries)
     CodeBuilder b(program, object_k, "reflect", 0);
     b.pushI(4).call(m_native).ret();
     MethodId m = b.build();
-    makeContext();
-    // Policy: all hidden-state natives fall back on this endpoint.
-    ctx->setNativePolicy(
-        [](const NativeMethod &n, std::span<const Value>) {
-            return n.category == NativeCategory::HiddenState
-                       ? NativeDisposition::Fallback
-                       : NativeDisposition::RunLocal;
-        });
+    // An endpoint that checks remote references (a FaaS function)
+    // runs a hidden-state native only on a local, packed receiver;
+    // this one's receiver is an int.
+    VmConfig cfg;
+    cfg.check_remote_refs = true;
+    makeContext(cfg);
 
     Interpreter interp(*ctx);
     interp.start(m, {});
@@ -1342,13 +1340,17 @@ TEST_F(FlatStackTest, RootsAreTheSnapshotLocalsAndStacksInOrder)
     }
 }
 
+/** The arguments Method.invoke3 saw on its last call. */
+std::vector<Value> invoke3_seen;
+
 TEST_F(VmTest, NativeSeesArgumentSpanAndFallbackLeavesThemOnTheStack)
 {
-    std::vector<Value> seen;
+    std::vector<Value> &seen = invoke3_seen;
+    seen.clear();
     uint32_t nid = natives.add(
         "Method.invoke3", NativeCategory::HiddenState,
-        [&seen](VmContext &, std::span<const Value> args) {
-            seen.assign(args.begin(), args.end());
+        [](VmContext &, std::span<const Value> args) {
+            invoke3_seen.assign(args.begin(), args.end());
             NativeResult r;
             r.ret = Value::ofInt(args[0].asInt() * 100 +
                                  args[1].asInt() * 10 + args[2].asInt());
@@ -1373,18 +1375,16 @@ TEST_F(VmTest, NativeSeesArgumentSpanAndFallbackLeavesThemOnTheStack)
     EXPECT_EQ(local.asInt(), 9 + 123);
     EXPECT_EQ(seen, args);
 
+    // On a remote-checking endpoint the int receiver falls back.
     seen.clear();
-    std::vector<Value> policy_saw;
-    ctx->setNativePolicy(
-        [&](const NativeMethod &, std::span<const Value> a) {
-            policy_saw.assign(a.begin(), a.end());
-            return NativeDisposition::Fallback;
-        });
+    VmConfig cfg;
+    cfg.check_remote_refs = true;
+    makeContext(cfg);
     Interpreter interp(*ctx);
     interp.start(m, {});
     Suspend s = interp.run();
     ASSERT_EQ(s.kind, Suspend::Kind::NativeFallback);
-    EXPECT_EQ(policy_saw, args);
+    EXPECT_EQ(s.native_id, nid);
     EXPECT_TRUE(seen.empty());
     // The arguments are still the caller's stack top: retriable.
     std::vector<Frame> snap = interp.snapshotFrames();
