@@ -638,6 +638,7 @@ class BeeHiveFunction::Invocation
         sim::SimTime ret_latency = fn_.server_.network().roundTrip(
             fn_.node(), fn_.server_.endpoint(), 256, 64);
         trace_.duration = sim_.now() + ret_latency - started_at_;
+        fn_.stats_.instructions += interp_.stats().instructions;
         telemetry::SpanId ret_sp =
             span("fn.return", telemetry::Phase::Net);
         after(ret_latency, [this, server_result, ret_sp] {

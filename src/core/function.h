@@ -61,6 +61,7 @@ struct FunctionStats
     uint64_t stale_prefetches = 0;
     uint64_t gc_cycles = 0; //!< function-heap collections
     uint64_t gc_bytes_copied = 0;
+    uint64_t instructions = 0; //!< of completed executions
 };
 
 /** One function instance's runtime. */
