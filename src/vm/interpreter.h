@@ -35,13 +35,12 @@
  * can be materialised on demand as plain-data Frame snapshots for
  * failure recovery (Section 4.5) and rebuilt from them.
  *
- * run() spends nearly all its time in one register loop (runInner):
- * it runs natives through their function pointers and bytecode calls
- * and returns itself, changing frames without leaving. It hands an
- * instruction to run()'s outer switch only when that instruction may
- * fault, must grow the value stack, is watched (a race oracle, or
- * field-read recording), or calls into a method carrying an offload-
- * or profiler-candidate mark.
+ * run() is one register loop (runInner): every op has one handler in
+ * it. It runs natives through their function pointers and bytecode
+ * calls and returns itself, changing frames without leaving, and
+ * keeps its dispatch state in locals; faults, barriers, stack growth,
+ * observed accesses and candidate profiling go through cold helpers
+ * that take no address of that state.
  */
 
 #ifndef BEEHIVE_VM_INTERPRETER_H
@@ -200,8 +199,7 @@ class Interpreter
      * Record the klasses used and the statics touched during
      * execution, as flat per-id marks the dispatch loop writes.
      * With @p field_reads, also record every (receiver klass, field)
-     * pair read; that set is kept for hivelint and tests, and field
-     * reads then run on the outer switch.
+     * pair read; that set is kept for hivelint and tests.
      */
     void
     enableRecording(bool on, bool field_reads = false)
@@ -256,85 +254,52 @@ class Interpreter
         std::size_t stack_base = 0;
     };
 
-    Window &top() { return frames_.back(); }
-
-    /**
-     * Push/pop helpers operating on the top frame's operand stack.
-     * They sit in the dispatch loop, so growth and the underflow
-     * panic are kept out of line.
-     */
-    void
-    push(Value v)
-    {
-        if (sp_ == values_.size()) [[unlikely]]
-            growValues(sp_ + 1);
-        values_[sp_++] = v;
-    }
-
-    Value
-    pop()
-    {
-        if (sp_ <= frames_.back().stack_base) [[unlikely]]
-            stackUnderflow();
-        return values_[--sp_];
-    }
-
-    Value &
-    peek(std::size_t depth = 0)
-    {
-        if (stackDepth() <= depth) [[unlikely]]
-            stackUnderflow();
-        return values_[sp_ - 1 - depth];
-    }
-
-    /** Operand-stack depth of the top frame. */
-    std::size_t stackDepth() const { return sp_ - frames_.back().stack_base; }
-
     /** Make values_ hold at least @p n values (amortised doubling). */
-    void growValues(std::size_t n);
+    [[gnu::cold]] void growValues(std::size_t n);
 
     /** Panic naming the method whose operand stack ran dry. */
     [[noreturn]] void stackUnderflow() const;
 
+    /** @name Cold paths of the dispatch loop */
+    /// @{
     /**
-     * Check a just-loaded value for the remote mark; rewrite it via
-     * the remote map (resetting the bit at @p slot, exactly like the
-     * paper) or produce an ObjectFault.
+     * The read barrier on remote reference @p v (paper Section 4.1):
+     * rewrite it to its local copy via the remote map, or fill @p out
+     * with an ObjectFault.
      *
      * @retval true when execution may continue.
      */
-    bool checkLoadedValue(Value &slot, Suspend &out);
-
+    [[gnu::cold]] bool resolveRemote(Value &v, Suspend &out);
     /**
-     * Resolve an object reference about to be dereferenced. Faults
-     * on unmapped remote refs; rewrites mapped ones in place.
+     * An object operand that is not a local, non-null reference:
+     * panic on nil or null, and under @p check_remote resolve a
+     * remote one in place (resolveRemote()).
      */
-    bool
-    resolveRef(Value &v, Suspend &out)
-    {
-        // A local non-null reference needs no barrier.
-        if (v.isRef() && v.asRef() != kNullRef && !isRemote(v.asRef()))
-            [[likely]] return true;
-        return resolveRefSlow(v, out);
-    }
-
-    /** resolveRef() for nil, null and remote values. */
-    bool resolveRefSlow(Value &v, Suspend &out);
-
+    [[gnu::cold]] bool resolveReceiver(Value &v, bool check_remote,
+                                       Suspend &out);
+    /** Record a read of @p obj's @p field (field-read recording). */
+    [[gnu::cold]] void recordFieldRead(Ref obj, uint32_t field);
+    /** Start profiling candidate @p id, just entered, at cost @p total. */
+    [[gnu::cold]] void beginCandidate(MethodId id, double total);
+    /** Flush the active candidate's profile at its Ret. */
+    [[gnu::cold]] void flushCandidate(double total);
+    /** Report a field, element or static access to the race oracle. */
+    [[gnu::cold]] void observeField(Ref obj, uint32_t field, bool write);
+    [[gnu::cold]] void observeElement(Ref arr, bool write);
+    [[gnu::cold]] void observeStatic(KlassId klass, uint32_t slot,
+                                     bool write);
     /**
-     * Read barrier for a value just loaded from the heap or statics:
-     * single branch on the fast (local) path, and on the slow path
-     * resolves the remote ref via checkLoadedValue() and persists
-     * the rewritten value through @p writeback (resetting the remote
-     * bit at its home location, paper Section 4.1).
-     *
-     * @retval true when execution may continue.
+     * The monitor and volatile ops on local object @p obj (Section
+     * 4.2): consume a grant, or suspend for a sync with the object's
+     * last owner (false, @p out filled); otherwise act.
+     * accessVolatile() reads the field into at[0] or writes at[1]
+     * into it; at[0] is the object.
      */
-    template <typename Writeback>
-    bool loadBarrier(Value &v, Suspend &out, Writeback &&writeback);
-
-    /** Ensure a klass is loaded; otherwise fill @p out and fault. */
-    bool requireKlass(KlassId id, Suspend &out);
+    [[gnu::cold]] bool enterMonitor(Ref obj, Suspend &out);
+    [[gnu::cold]] bool exitMonitor(Ref obj, Suspend &out);
+    [[gnu::cold]] bool accessVolatile(Value *at, uint32_t field, bool write,
+                                      Suspend &out);
+    /// @}
 
     /** @name Recording marks */
     /// @{
@@ -359,34 +324,17 @@ class Interpreter
     }
     /// @}
 
-    /** Why runInner() returned. */
-    enum class Stop
-    {
-        HandOff,   //!< the outer switch must run the instruction at pc
-        Quantum,   //!< the quantum expired after an instruction
-        Suspended, //!< @c out holds the suspension
-    };
-
     /**
-     * The register loop of run(): runs instructions with the dispatch
-     * state in locals while each is one it owns and its fast path
-     * applies. It owns the stack, arithmetic (Div and Mod too),
-     * compare and branch ops, Compute, the fused idioms, the
-     * local-receiver paths of GetField, ALoad, ArrLen and BytesLen,
-     * New, GetStatic and PutStatic, natives, bytecode Call and
-     * CallVirt, and Ret. It suspends itself for a native's fallback
-     * or External request, a full heap and the root's Ret. It hands
-     * over, before charging anything for it, an instruction that
-     * must fault on a klass or a remote reference, must grow the
-     * value stack, is observed (a race oracle, or field reads being
-     * recorded), calls a marked offload or profiler candidate, is the
-     * active candidate's Ret, or is a native while a force-local
-     * one-shot is pending.
+     * The dispatch loop of run(), with the dispatch state in locals:
+     * every op's one handler. It returns when the quantum expires
+     * after an instruction (true) or when @p out holds a suspension
+     * (false). An instruction that suspends has charged exactly what
+     * it did before the suspension point, and one that grows the
+     * value stack or rewrites a remote local charges nothing for it.
      */
-    Stop runInner(double quantum_ns, double instr_ns, bool check_remote,
+    bool runInner(double quantum_ns, double instr_ns, bool check_remote,
                   Suspend &out);
 
-    void charge(double ns);
     /**
      * Push a frame for @p m whose arguments end at @p sp: nil-fill its
      * other locals (values_ must hold them) and return its window.
@@ -394,8 +342,6 @@ class Interpreter
     Window &pushFrame(MethodId id, const Method &m, std::size_t sp);
     /** Push a frame whose @c num_args arguments are the stack top. */
     void enterMethod(MethodId id, const Method &m);
-    bool invoke(MethodId id, Suspend &out);
-    bool invokeNative(const Method &m, Suspend &out);
 
     VmContext &ctx_;
     std::vector<Window> frames_;
