@@ -303,7 +303,8 @@ measureClosure(Reporter &rep, harness::AppKind kind)
     }
 
     vm::MethodId root = bed.app().handler();
-    const vm::CaptureSet *capture = bed.manager()->captureFor(root);
+    const vm::CaptureSet capture =
+        bed.server().analysis().captureForRoot(root);
     const vm::RootProfile *profile =
         bed.server().profiler().profile(root);
     // Full klass coverage and a fixed seed: the two builds differ
@@ -317,7 +318,7 @@ measureClosure(Reporter &rep, harness::AppKind kind)
             .build(root, profile, sample_args, nullptr);
     core::Closure after =
         core::ClosureBuilder(bed.server().context(), config, Rng(42))
-            .build(root, profile, sample_args, capture);
+            .build(root, profile, sample_args, &capture);
     uint64_t bytes_before =
         before.dataBytes(bed.server().context().heap());
     uint64_t bytes_after =

@@ -92,16 +92,6 @@ struct BeeHiveConfig
     bool proxy_enabled = true;
 
     /**
-     * Prune closure object traversal using the interprocedural
-     * capture analysis (vm/analysis.h): plain-object fields no
-     * reachable code can read are not shipped. Off by default so
-     * that closure contents stay bit-identical to prior behaviour
-     * unless the deployment opts in; the missing-data fallback makes
-     * enabling it safe regardless.
-     */
-    bool capture_slimming = false;
-
-    /**
      * Record the realized working set of cold boots (class and
      * object faults of the shadow phase) into content-addressed
      * snapshot images, and boot subsequent fresh instances of the

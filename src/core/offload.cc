@@ -116,12 +116,9 @@ OffloadManager::enableRoot(vm::MethodId root,
                            std::vector<Value> sample_args)
 {
     const vm::Program &program = server_.program();
-    vm::OffloadAnalysis analysis(program);
+    const vm::OffloadAnalysis &analysis = server_.analysis();
     vm::RootReport report = analysis.classifyRoot(root);
     informOnce("offload-analysis: " + toString(report, program));
-    vm::CaptureSet capture = analysis.captureForRoot(root);
-    informOnce("capture-analysis: " + program.qualifiedName(root) +
-               ": " + toString(capture, program));
     if (report.klass == vm::OffloadClass::NeedsFallback)
         ++stats_.roots_needs_fallback;
     else if (report.klass == vm::OffloadClass::LocalOnly)
@@ -129,8 +126,6 @@ OffloadManager::enableRoot(vm::MethodId root,
 
     RootState &state = roots_[root];
     state.klass = report.klass;
-    state.capture = std::move(capture);
-    state.has_capture = true;
     state.enabled = true;
     state.sample_args = std::move(sample_args);
     // Calls to the root now ask the offload policy.
@@ -200,25 +195,12 @@ OffloadManager::closureFor(vm::MethodId root)
     if (!state.closure_built) {
         ClosureBuilder builder(server_.context(), server_.config(),
                                rng_.fork());
-        const vm::CaptureSet *capture =
-            server_.config().capture_slimming && state.has_capture
-                ? &state.capture
-                : nullptr;
         state.closure =
             builder.build(root, server_.profiler().profile(root),
-                          state.sample_args, capture);
+                          state.sample_args);
         state.closure_built = true;
     }
     return state.closure;
-}
-
-const vm::CaptureSet *
-OffloadManager::captureFor(vm::MethodId root) const
-{
-    auto it = roots_.find(root);
-    return it != roots_.end() && it->second.has_capture
-               ? &it->second.capture
-               : nullptr;
 }
 
 void

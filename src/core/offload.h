@@ -151,13 +151,6 @@ class OffloadManager
     vm::OffloadClass classification(vm::MethodId root) const;
 
     /**
-     * Capture set computed when @p root was enabled (null for
-     * unknown roots). Consulted by closure construction when
-     * config.capture_slimming is on.
-     */
-    const vm::CaptureSet *captureFor(vm::MethodId root) const;
-
-    /**
      * Main entry: serve one request, locally or offloaded per the
      * current ratio.
      */
@@ -213,9 +206,7 @@ class OffloadManager
     {
         bool enabled = false;
         bool closure_built = false;
-        bool has_capture = false;
         vm::OffloadClass klass = vm::OffloadClass::OffloadSafe;
-        vm::CaptureSet capture;
         Closure closure;
         std::vector<vm::Value> sample_args;
     };

@@ -427,8 +427,8 @@ BeeHiveServer::BeeHiveServer(sim::Simulation &sim, net::Network &net,
     // Lock-order analysis rides along with the verifier gate: an
     // ABBA inversion can wedge local and offloaded frames against
     // each other, so surface it before traffic starts.
-    vm::ProgramAnalysis analysis(program_);
-    for (const vm::LockCycle &cycle : analysis.lockCycles())
+    analysis_ = std::make_unique<vm::OffloadAnalysis>(program_);
+    for (const vm::LockCycle &cycle : analysis_->analysis().lockCycles())
         warn("lock-order: %s", cycle.describe(program_).c_str());
 
     sync_.registerServer(ctx_.get());

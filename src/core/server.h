@@ -36,6 +36,7 @@
 #include "telemetry/telemetry.h"
 #include "vm/context.h"
 #include "vm/interpreter.h"
+#include "vm/offload_analysis.h"
 #include "vm/profiler.h"
 
 namespace beehive::core {
@@ -100,6 +101,12 @@ class BeeHiveServer
     BeeHiveConfig &config() { return config_; }
     gc::SemiSpaceCollector &collector() { return *collector_; }
     const ServerStats &stats() const { return stats_; }
+
+    /**
+     * The static analysis of the program, built once at construction
+     * (lock order, offload classification, capture sets, reachability).
+     */
+    const vm::OffloadAnalysis &analysis() const { return *analysis_; }
 
     /** Snapshot store; null unless config.snapshot_enabled. */
     snapshot::SnapshotStore *snapshots() { return snapshots_.get(); }
@@ -193,6 +200,7 @@ class BeeHiveServer
     PackageableRegistry packageables_;
     std::unique_ptr<gc::SemiSpaceCollector> collector_;
     std::unique_ptr<snapshot::SnapshotStore> snapshots_;
+    std::unique_ptr<vm::OffloadAnalysis> analysis_;
 
     std::map<uint16_t, std::unique_ptr<MappingTable>> mappings_;
     std::map<uint16_t, net::EndpointId> fn_nodes_;

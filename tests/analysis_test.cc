@@ -383,8 +383,7 @@ measureClosureBytes(harness::AppKind kind)
     harness::Testbed bed(options);
     EXPECT_TRUE(bed.runProfilingPhase());
     vm::MethodId root = bed.app().handler();
-    const CaptureSet *capture = bed.manager()->captureFor(root);
-    EXPECT_NE(capture, nullptr);
+    const CaptureSet capture = bed.server().analysis().captureForRoot(root);
     const vm::RootProfile *profile =
         bed.server().profiler().profile(root);
 
@@ -397,7 +396,7 @@ measureClosureBytes(harness::AppKind kind)
             .build(root, profile, sample_args, nullptr);
     core::Closure slim =
         core::ClosureBuilder(bed.server().context(), config, Rng(42))
-            .build(root, profile, sample_args, capture);
+            .build(root, profile, sample_args, &capture);
     return {full.dataBytes(bed.server().heap()),
             slim.dataBytes(bed.server().heap())};
 }
@@ -417,25 +416,6 @@ TEST(ClosureSlimmingTest, PybbsClosureShrinks)
 TEST(ClosureSlimmingTest, BlogClosureShrinks)
 {
     auto [full, slim] = measureClosureBytes(harness::AppKind::Blog);
-    EXPECT_LT(slim, full);
-}
-
-TEST(ClosureSlimmingTest, ManagerAppliesCaptureWhenEnabled)
-{
-    // The capture_slimming config knob routes the capture set into
-    // OffloadManager::closureFor. Two identically seeded testbeds
-    // must differ only by the pruned payload objects.
-    auto closure_objects = [](bool slimming) {
-        harness::TestbedOptions options;
-        options.app = harness::AppKind::Pybbs;
-        options.beehive.capture_slimming = slimming;
-        harness::Testbed bed(options);
-        EXPECT_TRUE(bed.runProfilingPhase());
-        vm::MethodId root = bed.app().handler();
-        return bed.manager()->closureFor(root).objects.size();
-    };
-    std::size_t full = closure_objects(false);
-    std::size_t slim = closure_objects(true);
     EXPECT_LT(slim, full);
 }
 
