@@ -11,7 +11,9 @@
 # stderr is shown only when one fails. fig08_throughput runs a second
 # time with --serial and must match the same golden: its trials run on
 # a thread pool, so this checks that the output does not depend on the
-# thread count.
+# thread count. hivelint's --json findings, plain and --strict, are
+# diffed against hivelint.jsonl and hivelint-strict.jsonl the same
+# way.
 set -eu
 
 record=0
@@ -26,6 +28,7 @@ fi
 
 golden=$(cd "$(dirname "$0")" && pwd)
 bench=$(cd "$1" && pwd)/bench
+hivelint=$(cd "$1" && pwd)/src/apps/hivelint
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
@@ -51,6 +54,36 @@ run() {
         status=1
     fi
 }
+
+# lint <golden> <exit-status> [flags...]: one hivelint --json run,
+# which must exit with <exit-status> (--strict reports errors on
+# purpose), recorded or diffed.
+lint() {
+    g=$1
+    want=$2
+    shift 2
+    label="hivelint --json"
+    [ $# -eq 0 ] || label="$label $*"
+    got=0
+    (cd "$work" && "$hivelint" --json "$@" > "$g" 2> "$g.err") || got=$?
+    if [ "$got" != "$want" ]; then
+        cat "$work/$g.err" >&2
+        echo "$label: exit $got, expected $want" >&2
+        status=1
+        return
+    fi
+    if [ "$record" = 1 ]; then
+        cp "$work/$g" "$golden/$g"
+        echo "recorded $g"
+    elif diff -u "$golden/$g" "$work/$g"; then
+        echo "$label: matches golden"
+    else
+        status=1
+    fi
+}
+
+lint hivelint.jsonl 0
+lint hivelint-strict.jsonl 1 --strict
 
 for b in fig07_burst_reduction fig08_throughput table5_fallbacks \
          fault_storm fig02_vanilla_latency fig10_slo_sweep \

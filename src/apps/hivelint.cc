@@ -12,22 +12,19 @@
  *      root's classification rests on,
  *   3. lock-order analysis (potential deadlock cycles in the
  *      program-wide lock graph),
- *   4. closure slimming measurement: for each app the handler's
- *      closure is built with and without the capture set, reporting
- *      data bytes before/after.
- *   5. snapshot coverage: each app runs a short offload drill with
+ *   4. snapshot coverage: each app runs a short offload drill with
  *      the snapshot store enabled; the recorded image composition
  *      (base/delta layers, content hashes) is reported and the
  *      store's coverage invariant -- every recorded working-set
  *      entry is either in the restore plan or counted stale -- is
  *      checked. A violation is an error.
- *   6. lockset race detection (vm/race_analysis.h): every shared
+ *   5. lockset race detection (vm/race_analysis.h): every shared
  *      klass.field / static / element scope is classified on the
  *      Eraser guard lattice; unguarded shared writes are findings
  *      (warnings normally, errors under --strict so CI can gate on
  *      them without also opting into strict typing).
- *   7. manifest soundness: each app runs a recording drill (as in
- *      pass 5), then the static working-set inference
+ *   6. manifest soundness: each app runs a recording drill (as in
+ *      pass 4), then the static working-set inference
  *      (vm/reachability_analysis.h) synthesizes a manifest for each
  *      recorded endpoint and the recorded working set is checked to
  *      be a *subset* of it. A recorded entry the manifest misses is
@@ -51,7 +48,7 @@
  *             human-readable chrome.
  *   --pass <name>  run a single pass in isolation (CI bisection,
  *             pass-cost benchmarking). Names: verify, offload,
- *             lock-order, closure, snapshot, race, manifest.
+ *             lock-order, snapshot, race, manifest.
  *             "offload" covers the classification, effect and
  *             capture reports. An unknown name prints the list and
  *             exits 2.
@@ -84,7 +81,6 @@
 #include "apps/framework.h"
 #include "apps/pybbs.h"
 #include "apps/thumbnail.h"
-#include "core/closure.h"
 #include "core/server.h"
 #include "harness/testbed.h"
 #include "snapshot/store.h"
@@ -105,8 +101,8 @@ namespace {
 struct Finding
 {
     std::string kind;     //!< pass: verify | offload | effect |
-                          //!< capture | lock-order | closure |
-                          //!< snapshot | race | manifest
+                          //!< capture | lock-order | snapshot |
+                          //!< race | manifest
     std::string program;  //!< app / scope the finding concerns
     std::string method;   //!< qualified method name ("" when n/a)
     uint32_t pc = 0;
@@ -121,9 +117,8 @@ passRank(const std::string &kind)
 {
     static const char *order[] = {"verify",     "offload",
                                   "effect",     "capture",
-                                  "lock-order", "closure",
-                                  "snapshot",   "race",
-                                  "manifest"};
+                                  "lock-order", "snapshot",
+                                  "race",       "manifest"};
     for (std::size_t i = 0; i < std::size(order); ++i)
         if (kind == order[i])
             return static_cast<int>(i);
@@ -279,73 +274,7 @@ reportRoot(Reporter &rep, const vm::Program &program,
 }
 
 /**
- * Pass 4: measure closure slimming on one assembled app. Builds the
- * handler's closure twice from the same profile -- full traversal
- * vs. capture-pruned -- and reports the data-part sizes.
- */
-void
-measureClosure(Reporter &rep, harness::AppKind kind)
-{
-    harness::TestbedOptions options;
-    options.app = kind;
-    harness::Testbed bed(options);
-    const char *app = harness::appName(kind);
-    if (!bed.runProfilingPhase() || bed.manager() == nullptr) {
-        Finding f;
-        f.kind = "closure";
-        f.program = app;
-        f.klass = "no-profile";
-        f.severity = "warning";
-        f.message = "profiling phase did not select the handler; "
-                    "closure measurement skipped";
-        rep.add(f);
-        return;
-    }
-
-    vm::MethodId root = bed.app().handler();
-    const vm::CaptureSet capture =
-        bed.server().analysis().captureForRoot(root);
-    const vm::RootProfile *profile =
-        bed.server().profiler().profile(root);
-    // Full klass coverage and a fixed seed: the two builds differ
-    // only in capture pruning, never in random thinning.
-    core::BeeHiveConfig config = bed.server().config();
-    config.closure_klass_coverage = 1.0;
-    std::vector<vm::Value> sample_args = {vm::Value::ofInt(0)};
-
-    core::Closure before =
-        core::ClosureBuilder(bed.server().context(), config, Rng(42))
-            .build(root, profile, sample_args, nullptr);
-    core::Closure after =
-        core::ClosureBuilder(bed.server().context(), config, Rng(42))
-            .build(root, profile, sample_args, &capture);
-    uint64_t bytes_before =
-        before.dataBytes(bed.server().context().heap());
-    uint64_t bytes_after =
-        after.dataBytes(bed.server().context().heap());
-
-    Finding f;
-    f.kind = "closure";
-    f.program = app;
-    f.method = bed.program().qualifiedName(root);
-    f.klass = "capture-slimming";
-    f.severity = "info";
-    f.message = strprintf(
-        "%s: closure data %llu -> %llu bytes "
-        "(%zu -> %zu objects, %.1f%% smaller)",
-        bed.program().qualifiedName(root).c_str(),
-        static_cast<unsigned long long>(bytes_before),
-        static_cast<unsigned long long>(bytes_after),
-        before.objects.size(), after.objects.size(),
-        bytes_before == 0
-            ? 0.0
-            : 100.0 * (1.0 - double(bytes_after) /
-                                 double(bytes_before)));
-    rep.add(f);
-}
-
-/**
- * Pass 5: snapshot coverage. Drives a short all-offload drill so
+ * Pass 4: snapshot coverage. Drives a short all-offload drill so
  * cold boots record their working sets, then checks the store's
  * coverage invariant and reports each endpoint's image composition.
  */
@@ -435,7 +364,7 @@ snapshotPass(Reporter &rep, harness::AppKind kind)
 }
 
 /**
- * Pass 6: lockset race detection. Unguarded shared writes are the
+ * Pass 5: lockset race detection. Unguarded shared writes are the
  * findings (error under --strict); guarded-by-unknown scopes are
  * surfaced as warnings because the guard claim rests on a lock the
  * analysis could not identify.
@@ -508,7 +437,7 @@ racePass(Reporter &rep, const vm::Program &program,
 }
 
 /**
- * Pass 7: manifest soundness. Runs the same recording drill as the
+ * Pass 6: manifest soundness. Runs the same recording drill as the
  * snapshot pass, then synthesizes a static manifest for each
  * recorded endpoint (vm/reachability_analysis.h) and checks the
  * superset invariant: every recorded working-set entry must be in
@@ -930,26 +859,19 @@ runLint(bool strict, bool quiet, bool json,
             }
         }
 
-        // ---- Pass 6: lockset race detection ---------------------
+        // ---- Pass 5: lockset race detection ---------------------
         if (enabled("race"))
             racePass(rep, program, analysis.analysis(), strict);
     }
 
-    // ---- Pass 4: closure slimming measurement -------------------
-    if (enabled("closure"))
-        for (harness::AppKind kind :
-             {harness::AppKind::Thumbnail, harness::AppKind::Pybbs,
-              harness::AppKind::Blog})
-            measureClosure(rep, kind);
-
-    // ---- Pass 5: snapshot coverage ------------------------------
+    // ---- Pass 4: snapshot coverage ------------------------------
     if (enabled("snapshot"))
         for (harness::AppKind kind :
              {harness::AppKind::Thumbnail, harness::AppKind::Pybbs,
               harness::AppKind::Blog})
             snapshotPass(rep, kind);
 
-    // ---- Pass 7: manifest soundness -----------------------------
+    // ---- Pass 6: manifest soundness -----------------------------
     if (enabled("manifest")) {
         if (seed_unreachable) {
             // Self-test only: the synthetic hint-violating program
@@ -982,10 +904,9 @@ main(int argc, char **argv)
     bool seed_race = false;
     bool seed_unreachable = false;
     std::string only_pass;
-    static const char *kPassNames[] = {"verify",  "offload",
-                                       "lock-order", "closure",
-                                       "snapshot", "race",
-                                       "manifest"};
+    static const char *kPassNames[] = {"verify",   "offload",
+                                       "lock-order", "snapshot",
+                                       "race",     "manifest"};
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--strict") == 0) {
             strict = true;
@@ -1006,8 +927,8 @@ main(int argc, char **argv)
             if (!known) {
                 std::fprintf(stderr,
                              "hivelint: unknown pass '%s' (one of: "
-                             "verify offload lock-order closure "
-                             "snapshot race manifest)\n",
+                             "verify offload lock-order snapshot "
+                             "race manifest)\n",
                              only_pass.c_str());
                 return 2;
             }

@@ -72,8 +72,7 @@ ClosureBuilder::ClosureBuilder(vm::VmContext &server_ctx,
 
 Closure
 ClosureBuilder::build(vm::MethodId root, const vm::RootProfile *profile,
-                      const std::vector<Value> &sample_args,
-                      const vm::CaptureSet *capture)
+                      const std::vector<Value> &sample_args)
 {
     Closure closure;
     closure.root = root;
@@ -125,15 +124,8 @@ ClosureBuilder::build(vm::MethodId root, const vm::RootProfile *profile,
         const vm::ObjHeader &hdr = heap.header(ref);
         if (hdr.kind == ObjKind::Bytes)
             continue;
-        // Arrays always ship whole (element reads are not field-
-        // indexed); plain objects only follow fields the capture
-        // set says offloaded code can read.
-        bool filter = capture != nullptr && hdr.kind == ObjKind::Plain;
-        for (uint32_t i = 0; i < hdr.count; ++i) {
-            if (filter && !capture->containsField(hdr.klass, i))
-                continue;
+        for (uint32_t i = 0; i < hdr.count; ++i)
             enqueue(heap.field(ref, i), depth + 1);
-        }
     }
 
     // Closure computation time: proportional to the traversed and

@@ -34,7 +34,6 @@
 #include "core/mapping.h"
 #include "sim/sim_time.h"
 #include "support/rng.h"
-#include "vm/analysis.h"
 #include "vm/context.h"
 #include "vm/profiler.h"
 
@@ -102,16 +101,9 @@ class ClosureBuilder
      *        closure then contains only the root's own klass).
      * @param sample_args Arguments of a representative invocation;
      *        their reachable graphs seed the data part.
-     * @param capture Optional capture set from the interprocedural
-     *        escape analysis: plain-object fields it proves
-     *        unreadable from the root are not traversed, slimming
-     *        the closure. Over-pruning is absorbed by the
-     *        missing-data fallback, so this is always safe; null
-     *        keeps the conservative full traversal.
      */
     Closure build(vm::MethodId root, const vm::RootProfile *profile,
-                  const std::vector<vm::Value> &sample_args,
-                  const vm::CaptureSet *capture = nullptr);
+                  const std::vector<vm::Value> &sample_args);
 
   private:
     vm::VmContext &server_;

@@ -6,6 +6,7 @@
 
 #include "support/logging.h"
 #include "support/strutil.h"
+#include "vm/dataflow.h"
 
 namespace beehive::vm {
 
@@ -77,10 +78,66 @@ struct AbsState
     std::vector<AbsVal> held;
 };
 
-bool
-isBranch(Op op)
+/**
+ * Strongly connected components of the graph whose edges leave node
+ * v for the nodes in @p adj[v], by an iterative Tarjan walk.
+ * Components come out in completion order, which is reverse
+ * topological: a component precedes every component that reaches
+ * it. Each lists its members in the order they leave Tarjan's stack.
+ */
+std::vector<std::vector<uint32_t>>
+stronglyConnected(const std::vector<std::vector<uint32_t>> &adj)
 {
-    return op == Op::Jmp || op == Op::Jz || op == Op::Jnz;
+    const std::size_t n = adj.size();
+    std::vector<uint32_t> index(n, UINT32_MAX), low(n, 0);
+    std::vector<bool> on_stack(n, false);
+    std::vector<uint32_t> stack;
+    uint32_t next_index = 0;
+    struct Frame
+    {
+        uint32_t v;
+        std::size_t child;
+    };
+    std::vector<Frame> frames;
+    auto visit = [&](uint32_t v) {
+        index[v] = low[v] = next_index++;
+        stack.push_back(v);
+        on_stack[v] = true;
+        frames.push_back(Frame{v, 0});
+    };
+    std::vector<std::vector<uint32_t>> sccs;
+    for (uint32_t root = 0; root < n; ++root) {
+        if (index[root] != UINT32_MAX)
+            continue;
+        visit(root);
+        while (!frames.empty()) {
+            Frame &f = frames.back();
+            if (f.child < adj[f.v].size()) {
+                uint32_t w = adj[f.v][f.child++];
+                if (index[w] == UINT32_MAX)
+                    visit(w);
+                else if (on_stack[w])
+                    low[f.v] = std::min(low[f.v], index[w]);
+                continue;
+            }
+            uint32_t v = f.v;
+            frames.pop_back();
+            if (!frames.empty())
+                low[frames.back().v] =
+                    std::min(low[frames.back().v], low[v]);
+            if (low[v] != index[v])
+                continue;
+            std::vector<uint32_t> &members = sccs.emplace_back();
+            uint32_t w;
+            do {
+                w = stack.back();
+                stack.pop_back();
+                on_stack[w] = false;
+                members.push_back(w);
+            } while (w != v);
+        }
+    }
+    return sccs;
 }
 
 } // namespace
@@ -294,51 +351,14 @@ ProgramAnalysis::analyzeMethod(MethodId id)
     if (m.code.empty())
         return;
 
-    const std::size_t n = m.code.size();
-
-    // ---- Basic-block discovery (mirrors the verifier) -----------
-    std::set<uint32_t> leaders;
-    leaders.insert(0);
-    for (uint32_t pc = 0; pc < n; ++pc) {
-        const Instr &in = m.code[pc];
-        const Op op = baseOp(in.op);
-        if (isBranch(op)) {
-            if (in.a >= 0 && static_cast<std::size_t>(in.a) < n)
-                leaders.insert(static_cast<uint32_t>(in.a));
-            if (pc + 1 < n)
-                leaders.insert(pc + 1);
-        } else if (op == Op::Ret && pc + 1 < n) {
-            leaders.insert(pc + 1);
-        }
-    }
-    auto blockEnd = [&](uint32_t leader) {
-        auto it = leaders.upper_bound(leader);
-        return it == leaders.end() ? static_cast<uint32_t>(n) : *it;
-    };
-
-    std::map<uint32_t, AbsState> states;
-    std::deque<uint32_t> work;
-    std::set<uint32_t> queued;
-    bool bailed = false;
-
+    BlockDataflow<AbsState> flow(m.code);
     AbsState entry;
     entry.locals.assign(m.num_locals, AbsVal{});
-    states[0] = entry;
-    work.push_back(0);
-    queued.insert(0);
 
-    auto joinInto = [&](uint32_t target, const AbsState &s) {
-        auto it = states.find(target);
-        if (it == states.end()) {
-            states[target] = s;
-            if (queued.insert(target).second)
-                work.push_back(target);
-            return;
-        }
-        AbsState &t = it->second;
+    auto join = [&](uint32_t, AbsState &t, const AbsState &s) {
         if (t.stack.size() != s.stack.size()) {
-            bailed = true; // the verifier reports this shape
-            return;
+            flow.stop(); // the verifier reports this shape
+            return false;
         }
         bool changed = false;
         auto joinVec = [&](std::vector<AbsVal> &dst,
@@ -359,8 +379,7 @@ ProgramAnalysis::analyzeMethod(MethodId id)
         joinVec(t.stack, s.stack);
         joinVec(t.locals, s.locals);
         joinVec(t.held, s.held);
-        if (changed && queued.insert(target).second)
-            work.push_back(target);
+        return changed;
     };
 
     // ---- Escape set ---------------------------------------------
@@ -386,500 +405,445 @@ ProgramAnalysis::analyzeMethod(MethodId id)
     std::set<MethodId> callees;
     std::set<MethodId> natives;
 
-    enum Mode { kFlow, kEscape, kCollect };
-
     /**
-     * Interpret one block from @p leader with entry state @p st.
-     * kFlow propagates successor states (fixpoint); kEscape collects
-     * escaping alloc sites; kCollect fills the effect summary, call
-     * edges and lock facts using the final escape set.
+     * kFlow iterates block entry states to their fixpoint; kEscape
+     * collects escaping alloc sites; kCollect fills the effect
+     * summary, call edges and lock facts using the final escape set.
      */
-    auto runBlock = [&](uint32_t leader, AbsState st, Mode mode) {
-        uint32_t end = blockEnd(leader);
-        for (uint32_t pc = leader; pc < end && !bailed; ++pc) {
-            const Instr &in = m.code[pc];
-            const Op op = baseOp(in.op);
-            auto pop = [&]() -> AbsVal {
-                if (st.stack.empty()) {
-                    bailed = true;
-                    return AbsVal{};
-                }
-                AbsVal v = st.stack.back();
-                st.stack.pop_back();
-                return v;
-            };
-            auto push = [&](AbsVal v) {
-                st.stack.push_back(std::move(v));
-            };
-            auto allocToken = [&]() {
-                LockToken t;
-                t.kind = LockToken::Kind::AllocSite;
-                t.method = id;
-                t.pc = pc;
-                return t;
-            };
-            auto heldTokens = [&]() {
-                std::vector<LockToken> out;
-                for (const AbsVal &h : st.held)
-                    if (!elidable(h) &&
-                        h.token.kind != LockToken::Kind::Unknown)
-                        out.push_back(h.token);
-                return out;
-            };
-            auto heldUnknown = [&]() {
-                for (const AbsVal &h : st.held)
-                    if (!elidable(h) &&
-                        h.token.kind == LockToken::Kind::Unknown)
-                        return true;
-                return false;
-            };
-            auto recordAccess = [&](AccessRecord::Scope scope,
-                                    KlassId klass, uint32_t slot,
-                                    bool is_write, bool is_volatile,
-                                    bool receiver_local,
-                                    KlassId stored_klass = kNoKlass) {
-                AccessRecord rec;
-                rec.scope = scope;
-                rec.klass = klass;
-                rec.slot = slot;
-                rec.is_write = is_write;
-                rec.is_volatile = is_volatile;
-                rec.receiver_local = receiver_local;
-                rec.stored_klass = stored_klass;
-                rec.pc = pc;
-                rec.held = heldTokens();
-                rec.held_unknown = heldUnknown();
-                accesses_[id].push_back(std::move(rec));
-            };
-            auto recordCall = [&](const std::vector<MethodId> &ts) {
-                std::vector<MethodId> bytecode;
-                for (MethodId t : ts) {
-                    if (program_.method(t).is_native)
-                        natives.insert(t);
-                    else {
-                        callees.insert(t);
-                        bytecode.push_back(t);
-                    }
-                }
-                if (!bytecode.empty())
-                    locked_calls_[id].push_back(
-                        CallSiteLocks{heldTokens(), heldUnknown(),
-                                      std::move(bytecode)});
-            };
+    enum Mode { kFlow, kEscape, kCollect } mode = kFlow;
 
-            switch (op) {
-              case Op::Nop:
-              case Op::Compute:
-              case Op::Jmp:
-                break;
-              case Op::PushI:
-              case Op::PushF:
-              case Op::PushNil:
-                push(AbsVal{});
-                break;
-              case Op::Load:
-              // Unreachable after baseOp(); listed for -Wswitch.
-              case Op::LoadLeJnz: case Op::LoadNotJnz:
-              case Op::LoadFieldPop: case Op::LoadFieldStore:
-              case Op::LoadSubStore: {
-                auto slot = static_cast<std::size_t>(in.a);
-                push(slot < st.locals.size() ? st.locals[slot]
-                                             : AbsVal{});
-                break;
-              }
-              case Op::Store: {
-                AbsVal v = pop();
-                auto slot = static_cast<std::size_t>(in.a);
-                if (slot < st.locals.size())
-                    st.locals[slot] = std::move(v);
-                break;
-              }
-              case Op::Dup:
-                if (st.stack.empty()) {
-                    bailed = true;
-                    break;
+    // One instruction's transfer in the current mode.
+    auto step = [&](uint32_t pc, AbsState &st) {
+        const Instr &in = m.code[pc];
+        const Op op = baseOp(in.op);
+        auto pop = [&]() -> AbsVal {
+            if (st.stack.empty()) {
+                flow.stop();
+                return AbsVal{};
+            }
+            AbsVal v = st.stack.back();
+            st.stack.pop_back();
+            return v;
+        };
+        auto push = [&](AbsVal v) {
+            st.stack.push_back(std::move(v));
+        };
+        // A fresh object of @p klass, allocated at this pc.
+        auto allocated = [&](KlassId klass) {
+            AbsVal v;
+            v.klass = klass;
+            v.fresh = true;
+            v.sites = {pc};
+            v.token.kind = LockToken::Kind::AllocSite;
+            v.token.method = id;
+            v.token.pc = pc;
+            return v;
+        };
+        auto heldTokens = [&]() {
+            std::vector<LockToken> out;
+            for (const AbsVal &h : st.held)
+                if (!elidable(h) &&
+                    h.token.kind != LockToken::Kind::Unknown)
+                    out.push_back(h.token);
+            return out;
+        };
+        auto heldUnknown = [&]() {
+            for (const AbsVal &h : st.held)
+                if (!elidable(h) &&
+                    h.token.kind == LockToken::Kind::Unknown)
+                    return true;
+            return false;
+        };
+        auto recordAccess = [&](AccessRecord::Scope scope,
+                                KlassId klass, uint32_t slot,
+                                bool is_write, bool is_volatile,
+                                bool receiver_local,
+                                KlassId stored_klass = kNoKlass) {
+            AccessRecord rec;
+            rec.scope = scope;
+            rec.klass = klass;
+            rec.slot = slot;
+            rec.is_write = is_write;
+            rec.is_volatile = is_volatile;
+            rec.receiver_local = receiver_local;
+            rec.stored_klass = stored_klass;
+            rec.pc = pc;
+            rec.held = heldTokens();
+            rec.held_unknown = heldUnknown();
+            accesses_[id].push_back(std::move(rec));
+        };
+        // A volatile access: free on a provably method-local
+        // receiver, a release-consistency sync otherwise.
+        auto touchVolatile = [&](const AbsVal &recv) {
+            if (elidable(recv)) {
+                ++sum.volatiles_elided;
+                return;
+            }
+            sum.touches_shared_volatile = true;
+            sum.sites.push_back(EffectSite{
+                EffectSite::Kind::SharedVolatile,
+                EffectDemand::Fallback, id, pc,
+                "touches a volatile field (needs "
+                "release consistency sync)"});
+        };
+        auto recordCall = [&](const std::vector<MethodId> &ts) {
+            std::vector<MethodId> bytecode;
+            for (MethodId t : ts) {
+                if (program_.method(t).is_native)
+                    natives.insert(t);
+                else {
+                    callees.insert(t);
+                    bytecode.push_back(t);
                 }
-                push(st.stack.back());
+            }
+            if (!bytecode.empty())
+                locked_calls_[id].push_back(
+                    CallSiteLocks{heldTokens(), heldUnknown(),
+                                  std::move(bytecode)});
+        };
+
+        switch (op) {
+          case Op::Nop:
+          case Op::Compute:
+          case Op::Jmp:
+            break;
+          case Op::PushI:
+          case Op::PushF:
+          case Op::PushNil:
+            push(AbsVal{});
+            break;
+          case Op::Load:
+          // Unreachable after baseOp(); listed for -Wswitch.
+          case Op::LoadLeJnz: case Op::LoadNotJnz:
+          case Op::LoadFieldPop: case Op::LoadFieldStore:
+          case Op::LoadSubStore: {
+            auto slot = static_cast<std::size_t>(in.a);
+            push(slot < st.locals.size() ? st.locals[slot]
+                                         : AbsVal{});
+            break;
+          }
+          case Op::Store: {
+            AbsVal v = pop();
+            auto slot = static_cast<std::size_t>(in.a);
+            if (slot < st.locals.size())
+                st.locals[slot] = std::move(v);
+            break;
+          }
+          case Op::Dup:
+            if (st.stack.empty()) {
+                flow.stop();
                 break;
-              case Op::Pop:
-                pop();
+            }
+            push(st.stack.back());
+            break;
+          case Op::Pop:
+          case Op::Jz: // pops the condition
+          case Op::Jnz:
+            pop();
+            break;
+          case Op::Swap:
+            if (st.stack.size() < 2) {
+                flow.stop();
                 break;
-              case Op::Swap:
-                if (st.stack.size() < 2) {
-                    bailed = true;
-                    break;
-                }
-                std::swap(st.stack[st.stack.size() - 1],
-                          st.stack[st.stack.size() - 2]);
-                break;
-              case Op::Add: case Op::Sub: case Op::Mul:
-              case Op::Div: case Op::Mod:
-              case Op::CmpEq: case Op::CmpNe: case Op::CmpLt:
-              case Op::CmpLe: case Op::CmpGt: case Op::CmpGe:
-              case Op::And: case Op::Or:
-                pop();
-                pop();
-                push(AbsVal{});
-                break;
-              case Op::Neg:
-              case Op::Not:
-                pop();
-                push(AbsVal{});
-                break;
-              case Op::Jz:
-              case Op::Jnz:
-                pop();
-                break;
-              case Op::New: {
-                AbsVal v;
-                v.klass = static_cast<KlassId>(in.a);
-                v.fresh = true;
-                v.sites = {pc};
-                v.token = allocToken();
-                push(std::move(v));
-                break;
-              }
-              case Op::NewArr: {
-                pop(); // length
-                AbsVal v;
-                v.klass = static_cast<KlassId>(in.a);
-                v.fresh = true;
-                v.sites = {pc};
-                v.token = allocToken();
-                push(std::move(v));
-                break;
-              }
-              case Op::NewBytes: {
-                AbsVal v;
-                v.fresh = true;
-                v.sites = {pc};
-                v.token = allocToken();
-                push(std::move(v));
-                break;
-              }
-              case Op::BytesLen:
-              case Op::ArrLen:
-                pop();
-                push(AbsVal{});
-                break;
-              case Op::GetField:
-              case Op::GetVolatile: {
-                AbsVal recv = pop();
-                auto index = static_cast<uint32_t>(in.a);
+            }
+            std::swap(st.stack[st.stack.size() - 1],
+                      st.stack[st.stack.size() - 2]);
+            break;
+          case Op::Add: case Op::Sub: case Op::Mul:
+          case Op::Div: case Op::Mod:
+          case Op::CmpEq: case Op::CmpNe: case Op::CmpLt:
+          case Op::CmpLe: case Op::CmpGt: case Op::CmpGe:
+          case Op::And: case Op::Or:
+            pop();
+            pop();
+            push(AbsVal{});
+            break;
+          case Op::Neg:
+          case Op::Not:
+          case Op::BytesLen:
+          case Op::ArrLen:
+            pop();
+            push(AbsVal{});
+            break;
+          case Op::New:
+            push(allocated(static_cast<KlassId>(in.a)));
+            break;
+          case Op::NewArr:
+            pop(); // length
+            push(allocated(static_cast<KlassId>(in.a)));
+            break;
+          case Op::NewBytes:
+            push(allocated(kNoKlass));
+            break;
+          case Op::GetField:
+          case Op::GetVolatile: {
+            AbsVal recv = pop();
+            auto index = static_cast<uint32_t>(in.a);
+            if (mode == kCollect) {
+                if (recv.klass != kNoKlass)
+                    sum.fields_read.insert({recv.klass, index});
+                else
+                    sum.fields_read_any_klass.insert(index);
+                recordAccess(AccessRecord::Scope::Field,
+                             recv.klass, index, false,
+                             op == Op::GetVolatile,
+                             elidable(recv));
+                if (op == Op::GetVolatile)
+                    touchVolatile(recv);
+            }
+            AbsVal v;
+            if (recv.klass != kNoKlass) {
+                TypeHint h =
+                    program_.fieldHint(recv.klass, index);
+                v.klass = h.type;
+                v.elem = h.elem;
+            }
+            push(std::move(v));
+            break;
+          }
+          case Op::PutField:
+          case Op::PutVolatile: {
+            AbsVal val = pop();
+            AbsVal recv = pop();
+            if (mode == kEscape)
+                escape(val);
+            if (mode == kCollect)
+                recordAccess(AccessRecord::Scope::Field,
+                             recv.klass,
+                             static_cast<uint32_t>(in.a), true,
+                             op == Op::PutVolatile,
+                             elidable(recv), val.klass);
+            if (mode == kCollect && op == Op::PutVolatile)
+                touchVolatile(recv);
+            break;
+          }
+          case Op::ALoad: {
+            pop(); // index
+            AbsVal arr = pop();
+            if (mode == kCollect)
+                recordAccess(AccessRecord::Scope::Element,
+                             arr.klass, 0, false, false,
+                             elidable(arr));
+            AbsVal v;
+            v.klass = arr.elem;
+            if (arr.token.kind ==
+                LockToken::Kind::StaticSlot) {
+                v.token.kind = LockToken::Kind::StaticElem;
+                v.token.klass = arr.token.klass;
+                v.token.slot = arr.token.slot;
+            }
+            push(std::move(v));
+            break;
+          }
+          case Op::AStore: {
+            AbsVal val = pop();
+            pop(); // index
+            AbsVal arr = pop();
+            if (mode == kEscape)
+                escape(val);
+            if (mode == kCollect)
+                recordAccess(AccessRecord::Scope::Element,
+                             arr.klass, 0, true, false,
+                             elidable(arr), val.klass);
+            break;
+          }
+          case Op::GetStatic: {
+            AbsVal v;
+            auto k = static_cast<KlassId>(in.a);
+            auto slot = static_cast<uint32_t>(in.b);
+            if (k < program_.klassCount() &&
+                slot < program_.klass(k).statics.size()) {
+                TypeHint h = program_.staticHint(k, slot);
+                v.klass = h.type;
+                v.elem = h.elem;
+                v.token.kind = LockToken::Kind::StaticSlot;
+                v.token.klass = k;
+                v.token.slot = slot;
                 if (mode == kCollect) {
-                    if (recv.klass != kNoKlass)
-                        sum.fields_read.insert({recv.klass, index});
-                    else
-                        sum.fields_read_any_klass.insert(index);
-                    recordAccess(AccessRecord::Scope::Field,
-                                 recv.klass, index, false,
-                                 op == Op::GetVolatile,
-                                 elidable(recv));
-                    if (op == Op::GetVolatile) {
-                        if (elidable(recv)) {
-                            ++sum.volatiles_elided;
-                        } else {
-                            sum.touches_shared_volatile = true;
-                            sum.sites.push_back(EffectSite{
-                                EffectSite::Kind::SharedVolatile,
-                                EffectDemand::Fallback, id, pc,
-                                "touches a volatile field (needs "
-                                "release consistency sync)"});
-                        }
-                    }
+                    sum.statics_read.insert({k, slot});
+                    recordAccess(AccessRecord::Scope::Static,
+                                 k, slot, false, false, false);
                 }
-                AbsVal v;
-                if (recv.klass != kNoKlass) {
-                    TypeHint h =
-                        program_.fieldHint(recv.klass, index);
-                    v.klass = h.type;
-                    v.elem = h.elem;
-                }
-                push(std::move(v));
-                break;
-              }
-              case Op::PutField:
-              case Op::PutVolatile: {
-                AbsVal val = pop();
-                AbsVal recv = pop();
-                if (mode == kEscape)
-                    escape(val);
-                if (mode == kCollect)
-                    recordAccess(AccessRecord::Scope::Field,
-                                 recv.klass,
-                                 static_cast<uint32_t>(in.a), true,
-                                 op == Op::PutVolatile,
-                                 elidable(recv), val.klass);
-                if (mode == kCollect &&
-                    op == Op::PutVolatile) {
-                    if (elidable(recv)) {
-                        ++sum.volatiles_elided;
-                    } else {
-                        sum.touches_shared_volatile = true;
-                        sum.sites.push_back(EffectSite{
-                            EffectSite::Kind::SharedVolatile,
-                            EffectDemand::Fallback, id, pc,
-                            "touches a volatile field (needs "
-                            "release consistency sync)"});
-                    }
-                }
-                break;
-              }
-              case Op::ALoad: {
-                pop(); // index
-                AbsVal arr = pop();
-                if (mode == kCollect)
-                    recordAccess(AccessRecord::Scope::Element,
-                                 arr.klass, 0, false, false,
-                                 elidable(arr));
-                AbsVal v;
-                v.klass = arr.elem;
-                if (arr.token.kind ==
-                    LockToken::Kind::StaticSlot) {
-                    v.token.kind = LockToken::Kind::StaticElem;
-                    v.token.klass = arr.token.klass;
-                    v.token.slot = arr.token.slot;
-                }
-                push(std::move(v));
-                break;
-              }
-              case Op::AStore: {
-                AbsVal val = pop();
-                pop(); // index
-                AbsVal arr = pop();
-                if (mode == kEscape)
-                    escape(val);
-                if (mode == kCollect)
-                    recordAccess(AccessRecord::Scope::Element,
-                                 arr.klass, 0, true, false,
-                                 elidable(arr), val.klass);
-                break;
-              }
-              case Op::GetStatic: {
-                AbsVal v;
+            }
+            push(std::move(v));
+            break;
+          }
+          case Op::PutStatic: {
+            AbsVal val = pop();
+            if (mode == kEscape)
+                escape(val);
+            if (mode == kCollect) {
                 auto k = static_cast<KlassId>(in.a);
                 auto slot = static_cast<uint32_t>(in.b);
                 if (k < program_.klassCount() &&
-                    slot < program_.klass(k).statics.size()) {
-                    TypeHint h = program_.staticHint(k, slot);
-                    v.klass = h.type;
-                    v.elem = h.elem;
-                    v.token.kind = LockToken::Kind::StaticSlot;
-                    v.token.klass = k;
-                    v.token.slot = slot;
-                    if (mode == kCollect) {
-                        sum.statics_read.insert({k, slot});
-                        recordAccess(AccessRecord::Scope::Static,
-                                     k, slot, false, false, false);
-                    }
+                    slot <
+                        program_.klass(k).statics.size()) {
+                    sum.statics_written.insert({k, slot});
+                    recordAccess(AccessRecord::Scope::Static,
+                                 k, slot, true, false, false,
+                                 val.klass);
+                    sum.sites.push_back(EffectSite{
+                        EffectSite::Kind::StaticWrite,
+                        EffectDemand::Fallback, id, pc,
+                        strprintf(
+                            "writes static %s.%s (needs "
+                            "write-back fallback)",
+                            program_.klass(k).name.c_str(),
+                            program_.klass(k)
+                                .statics[slot]
+                                .c_str())});
                 }
-                push(std::move(v));
+            }
+            break;
+          }
+          case Op::Call:
+          case Op::CallNative: {
+            auto callee_id = static_cast<MethodId>(in.a);
+            if (callee_id >= program_.methodCount()) {
+                push(AbsVal{});
                 break;
-              }
-              case Op::PutStatic: {
-                AbsVal val = pop();
+            }
+            const Method &callee = program_.method(callee_id);
+            for (uint16_t i = 0; i < callee.num_args; ++i) {
+                AbsVal arg = pop();
                 if (mode == kEscape)
-                    escape(val);
-                if (mode == kCollect) {
-                    auto k = static_cast<KlassId>(in.a);
-                    auto slot = static_cast<uint32_t>(in.b);
-                    if (k < program_.klassCount() &&
-                        slot <
-                            program_.klass(k).statics.size()) {
-                        sum.statics_written.insert({k, slot});
-                        recordAccess(AccessRecord::Scope::Static,
-                                     k, slot, true, false, false,
-                                     val.klass);
-                        sum.sites.push_back(EffectSite{
-                            EffectSite::Kind::StaticWrite,
-                            EffectDemand::Fallback, id, pc,
-                            strprintf(
-                                "writes static %s.%s (needs "
-                                "write-back fallback)",
-                                program_.klass(k).name.c_str(),
-                                program_.klass(k)
-                                    .statics[slot]
-                                    .c_str())});
-                    }
-                }
+                    escape(arg);
+            }
+            if (mode == kCollect)
+                recordCall({callee_id});
+            push(AbsVal{});
+            break;
+          }
+          case Op::CallVirt: {
+            int64_t nargs = in.b;
+            if (nargs < 1 ||
+                static_cast<std::size_t>(nargs) >
+                    st.stack.size()) {
+                flow.stop();
                 break;
-              }
-              case Op::Call:
-              case Op::CallNative: {
-                auto callee_id = static_cast<MethodId>(in.a);
-                if (callee_id >= program_.methodCount()) {
-                    push(AbsVal{});
-                    break;
-                }
-                const Method &callee = program_.method(callee_id);
-                for (uint16_t i = 0; i < callee.num_args; ++i) {
-                    AbsVal arg = pop();
-                    if (mode == kEscape)
-                        escape(arg);
-                }
-                if (mode == kCollect)
-                    recordCall({callee_id});
-                push(AbsVal{});
-                break;
-              }
-              case Op::CallVirt: {
-                int64_t nargs = in.b;
-                if (nargs < 1 ||
-                    static_cast<std::size_t>(nargs) >
-                        st.stack.size()) {
-                    bailed = true;
-                    break;
-                }
-                AbsVal recv =
-                    st.stack[st.stack.size() -
-                             static_cast<std::size_t>(nargs)];
-                for (int64_t i = 0; i < nargs; ++i) {
-                    AbsVal arg = pop();
-                    if (mode == kEscape)
-                        escape(arg);
-                }
-                std::vector<MethodId> targets;
-                bool unresolved = false;
-                if (in.a >= 0 &&
-                    static_cast<std::size_t>(in.a) <
-                        program_.nameCount()) {
-                    auto name_id = static_cast<NameId>(in.a);
-                    if (recv.klass != kNoKlass) {
-                        // Receiver klass statically known: the
-                        // call devirtualizes to one target.
-                        MethodId r = program_.resolveVirtual(
-                            recv.klass, name_id);
-                        if (r != kNoMethod)
-                            targets.push_back(r);
-                        else
-                            unresolved = true;
-                    } else {
-                        auto it = methods_by_name_.find(
-                            program_.nameAt(name_id));
-                        if (it != methods_by_name_.end() &&
-                            !it->second.empty())
-                            targets = it->second;
-                        else
-                            unresolved = true;
-                    }
+            }
+            AbsVal recv =
+                st.stack[st.stack.size() -
+                         static_cast<std::size_t>(nargs)];
+            for (int64_t i = 0; i < nargs; ++i) {
+                AbsVal arg = pop();
+                if (mode == kEscape)
+                    escape(arg);
+            }
+            std::vector<MethodId> targets;
+            const bool named =
+                in.a >= 0 &&
+                static_cast<std::size_t>(in.a) < program_.nameCount();
+            bool unresolved = !named;
+            if (named) {
+                auto name_id = static_cast<NameId>(in.a);
+                if (recv.klass != kNoKlass) {
+                    // Receiver klass statically known: the
+                    // call devirtualizes to one target.
+                    MethodId r = program_.resolveVirtual(
+                        recv.klass, name_id);
+                    if (r != kNoMethod)
+                        targets.push_back(r);
+                    else
+                        unresolved = true;
                 } else {
-                    unresolved = true;
+                    auto it = methods_by_name_.find(
+                        program_.nameAt(name_id));
+                    if (it != methods_by_name_.end() &&
+                        !it->second.empty())
+                        targets = it->second;
+                    else
+                        unresolved = true;
                 }
-                if (mode == kCollect) {
-                    if (unresolved) {
-                        std::string name =
-                            in.a >= 0 &&
-                                    static_cast<std::size_t>(
-                                        in.a) <
-                                        program_.nameCount()
-                                ? program_.nameAt(
-                                      static_cast<NameId>(in.a))
-                                : strprintf("#%lld",
-                                            static_cast<long long>(
-                                                in.a));
-                        sum.unresolved_virtual = true;
-                        sum.sites.push_back(EffectSite{
-                            EffectSite::Kind::UnresolvedVirtual,
-                            EffectDemand::Fallback, id, pc,
-                            strprintf("virtual call %s resolves "
-                                      "to nothing statically",
-                                      name.c_str())});
-                    } else {
-                        recordCall(targets);
-                        if (recv.klass != kNoKlass) {
-                            // Devirtualized through the receiver
-                            // hint; remember the site so closure
-                            // clients can re-expand it over the
-                            // hint's subclass cone.
-                            virt_sites_[id].push_back(VirtualSite{
-                                pc, static_cast<NameId>(in.a),
-                                recv.klass});
-                        }
+            }
+            if (mode == kCollect) {
+                if (unresolved) {
+                    std::string name =
+                        named ? program_.nameAt(
+                                    static_cast<NameId>(in.a))
+                              : strprintf("#%lld",
+                                          static_cast<long long>(
+                                              in.a));
+                    sum.unresolved_virtual = true;
+                    sum.sites.push_back(EffectSite{
+                        EffectSite::Kind::UnresolvedVirtual,
+                        EffectDemand::Fallback, id, pc,
+                        strprintf("virtual call %s resolves "
+                                  "to nothing statically",
+                                  name.c_str())});
+                } else {
+                    recordCall(targets);
+                    if (recv.klass != kNoKlass) {
+                        // Devirtualized through the receiver
+                        // hint; remember the site so closure
+                        // clients can re-expand it over the
+                        // hint's subclass cone.
+                        virt_sites_[id].push_back(VirtualSite{
+                            pc, static_cast<NameId>(in.a),
+                            recv.klass});
                     }
                 }
-                push(AbsVal{});
-                break;
-              }
-              case Op::MonitorEnter: {
-                AbsVal v = pop();
-                if (mode == kCollect) {
-                    if (elidable(v)) {
-                        ++sum.monitors_elided;
-                    } else {
-                        if (v.token.kind !=
-                            LockToken::Kind::Unknown) {
-                            sum.locks.insert(v.token);
-                            for (const LockToken &h :
-                                 heldTokens()) {
-                                // Re-acquiring the same object is
-                                // reentrant, but two *distinct*
-                                // elements of one array are not.
-                                if (!(h == v.token) ||
-                                    h.kind ==
-                                        LockToken::Kind::
-                                            StaticElem)
-                                    lock_edges_[h].insert(
-                                        v.token);
-                            }
+            }
+            push(AbsVal{});
+            break;
+          }
+          case Op::MonitorEnter: {
+            AbsVal v = pop();
+            if (mode == kCollect) {
+                if (elidable(v)) {
+                    ++sum.monitors_elided;
+                } else {
+                    if (v.token.kind !=
+                        LockToken::Kind::Unknown) {
+                        sum.locks.insert(v.token);
+                        for (const LockToken &h :
+                             heldTokens()) {
+                            // Re-acquiring the same object is
+                            // reentrant, but two *distinct*
+                            // elements of one array are not.
+                            if (!(h == v.token) ||
+                                h.kind ==
+                                    LockToken::Kind::
+                                        StaticElem)
+                                lock_edges_[h].insert(
+                                    v.token);
                         }
-                        sum.sites.push_back(EffectSite{
-                            EffectSite::Kind::SharedMonitor,
-                            EffectDemand::Fallback, id, pc,
-                            "acquires a monitor (needs "
-                            "cross-endpoint synchronization "
-                            "fallback)",
-                            v.token});
                     }
+                    sum.sites.push_back(EffectSite{
+                        EffectSite::Kind::SharedMonitor,
+                        EffectDemand::Fallback, id, pc,
+                        "acquires a monitor (needs "
+                        "cross-endpoint synchronization "
+                        "fallback)",
+                        v.token});
                 }
-                st.held.push_back(std::move(v));
-                break;
-              }
-              case Op::MonitorExit:
-                pop();
-                if (!st.held.empty())
-                    st.held.pop_back();
-                break;
-              case Op::Ret:
-                if (mode == kEscape && !st.stack.empty())
-                    escape(st.stack.back());
-                return;
             }
-
-            if (bailed)
-                return;
-            if (op == Op::Jmp) {
-                if (mode == kFlow && in.a >= 0 &&
-                    static_cast<std::size_t>(in.a) < n)
-                    joinInto(static_cast<uint32_t>(in.a), st);
-                return;
-            }
-            if ((op == Op::Jz || op == Op::Jnz) &&
-                mode == kFlow && in.a >= 0 &&
-                static_cast<std::size_t>(in.a) < n)
-                joinInto(static_cast<uint32_t>(in.a), st);
+            st.held.push_back(std::move(v));
+            break;
+          }
+          case Op::MonitorExit:
+            pop();
+            if (!st.held.empty())
+                st.held.pop_back();
+            break;
+          case Op::Ret:
+            if (mode == kEscape && !st.stack.empty())
+                escape(st.stack.back());
+            break;
         }
-        if (!bailed && mode == kFlow && end < n)
-            joinInto(end, st);
     };
 
     // Phase 1: fixpoint over block-entry states.
-    while (!work.empty() && !bailed) {
-        uint32_t leader = work.front();
-        work.pop_front();
-        queued.erase(leader);
-        runBlock(leader, states[leader], kFlow);
-    }
+    flow.solve(entry, step, join, [](const AbsState &) {});
     // Phase 2: collect the escape set with stable entry states.
-    if (!bailed)
-        for (const auto &[leader, st] : states)
-            runBlock(leader, st, kEscape);
+    mode = kEscape;
+    flow.replay(step);
     // Phase 3: collect effects, calls and locks, now that
     // elidability is decidable.
-    if (!bailed)
-        for (const auto &[leader, st] : states)
-            runBlock(leader, st, kCollect);
+    mode = kCollect;
+    flow.replay(step);
 
-    if (bailed) {
+    if (flow.stopped()) {
         // Malformed bytecode the verifier flags separately; widen
         // this method's effects to "unknown" so captures and
         // classifications stay conservative.
@@ -899,72 +863,19 @@ void
 ProgramAnalysis::condense()
 {
     const std::size_t n = program_.methodCount();
-    cg_.scc_of.assign(n, UINT32_MAX);
-    std::vector<uint32_t> index(n, UINT32_MAX);
-    std::vector<uint32_t> low(n, 0);
-    std::vector<bool> on_stack(n, false);
-    std::vector<MethodId> stack;
-    uint32_t next_index = 0;
-
-    auto degree = [&](MethodId v) {
-        return cg_.callees[v].size() + cg_.natives[v].size();
-    };
-    auto adjAt = [&](MethodId v, std::size_t i) {
-        return i < cg_.callees[v].size()
-                   ? cg_.callees[v][i]
-                   : cg_.natives[v][i - cg_.callees[v].size()];
-    };
-
-    struct Frame
-    {
-        MethodId v;
-        std::size_t child;
-    };
-    for (MethodId root = 0; root < n; ++root) {
-        if (index[root] != UINT32_MAX)
-            continue;
-        std::vector<Frame> frames;
-        index[root] = low[root] = next_index++;
-        stack.push_back(root);
-        on_stack[root] = true;
-        frames.push_back(Frame{root, 0});
-        while (!frames.empty()) {
-            Frame &f = frames.back();
-            if (f.child < degree(f.v)) {
-                MethodId w = adjAt(f.v, f.child++);
-                if (index[w] == UINT32_MAX) {
-                    index[w] = low[w] = next_index++;
-                    stack.push_back(w);
-                    on_stack[w] = true;
-                    frames.push_back(Frame{w, 0});
-                } else if (on_stack[w]) {
-                    low[f.v] = std::min(low[f.v], index[w]);
-                }
-                continue;
-            }
-            MethodId v = f.v;
-            frames.pop_back();
-            if (!frames.empty())
-                low[frames.back().v] =
-                    std::min(low[frames.back().v], low[v]);
-            if (low[v] == index[v]) {
-                // SCC completion order is reverse-topological, so
-                // ids come out bottom-up: callees before callers.
-                auto scc_id =
-                    static_cast<uint32_t>(cg_.sccs.size());
-                cg_.sccs.emplace_back();
-                while (true) {
-                    MethodId w = stack.back();
-                    stack.pop_back();
-                    on_stack[w] = false;
-                    cg_.scc_of[w] = scc_id;
-                    cg_.sccs[scc_id].push_back(w);
-                    if (w == v)
-                        break;
-                }
-            }
-        }
+    std::vector<std::vector<MethodId>> adj(n);
+    for (MethodId v = 0; v < n; ++v) {
+        adj[v] = cg_.callees[v];
+        adj[v].insert(adj[v].end(), cg_.natives[v].begin(),
+                      cg_.natives[v].end());
     }
+    // SCC completion order is reverse-topological, so ids come out
+    // bottom-up: callees before callers.
+    cg_.sccs = stronglyConnected(adj);
+    cg_.scc_of.assign(n, UINT32_MAX);
+    for (uint32_t scc_id = 0; scc_id < cg_.sccs.size(); ++scc_id)
+        for (MethodId m : cg_.sccs[scc_id])
+            cg_.scc_of[m] = scc_id;
 }
 
 void
@@ -1016,90 +927,34 @@ ProgramAnalysis::buildLockGraph()
     // deadlock.
     std::vector<LockToken> nodes;
     std::map<LockToken, uint32_t> node_id;
-    auto intern = [&](const LockToken &t) {
-        auto it = node_id.find(t);
-        if (it != node_id.end())
-            return it->second;
-        auto fresh_id = static_cast<uint32_t>(nodes.size());
-        node_id[t] = fresh_id;
-        nodes.push_back(t);
-        return fresh_id;
-    };
     std::vector<std::vector<uint32_t>> adj;
+    auto intern = [&](const LockToken &t) {
+        auto [it, fresh] = node_id.try_emplace(
+            t, static_cast<uint32_t>(nodes.size()));
+        if (fresh) {
+            nodes.push_back(t);
+            adj.emplace_back();
+        }
+        return it->second;
+    };
     for (const auto &[from, tos] : lock_edges_) {
-        uint32_t f = intern(from);
-        if (adj.size() <= f)
-            adj.resize(nodes.size());
+        const uint32_t f = intern(from);
         for (const LockToken &to : tos) {
-            uint32_t t = intern(to);
-            if (adj.size() < nodes.size())
-                adj.resize(nodes.size());
+            const uint32_t t = intern(to);
             adj[f].push_back(t);
         }
     }
-    adj.resize(nodes.size());
 
-    const std::size_t n = nodes.size();
-    std::vector<uint32_t> index(n, UINT32_MAX), low(n, 0);
-    std::vector<bool> on_stack(n, false);
-    std::vector<uint32_t> stack;
-    uint32_t next_index = 0;
-    struct Frame
-    {
-        uint32_t v;
-        std::size_t child;
-    };
-    for (uint32_t root = 0; root < n; ++root) {
-        if (index[root] != UINT32_MAX)
-            continue;
-        std::vector<Frame> frames;
-        index[root] = low[root] = next_index++;
-        stack.push_back(root);
-        on_stack[root] = true;
-        frames.push_back(Frame{root, 0});
-        while (!frames.empty()) {
-            Frame &f = frames.back();
-            if (f.child < adj[f.v].size()) {
-                uint32_t w = adj[f.v][f.child++];
-                if (index[w] == UINT32_MAX) {
-                    index[w] = low[w] = next_index++;
-                    stack.push_back(w);
-                    on_stack[w] = true;
-                    frames.push_back(Frame{w, 0});
-                } else if (on_stack[w]) {
-                    low[f.v] = std::min(low[f.v], index[w]);
-                }
-                continue;
-            }
-            uint32_t v = f.v;
-            frames.pop_back();
-            if (!frames.empty())
-                low[frames.back().v] =
-                    std::min(low[frames.back().v], low[v]);
-            if (low[v] == index[v]) {
-                std::vector<uint32_t> members;
-                while (true) {
-                    uint32_t w = stack.back();
-                    stack.pop_back();
-                    on_stack[w] = false;
-                    members.push_back(w);
-                    if (w == v)
-                        break;
-                }
-                bool self_loop = false;
-                if (members.size() == 1) {
-                    for (uint32_t w : adj[members[0]])
-                        if (w == members[0])
-                            self_loop = true;
-                }
-                if (members.size() > 1 || self_loop) {
-                    LockCycle cycle;
-                    for (auto it = members.rbegin();
-                         it != members.rend(); ++it)
-                        cycle.tokens.push_back(nodes[*it]);
-                    cycles_.push_back(std::move(cycle));
-                }
-            }
+    for (const std::vector<uint32_t> &members : stronglyConnected(adj)) {
+        const bool self_loop =
+            members.size() == 1 &&
+            std::count(adj[members[0]].begin(), adj[members[0]].end(),
+                       members[0]) != 0;
+        if (members.size() > 1 || self_loop) {
+            LockCycle cycle;
+            for (auto it = members.rbegin(); it != members.rend(); ++it)
+                cycle.tokens.push_back(nodes[*it]);
+            cycles_.push_back(std::move(cycle));
         }
     }
 }

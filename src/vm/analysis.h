@@ -14,13 +14,10 @@
  *
  *  - **Escape/capture analysis** (captureForRoot): which statics and
  *    which (klass, field) pairs can be *read* by anything reachable
- *    from an endpoint root. The closure builder uses the result to
- *    prune object-graph edges whose target field is provably never
- *    read off-server, slimming serialized closures. Objects the
- *    offloaded code allocates itself never need capture, and the
- *    missing-data fallback makes over-pruning merely slow, never
- *    wrong -- but the analysis is still conservative so that the
- *    fallback is not exercised by design.
+ *    from an endpoint root. hivelint reports it, and the static
+ *    prefetch manifests rest on the same field-read facts. Objects
+ *    the offloaded code allocates itself never need capture; the
+ *    set is conservative, a superset of what the root can read.
  *
  *  - **Effect summaries** (transitiveSummary): per-method static
  *    reads/writes, monitor acquisitions (with lock identities),

@@ -108,7 +108,7 @@ class OffloadAnalysis
         return classifyRoot(root).klass;
     }
 
-    /** Minimal capture set for @p root (closure slimming). */
+    /** Minimal capture set for @p root: what it can read. */
     CaptureSet captureForRoot(MethodId root) const
     {
         return analysis_.captureForRoot(root);

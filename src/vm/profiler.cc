@@ -66,16 +66,4 @@ Profiler::selectRoots(double min_total_ns, double min_avg_ns) const
     return out;
 }
 
-std::vector<MethodId>
-Profiler::selectRootsSyncAware(double min_total_ns, double min_avg_ns,
-                               double max_avg_syncs) const
-{
-    std::vector<MethodId> out;
-    for (MethodId id : selectRoots(min_total_ns, min_avg_ns)) {
-        if (profiles_.at(id).avgSyncs() <= max_avg_syncs)
-            out.push_back(id);
-    }
-    return out;
-}
-
 } // namespace beehive::vm

@@ -48,16 +48,6 @@ struct RootProfile
                                 : total_cost_ns /
                                       static_cast<double>(invocations);
     }
-
-    /** Average synchronization operations per invocation. */
-    double
-    avgSyncs() const
-    {
-        return invocations == 0
-                   ? 0.0
-                   : static_cast<double>(monitor_enters) /
-                         static_cast<double>(invocations);
-    }
 };
 
 /** Records candidate-method behaviour on the server. */
@@ -102,20 +92,6 @@ class Profiler
      */
     std::vector<MethodId> selectRoots(double min_total_ns,
                                       double min_avg_ns) const;
-
-    /**
-     * Synchronization-aware selection (the policy the paper leaves
-     * as future work, Section 4.3): like selectRoots, but methods
-     * whose dynamic extent averages more than @p max_avg_syncs
-     * monitor operations per invocation are rejected -- every one
-     * of those becomes a cross-endpoint fallback once offloaded
-     * ("for applications inducing many fallbacks (e.g., frequent
-     * synchronization on shared variables), the overhead of
-     * BeeHive may still be considerable", Section 1).
-     */
-    std::vector<MethodId>
-    selectRootsSyncAware(double min_total_ns, double min_avg_ns,
-                         double max_avg_syncs) const;
 
   private:
     const Program &program_;

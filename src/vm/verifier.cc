@@ -1,11 +1,10 @@
 #include "vm/verifier.h"
 
 #include <algorithm>
-#include <deque>
-#include <map>
 #include <set>
 
 #include "support/strutil.h"
+#include "vm/dataflow.h"
 
 namespace beehive::vm {
 
@@ -238,12 +237,6 @@ opMnemonic(Op op)
     return "?";
 }
 
-bool
-isBranch(Op op)
-{
-    return op == Op::Jmp || op == Op::Jz || op == Op::Jnz;
-}
-
 } // namespace
 
 std::size_t
@@ -303,7 +296,6 @@ struct Verifier::State
     std::vector<AbsType> locals;
     std::vector<AbsType> stack;
     int monitors = 0;
-    bool reached = false;
 };
 
 Verifier::Verifier(const Program &program, VerifyOptions options)
@@ -329,13 +321,8 @@ Verifier::verifyMethod(MethodId id, VerifyResult &out) const
 
     auto emit = [&](Severity sev, DiagCode code, uint32_t pc,
                     std::string msg) {
-        Diagnostic d;
-        d.severity = sev;
-        d.code = code;
-        d.method = id;
-        d.pc = pc;
-        d.message = std::move(msg);
-        out.diagnostics.push_back(std::move(d));
+        out.diagnostics.push_back(
+            Diagnostic{sev, code, id, pc, std::move(msg)});
     };
 
     if (m.code.empty()) {
@@ -360,21 +347,23 @@ Verifier::verifyMethod(MethodId id, VerifyResult &out) const
         emit(Severity::Error, code, pc, std::move(msg));
         ++flat_errors;
     };
+    auto outside = [](int64_t operand, std::size_t limit) {
+        return operand < 0 || static_cast<std::size_t>(operand) >= limit;
+    };
 
     for (uint32_t pc = 0; pc < n; ++pc) {
         const Instr &in = m.code[pc];
         const Op op = baseOp(in.op);
         switch (op) {
           case Op::Jmp: case Op::Jz: case Op::Jnz:
-            if (in.a < 0 || static_cast<std::size_t>(in.a) >= n)
+            if (outside(in.a, n))
                 err(DiagCode::BadJumpTarget, pc,
                     strprintf("%s target %lld outside [0, %zu)",
                               opMnemonic(op),
                               static_cast<long long>(in.a), n));
             break;
           case Op::Load: case Op::Store:
-            if (in.a < 0 ||
-                static_cast<std::size_t>(in.a) >= m.num_locals)
+            if (outside(in.a, m.num_locals))
                 err(DiagCode::BadLocalSlot, pc,
                     strprintf("%s slot %lld outside %u locals",
                               opMnemonic(op),
@@ -382,18 +371,14 @@ Verifier::verifyMethod(MethodId id, VerifyResult &out) const
                               m.num_locals));
             break;
           case Op::New: case Op::NewArr:
-            if (in.a < 0 ||
-                static_cast<std::size_t>(in.a) >=
-                    program_.klassCount())
+            if (outside(in.a, program_.klassCount()))
                 err(DiagCode::BadKlassId, pc,
                     strprintf("%s klass id %lld out of range",
                               opMnemonic(op),
                               static_cast<long long>(in.a)));
             break;
           case Op::GetStatic: case Op::PutStatic: {
-            if (in.a < 0 ||
-                static_cast<std::size_t>(in.a) >=
-                    program_.klassCount()) {
+            if (outside(in.a, program_.klassCount())) {
                 err(DiagCode::BadKlassId, pc,
                     strprintf("%s klass id %lld out of range",
                               opMnemonic(op),
@@ -402,8 +387,7 @@ Verifier::verifyMethod(MethodId id, VerifyResult &out) const
             }
             const Klass &k =
                 program_.klass(static_cast<KlassId>(in.a));
-            if (in.b < 0 ||
-                static_cast<std::size_t>(in.b) >= k.statics.size())
+            if (outside(in.b, k.statics.size()))
                 err(DiagCode::BadStaticSlot, pc,
                     strprintf("%s slot %lld outside %zu statics "
                               "of %s",
@@ -421,9 +405,7 @@ Verifier::verifyMethod(MethodId id, VerifyResult &out) const
                               static_cast<long long>(in.a)));
             break;
           case Op::Call: case Op::CallNative: {
-            if (in.a < 0 ||
-                static_cast<std::size_t>(in.a) >=
-                    program_.methodCount()) {
+            if (outside(in.a, program_.methodCount())) {
                 err(DiagCode::BadMethodId, pc,
                     strprintf("%s method id %lld out of range",
                               opMnemonic(op),
@@ -440,9 +422,7 @@ Verifier::verifyMethod(MethodId id, VerifyResult &out) const
             break;
           }
           case Op::CallVirt:
-            if (in.a < 0 ||
-                static_cast<std::size_t>(in.a) >=
-                    program_.nameCount())
+            if (outside(in.a, program_.nameCount()))
                 err(DiagCode::BadNameId, pc,
                     strprintf("CallVirt name id %lld out of range",
                               static_cast<long long>(in.a)));
@@ -452,9 +432,7 @@ Verifier::verifyMethod(MethodId id, VerifyResult &out) const
                     "argument");
             break;
           case Op::NewBytes:
-            if (in.a < 0 ||
-                static_cast<std::size_t>(in.a) >=
-                    program_.stringCount())
+            if (outside(in.a, program_.stringCount()))
                 err(DiagCode::BadStringIndex, pc,
                     strprintf("NewBytes string index %lld out of "
                               "range",
@@ -490,63 +468,21 @@ Verifier::analyzeDataflow(MethodId id, const Method &m,
     std::set<std::pair<uint32_t, uint8_t>> reported;
     auto emit = [&](Severity sev, DiagCode code, uint32_t pc,
                     std::string msg) {
-        if (!reported.insert({pc, static_cast<uint8_t>(code)})
-                 .second)
-            return;
-        Diagnostic d;
-        d.severity = sev;
-        d.code = code;
-        d.method = id;
-        d.pc = pc;
-        d.message = std::move(msg);
-        out.diagnostics.push_back(std::move(d));
+        if (reported.insert({pc, static_cast<uint8_t>(code)}).second)
+            out.diagnostics.push_back(
+                Diagnostic{sev, code, id, pc, std::move(msg)});
     };
 
-    // ---- Basic-block discovery ----------------------------------
-    std::set<uint32_t> leaders;
-    leaders.insert(0);
-    for (uint32_t pc = 0; pc < n; ++pc) {
-        const Instr &in = m.code[pc];
-        const Op op = baseOp(in.op);
-        if (isBranch(op)) {
-            leaders.insert(static_cast<uint32_t>(in.a));
-            if (pc + 1 < n)
-                leaders.insert(pc + 1);
-        } else if (op == Op::Ret && pc + 1 < n) {
-            leaders.insert(pc + 1);
-        }
-    }
-
-    auto blockEnd = [&](uint32_t leader) {
-        auto it = leaders.upper_bound(leader);
-        return it == leaders.end() ? static_cast<uint32_t>(n) : *it;
-    };
-
-    // ---- Worklist dataflow --------------------------------------
-    std::map<uint32_t, State> states;
-    std::deque<uint32_t> work;
-    std::set<uint32_t> queued;
+    // ---- Worklist dataflow over the basic blocks -----------------
+    BlockDataflow<State> flow(m.code);
     std::set<uint32_t> merge_reported; //!< dedupe join diagnostics
-    bool aborted = false; //!< a block hit a non-recoverable error
 
     State entry;
-    entry.reached = true;
     entry.locals.assign(m.num_locals, AbsType::nil());
     for (uint16_t i = 0; i < m.num_args; ++i)
         entry.locals[i] = AbsType::any();
-    states[0] = entry;
-    work.push_back(0);
-    queued.insert(0);
 
-    auto join = [&](uint32_t target, const State &s) {
-        auto it = states.find(target);
-        if (it == states.end()) {
-            states[target] = s;
-            if (queued.insert(target).second)
-                work.push_back(target);
-            return;
-        }
-        State &t = it->second;
+    auto join = [&](uint32_t target, State &t, const State &s) {
         if (t.stack.size() != s.stack.size()) {
             if (merge_reported.insert(target).second)
                 emit(Severity::Error, DiagCode::MergeMismatch,
@@ -554,7 +490,7 @@ Verifier::analyzeDataflow(MethodId id, const Method &m,
                      strprintf("stack depth %zu meets %zu at merge "
                                "point",
                                t.stack.size(), s.stack.size()));
-            return;
+            return false;
         }
         if (t.monitors != s.monitors) {
             if (merge_reported.insert(target | 0x80000000u).second)
@@ -563,510 +499,438 @@ Verifier::analyzeDataflow(MethodId id, const Method &m,
                      strprintf("monitor depth %d meets %d at merge "
                                "point",
                                t.monitors, s.monitors));
-            return;
+            return false;
         }
         bool changed = false;
-        for (std::size_t i = 0; i < t.stack.size(); ++i) {
-            AbsType merged = merge(t.stack[i], s.stack[i]);
-            if (merged != t.stack[i]) {
-                t.stack[i] = merged;
-                changed = true;
+        for (auto [into, from] : {std::pair{&t.stack, &s.stack},
+                                  std::pair{&t.locals, &s.locals}}) {
+            for (std::size_t i = 0; i < into->size(); ++i) {
+                AbsType merged = merge((*into)[i], (*from)[i]);
+                if (merged != (*into)[i]) {
+                    (*into)[i] = merged;
+                    changed = true;
+                }
             }
         }
-        for (std::size_t i = 0; i < t.locals.size(); ++i) {
-            AbsType merged = merge(t.locals[i], s.locals[i]);
-            if (merged != t.locals[i]) {
-                t.locals[i] = merged;
-                changed = true;
-            }
-        }
-        if (changed && queued.insert(target).second)
-            work.push_back(target);
+        return changed;
     };
 
-    while (!work.empty() && !aborted) {
-        uint32_t leader = work.front();
-        work.pop_front();
-        queued.erase(leader);
+    // One instruction's transfer. need() stops the pass on
+    // underflow: subsequent effects would be garbage.
+    auto step = [&](uint32_t pc, State &st) {
+        const Instr &in = m.code[pc];
+        const Op op = baseOp(in.op);
 
-        State st = states[leader];
-        st.reached = true;
-        states[leader].reached = true;
-        uint32_t end = blockEnd(leader);
-        bool terminated = false; //!< Ret or Jmp ended the block
+        auto need = [&](std::size_t depth) {
+            if (st.stack.size() >= depth)
+                return true;
+            emit(Severity::Error, DiagCode::StackUnderflow, pc,
+                 strprintf("%s needs %zu operand(s), stack has "
+                           "%zu",
+                           opMnemonic(op), depth,
+                           st.stack.size()));
+            flow.stop();
+            return false;
+        };
+        auto pop = [&] {
+            AbsType t = st.stack.back();
+            st.stack.pop_back();
+            return t;
+        };
+        auto push = [&](AbsType t) {
+            st.stack.push_back(std::move(t));
+        };
+        auto peekAt = [&](std::size_t depth) -> AbsType & {
+            return st.stack[st.stack.size() - 1 - depth];
+        };
 
-        for (uint32_t pc = leader; pc < end && !aborted; ++pc) {
-            const Instr &in = m.code[pc];
-            const Op op = baseOp(in.op);
+        /** A value about to be dereferenced. */
+        auto checkRef = [&](const AbsType &t, const char *what) {
+            if (t.isRef())
+                return;
+            if (t.kind == AbsType::Kind::Any) {
+                if (strict)
+                    emit(Severity::Error, DiagCode::TypeMismatch,
+                         pc,
+                         strprintf("%s dereferences a value of "
+                                   "statically unknown kind",
+                                   what));
+                return;
+            }
+            emit(Severity::Error, DiagCode::TypeMismatch, pc,
+                 strprintf("%s dereferences a %s value", what,
+                           t.name()));
+        };
 
-            // Shared primitive steps. pop/need abort the block on
-            // underflow: subsequent effects would be garbage.
-            auto need = [&](std::size_t depth) {
-                if (st.stack.size() >= depth)
-                    return true;
-                emit(Severity::Error, DiagCode::StackUnderflow, pc,
-                     strprintf("%s needs %zu operand(s), stack has "
-                               "%zu",
-                               opMnemonic(op), depth,
-                               st.stack.size()));
-                aborted = true;
-                return false;
-            };
-            auto pop = [&] {
-                AbsType t = st.stack.back();
-                st.stack.pop_back();
-                return t;
-            };
-            auto push = [&](AbsType t) {
-                st.stack.push_back(std::move(t));
-            };
-            auto peekAt = [&](std::size_t depth) -> AbsType & {
-                return st.stack[st.stack.size() - 1 - depth];
-            };
+        /** A value used as an array index / length. */
+        auto checkInt = [&](const AbsType &t, const char *what) {
+            if (t.kind == AbsType::Kind::Int)
+                return;
+            if (t.kind == AbsType::Kind::Any ||
+                t.kind == AbsType::Kind::Num) {
+                if (strict)
+                    emit(Severity::Error, DiagCode::TypeMismatch,
+                         pc,
+                         strprintf("%s is not provably an int",
+                                   what));
+                return;
+            }
+            emit(Severity::Error, DiagCode::TypeMismatch, pc,
+                 strprintf("%s is a %s value, int required",
+                           what, t.name()));
+        };
 
-            /** A value about to be dereferenced. */
-            auto checkRef = [&](const AbsType &t, const char *what) {
-                if (t.isRef())
-                    return;
-                if (t.kind == AbsType::Kind::Any) {
-                    if (strict)
-                        emit(Severity::Error, DiagCode::TypeMismatch,
-                             pc,
-                             strprintf("%s dereferences a value of "
-                                       "statically unknown kind",
-                                       what));
-                    return;
-                }
+        /** Field access against a known receiver klass. */
+        auto checkFieldIndex = [&](const AbsType &recv) {
+            if (recv.kind == AbsType::Kind::Ref &&
+                recv.shape == AbsType::Shape::Plain &&
+                recv.klass != kNoKlass) {
+                uint32_t fields =
+                    program_.fieldCount(recv.klass);
+                if (static_cast<uint64_t>(in.a) >= fields)
+                    emit(Severity::Error,
+                         DiagCode::BadFieldIndex, pc,
+                         strprintf(
+                             "%s index %lld outside %u fields "
+                             "of %s",
+                             opMnemonic(op),
+                             static_cast<long long>(in.a),
+                             fields,
+                             program_.klass(recv.klass)
+                                 .name.c_str()));
+            } else if (strict) {
                 emit(Severity::Error, DiagCode::TypeMismatch, pc,
-                     strprintf("%s dereferences a %s value", what,
-                               t.name()));
-            };
+                     strprintf("%s on a receiver of statically "
+                               "unknown klass",
+                               opMnemonic(op)));
+            }
+        };
 
-            /** A value used as an array index / length. */
-            auto checkInt = [&](const AbsType &t, const char *what) {
-                if (t.kind == AbsType::Kind::Int)
-                    return;
-                if (t.kind == AbsType::Kind::Any ||
-                    t.kind == AbsType::Kind::Num) {
-                    if (strict)
-                        emit(Severity::Error, DiagCode::TypeMismatch,
-                             pc,
-                             strprintf("%s is not provably an int",
-                                       what));
-                    return;
-                }
+        /** An array element access: index kind, array, bounds. */
+        auto checkElement = [&](const AbsType &arr, const AbsType &idx) {
+            checkInt(idx, op == Op::ALoad ? "ALoad index" : "AStore index");
+            checkRef(arr, opMnemonic(op));
+            if (arr.kind == AbsType::Kind::Ref &&
+                arr.shape == AbsType::Shape::Array &&
+                arr.len_known && idx.const_known &&
+                (idx.cval < 0 ||
+                 idx.cval >= static_cast<int64_t>(arr.len)))
+                emit(Severity::Error, DiagCode::BadFieldIndex, pc,
+                     strprintf("%s index %lld outside array of length "
+                               "%u",
+                               opMnemonic(op),
+                               static_cast<long long>(idx.cval),
+                               arr.len));
+            else if (strict &&
+                     !(arr.shape == AbsType::Shape::Array &&
+                       arr.len_known && idx.const_known))
                 emit(Severity::Error, DiagCode::TypeMismatch, pc,
-                     strprintf("%s is a %s value, int required",
-                               what, t.name()));
-            };
+                     strprintf("%s bounds not statically provable",
+                               opMnemonic(op)));
+        };
 
-            /** Field access against a known receiver klass. */
-            auto checkFieldIndex = [&](const AbsType &recv) {
-                if (recv.kind == AbsType::Kind::Ref &&
-                    recv.shape == AbsType::Shape::Plain &&
-                    recv.klass != kNoKlass) {
-                    uint32_t fields =
-                        program_.fieldCount(recv.klass);
-                    if (static_cast<uint64_t>(in.a) >= fields)
-                        emit(Severity::Error,
-                             DiagCode::BadFieldIndex, pc,
-                             strprintf(
-                                 "%s index %lld outside %u fields "
-                                 "of %s",
-                                 opMnemonic(op),
-                                 static_cast<long long>(in.a),
-                                 fields,
-                                 program_.klass(recv.klass)
-                                     .name.c_str()));
-                } else if (strict) {
-                    emit(Severity::Error, DiagCode::TypeMismatch, pc,
-                         strprintf("%s on a receiver of statically "
-                                   "unknown klass",
-                                   opMnemonic(op)));
-                }
-            };
+        switch (op) {
+          case Op::Nop:
+          case Op::Compute:
+          case Op::Jmp:
+            break;
 
-            switch (op) {
-              case Op::Nop:
-              case Op::Compute:
+          case Op::PushI:
+            push(AbsType::intConst(in.a));
+            break;
+          case Op::PushF:
+            push(AbsType::floating());
+            break;
+          case Op::PushNil:
+            push(AbsType::nil());
+            break;
+
+          case Op::Load:
+          // Unreachable after baseOp(); listed for -Wswitch.
+          case Op::LoadLeJnz: case Op::LoadNotJnz:
+          case Op::LoadFieldPop: case Op::LoadFieldStore:
+          case Op::LoadSubStore:
+            push(st.locals[in.a]);
+            break;
+          case Op::Store:
+            if (!need(1))
                 break;
+            st.locals[in.a] = pop();
+            break;
 
-              case Op::PushI:
-                push(AbsType::intConst(in.a));
+          case Op::Dup:
+            if (!need(1))
                 break;
-              case Op::PushF:
+            push(peekAt(0));
+            break;
+          case Op::Pop:
+          case Op::Jz: case Op::Jnz: // pops the condition
+          case Op::PutStatic:
+            if (!need(1))
+                break;
+            pop();
+            break;
+          case Op::Swap:
+            if (!need(2))
+                break;
+            std::swap(peekAt(0), peekAt(1));
+            break;
+
+          case Op::Add: case Op::Sub: case Op::Mul:
+          case Op::Div: case Op::Mod: {
+            if (!need(2))
+                break;
+            AbsType b = pop();
+            AbsType a = pop();
+            for (const AbsType *t : {&a, &b}) {
+                if (t->isRef() || t->kind == AbsType::Kind::Nil)
+                    emit(Severity::Warning,
+                         DiagCode::TypeMismatch, pc,
+                         strprintf("%s on a %s operand",
+                                   opMnemonic(op),
+                                   t->name()));
+            }
+            if (a.kind == AbsType::Kind::Int &&
+                b.kind == AbsType::Kind::Int)
+                push(AbsType::integer());
+            else if (a.kind == AbsType::Kind::Float ||
+                     b.kind == AbsType::Kind::Float)
                 push(AbsType::floating());
-                break;
-              case Op::PushNil:
-                push(AbsType::nil());
-                break;
+            else
+                push(AbsType::number());
+            break;
+          }
 
-              case Op::Load:
-              // Unreachable after baseOp(); listed for -Wswitch.
-              case Op::LoadLeJnz: case Op::LoadNotJnz:
-              case Op::LoadFieldPop: case Op::LoadFieldStore:
-              case Op::LoadSubStore:
-                push(st.locals[in.a]);
+          case Op::Neg: {
+            if (!need(1))
                 break;
-              case Op::Store:
-                if (!need(1))
-                    break;
-                st.locals[in.a] = pop();
-                break;
-
-              case Op::Dup:
-                if (!need(1))
-                    break;
-                push(peekAt(0));
-                break;
-              case Op::Pop:
-                if (!need(1))
-                    break;
-                pop();
-                break;
-              case Op::Swap:
-                if (!need(2))
-                    break;
-                std::swap(peekAt(0), peekAt(1));
-                break;
-
-              case Op::Add: case Op::Sub: case Op::Mul:
-              case Op::Div: case Op::Mod: {
-                if (!need(2))
-                    break;
-                AbsType b = pop();
-                AbsType a = pop();
-                for (const AbsType *t : {&a, &b}) {
-                    if (t->isRef() || t->kind == AbsType::Kind::Nil)
-                        emit(Severity::Warning,
-                             DiagCode::TypeMismatch, pc,
-                             strprintf("%s on a %s operand",
-                                       opMnemonic(op),
-                                       t->name()));
-                }
-                if (a.kind == AbsType::Kind::Int &&
-                    b.kind == AbsType::Kind::Int)
-                    push(AbsType::integer());
-                else if (a.kind == AbsType::Kind::Float ||
-                         b.kind == AbsType::Kind::Float)
-                    push(AbsType::floating());
-                else
-                    push(AbsType::number());
-                break;
-              }
-
-              case Op::Neg: {
-                if (!need(1))
-                    break;
-                AbsType a = pop();
-                if (a.kind == AbsType::Kind::Int)
-                    push(AbsType::integer());
-                else if (a.kind == AbsType::Kind::Float)
-                    push(AbsType::floating());
-                else
-                    push(AbsType::number());
-                break;
-              }
-
-              case Op::CmpEq: case Op::CmpNe:
-              case Op::CmpLt: case Op::CmpLe:
-              case Op::CmpGt: case Op::CmpGe:
-              case Op::And: case Op::Or:
-                if (!need(2))
-                    break;
-                pop();
-                pop();
+            AbsType a = pop();
+            if (a.kind == AbsType::Kind::Int)
                 push(AbsType::integer());
-                break;
+            else if (a.kind == AbsType::Kind::Float)
+                push(AbsType::floating());
+            else
+                push(AbsType::number());
+            break;
+          }
 
-              case Op::Not:
-                if (!need(1))
-                    break;
+          case Op::CmpEq: case Op::CmpNe:
+          case Op::CmpLt: case Op::CmpLe:
+          case Op::CmpGt: case Op::CmpGe:
+          case Op::And: case Op::Or:
+            if (!need(2))
+                break;
+            pop();
+            pop();
+            push(AbsType::integer());
+            break;
+
+          case Op::Not:
+            if (!need(1))
+                break;
+            pop();
+            push(AbsType::integer());
+            break;
+
+          case Op::New:
+            push(AbsType::obj(static_cast<KlassId>(in.a)));
+            break;
+
+          case Op::NewArr: {
+            if (!need(1))
+                break;
+            AbsType len = pop();
+            checkInt(len, "NewArr length");
+            if (len.kind == AbsType::Kind::Int &&
+                len.const_known && len.cval < 0)
+                emit(Severity::Error, DiagCode::BadImmediate,
+                     pc,
+                     strprintf("NewArr of negative length %lld",
+                               static_cast<long long>(
+                                   len.cval)));
+            else if (strict && !len.const_known)
+                emit(Severity::Error, DiagCode::TypeMismatch,
+                     pc,
+                     "NewArr length is not provably "
+                     "non-negative");
+            bool known = len.kind == AbsType::Kind::Int &&
+                         len.const_known && len.cval >= 0;
+            push(AbsType::array(
+                known, known ? static_cast<uint32_t>(len.cval)
+                             : 0));
+            break;
+          }
+
+          case Op::NewBytes:
+            push(AbsType::bytesObj());
+            break;
+
+          case Op::BytesLen:
+          case Op::ArrLen:
+            if (!need(1))
+                break;
+            checkRef(peekAt(0), opMnemonic(op));
+            pop();
+            push(AbsType::integer());
+            break;
+
+          case Op::GetField:
+          case Op::GetVolatile: {
+            if (!need(1))
+                break;
+            AbsType recv = pop();
+            checkRef(recv, opMnemonic(op));
+            checkFieldIndex(recv);
+            push(AbsType::any());
+            break;
+          }
+
+          case Op::PutField:
+          case Op::PutVolatile: {
+            if (!need(2))
+                break;
+            pop(); // value
+            AbsType recv = pop();
+            checkRef(recv, opMnemonic(op));
+            checkFieldIndex(recv);
+            break;
+          }
+
+          case Op::ALoad: {
+            if (!need(2))
+                break;
+            AbsType idx = pop();
+            AbsType arr = pop();
+            checkElement(arr, idx);
+            push(AbsType::any());
+            break;
+          }
+
+          case Op::AStore: {
+            if (!need(3))
+                break;
+            pop(); // value
+            AbsType idx = pop();
+            AbsType arr = pop();
+            checkElement(arr, idx);
+            break;
+          }
+
+          case Op::GetStatic:
+            push(AbsType::any());
+            break;
+
+          case Op::Call:
+          case Op::CallNative: {
+            const Method &callee =
+                program_.method(static_cast<MethodId>(in.a));
+            if (!need(callee.num_args))
+                break;
+            for (uint16_t i = 0; i < callee.num_args; ++i)
                 pop();
-                push(AbsType::integer());
-                break;
+            push(AbsType::any());
+            break;
+          }
 
-              case Op::Jz: case Op::Jnz:
-                if (!need(1))
-                    break;
+          case Op::CallVirt: {
+            uint16_t nargs = static_cast<uint16_t>(in.b);
+            if (!need(nargs))
+                break;
+            AbsType recv = peekAt(nargs - 1);
+            checkRef(recv, "CallVirt receiver");
+            if (recv.kind == AbsType::Kind::Ref &&
+                recv.shape == AbsType::Shape::Plain &&
+                recv.klass != kNoKlass) {
+                MethodId resolved = program_.resolveVirtual(
+                    recv.klass, static_cast<NameId>(in.a));
+                if (resolved == kNoMethod)
+                    emit(Severity::Error, DiagCode::BadMethodId,
+                         pc,
+                         strprintf(
+                             "no virtual %s on %s",
+                             program_
+                                 .nameAt(static_cast<NameId>(
+                                     in.a))
+                                 .c_str(),
+                             program_.klass(recv.klass)
+                                 .name.c_str()));
+                else if (program_.method(resolved).num_args !=
+                         nargs)
+                    emit(Severity::Error, DiagCode::BadCallArity,
+                         pc,
+                         strprintf(
+                             "CallVirt passes %u args, %s "
+                             "takes %u",
+                             nargs,
+                             program_.qualifiedName(resolved)
+                                 .c_str(),
+                             program_.method(resolved)
+                                 .num_args));
+            } else if (strict) {
+                emit(Severity::Error, DiagCode::TypeMismatch,
+                     pc,
+                     "CallVirt receiver klass not statically "
+                     "known");
+            }
+            for (uint16_t i = 0; i < nargs; ++i)
                 pop();
-                break;
+            push(AbsType::any());
+            break;
+          }
 
-              case Op::Jmp:
+          case Op::MonitorEnter:
+          case Op::MonitorExit:
+            if (!need(1))
                 break;
-
-              case Op::New:
-                push(AbsType::obj(static_cast<KlassId>(in.a)));
-                break;
-
-              case Op::NewArr: {
-                if (!need(1))
-                    break;
-                AbsType len = pop();
-                checkInt(len, "NewArr length");
-                if (len.kind == AbsType::Kind::Int &&
-                    len.const_known && len.cval < 0)
-                    emit(Severity::Error, DiagCode::BadImmediate,
-                         pc,
-                         strprintf("NewArr of negative length %lld",
-                                   static_cast<long long>(
-                                       len.cval)));
-                else if (strict && !len.const_known)
-                    emit(Severity::Error, DiagCode::TypeMismatch,
-                         pc,
-                         "NewArr length is not provably "
-                         "non-negative");
-                bool known = len.kind == AbsType::Kind::Int &&
-                             len.const_known && len.cval >= 0;
-                push(AbsType::array(
-                    known, known ? static_cast<uint32_t>(len.cval)
-                                 : 0));
-                break;
-              }
-
-              case Op::NewBytes:
-                push(AbsType::bytesObj());
-                break;
-
-              case Op::BytesLen:
-              case Op::ArrLen:
-                if (!need(1))
-                    break;
-                checkRef(peekAt(0), opMnemonic(op));
-                pop();
-                push(AbsType::integer());
-                break;
-
-              case Op::GetField:
-              case Op::GetVolatile: {
-                if (!need(1))
-                    break;
-                AbsType recv = pop();
-                checkRef(recv, opMnemonic(op));
-                checkFieldIndex(recv);
-                push(AbsType::any());
-                break;
-              }
-
-              case Op::PutField:
-              case Op::PutVolatile: {
-                if (!need(2))
-                    break;
-                pop(); // value
-                AbsType recv = pop();
-                checkRef(recv, opMnemonic(op));
-                checkFieldIndex(recv);
-                break;
-              }
-
-              case Op::ALoad: {
-                if (!need(2))
-                    break;
-                AbsType idx = pop();
-                AbsType arr = pop();
-                checkInt(idx, "ALoad index");
-                checkRef(arr, "ALoad");
-                if (arr.kind == AbsType::Kind::Ref &&
-                    arr.shape == AbsType::Shape::Array &&
-                    arr.len_known && idx.const_known &&
-                    (idx.cval < 0 ||
-                     idx.cval >= static_cast<int64_t>(arr.len)))
-                    emit(Severity::Error, DiagCode::BadFieldIndex,
-                         pc,
-                         strprintf("ALoad index %lld outside array "
-                                   "of length %u",
-                                   static_cast<long long>(idx.cval),
-                                   arr.len));
-                else if (strict &&
-                         !(arr.shape == AbsType::Shape::Array &&
-                           arr.len_known && idx.const_known))
-                    emit(Severity::Error, DiagCode::TypeMismatch,
-                         pc,
-                         "ALoad bounds not statically provable");
-                push(AbsType::any());
-                break;
-              }
-
-              case Op::AStore: {
-                if (!need(3))
-                    break;
-                pop(); // value
-                AbsType idx = pop();
-                AbsType arr = pop();
-                checkInt(idx, "AStore index");
-                checkRef(arr, "AStore");
-                if (arr.kind == AbsType::Kind::Ref &&
-                    arr.shape == AbsType::Shape::Array &&
-                    arr.len_known && idx.const_known &&
-                    (idx.cval < 0 ||
-                     idx.cval >= static_cast<int64_t>(arr.len)))
-                    emit(Severity::Error, DiagCode::BadFieldIndex,
-                         pc,
-                         strprintf("AStore index %lld outside "
-                                   "array of length %u",
-                                   static_cast<long long>(idx.cval),
-                                   arr.len));
-                else if (strict &&
-                         !(arr.shape == AbsType::Shape::Array &&
-                           arr.len_known && idx.const_known))
-                    emit(Severity::Error, DiagCode::TypeMismatch,
-                         pc,
-                         "AStore bounds not statically provable");
-                break;
-              }
-
-              case Op::GetStatic:
-                push(AbsType::any());
-                break;
-              case Op::PutStatic:
-                if (!need(1))
-                    break;
-                pop();
-                break;
-
-              case Op::Call:
-              case Op::CallNative: {
-                const Method &callee =
-                    program_.method(static_cast<MethodId>(in.a));
-                if (!need(callee.num_args))
-                    break;
-                for (uint16_t i = 0; i < callee.num_args; ++i)
-                    pop();
-                push(AbsType::any());
-                break;
-              }
-
-              case Op::CallVirt: {
-                uint16_t nargs = static_cast<uint16_t>(in.b);
-                if (!need(nargs))
-                    break;
-                AbsType recv = peekAt(nargs - 1);
-                checkRef(recv, "CallVirt receiver");
-                if (recv.kind == AbsType::Kind::Ref &&
-                    recv.shape == AbsType::Shape::Plain &&
-                    recv.klass != kNoKlass) {
-                    MethodId resolved = program_.resolveVirtual(
-                        recv.klass, static_cast<NameId>(in.a));
-                    if (resolved == kNoMethod)
-                        emit(Severity::Error, DiagCode::BadMethodId,
-                             pc,
-                             strprintf(
-                                 "no virtual %s on %s",
-                                 program_
-                                     .nameAt(static_cast<NameId>(
-                                         in.a))
-                                     .c_str(),
-                                 program_.klass(recv.klass)
-                                     .name.c_str()));
-                    else if (program_.method(resolved).num_args !=
-                             nargs)
-                        emit(Severity::Error, DiagCode::BadCallArity,
-                             pc,
-                             strprintf(
-                                 "CallVirt passes %u args, %s "
-                                 "takes %u",
-                                 nargs,
-                                 program_.qualifiedName(resolved)
-                                     .c_str(),
-                                 program_.method(resolved)
-                                     .num_args));
-                } else if (strict) {
-                    emit(Severity::Error, DiagCode::TypeMismatch,
-                         pc,
-                         "CallVirt receiver klass not statically "
-                         "known");
-                }
-                for (uint16_t i = 0; i < nargs; ++i)
-                    pop();
-                push(AbsType::any());
-                break;
-              }
-
-              case Op::MonitorEnter:
-                if (!need(1))
-                    break;
-                checkRef(peekAt(0), "MonitorEnter");
-                pop();
+            checkRef(peekAt(0), opMnemonic(op));
+            pop();
+            if (op == Op::MonitorEnter)
                 ++st.monitors;
-                break;
+            else if (st.monitors == 0)
+                emit(Severity::Error,
+                     DiagCode::UnbalancedMonitor, pc,
+                     "MonitorExit without a matching "
+                     "MonitorEnter on this path");
+            else
+                --st.monitors;
+            break;
 
-              case Op::MonitorExit:
-                if (!need(1))
-                    break;
-                checkRef(peekAt(0), "MonitorExit");
-                pop();
-                if (st.monitors == 0)
-                    emit(Severity::Error,
-                         DiagCode::UnbalancedMonitor, pc,
-                         "MonitorExit without a matching "
-                         "MonitorEnter on this path");
-                else
-                    --st.monitors;
-                break;
-
-              case Op::Ret:
-                if (st.monitors != 0)
-                    emit(Severity::Error,
-                         DiagCode::UnbalancedMonitor, pc,
-                         strprintf("method returns still holding "
-                                   "%d monitor(s)",
-                                   st.monitors));
-                terminated = true;
-                break;
-            }
-
-            if (aborted || terminated)
-                break;
-
-            if (op == Op::Jmp) {
-                join(static_cast<uint32_t>(in.a), st);
-                terminated = true;
-                break;
-            }
-            if (op == Op::Jz || op == Op::Jnz)
-                join(static_cast<uint32_t>(in.a), st);
+          case Op::Ret:
+            if (st.monitors != 0)
+                emit(Severity::Error,
+                     DiagCode::UnbalancedMonitor, pc,
+                     strprintf("method returns still holding "
+                               "%d monitor(s)",
+                               st.monitors));
+            break;
         }
+    };
 
-        if (aborted || terminated)
-            continue;
-
-        // Fell through the end of the block.
-        if (end >= n) {
-            emit(Severity::Error, DiagCode::FallOffEnd,
-                 static_cast<uint32_t>(n - 1),
-                 "control reaches the end of the method without "
-                 "Ret");
-            continue;
-        }
-        join(end, st);
-    }
+    flow.solve(entry, step, join, [&](const State &) {
+        emit(Severity::Error, DiagCode::FallOffEnd,
+             static_cast<uint32_t>(n - 1),
+             "control reaches the end of the method without Ret");
+    });
 
     // ---- Unreachable-code report --------------------------------
-    if (!options_.check_unreachable || aborted)
+    if (!options_.check_unreachable || flow.stopped())
         return;
-    std::vector<bool> reachable(n, false);
-    for (const auto &[leader, st] : states) {
-        if (!st.reached)
-            continue;
-        uint32_t end = blockEnd(leader);
-        for (uint32_t pc = leader; pc < end; ++pc)
-            reachable[pc] = true;
-    }
-    // A reached block stops at a terminal instruction; trailing
-    // instructions of the block stay reachable=true because they
-    // share the block (leaders split at every branch/Ret, so only
-    // whole blocks are ever unreached).
-    for (uint32_t pc = 0; pc < n;) {
-        if (reachable[pc]) {
-            ++pc;
+    // A branch or Ret ends its block, so only whole blocks are ever
+    // unreached: report each run of them.
+    const std::set<uint32_t> &leaders = flow.leaders();
+    for (auto it = leaders.begin(); it != leaders.end();) {
+        if (flow.states().count(*it) != 0) {
+            ++it;
             continue;
         }
-        uint32_t start = pc;
-        while (pc < n && !reachable[pc])
-            ++pc;
+        const uint32_t start = *it;
+        while (it != leaders.end() && flow.states().count(*it) == 0)
+            ++it;
+        const uint32_t end =
+            it == leaders.end() ? static_cast<uint32_t>(n) : *it;
         emit(Severity::Warning, DiagCode::UnreachableCode, start,
              strprintf("%u unreachable instruction(s) at [%u, %u)",
-                       pc - start, start, pc));
+                       end - start, start, end));
     }
 }
 

@@ -6,9 +6,8 @@
  * a time -- monitor elision upgrading a root's offload class, ABBA
  * lock-order cycles (intra- and interprocedural), reentrant locking
  * staying cycle-free -- and golden tests pin the capture sets and
- * effect summaries of every built-in endpoint, including the
- * measurable result: the Config payload field is provably never
- * read, so capture-pruned closures are strictly smaller.
+ * effect summaries of every built-in endpoint: the Config payload
+ * field, for one, is provably never read.
  */
 
 #include <gtest/gtest.h>
@@ -17,11 +16,6 @@
 #include "apps/framework.h"
 #include "apps/pybbs.h"
 #include "apps/thumbnail.h"
-#include "core/closure.h"
-#include "core/offload.h"
-#include "core/server.h"
-#include "harness/testbed.h"
-#include "support/rng.h"
 #include "vm/analysis.h"
 #include "vm/offload_analysis.h"
 
@@ -277,8 +271,7 @@ TEST(AnalysisGoldenTest, CaptureExcludesUnreadPayloadField)
 {
     // No bytecode anywhere reads Config.payload (the config walk
     // touches only next and value), so every endpoint's capture set
-    // excludes it -- that is the field whose ~33-byte bytes objects
-    // the closure slimming prunes.
+    // excludes it.
     BuiltinPrograms b;
     KlassId config = b.framework.configKlass();
     OffloadAnalysis analysis(b.program);
@@ -367,56 +360,6 @@ TEST(AnalysisGoldenTest, EffectSummariesPerEndpoint)
         EXPECT_EQ(sum.monitors_elided, 0u);
         EXPECT_FALSE(sum.unresolved_virtual);
     }
-}
-
-// ---- Closure slimming end to end ----------------------------------
-
-/**
- * Build the handler closure with and without the capture set on a
- * profiled testbed; returns (full bytes, slimmed bytes).
- */
-std::pair<uint64_t, uint64_t>
-measureClosureBytes(harness::AppKind kind)
-{
-    harness::TestbedOptions options;
-    options.app = kind;
-    harness::Testbed bed(options);
-    EXPECT_TRUE(bed.runProfilingPhase());
-    vm::MethodId root = bed.app().handler();
-    const CaptureSet capture = bed.server().analysis().captureForRoot(root);
-    const vm::RootProfile *profile =
-        bed.server().profiler().profile(root);
-
-    core::BeeHiveConfig config = bed.server().config();
-    config.closure_klass_coverage = 1.0; // no random thinning
-    std::vector<vm::Value> sample_args = {vm::Value::ofInt(0)};
-
-    core::Closure full =
-        core::ClosureBuilder(bed.server().context(), config, Rng(42))
-            .build(root, profile, sample_args, nullptr);
-    core::Closure slim =
-        core::ClosureBuilder(bed.server().context(), config, Rng(42))
-            .build(root, profile, sample_args, &capture);
-    return {full.dataBytes(bed.server().heap()),
-            slim.dataBytes(bed.server().heap())};
-}
-
-TEST(ClosureSlimmingTest, ThumbnailClosureShrinks)
-{
-    auto [full, slim] = measureClosureBytes(harness::AppKind::Thumbnail);
-    EXPECT_LT(slim, full);
-}
-
-TEST(ClosureSlimmingTest, PybbsClosureShrinks)
-{
-    auto [full, slim] = measureClosureBytes(harness::AppKind::Pybbs);
-    EXPECT_LT(slim, full);
-}
-
-TEST(ClosureSlimmingTest, BlogClosureShrinks)
-{
-    auto [full, slim] = measureClosureBytes(harness::AppKind::Blog);
-    EXPECT_LT(slim, full);
 }
 
 } // namespace

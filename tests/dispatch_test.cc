@@ -1699,7 +1699,8 @@ TEST(PinnedCost, EntryHandlersChargeLikeTheExactLoop)
 }
 
 /**
- * @p app's testbed at offload ratio 1.0 after its profiling phase,
+ * A testbed built from @p opts, at offload ratio 1.0 after its
+ * profiling phase,
  * serving requests 1-6 (the first one's offload runs as a shadow),
  * with a pause after the first for its shadow to warm the instance,
  * hashed: each request's result and finish time, each completed
@@ -1707,13 +1708,13 @@ TEST(PinnedCost, EntryHandlersChargeLikeTheExactLoop)
  * synchronized objects, and the server's and the functions'
  * instruction totals. A function faults on klasses and objects and
  * syncs monitors, so this pins the charges of paths a server context
- * never takes.
+ * never takes. @p fn_stats, when given, receives the functions'
+ * counts.
  */
 uint64_t
-offloadedInvocationsHash(harness::AppKind app)
+offloadedInvocationsHash(const harness::TestbedOptions &opts,
+                         core::FunctionStats *fn_stats = nullptr)
 {
-    harness::TestbedOptions opts;
-    opts.app = app;
     harness::Testbed bed(opts);
     EXPECT_TRUE(bed.runProfilingPhase());
     bed.manager()->setOffloadRatio(1.0);
@@ -1743,6 +1744,8 @@ offloadedInvocationsHash(harness::AppKind app)
     hash.add(bed.server().stats().instructions);
     hash.add(bed.manager()->functionStats().instructions);
     EXPECT_GT(bed.manager()->functionStats().instructions, 10000u);
+    if (fn_stats)
+        *fn_stats = bed.manager()->functionStats();
     return hash.value();
 }
 
@@ -1766,8 +1769,128 @@ TEST(PinnedCost, OffloadedInvocationsChargeLikeTheParent)
     };
     for (const Pin &pin : kPins) {
         SCOPED_TRACE(harness::appName(pin.app));
-        const uint64_t got = offloadedInvocationsHash(pin.app);
+        harness::TestbedOptions opts;
+        opts.app = pin.app;
+        const uint64_t got = offloadedInvocationsHash(opts);
         EXPECT_EQ(got, pin.hash) << std::hex << "0x" << got;
+    }
+}
+
+TEST(PinnedCost, BareClosuresAndUnpackedReceiversChargeLikeTheParent)
+{
+    // The pins above never reach two function-side paths: every
+    // closure ships the klasses its root allocates, and every
+    // hidden-state native's receiver arrives packed. A closure that
+    // ships no klass but the root's own (klass coverage 0) makes the
+    // first New, NewArr or NewBytes of each klass fault; with
+    // Packageable off, a hidden-state native on an unpacked receiver
+    // falls back to the server. Recorded before the static passes
+    // shared one dataflow engine.
+    using harness::AppKind;
+    enum class Variant { BareClosure, Unpacked };
+    struct Pin
+    {
+        AppKind app;
+        Variant variant;
+        uint64_t hash;
+    };
+    constexpr Pin kPins[] = {
+        {AppKind::Blog, Variant::BareClosure, 0xe3aae71820323ad0ull},
+        {AppKind::Blog, Variant::Unpacked, 0x54dec2d92f06dc23ull},
+        {AppKind::Pybbs, Variant::BareClosure, 0x0409a9602f91be33ull},
+        {AppKind::Pybbs, Variant::Unpacked, 0x95a1a8e8befd239eull},
+        {AppKind::Thumbnail, Variant::BareClosure, 0x0af678b172d2d72aull},
+        {AppKind::Thumbnail, Variant::Unpacked, 0xd14d67d19fb92af9ull},
+    };
+    for (const Pin &pin : kPins) {
+        const bool bare = pin.variant == Variant::BareClosure;
+        SCOPED_TRACE(testing::Message()
+                     << harness::appName(pin.app)
+                     << (bare ? " bare closure" : " unpacked"));
+        harness::TestbedOptions opts;
+        opts.app = pin.app;
+        if (bare)
+            opts.beehive.closure_klass_coverage = 0.0;
+        else
+            opts.beehive.packageable_enabled = false;
+        core::FunctionStats fn;
+        const uint64_t got = offloadedInvocationsHash(opts, &fn);
+        EXPECT_EQ(got, pin.hash) << std::hex << "0x" << got;
+        // A bare closure fetches more code than each shadow's one
+        // fetch in the pins above.
+        if (bare)
+            EXPECT_GT(fn.code_fetches, 1u);
+        else
+            EXPECT_GT(fn.native_fallbacks, 0u);
+    }
+}
+
+TEST(PinnedCost, AllocationFaultsAndANativeFallbackOnAFunction)
+{
+    // main(recv) allocates an instance, an array and a byte object,
+    // each of a klass its function has not loaded, then calls a
+    // hidden-state native on its unpacked receiver, on an endpoint
+    // that checks remote references: each allocation faults once and
+    // the native falls back once. Every suspension is hashed, at a
+    // quantum of one instruction and of a thousand. Recorded before
+    // the static passes shared one dataflow engine.
+    Program program;
+    const KlassId k = addKlass(program, "Method");
+    const KlassId lazy_k = addKlass(program, "Lazy");
+    const KlassId arr_k = addKlass(program, "Lazy[]");
+    const KlassId bytes_k = addKlass(program, "Bytes");
+    NativeRegistry natives;
+    const MethodId invoke = addNative(program, natives, k, "Method.invoke0",
+                                      NativeCategory::HiddenState, 2,
+                                      invoke0);
+    CodeBuilder b(program, k, "main", 1);
+    b.newObj(lazy_k).popv().pushI(3).newArr(arr_k).popv();
+    b.pushStr("payload").popv();
+    b.pushI(5).load(0).pushI(4).call(invoke).add().ret();
+    const MethodId main = b.build();
+
+    struct Pin
+    {
+        int instrs;
+        uint64_t hash;
+    };
+    constexpr Pin kPins[] = {{1, 0xc5322b380df7912eull},
+                             {1000, 0x2b21a8933e072cd5ull}};
+    for (const Pin &pin : kPins) {
+        SCOPED_TRACE(testing::Message() << "quantum " << pin.instrs);
+        VmConfig cfg = idiomConfig(pin.instrs);
+        cfg.check_remote_refs = true;
+        cfg.bytes_klass = bytes_k;
+        Heap heap(program, 1 << 16, 1 << 20);
+        VmContext ctx(program, natives, heap, cfg);
+        ctx.loadKlass(k);
+        const Ref recv = heap.allocPlain(k);
+        Interpreter interp(ctx);
+        interp.start(main, {Value::ofRef(recv)});
+        quickentest::Fnv1a hash;
+        std::vector<KlassId> faults;
+        int fallbacks = 0;
+        Suspend s;
+        do {
+            s = interp.run();
+            quickentest::hashSuspension(hash, interp, s);
+            if (s.kind == Suspend::Kind::ClassFault) {
+                faults.push_back(s.klass);
+                ctx.loadKlass(s.klass);
+            } else if (s.kind == Suspend::Kind::NativeFallback) {
+                ++fallbacks;
+                ctx.forceNextNativeLocal();
+            } else {
+                ASSERT_TRUE(s.kind == Suspend::Kind::Quantum ||
+                            s.kind == Suspend::Kind::Done)
+                    << static_cast<int>(s.kind);
+            }
+        } while (s.kind != Suspend::Kind::Done);
+        EXPECT_EQ(s.result.asInt(), 45);
+        EXPECT_EQ(faults, (std::vector<KlassId>{lazy_k, arr_k, bytes_k}));
+        EXPECT_EQ(fallbacks, 1);
+        EXPECT_EQ(hash.value(), pin.hash)
+            << std::hex << "0x" << hash.value();
     }
 }
 

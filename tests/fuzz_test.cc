@@ -150,9 +150,7 @@ TEST_P(FuzzProperty, StaticCaptureCoversDynamicReads)
     // 4. Capture soundness: every (klass, field) pair and every
     //    static the interpreter actually reads must be inside the
     //    static capture set the escape analysis computed for the
-    //    entry -- otherwise closure slimming could prune data the
-    //    offloaded execution needs (safe thanks to the missing-data
-    //    fallback, but the analysis promises not to).
+    //    entry: the analysis promises a superset of the reads.
     Program program;
     Klass obj;
     obj.name = "Object";

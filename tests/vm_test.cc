@@ -1536,32 +1536,6 @@ TEST_F(VmTest, ProfilerSelectsByHeuristics)
     EXPECT_DOUBLE_EQ(p->avgCostNs(), 5e6);
 }
 
-TEST_F(VmTest, SyncAwareSelectionRejectsChattyRoots)
-{
-    CodeBuilder calm(program, object_k, "calm", 0);
-    calm.annotate("RequestMapping").pushI(0).ret();
-    MethodId calm_m = calm.build();
-    CodeBuilder chatty(program, object_k, "chatty", 0);
-    chatty.annotate("RequestMapping").pushI(0).ret();
-    MethodId chatty_m = chatty.build();
-
-    Profiler prof(program);
-    prof.addCandidateAnnotation("RequestMapping");
-    for (int i = 0; i < 50; ++i) {
-        prof.recordExecution(calm_m, 5e6, {}, {}, /*syncs=*/1);
-        prof.recordExecution(chatty_m, 5e6, {}, {}, /*syncs=*/40);
-    }
-    // Both pass the basic heuristics...
-    EXPECT_EQ(prof.selectRoots(1e8, 1e6).size(), 2u);
-    // ...but the sync-aware policy (the paper's future-work
-    // refinement) rejects the synchronization-heavy one.
-    auto picked = prof.selectRootsSyncAware(1e8, 1e6,
-                                            /*max_avg_syncs=*/10.0);
-    ASSERT_EQ(picked.size(), 1u);
-    EXPECT_EQ(picked[0], calm_m);
-    EXPECT_DOUBLE_EQ(prof.profile(chatty_m)->avgSyncs(), 40.0);
-}
-
 TEST_F(VmTest, CandidateProfilingCountsMonitorEnters)
 {
     // Handler (annotated) locks twice; the wrapper around it locks
