@@ -70,8 +70,6 @@ void
 printChurn(const std::string &title, const BurstResult &r)
 {
     SnapshotChurn churn;
-    churn.evictions = r.snapshot_evictions;
-    churn.re_records = r.snapshot_re_records;
     churn.manifests_synthesized = r.manifests_synthesized;
     churn.refined_dropped = r.snapshot_refined_dropped;
     for (const auto &[root, t] : r.traces)

@@ -13,7 +13,8 @@
 # a thread pool, so this checks that the output does not depend on the
 # thread count. hivelint's --json findings, plain and --strict, are
 # diffed against hivelint.jsonl and hivelint-strict.jsonl the same
-# way.
+# way, and so is the stdout of the five examples/ programs (they take
+# no flags).
 set -eu
 
 record=0
@@ -28,18 +29,32 @@ fi
 
 golden=$(cd "$(dirname "$0")" && pwd)
 bench=$(cd "$1" && pwd)/bench
+examples=$(cd "$1" && pwd)/examples
 hivelint=$(cd "$1" && pwd)/src/apps/hivelint
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
 status=0
-# run <driver> [flags...]: one --quick run, recorded or diffed.
+# run <driver> [flags...]: one --quick run of a bench driver.
 run() {
     b=$1
     shift
     label=$b
     [ $# -eq 0 ] || label="$b $*"
-    if ! (cd "$work" && "$bench/$b" --quick "$@" > "$b.txt" 2> "$b.err"); then
+    compare "$bench/$b" --quick "$@"
+}
+
+# example <program>: one run of an examples/ program (no flags).
+example() {
+    b=$1
+    label=$b
+    compare "$examples/$b"
+}
+
+# compare <exe> [flags...]: run it, then record its stdout as
+# $b.txt or diff it against that golden.
+compare() {
+    if ! (cd "$work" && "$@" > "$b.txt" 2> "$b.err"); then
         cat "$work/$b.err" >&2
         echo "$label: failed" >&2
         status=1
@@ -91,6 +106,10 @@ for b in fig07_burst_reduction fig08_throughput table5_fallbacks \
          table2_native_methods table1_scaling_solutions \
          cross_az_overhead ablation_optimizations; do
     run "$b"
+done
+for e in quickstart burst_scaling custom_webapp shadow_warmup \
+         failure_recovery; do
+    example "$e"
 done
 # Thread-count identity: never re-records, only compares.
 if [ "$record" = 0 ]; then

@@ -14,7 +14,7 @@
  *      program-wide lock graph),
  *   4. snapshot coverage: each app runs a short offload drill with
  *      the snapshot store enabled; the recorded image composition
- *      (base/delta layers, content hashes) is reported and the
+ *      (klasses, objects, modeled image size) is reported and the
  *      store's coverage invariant -- every recorded working-set
  *      entry is either in the restore plan or counted stale -- is
  *      checked. A violation is an error.
@@ -111,18 +111,59 @@ struct Finding
     std::string message;
 };
 
+/**
+ * Every finding kind, in pipeline order (the order findings print
+ * in). A selectable kind names a pass `--pass` can run alone; the
+ * offload pass also reports `effect` and `capture` findings.
+ */
+constexpr struct
+{
+    const char *name;
+    bool selectable;
+} kPasses[] = {
+    {"verify", true},
+    {"offload", true},
+    {"effect", false},
+    {"capture", false},
+    {"lock-order", true},
+    {"snapshot", true},
+    {"race", true},
+    {"manifest", true},
+};
+
 /** Pipeline position of a pass kind, for deterministic ordering. */
 int
 passRank(const std::string &kind)
 {
-    static const char *order[] = {"verify",     "offload",
-                                  "effect",     "capture",
-                                  "lock-order", "snapshot",
-                                  "race",       "manifest"};
-    for (std::size_t i = 0; i < std::size(order); ++i)
-        if (kind == order[i])
+    for (std::size_t i = 0; i < std::size(kPasses); ++i)
+        if (kind == kPasses[i].name)
             return static_cast<int>(i);
-    return static_cast<int>(std::size(order));
+    return static_cast<int>(std::size(kPasses));
+}
+
+/** Is @p name a pass `--pass` can select? */
+bool
+selectablePass(const std::string &name)
+{
+    for (const auto &p : kPasses)
+        if (p.selectable && name == p.name)
+            return true;
+    return false;
+}
+
+/** The selectable passes, space-separated (for the usage error). */
+std::string
+selectablePasses()
+{
+    std::string out;
+    for (const auto &p : kPasses) {
+        if (!p.selectable)
+            continue;
+        if (!out.empty())
+            out += ' ';
+        out += p.name;
+    }
+    return out;
 }
 
 /** Minimal JSON string escaping (quotes, backslash, control). */
@@ -331,15 +372,10 @@ snapshotPass(Reporter &rep, harness::AppKind kind)
         f.klass = "image-composition";
         f.severity = "info";
         f.message = strprintf(
-            "%s: %zu klass(es) (%zu base), %zu object(s) (%zu "
-            "base), base %llu B [%016llx], delta %llu B [%016llx], "
+            "%s: %zu klass(es), %zu object(s), image %llu B, "
             "%llu boot(s) folded, %llu stale",
-            qname.c_str(), c.klasses, c.base_klasses, c.objects,
-            c.base_objects,
-            static_cast<unsigned long long>(c.base_bytes),
-            static_cast<unsigned long long>(c.base_hash),
-            static_cast<unsigned long long>(c.delta_bytes),
-            static_cast<unsigned long long>(c.delta_hash),
+            qname.c_str(), c.klasses, c.objects,
+            static_cast<unsigned long long>(c.image_bytes),
             static_cast<unsigned long long>(c.folded_boots),
             static_cast<unsigned long long>(c.stale_objects));
         rep.add(f);
@@ -904,9 +940,6 @@ main(int argc, char **argv)
     bool seed_race = false;
     bool seed_unreachable = false;
     std::string only_pass;
-    static const char *kPassNames[] = {"verify",   "offload",
-                                       "lock-order", "snapshot",
-                                       "race",     "manifest"};
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--strict") == 0) {
             strict = true;
@@ -921,15 +954,12 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--pass") == 0 &&
                    i + 1 < argc) {
             only_pass = argv[++i];
-            bool known = false;
-            for (const char *name : kPassNames)
-                known = known || only_pass == name;
-            if (!known) {
+            if (!selectablePass(only_pass)) {
                 std::fprintf(stderr,
                              "hivelint: unknown pass '%s' (one of: "
-                             "verify offload lock-order snapshot "
-                             "race manifest)\n",
-                             only_pass.c_str());
+                             "%s)\n",
+                             only_pass.c_str(),
+                             selectablePasses().c_str());
                 return 2;
             }
         } else {

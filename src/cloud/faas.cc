@@ -69,41 +69,9 @@ FaasPlatform::findWarm()
 void
 FaasPlatform::expire(FunctionInstance &inst)
 {
-    endIdleSpan(inst);
     ++expired_;
-    inst.compacted = false;
     inst.machine.reset();
     inst.runtime_state.reset();
-}
-
-void
-FaasPlatform::endIdleSpan(FunctionInstance &inst)
-{
-    // Billing stops at keep-alive even when the expiry is noticed
-    // later by a lazy scan.
-    sim::SimTime end =
-        std::min(sim_.now(), inst.idle_since + profile_.keep_alive);
-    idle_gb_seconds_ += idleGbSeconds(inst, end);
-}
-
-double
-FaasPlatform::idleGbSeconds(const FunctionInstance &inst,
-                            sim::SimTime until) const
-{
-    if (until <= inst.idle_since)
-        return 0.0;
-    double gb = profile_.instance_type.memory_gb;
-    sim::SimTime compact_at =
-        inst.idle_since + profile_.idle_compaction_after;
-    if (profile_.idle_compaction_after.ns() <= 0 ||
-        until <= compact_at) {
-        return (until - inst.idle_since).toSeconds() * gb;
-    }
-    // The compaction timer fires exactly at compact_at while the
-    // instance is still idle, so the split is deterministic.
-    return (compact_at - inst.idle_since).toSeconds() * gb +
-           (until - compact_at).toSeconds() * gb *
-               profile_.compacted_memory_fraction;
 }
 
 FunctionInstance &
@@ -135,25 +103,20 @@ FaasPlatform::acquire(AcquireCallback cb, FailCallback fail)
     FunctionInstance *warm = findWarm();
     if (warm) {
         ++warm_boots_;
-        endIdleSpan(*warm);
-        bool compacted = warm->compacted;
-        warm->compacted = false;
         warm->last_boot = BootKind::Warm;
         warm->in_use = true;
         busy_start_[warm] = sim_.now();
-        sim::SimTime boot = profile_.warm_boot;
-        if (compacted)
-            boot = boot + profile_.decompact_penalty;
         telemetry::SpanId span = telemetry::kNoSpan;
         if (t) {
             span = t->beginUnder("boot.warm", telemetry::Phase::Boot,
                                  warm->track);
         }
-        sim_.after(boot, [this, warm, span, cb = std::move(cb)] {
+        auto ready = [this, warm, span, cb = std::move(cb)] {
             if (telemetry::Tracer *t = sim_.tracer())
                 t->end(span);
             cb(*warm);
-        });
+        };
+        sim_.after(profile_.warm_boot, std::move(ready));
         return;
     }
     ++cold_boots_;
@@ -247,8 +210,6 @@ FaasPlatform::tryAcquireWarm()
     if (!warm)
         return nullptr;
     ++warm_boots_;
-    endIdleSpan(*warm);
-    warm->compacted = false;
     warm->last_boot = BootKind::Warm;
     warm->in_use = true;
     busy_start_[warm] = sim_.now();
@@ -278,7 +239,6 @@ FaasPlatform::release(FunctionInstance &inst)
 {
     bh_assert(inst.in_use, "release of idle instance");
     inst.in_use = false;
-    inst.ever_used = true;
     inst.idle_since = sim_.now();
     ++inst.idle_epoch;
     auto it = busy_start_.find(&inst);
@@ -289,8 +249,8 @@ FaasPlatform::release(FunctionInstance &inst)
         busy_start_.erase(it);
     }
     // Schedule the keep-alive sweep: the cache entry stops being a
-    // warm candidate (and stops billing) exactly at keep_alive
-    // rather than whenever the next acquire happens to scan it.
+    // warm candidate exactly at keep_alive rather than whenever the
+    // next acquire happens to scan it.
     // A reacquire bumps idle_epoch, so a stale timer is a no-op.
     FunctionInstance *p = &inst;
     uint64_t epoch = inst.idle_epoch;
@@ -298,17 +258,6 @@ FaasPlatform::release(FunctionInstance &inst)
         if (p->idle_epoch == epoch && !p->in_use && p->machine)
             expire(*p);
     });
-    if (profile_.idle_compaction_after.ns() > 0 &&
-        profile_.idle_compaction_after < profile_.keep_alive) {
-        sim_.after(profile_.idle_compaction_after,
-                   [this, p, epoch] {
-                       if (p->idle_epoch == epoch && !p->in_use &&
-                           p->machine && !p->compacted) {
-                           p->compacted = true;
-                           ++compactions_;
-                       }
-                   });
-    }
 }
 
 void
@@ -351,19 +300,9 @@ FaasPlatform::accruedCost(sim::SimTime now) const
         gb_seconds += (now - start).toSeconds() *
                       profile_.instance_type.memory_gb;
     }
-    double idle_gb_seconds = idle_gb_seconds_;
-    // Include currently-idle cached instances' open spans.
-    for (const auto &inst : instances_) {
-        if (inst->in_use || !inst->machine || !inst->ever_used)
-            continue;
-        sim::SimTime end =
-            std::min(now, inst->idle_since + profile_.keep_alive);
-        idle_gb_seconds += idleGbSeconds(*inst, end);
-    }
     // Every boot (cold, warm or restore) is one billed invocation.
     uint64_t invocations = cold_boots_ + warm_boots_ + restore_boots_;
     return gb_seconds * profile_.price_per_gb_second +
-           idle_gb_seconds * profile_.idle_price_per_gb_second +
            static_cast<double>(invocations) / 1e6 *
                profile_.price_per_minvoke;
 }

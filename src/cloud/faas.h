@@ -61,26 +61,6 @@ struct FaasProfile
      * The image transfer adds image_bytes / network bandwidth.
      */
     sim::SimTime restore_boot_base = sim::SimTime::msec(220);
-
-    /**
-     * Idle time after which a cached instance's billed memory is
-     * compacted (Squeezy-style reclamation). Zero disables.
-     */
-    sim::SimTime idle_compaction_after;
-
-    /** Billed-memory fraction of a compacted idle instance. */
-    double compacted_memory_fraction = 0.125;
-
-    /**
-     * $ per GB-second an *idle cached* instance accrues. The default
-     * FaaS billing model charges only busy time, so this defaults
-     * to zero; self-hosted deployments that pay for the cache can
-     * set it, and compaction then shrinks the idle bill.
-     */
-    double idle_price_per_gb_second = 0.0;
-
-    /** Extra warm-boot latency when reusing a compacted instance. */
-    sim::SimTime decompact_penalty;
 };
 
 /** The OpenWhisk deployment profile (in-VPC m4.large workers). */
@@ -94,13 +74,10 @@ struct FunctionInstance
 {
     std::unique_ptr<Instance> machine;
     bool in_use = false;
-    bool ever_used = false;      //!< false until first invocation
     /** How the most recent acquisition brought this instance up. */
     BootKind last_boot = BootKind::None;
-    /** Billed memory currently compacted (idle reclamation). */
-    bool compacted = false;
     /** Generation counter: bumped on every release so stale
-     * keep-alive / compaction timers recognize themselves. */
+     * keep-alive timers recognize themselves. */
     uint64_t idle_epoch = 0;
     sim::SimTime idle_since;
     /** Opaque per-instance state owned by the BeeHive runtime
@@ -193,8 +170,6 @@ class FaasPlatform
     uint64_t restoreBoots() const { return restore_boots_; }
     /** Cache entries expired by the keep-alive sweep. */
     uint64_t expired() const { return expired_; }
-    /** Idle instances whose billed memory was compacted. */
-    uint64_t compactions() const { return compactions_; }
 
     /** All instances ever launched (breakdown inspection). */
     const std::vector<std::unique_ptr<FunctionInstance>> &
@@ -227,14 +202,6 @@ class FaasPlatform
     /** Drop @p inst from the cache (keep-alive expiry). */
     void expire(FunctionInstance &inst);
 
-    /** End the current idle span, accruing its billed GB-seconds. */
-    void endIdleSpan(FunctionInstance &inst);
-
-    /** Idle GB-seconds of the span [inst.idle_since, until],
-     * split at the compaction point when one applies. */
-    double idleGbSeconds(const FunctionInstance &inst,
-                         sim::SimTime until) const;
-
     sim::Simulation &sim_;
     net::Network &net_;
     FaasProfile profile_;
@@ -243,9 +210,7 @@ class FaasPlatform
     uint64_t warm_boots_ = 0;
     uint64_t restore_boots_ = 0;
     uint64_t expired_ = 0;
-    uint64_t compactions_ = 0;
     double busy_gb_seconds_ = 0.0;
-    double idle_gb_seconds_ = 0.0;
     std::map<const FunctionInstance *, sim::SimTime> busy_start_;
     Rng rng_;
     chaos::ChaosEngine *chaos_ = nullptr;

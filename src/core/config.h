@@ -93,8 +93,8 @@ struct BeeHiveConfig
 
     /**
      * Record the realized working set of cold boots (class and
-     * object faults of the shadow phase) into content-addressed
-     * snapshot images, and boot subsequent fresh instances of the
+     * object faults of the shadow phase) into one snapshot image
+     * per endpoint, and boot subsequent fresh instances of the
      * same endpoint through the *restore* path with the recorded
      * set pre-installed. Off by default so all existing experiment
      * numbers stay bit-identical; a stale image degrades to the

@@ -340,7 +340,7 @@ OffloadManager::offload(vm::MethodId root, std::vector<Value> args,
             root, server_.collector().totals().collections);
         if (flight.plan.corrupted) {
             // The stored image failed checksum verification (the
-            // store already evicted it): fall back to a full cold
+            // store already dropped it): fall back to a full cold
             // boot; the endpoint records afresh.
             ++stats_.corrupt_restores;
             flight.plan = snapshot::RestorePlan{};

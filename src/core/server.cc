@@ -22,14 +22,6 @@ constexpr std::size_t kServerClosureBytes = 4u << 20;
  */
 constexpr std::size_t kServerMaxActive = 128;
 
-/** Snapshot store size budget; least-recently-used endpoint images
- * are evicted beyond it. */
-constexpr uint64_t kSnapshotImageBudgetBytes = 1u << 20;
-
-/** Cold boots an endpoint must fold into its image before the
- * restore path is taken. */
-constexpr uint32_t kSnapshotMinBoots = 1;
-
 } // namespace
 
 std::optional<Value>
@@ -87,19 +79,15 @@ class BeeHiveServer::LocalInvocation
                     std::vector<Value> args, DoneCb done,
                     bool suppress_offload, uint64_t request_key,
                     telemetry::Context tctx)
-        : server_(server), interp_(server.context()), root_(root),
+        : server_(server), interp_(server.context()),
           done_(std::move(done)), request_key_(request_key),
           tctx_(tctx)
     {
         interp_.setSuppressOffload(suppress_offload);
-        if (server_.profiling()) {
-            // Handlers reached through framework plumbing are
-            // profiled by the interpreter's candidate tracking;
-            // directly-started candidate roots use plain recording.
+        // The interpreter profiles every candidate handler it runs,
+        // whether framework plumbing calls it or it is the root.
+        if (server_.profiling())
             interp_.enableCandidateProfiling(true);
-            recording_ = server_.profiler().isCandidate(root);
-            interp_.enableRecording(recording_);
-        }
         interp_.start(root, std::move(args));
     }
 
@@ -125,7 +113,6 @@ class BeeHiveServer::LocalInvocation
     {
         suspend_ = interp_.run();
         double cost = interp_.consumeCost();
-        total_cost_ += cost;
         if (cost > 0.0) {
             // The suspension waits in suspend_, so the continuation
             // fits SmallFn's inline buffer (no allocation per job).
@@ -339,12 +326,6 @@ class BeeHiveServer::LocalInvocation
     {
         // Safety net: a request must not exit holding monitors.
         server_.sync().abandonHolder(this);
-        if (recording_) {
-            server_.profiler().recordExecution(
-                root_, total_cost_, interp_.recordedKlasses(),
-                interp_.recordedStatics(),
-                interp_.stats().monitor_enters);
-        }
         const vm::InterpStats &is = interp_.stats();
         ServerStats &stats = server_.stats_;
         stats.instructions += is.instructions;
@@ -368,7 +349,6 @@ class BeeHiveServer::LocalInvocation
      * round trip's continuation consumes them. */
     DbCallPayload db_call_;
     db::Response db_resp_;
-    vm::MethodId root_;
     DoneCb done_;
     /** Exactly-once identity of this request (0 = unkeyed). */
     uint64_t request_key_ = 0;
@@ -376,8 +356,6 @@ class BeeHiveServer::LocalInvocation
     uint64_t write_seq_ = 0;
     telemetry::Context tctx_;
     telemetry::SpanId exec_span_ = telemetry::kNoSpan;
-    bool recording_ = false;
-    double total_cost_ = 0.0;
 };
 
 // ---------------------------------------------------------------------
@@ -410,9 +388,7 @@ BeeHiveServer::BeeHiveServer(sim::Simulation &sim, net::Network &net,
         // static_manifests needs the store even with recording off:
         // synthesized manifests live in it and serve the restore
         // path exactly like recorded images.
-        snapshots_ = std::make_unique<snapshot::SnapshotStore>(
-            program_, *heap_, kSnapshotImageBudgetBytes,
-            kSnapshotMinBoots);
+        snapshots_ = std::make_unique<snapshot::SnapshotStore>(*heap_);
     }
 
     // Verify-on-load: the verifier is the load-time gate. Bytecode

@@ -272,8 +272,6 @@ runBurstExperiment(const BurstOptions &options)
         result.warm_boots = bed.platform()->warmBoots();
         result.restore_boots = bed.platform()->restoreBoots();
         if (const auto *snaps = bed.server().snapshots()) {
-            result.snapshot_evictions = snaps->evictions();
-            result.snapshot_re_records = snaps->reRecords();
             result.manifests_synthesized =
                 snaps->manifestsSynthesized();
             result.snapshot_refined_dropped =

@@ -132,8 +132,6 @@ struct BurstResult
     uint64_t warm_boots = 0;
     uint64_t restore_boots = 0;
     /** SnapshotStore churn (zero when no store was constructed). */
-    uint64_t snapshot_evictions = 0;
-    uint64_t snapshot_re_records = 0;
     uint64_t manifests_synthesized = 0;
     uint64_t snapshot_refined_dropped = 0;
     /** Completed invocation traces (boot breakdown reporting). */

@@ -147,10 +147,8 @@ printSnapshotChurn(const std::string &title,
         return strprintf("%llu", static_cast<unsigned long long>(v));
     };
     printTable(title,
-               {"evictions", "re_records", "manifests", "refined",
-                "stale"},
-               {{u(churn.evictions), u(churn.re_records),
-                 u(churn.manifests_synthesized),
+               {"manifests", "refined", "stale"},
+               {{u(churn.manifests_synthesized),
                  u(churn.refined_dropped),
                  u(churn.stale_prefetches)}});
 }

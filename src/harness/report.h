@@ -74,17 +74,13 @@ void printBootBreakdown(
     const std::vector<BootBreakdownRow> &rows);
 
 /**
- * Store-level churn of one run's SnapshotStore: how often the LRU
- * budget evicted an image, how many endpoints had to re-record after
- * eviction, how many manifests were synthesized statically and how
- * many synthetic entries recorded boots refined away. Printed next
- * to the boot breakdown so eviction churn can be read against the
- * stale-prefetch column it tends to precede.
+ * Store-level churn of one run's SnapshotStore: how many manifests
+ * were synthesized statically, how many synthetic entries recorded
+ * boots refined away, and how many prefetches were stale. Printed
+ * next to the boot breakdown.
  */
 struct SnapshotChurn
 {
-    uint64_t evictions = 0;
-    uint64_t re_records = 0;
     uint64_t manifests_synthesized = 0;
     uint64_t refined_dropped = 0;
     uint64_t stale_prefetches = 0; //!< summed over the traces

@@ -9,6 +9,14 @@ namespace beehive::harness {
 
 using sim::SimTime;
 
+namespace {
+
+/** Concurrent-offload cap of a sweep point (function instances in
+ * flight). */
+constexpr std::size_t kMaxOffloads = 160;
+
+} // namespace
+
 const char *
 throughputConfigName(ThroughputConfig config)
 {
@@ -58,7 +66,7 @@ runThroughputPoint(const ThroughputOptions &options,
     SimTime t0 = bed.sim().now();
 
     if (offloading) {
-        bed.manager()->setMaxConcurrentOffloads(options.max_offloads);
+        bed.manager()->setMaxConcurrentOffloads(kMaxOffloads);
         double ratio = options.offload_ratio;
         if (ratio < 0.0) {
             // Keep the server comfortably below saturation and push

@@ -59,8 +59,6 @@ struct ThroughputOptions
     /** Offload ratio; negative = derive from offered load vs the
      * calibrated server saturation. */
     double offload_ratio = -1.0;
-    /** Concurrent-offload cap (function instances in flight). */
-    std::size_t max_offloads = 160;
 
     /** Telemetry: serialize the span tree of each point's run as
      * Chrome trace JSON (needs beehive.telemetry). */

@@ -5,17 +5,16 @@
  * On an offload endpoint's first cold boots the BeeHive runtime
  * records the *realized* working set -- every klass the function
  * class-faulted on and every server object it object-faulted on --
- * and folds it into this store. Once enough boots were folded, a
+ * and folds it into this store. Once one boot was folded, a
  * fresh instance for that endpoint takes a *restore boot*: the
  * platform charges `restore_boot_base + image_bytes / bandwidth`
  * and the recorded working set is pre-installed on the function VM
  * before the shadow execution starts, so the Table 5 fault storm
  * never happens.
  *
- * Layering: klasses and objects recorded by two or more endpoints
- * form the shared *base-runtime image* (the framework plumbing every
- * handler touches); the remainder is each endpoint's *delta*. Both
- * layers are content-addressed SnapshotImages.
+ * One working set per endpoint: every server enables exactly one
+ * offload root, so the store holds at most one image per root and
+ * is bounded by the enabled roots; nothing is layered or evicted.
  *
  * Staleness: recorded server addresses in the allocation semispaces
  * are only valid while the server GC epoch they were recorded under
@@ -24,12 +23,6 @@
  * every entry against the live heap and silently drops stale ones --
  * they simply fault at run time through the normal fetch path, so a
  * stale image degrades to extra fetches, never to a wrong answer.
- *
- * Budget: recordings are bounded by a byte budget; when folding a
- * boot pushes the store over it, least-recently-used endpoints are
- * evicted (their next cold boot starts recording afresh). An
- * endpoint that starts recording again after an eviction is counted
- * as a *re-record*, so budget-pressure churn is observable.
  *
  * Synthesis: under the `static_manifests` knob the offload manager
  * feeds this store *statically inferred* working sets
@@ -51,7 +44,6 @@
 #include <set>
 #include <vector>
 
-#include "snapshot/image.h"
 #include "vm/heap.h"
 #include "vm/program.h"
 
@@ -65,19 +57,17 @@ namespace beehive::snapshot {
 struct RestorePlan
 {
     vm::MethodId root = vm::kNoMethod;
-    /** Klasses to pre-load (base + delta, first-fault order). */
+    /** Klasses to pre-load, first-fault order. */
     std::vector<vm::KlassId> klasses;
     /** Epoch-fresh server objects to prefetch, first-fault order. */
     std::vector<vm::Ref> objects;
     /** Recorded objects dropped by staleness revalidation. */
     uint64_t stale_objects = 0;
     /** Stored image failed checksum verification: the plan is empty,
-     * the image was evicted, the caller must cold-boot instead. */
+     * the image was dropped, the caller must cold-boot instead. */
     bool corrupted = false;
-    /** Modeled transfer size: base image + endpoint delta. */
+    /** Modeled transfer size of the image (see imageBytes()). */
     uint64_t image_bytes = 0;
-    uint64_t base_hash = 0;  //!< content address of the base layer
-    uint64_t delta_hash = 0; //!< content address of the delta layer
 };
 
 /** Per-endpoint image composition (hivelint / report). */
@@ -86,12 +76,7 @@ struct ImageComposition
     vm::MethodId root = vm::kNoMethod;
     std::size_t klasses = 0;
     std::size_t objects = 0;
-    std::size_t base_klasses = 0; //!< of which shared with the base
-    std::size_t base_objects = 0;
-    uint64_t base_bytes = 0;
-    uint64_t delta_bytes = 0;
-    uint64_t base_hash = 0;
-    uint64_t delta_hash = 0;
+    uint64_t image_bytes = 0; //!< as a restore plan would model it
     uint64_t folded_boots = 0;
     uint64_t stale_objects = 0; //!< stale right now (vs live heap)
     bool synthetic = false;     //!< static manifest, not yet refined
@@ -101,32 +86,25 @@ struct ImageComposition
 class SnapshotStore
 {
   public:
-    /**
-     * @param program Klass metadata (code sizes).
-     * @param server_heap The live server heap recordings refer to.
-     * @param budget_bytes Raw recording budget across endpoints.
-     * @param min_boots Cold boots folded before restores are served.
-     */
-    SnapshotStore(const vm::Program &program,
-                  const vm::Heap &server_heap, uint64_t budget_bytes,
-                  uint32_t min_boots);
+    /** @param server_heap The live server heap recordings refer to. */
+    explicit SnapshotStore(const vm::Heap &server_heap);
 
     /** @name Recording (driven by the cold-boot fault handlers) */
     /// @{
     void recordClassFault(vm::MethodId root, vm::KlassId klass);
     void recordObjectFault(vm::MethodId root, vm::Ref server_ref,
                            uint64_t gc_epoch);
-    /** Fold one finished cold boot; may trigger LRU eviction. */
+    /** Fold one finished cold boot. */
     void endRecordedBoot(vm::MethodId root);
     /// @}
 
     /**
      * Install a statically inferred working set for @p root (klass
      * closure + resolved object footprint). The endpoint serves
-     * restore boots immediately, regardless of min_boots. Recorded
-     * faults landing on synthetic entries *confirm* them; when a
-     * recorded boot ends, still-unconfirmed synthetic entries are
-     * dropped (refinement). May trigger LRU eviction.
+     * restore boots immediately, before any boot is folded.
+     * Recorded faults landing on synthetic entries *confirm* them;
+     * when a recorded boot ends, still-unconfirmed synthetic
+     * entries are dropped (refinement).
      */
     void synthesizeManifest(vm::MethodId root,
                             const std::vector<vm::KlassId> &klasses,
@@ -136,21 +114,16 @@ class SnapshotStore
     /** Is @p root's image (still) a static, unrefined manifest? */
     bool isSynthetic(vm::MethodId root) const;
 
-    /** True when @p root has an image ready for restore boots. */
+    /** True when @p root has an image ready for restore boots: a
+     * synthetic manifest, or a recording with one folded boot. */
     bool hasImage(vm::MethodId root) const;
 
     /**
      * Build the restore plan for @p root against the live heap at
      * @p current_gc_epoch. Stale entries are dropped and counted.
-     * Bumps the endpoint's LRU stamp.
      */
     RestorePlan planRestore(vm::MethodId root,
                             uint64_t current_gc_epoch);
-
-    /** Assemble the serializable image layers for @p root. */
-    SnapshotImage buildBaseImage(uint64_t current_gc_epoch) const;
-    SnapshotImage buildDeltaImage(vm::MethodId root,
-                                  uint64_t current_gc_epoch) const;
 
     /** Composition summary of every recorded endpoint. */
     std::vector<ImageComposition>
@@ -166,12 +139,7 @@ class SnapshotStore
 
     /** @name Introspection */
     /// @{
-    uint64_t totalBytes() const { return total_bytes_; }
-    uint64_t budgetBytes() const { return budget_bytes_; }
-    uint64_t evictions() const { return evictions_; }
     uint64_t recordedRoots() const { return roots_.size(); }
-    /** Endpoints that started recording again after an eviction. */
-    uint64_t reRecords() const { return re_records_; }
     uint64_t manifestsSynthesized() const
     {
         return manifests_synthesized_;
@@ -204,8 +172,6 @@ class SnapshotStore
         std::vector<RecordedObject> objects; //!< first-fault order
         std::set<vm::Ref> object_set;
         uint64_t folded_boots = 0;
-        uint64_t bytes = 0; //!< raw recording footprint
-        uint64_t lru = 0;
         /** Statically synthesized, not yet refined by a recording. */
         bool synthetic = false;
         /** Synthetic entries no recorded fault has confirmed yet. */
@@ -215,9 +181,7 @@ class SnapshotStore
         uint64_t faults_since_synthesis = 0;
         /** Integrity seal over the recorded metadata (klass list +
          * object shapes); re-sealed at every mutation, verified at
-         * planRestore(). Live payloads are captured fresh at image
-         * build time, so the seal covers exactly the bytes that
-         * persist in the store. */
+         * planRestore(). */
         uint64_t checksum = 0;
     };
 
@@ -225,14 +189,13 @@ class SnapshotStore
     bool isFresh(const RecordedObject &obj,
                  uint64_t current_gc_epoch) const;
 
-    /** Klasses/objects shared by >= 2 recorded endpoints. */
-    void computeBase(std::set<vm::KlassId> &base_klasses,
-                     std::set<vm::Ref> &base_objects) const;
-
-    void evictOverBudget();
-
-    /** roots_[root], counting a re-record when @p root was evicted. */
-    WorkingSet &workingSetFor(vm::MethodId root);
+    /** Modeled transfer size of @p ws's image at
+     * @p current_gc_epoch: a 32-byte header, 4 B per klass and, per
+     * fresh object, a 36-byte shape record plus its payload
+     * (`count` bytes for a Bytes object, a 9-byte tagged slot per
+     * field or element otherwise). Stale objects are not sent. */
+    uint64_t imageBytes(const WorkingSet &ws,
+                        uint64_t current_gc_epoch) const;
 
     /** FNV-1a over the working set's persistent metadata. */
     static uint64_t metaChecksum(const WorkingSet &ws);
@@ -240,19 +203,10 @@ class SnapshotStore
     /** Recompute the seal after a metadata mutation. */
     static void reseal(WorkingSet &ws) { ws.checksum = metaChecksum(ws); }
 
-    const vm::Program &program_;
     const vm::Heap &heap_;
-    uint64_t budget_bytes_;
-    uint32_t min_boots_;
     std::map<vm::MethodId, WorkingSet> roots_;
-    /** Roots evicted at least once (re-record detection). */
-    std::set<vm::MethodId> evicted_roots_;
-    uint64_t total_bytes_ = 0;
-    uint64_t evictions_ = 0;
-    uint64_t re_records_ = 0;
     uint64_t manifests_synthesized_ = 0;
     uint64_t refined_dropped_ = 0;
-    uint64_t lru_clock_ = 0;
     chaos::ChaosEngine *chaos_ = nullptr;
 };
 

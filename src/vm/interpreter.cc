@@ -36,6 +36,12 @@ Interpreter::start(MethodId entry, std::vector<Value> args)
     std::copy(args.begin(), args.end(), values_.begin());
     sp_ = args.size();
     enterMethod(entry, m);
+    // A candidate started directly is profiled like one a caller
+    // enters: its depth-1 Ret flushes the sample.
+    if (candidate_profiling_ && ctx_.profiler() &&
+        ctx_.profiler()->isCandidate(entry)) {
+        beginCandidate(entry, cost_total_);
+    }
 }
 
 void

@@ -119,7 +119,9 @@ class Interpreter
   public:
     explicit Interpreter(VmContext &ctx);
 
-    /** Begin executing @p entry with the given arguments. */
+    /** Begin executing @p entry with the given arguments. Under
+     * candidate profiling, a candidate @p entry starts recording
+     * here. */
     void start(MethodId entry, std::vector<Value> args);
 
     /** True while there are frames to run. */
@@ -184,11 +186,11 @@ class Interpreter
     /// @{
     /**
      * Automatic candidate profiling: when enabled and the context
-     * has a Profiler, entering a candidate method starts recording
-     * its dynamic extent (klasses used, statics touched, cost);
-     * returning from it flushes a RootProfile sample. This is how
-     * framework plumbing around an annotated handler stays out of
-     * the handler's profile (Section 4.3).
+     * has a Profiler, entering (or starting at) a candidate method
+     * starts recording its dynamic extent (klasses used, statics
+     * touched, cost); returning from it flushes a RootProfile
+     * sample. This is how framework plumbing around an annotated
+     * handler stays out of the handler's profile (Section 4.3).
      */
     void enableCandidateProfiling(bool on)
     {

@@ -45,12 +45,9 @@ toString(const RootReport &report, const Program &program)
     return s + ")";
 }
 
-OffloadAnalysis::OffloadAnalysis(const Program &program,
-                                 bool race_admission)
+OffloadAnalysis::OffloadAnalysis(const Program &program)
     : program_(program), analysis_(program)
 {
-    if (race_admission)
-        races_ = std::make_unique<RaceAnalysis>(program_, analysis_);
 }
 
 RootReport
@@ -65,14 +62,6 @@ OffloadAnalysis::classifyRoot(MethodId root) const
     for (MethodId id : report.reachable) {
         for (const EffectSite &site :
              analysis_.methodSummary(id).sites) {
-            if (races_ &&
-                site.kind == EffectSite::Kind::SharedMonitor &&
-                races_->vacuousLocks().count(site.token) != 0) {
-                // The detector proved this monitor guards no
-                // shared-written state: nothing to synchronize.
-                ++report.vacuous_monitors;
-                continue;
-            }
             OffloadReason r;
             r.demands = site.demand == EffectDemand::LocalOnly
                             ? OffloadClass::LocalOnly

@@ -28,13 +28,11 @@
 #ifndef BEEHIVE_VM_OFFLOAD_ANALYSIS_H
 #define BEEHIVE_VM_OFFLOAD_ANALYSIS_H
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "vm/analysis.h"
 #include "vm/program.h"
-#include "vm/race_analysis.h"
 
 namespace beehive::vm {
 
@@ -66,9 +64,6 @@ struct RootReport
     std::vector<MethodId> reachable;
     /** Reasons of NeedsFallback/LocalOnly strength, worst first. */
     std::vector<OffloadReason> reasons;
-    /** Monitor sites whose lock the race detector proved vacuous
-     * (race admission only; they no longer demand a fallback). */
-    uint32_t vacuous_monitors = 0;
 };
 
 /** Render a report as one log-friendly line. */
@@ -86,18 +81,7 @@ std::string toString(const RootReport &report,
 class OffloadAnalysis
 {
   public:
-    /**
-     * @param race_admission Run the lockset race detector
-     *     (vm/race_analysis.h) and drop the fallback demand of
-     *     monitor sites whose lock is provably vacuous -- it guards
-     *     only thread-local or read-only-shared state, so there is
-     *     nothing for the cross-endpoint synchronization to
-     *     protect. This is how the detector feeds admission: roots
-     *     whose only fallback reason was such a monitor become
-     *     OffloadSafe.
-     */
-    explicit OffloadAnalysis(const Program &program,
-                             bool race_admission = false);
+    explicit OffloadAnalysis(const Program &program);
 
     /** Classify @p root; walks its reachable call graph. */
     RootReport classifyRoot(MethodId root) const;
@@ -117,13 +101,9 @@ class OffloadAnalysis
     /** The underlying framework (summaries, lock graph, ...). */
     const ProgramAnalysis &analysis() const { return analysis_; }
 
-    /** The race detector; null unless race admission is on. */
-    const RaceAnalysis *raceAnalysis() const { return races_.get(); }
-
   private:
     const Program &program_;
     ProgramAnalysis analysis_;
-    std::unique_ptr<RaceAnalysis> races_;
 };
 
 } // namespace beehive::vm

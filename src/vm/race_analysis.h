@@ -38,13 +38,12 @@
  *     shared write with a provably empty common lockset: a race
  *     finding).
  *
- * Closing the loop into offload admission: a monitor is *vacuous*
- * when every scope ever accessed under it (anywhere in the program)
- * is ThreadLocal or ReadShared -- the critical section protects no
- * mutable shared state, so skipping the cross-endpoint
- * synchronization fallback for it is unobservable. OffloadAnalysis
- * consumes vacuousLocks() to upgrade roots whose only monitors are
- * vacuous from needs-fallback to offload-safe.
+ * A monitor is *vacuous* when every scope ever accessed under it
+ * (anywhere in the program) is ThreadLocal or ReadShared -- the
+ * critical section protects no mutable shared state, so skipping
+ * the cross-endpoint synchronization fallback for it would be
+ * unobservable. hivelint reports vacuousLocks(); offload admission
+ * does not consume them.
  *
  * The dynamic counterpart (vm/race_oracle.h) tracks vector clocks
  * at runtime; tests/race_test.cc cross-checks that every
@@ -132,7 +131,7 @@ class RaceAnalysis
      * synchronization fallback is unobservable. Empty when the
      * program has methods the analysis could not model (an
      * unresolved virtual call or a dataflow bailout widens every
-     * claim, so no admission upgrade is sound).
+     * claim, so no lock can be proven vacuous).
      */
     const std::set<LockToken> &vacuousLocks() const
     {

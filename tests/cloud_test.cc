@@ -342,63 +342,6 @@ TEST_F(CloudTest, SweepTimerIgnoresReacquiredInstances)
     EXPECT_EQ(ow.warmCount(), 0u);
 }
 
-TEST_F(CloudTest, IdleCompactionShrinksTheIdleBill)
-{
-    FaasProfile p = openWhiskProfile();
-    p.keep_alive = SimTime::sec(30);
-    p.idle_compaction_after = SimTime::sec(10);
-    p.idle_price_per_gb_second = 0.00001;
-    // Isolate idle billing from the (jittered) busy span.
-    p.price_per_gb_second = 0.0;
-    p.price_per_minvoke = 0.0;
-    FaasPlatform ow(sim, net, p);
-    ow.acquire([&](FunctionInstance &inst) { ow.release(inst); });
-    sim.runUntil(SimTime::sec(120));
-    EXPECT_EQ(ow.compactions(), 1u);
-    EXPECT_EQ(ow.expired(), 1u);
-    // 10 s at full memory, then 20 s compacted to the fraction,
-    // then expiry stops the idle meter.
-    double gb = p.instance_type.memory_gb;
-    double expected_idle =
-        gb * (10.0 + 20.0 * p.compacted_memory_fraction);
-    EXPECT_DOUBLE_EQ(ow.accruedCost(sim.now()),
-                     expected_idle * p.idle_price_per_gb_second);
-}
-
-TEST_F(CloudTest, CompactedReusePaysTheDecompactionPenaltyOnce)
-{
-    FaasProfile p = openWhiskProfile();
-    p.keep_alive = SimTime::sec(60);
-    p.idle_compaction_after = SimTime::sec(5);
-    p.decompact_penalty = SimTime::msec(200);
-    FaasPlatform ow(sim, net, p);
-    ow.acquire([&](FunctionInstance &inst) { ow.release(inst); });
-    sim.runUntil(SimTime::sec(10)); // idle > 5 s: compacted
-    EXPECT_EQ(ow.compactions(), 1u);
-
-    SimTime start = sim.now();
-    SimTime got_at;
-    ow.acquire([&](FunctionInstance &inst) {
-        got_at = sim.now();
-        ow.release(inst);
-    });
-    sim.runUntil(SimTime::sec(12));
-    EXPECT_EQ(ow.warmBoots(), 1u);
-    EXPECT_EQ(got_at - start, p.warm_boot + p.decompact_penalty);
-
-    // Decompaction cleared the flag: a prompt reuse is a plain
-    // warm boot again.
-    SimTime start2 = sim.now();
-    SimTime got_at2;
-    ow.acquire([&](FunctionInstance &inst) {
-        got_at2 = sim.now();
-        ow.release(inst);
-    });
-    sim.runUntil(SimTime::sec(14));
-    EXPECT_EQ(ow.warmBoots(), 2u);
-    EXPECT_EQ(got_at2 - start2, p.warm_boot);
-}
-
 TEST(CostReport, AccumulatesAndMerges)
 {
     CostReport report;

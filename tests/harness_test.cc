@@ -338,8 +338,6 @@ TEST(BurstMatrixTest, CellResultEqualsDirectRun)
     EXPECT_EQ(m.cold_boots, d.cold_boots);
     EXPECT_EQ(m.warm_boots, d.warm_boots);
     EXPECT_EQ(m.restore_boots, d.restore_boots);
-    EXPECT_EQ(m.snapshot_evictions, d.snapshot_evictions);
-    EXPECT_EQ(m.snapshot_re_records, d.snapshot_re_records);
     EXPECT_EQ(m.manifests_synthesized, d.manifests_synthesized);
     EXPECT_EQ(m.snapshot_refined_dropped, d.snapshot_refined_dropped);
     EXPECT_EQ(m.traces.size(), d.traces.size());

@@ -222,12 +222,12 @@ TEST_F(RaceAnalysisTest, UnknownLockIdentityWarnsWithoutError)
     EXPECT_TRUE(ra.reportedAt(scope));
 }
 
-TEST_F(RaceAnalysisTest, VacuousLockUpgradesOffloadAdmission)
+TEST_F(RaceAnalysisTest, ReadOnlyLockIsVacuous)
 {
     // The handler locks around reads only: the monitor protects no
     // mutable shared state anywhere in the program, so the race
-    // detector proves it vacuous and admission upgrades the root
-    // from needs-fallback to offload-safe.
+    // detector proves it vacuous. Offload admission does not use
+    // that: the root still needs the monitor fallback.
     CodeBuilder b(program, box_k, "read_handler", 0);
     b.getStatic(box_k, 1).monitorEnter()
      .getStatic(box_k, 0).getField(0)
@@ -242,11 +242,6 @@ TEST_F(RaceAnalysisTest, VacuousLockUpgradesOffloadAdmission)
     OffloadAnalysis plain(program);
     EXPECT_EQ(plain.classifyRoot(root).klass,
               OffloadClass::NeedsFallback);
-
-    OffloadAnalysis admitted(program, /*race_admission=*/true);
-    RootReport report = admitted.classifyRoot(root);
-    EXPECT_EQ(report.klass, OffloadClass::OffloadSafe);
-    EXPECT_EQ(report.vacuous_monitors, 1u);
 }
 
 TEST_F(RaceAnalysisTest, SharedWriteForfeitsVacuousness)
@@ -261,8 +256,8 @@ TEST_F(RaceAnalysisTest, SharedWriteForfeitsVacuousness)
     ProgramAnalysis pa(program);
     RaceAnalysis ra(program, pa);
     EXPECT_EQ(ra.vacuousLocks().count(staticLock(box_k, 1)), 0u);
-    OffloadAnalysis admitted(program, /*race_admission=*/true);
-    EXPECT_EQ(admitted.classifyRoot(root).klass,
+    OffloadAnalysis plain(program);
+    EXPECT_EQ(plain.classifyRoot(root).klass,
               OffloadClass::NeedsFallback);
 }
 

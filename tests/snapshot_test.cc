@@ -2,12 +2,13 @@
  * @file
  * Snapshot subsystem tests.
  *
- * Unit level: snapshot images round-trip byte-identically through
- * serialize/deserialize; the store dedups and strips remote marks;
- * staleness revalidation drops moved semispace objects but keeps
- * closure-space ones; LRU eviction respects the byte budget; and
- * across the fuzz generator's seeds the restore plan covers every
- * dynamically recorded class fault.
+ * Unit level: the store dedups and strips remote marks; staleness
+ * revalidation drops moved semispace objects but keeps
+ * closure-space ones; the modeled image size follows the recorded
+ * shapes; a recording serves restores only after its first folded
+ * boot; and across the fuzz generator's seeds the restore plan
+ * covers every dynamically recorded class fault. Each app's
+ * recorded image and static restore plan are pinned.
  *
  * Integration level (full testbed): with snapshots enabled and a
  * short keep-alive, expired instances come back via restore boots
@@ -26,7 +27,6 @@
 #include "fuzz_support.h"
 #include "gc/collector.h"
 #include "harness/testbed.h"
-#include "snapshot/image.h"
 #include "snapshot/store.h"
 #include "vm/context.h"
 #include "vm/heap.h"
@@ -54,87 +54,12 @@ makeProgram(vm::KlassId &object_k, vm::KlassId &node_k)
     return program;
 }
 
-ImageObject
-captureObject(const vm::Heap &heap, vm::Ref ref, uint64_t epoch)
-{
-    const vm::ObjHeader &hdr = heap.header(ref);
-    ImageObject obj;
-    obj.server_ref = ref;
-    obj.klass = hdr.klass;
-    obj.kind = static_cast<uint8_t>(hdr.kind);
-    obj.space = vm::refSpace(ref);
-    obj.count = hdr.count;
-    obj.size = hdr.size;
-    obj.gc_epoch = epoch;
-    SnapshotImage::capturePayload(heap, ref, obj);
-    return obj;
-}
-
-TEST(SnapshotImageTest, SerializeRoundTripIsByteIdentical)
-{
-    vm::KlassId object_k, node_k;
-    vm::Program program = makeProgram(object_k, node_k);
-    vm::Heap heap(program, 1 << 16, 1 << 16);
-
-    vm::Ref a = heap.allocPlain(node_k);
-    vm::Ref b = heap.allocPlain(node_k, /*in_closure=*/true);
-    vm::Ref arr = heap.allocArray(object_k, 4);
-    vm::Ref bytes = heap.allocBytes(object_k, "snapshot-bytes");
-    heap.setField(a, 0, vm::Value::ofRef(b));
-    heap.setField(a, 1, vm::Value::ofInt(42));
-    heap.setElem(arr, 2, vm::Value::ofFloat(2.5));
-
-    SnapshotImage image;
-    image.klasses = {object_k, node_k};
-    for (vm::Ref r : {a, b, arr, bytes})
-        image.objects.push_back(captureObject(heap, r, 3));
-
-    std::vector<uint8_t> wire = image.serialize();
-    EXPECT_EQ(image.byteSize(), wire.size());
-
-    SnapshotImage restored;
-    ASSERT_TRUE(SnapshotImage::deserialize(wire, restored));
-    EXPECT_EQ(restored.klasses, image.klasses);
-    ASSERT_EQ(restored.objects.size(), image.objects.size());
-
-    std::vector<uint8_t> wire2 = restored.serialize();
-    EXPECT_EQ(wire, wire2);
-    EXPECT_EQ(image.contentHash(), restored.contentHash());
-}
-
-TEST(SnapshotImageTest, DeserializeRejectsMalformedInput)
-{
-    vm::KlassId object_k, node_k;
-    vm::Program program = makeProgram(object_k, node_k);
-    vm::Heap heap(program, 1 << 16, 1 << 16);
-    SnapshotImage image;
-    image.klasses = {node_k};
-    image.objects.push_back(
-        captureObject(heap, heap.allocPlain(node_k), 0));
-    std::vector<uint8_t> wire = image.serialize();
-
-    SnapshotImage out;
-    std::vector<uint8_t> bad = wire;
-    bad[0] ^= 0xFF; // wrong magic
-    EXPECT_FALSE(SnapshotImage::deserialize(bad, out));
-
-    bad = wire;
-    bad.pop_back(); // truncated
-    EXPECT_FALSE(SnapshotImage::deserialize(bad, out));
-
-    bad = wire;
-    bad.push_back(0); // trailing garbage
-    EXPECT_FALSE(SnapshotImage::deserialize(bad, out));
-
-    EXPECT_FALSE(SnapshotImage::deserialize({}, out));
-}
-
 TEST(SnapshotStoreTest, RecordingDedupsAndStripsRemoteMark)
 {
     vm::KlassId object_k, node_k;
     vm::Program program = makeProgram(object_k, node_k);
     vm::Heap heap(program, 1 << 16, 1 << 16);
-    SnapshotStore store(program, heap, 1 << 20, 1);
+    SnapshotStore store(heap);
 
     const vm::MethodId root = 1;
     vm::Ref a = heap.allocPlain(node_k);
@@ -160,7 +85,7 @@ TEST(SnapshotStoreTest, StaleEpochDropsSemispaceKeepsClosure)
     vm::KlassId object_k, node_k;
     vm::Program program = makeProgram(object_k, node_k);
     vm::Heap heap(program, 1 << 16, 1 << 16);
-    SnapshotStore store(program, heap, 1 << 20, 1);
+    SnapshotStore store(heap);
 
     const vm::MethodId root = 1;
     vm::Ref moving = heap.allocPlain(node_k); // semispace
@@ -194,7 +119,7 @@ TEST(SnapshotStoreTest, HeaderShapeChangeMakesRecordingStale)
     vm::KlassId object_k, node_k;
     vm::Program program = makeProgram(object_k, node_k);
     vm::Heap heap(program, 1 << 16, 1 << 16);
-    SnapshotStore store(program, heap, 1 << 20, 1);
+    SnapshotStore store(heap);
 
     const vm::MethodId root = 1;
     vm::Ref r = heap.allocPlain(node_k, /*in_closure=*/true);
@@ -210,38 +135,41 @@ TEST(SnapshotStoreTest, HeaderShapeChangeMakesRecordingStale)
     EXPECT_EQ(store.verifyCoverage(root, 0), 0u);
 }
 
-TEST(SnapshotStoreTest, LruEvictionKeepsStoreUnderBudget)
+TEST(SnapshotStoreTest, ImageBytesFollowTheRecordedShapes)
 {
     vm::KlassId object_k, node_k;
     vm::Program program = makeProgram(object_k, node_k);
     vm::Heap heap(program, 1 << 16, 1 << 16);
-    // Budget fits one klass recording (default code_bytes = 1024).
-    SnapshotStore store(program, heap, 1500, 1);
+    SnapshotStore store(heap);
 
-    store.recordClassFault(1, node_k);
-    store.endRecordedBoot(1);
-    ASSERT_TRUE(store.hasImage(1));
-    EXPECT_EQ(store.evictions(), 0u);
+    const vm::MethodId root = 1;
+    vm::Ref plain = heap.allocPlain(node_k, /*in_closure=*/true);
+    vm::Ref arr = heap.allocArray(object_k, 5);
+    vm::Ref bytes = heap.allocBytes(object_k, "thirteen-long");
+    store.recordClassFault(root, node_k);
+    store.recordClassFault(root, object_k);
+    for (vm::Ref r : {plain, arr, bytes})
+        store.recordObjectFault(root, r, 4);
+    store.endRecordedBoot(root);
 
-    store.recordClassFault(2, object_k);
-    store.endRecordedBoot(2); // 2048 recorded bytes > 1500
-    EXPECT_EQ(store.evictions(), 1u);
-    EXPECT_FALSE(store.hasImage(1)); // root 1 was least recent
-    EXPECT_TRUE(store.hasImage(2));
-    EXPECT_LE(store.totalBytes(), store.budgetBytes());
-    EXPECT_EQ(store.recordedRoots(), 1u);
+    // 32 B header + 2 klasses x 4 B, then 36 B per object plus its
+    // payload: 2 fields x 9 B, 5 elements x 9 B, 13 raw bytes.
+    EXPECT_EQ(store.planRestore(root, 4).image_bytes,
+              32u + 8 + (36 + 18) + (36 + 45) + (36 + 13));
+    // One collection later, only the closure-space object is sent.
+    EXPECT_EQ(store.planRestore(root, 5).image_bytes,
+              32u + 8 + (36 + 18));
 }
 
-TEST(SnapshotStoreTest, MinBootsGateHoldsRestoresBack)
+TEST(SnapshotStoreTest, NoImageBeforeTheFirstFoldedBoot)
 {
     vm::KlassId object_k, node_k;
     vm::Program program = makeProgram(object_k, node_k);
     vm::Heap heap(program, 1 << 16, 1 << 16);
-    SnapshotStore store(program, heap, 1 << 20, 2);
+    SnapshotStore store(heap);
 
     store.recordClassFault(1, node_k);
-    store.endRecordedBoot(1);
-    EXPECT_FALSE(store.hasImage(1)); // one boot folded, need two
+    EXPECT_FALSE(store.hasImage(1)); // recording, nothing folded
     store.endRecordedBoot(1);
     EXPECT_TRUE(store.hasImage(1));
 }
@@ -251,15 +179,15 @@ TEST(SnapshotStoreTest, SyntheticManifestServesImmediately)
     vm::KlassId object_k, node_k;
     vm::Program program = makeProgram(object_k, node_k);
     vm::Heap heap(program, 1 << 16, 1 << 16);
-    // min_boots = 2: a recorded image would be held back...
-    SnapshotStore store(program, heap, 1 << 20, 2);
+    SnapshotStore store(heap);
 
     const vm::MethodId root = 1;
     vm::Ref a = heap.allocPlain(node_k);
     store.synthesizeManifest(root, {node_k}, {a}, 0);
 
-    // ...but a synthetic manifest serves restores with ZERO boots
-    // folded: that is the whole point of static inference.
+    // A recording would wait for its first folded boot, but a
+    // synthetic manifest serves restores with ZERO boots folded:
+    // that is the whole point of static inference.
     EXPECT_TRUE(store.hasImage(root));
     EXPECT_TRUE(store.isSynthetic(root));
     EXPECT_EQ(store.manifestsSynthesized(), 1u);
@@ -275,13 +203,14 @@ TEST(SnapshotStoreTest, RecordedBootRefinesSyntheticManifest)
     vm::KlassId object_k, node_k;
     vm::Program program = makeProgram(object_k, node_k);
     vm::Heap heap(program, 1 << 16, 1 << 16);
-    SnapshotStore store(program, heap, 1 << 20, 1);
+    SnapshotStore store(heap);
 
     const vm::MethodId root = 1;
     vm::Ref a = heap.allocPlain(node_k);
     vm::Ref b = heap.allocPlain(node_k);
     store.synthesizeManifest(root, {node_k, object_k}, {a, b}, 0);
-    const uint64_t synthetic_bytes = store.totalBytes();
+    const uint64_t synthetic_bytes =
+        store.planRestore(root, 0).image_bytes;
 
     // A recorded boot confirms node_k and a; object_k and b are
     // static over-approximation and must be refined away.
@@ -291,8 +220,8 @@ TEST(SnapshotStoreTest, RecordedBootRefinesSyntheticManifest)
 
     EXPECT_FALSE(store.isSynthetic(root));
     EXPECT_EQ(store.refinedDropped(), 2u);
-    EXPECT_LT(store.totalBytes(), synthetic_bytes);
     RestorePlan plan = store.planRestore(root, 0);
+    EXPECT_LT(plan.image_bytes, synthetic_bytes);
     ASSERT_EQ(plan.klasses.size(), 1u);
     EXPECT_EQ(plan.klasses[0], node_k);
     ASSERT_EQ(plan.objects.size(), 1u);
@@ -304,7 +233,7 @@ TEST(SnapshotStoreTest, FaultFreeBootKeepsSyntheticManifestWhole)
     vm::KlassId object_k, node_k;
     vm::Program program = makeProgram(object_k, node_k);
     vm::Heap heap(program, 1 << 16, 1 << 16);
-    SnapshotStore store(program, heap, 1 << 20, 1);
+    SnapshotStore store(heap);
 
     const vm::MethodId root = 1;
     store.synthesizeManifest(root, {node_k, object_k}, {}, 0);
@@ -314,70 +243,6 @@ TEST(SnapshotStoreTest, FaultFreeBootKeepsSyntheticManifestWhole)
     store.endRecordedBoot(root);
     EXPECT_EQ(store.refinedDropped(), 0u);
     EXPECT_EQ(store.planRestore(root, 0).klasses.size(), 2u);
-}
-
-TEST(SnapshotStoreTest, ReRecordingAfterEvictionIsCounted)
-{
-    vm::KlassId object_k, node_k;
-    vm::Program program = makeProgram(object_k, node_k);
-    vm::Heap heap(program, 1 << 16, 1 << 16);
-    // Budget fits one klass recording (default code_bytes = 1024).
-    SnapshotStore store(program, heap, 1500, 1);
-
-    store.recordClassFault(1, node_k);
-    store.endRecordedBoot(1);
-    store.recordClassFault(2, object_k);
-    store.endRecordedBoot(2); // evicts root 1
-    ASSERT_FALSE(store.hasImage(1));
-    EXPECT_EQ(store.reRecords(), 0u);
-
-    // Root 1 comes back: its next cold boot re-records from
-    // scratch -- churn the harness report surfaces.
-    store.recordClassFault(1, node_k);
-    store.endRecordedBoot(1);
-    EXPECT_EQ(store.reRecords(), 1u);
-    EXPECT_TRUE(store.hasImage(1));
-}
-
-TEST(SnapshotStoreTest, BaseLayerSharesAcrossEndpoints)
-{
-    vm::KlassId object_k, node_k;
-    vm::Program program = makeProgram(object_k, node_k);
-    vm::Heap heap(program, 1 << 16, 1 << 16);
-    SnapshotStore store(program, heap, 1 << 20, 1);
-
-    vm::Ref shared = heap.allocPlain(node_k, /*in_closure=*/true);
-    vm::Ref only2 = heap.allocPlain(node_k, /*in_closure=*/true);
-    // Both endpoints fault on node_k and the shared object.
-    store.recordClassFault(1, node_k);
-    store.recordObjectFault(1, shared, 0);
-    store.endRecordedBoot(1);
-    store.recordClassFault(2, node_k);
-    store.recordObjectFault(2, shared, 0);
-    store.recordClassFault(2, object_k);
-    store.recordObjectFault(2, only2, 0);
-    store.endRecordedBoot(2);
-
-    std::vector<ImageComposition> comps = store.compositions(0);
-    ASSERT_EQ(comps.size(), 2u);
-    for (const ImageComposition &c : comps) {
-        // node_k and the shared object are base-layer content.
-        EXPECT_EQ(c.base_klasses, 1u);
-        EXPECT_EQ(c.base_objects, 1u);
-        // Both endpoints see the same base layer address.
-        EXPECT_EQ(c.base_hash, comps[0].base_hash);
-        EXPECT_EQ(c.base_bytes, comps[0].base_bytes);
-    }
-    // Endpoint 2's delta carries its private klass + object.
-    SnapshotImage delta2 = store.buildDeltaImage(2, 0);
-    ASSERT_EQ(delta2.klasses.size(), 1u);
-    EXPECT_EQ(delta2.klasses[0], object_k);
-    ASSERT_EQ(delta2.objects.size(), 1u);
-    EXPECT_EQ(delta2.objects[0].server_ref, only2);
-    // Endpoint 1's delta has no private content at all.
-    SnapshotImage delta1 = store.buildDeltaImage(1, 0);
-    EXPECT_TRUE(delta1.klasses.empty());
-    EXPECT_TRUE(delta1.objects.empty());
 }
 
 TEST(SnapshotFuzzTest, RestorePlanCoversDynamicClassFaults)
@@ -393,7 +258,7 @@ TEST(SnapshotFuzzTest, RestorePlanCoversDynamicClassFaults)
             program, object_k, node_k, seed);
 
         vm::Heap server_heap(program, 1 << 16, 1 << 20);
-        SnapshotStore store(program, server_heap, 1 << 20, 1);
+        SnapshotStore store(server_heap);
 
         vm::NativeRegistry natives;
         vm::Heap heap(program, 1 << 16, 1 << 20);
@@ -601,6 +466,119 @@ TEST(SnapshotIntegrationTest, DisabledKnobNeverTakesRestorePath)
         EXPECT_EQ(t.prefetched_klasses, 0u);
         EXPECT_EQ(t.prefetched_objects, 0u);
         EXPECT_EQ(t.stale_prefetches, 0u);
+    }
+}
+
+// -------------------------------------------------------------------
+// Pins: each app's recorded image and static restore plan.
+// -------------------------------------------------------------------
+
+/** A restore plan's sizes plus an FNV-1a hash of its klass and
+ * object lists, in order. */
+struct PlanPin
+{
+    uint64_t image_bytes = 0;
+    std::size_t klasses = 0;
+    std::size_t objects = 0;
+    uint64_t stale_objects = 0;
+    uint64_t hash = 0;
+
+    bool operator==(const PlanPin &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const PlanPin &p)
+{
+    return os << "{" << p.image_bytes << ", " << p.klasses << ", "
+              << p.objects << ", " << p.stale_objects << ", 0x"
+              << std::hex << p.hash << std::dec << "}";
+}
+
+PlanPin
+pinOf(const RestorePlan &plan)
+{
+    uint64_t h = 1469598103934665603ULL;
+    auto mix = [&h](uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (i * 8)) & 0xff;
+            h *= 1099511628211ULL;
+        }
+    };
+    for (vm::KlassId k : plan.klasses)
+        mix(k);
+    for (vm::Ref r : plan.objects)
+        mix(r);
+    return {plan.image_bytes, plan.klasses.size(), plan.objects.size(),
+            plan.stale_objects, h};
+}
+
+/**
+ * The restore plan of @p app's one enabled root: the static
+ * manifest right after the profiling phase, or the image recorded
+ * by hivelint's snapshot drill (all requests offloaded, two
+ * closed-loop clients for 6 s, 2 s to drain).
+ */
+PlanPin
+drillPin(harness::AppKind app, bool static_manifest)
+{
+    harness::TestbedOptions opts;
+    opts.app = app;
+    opts.beehive.snapshot_enabled = !static_manifest;
+    opts.beehive.static_manifests = static_manifest;
+    harness::Testbed bed(opts);
+    if (!bed.runProfilingPhase()) {
+        ADD_FAILURE() << "profiling phase selected no root";
+        return {};
+    }
+    if (!static_manifest) {
+        SimTime t0 = bed.sim().now();
+        bed.manager()->setOffloadRatio(1.0);
+        workload::Recorder recorder;
+        workload::ClosedLoopClients clients(bed.sim(), bed.sink(),
+                                            recorder);
+        clients.start(2, t0);
+        bed.sim().runUntil(t0 + SimTime::sec(6));
+        clients.stopAll();
+        bed.sim().runUntil(t0 + SimTime::sec(8));
+    }
+    SnapshotStore *snaps = bed.server().snapshots();
+    uint64_t epoch = bed.server().collector().totals().collections;
+    std::vector<ImageComposition> comps = snaps->compositions(epoch);
+    if (comps.size() != 1u) {
+        ADD_FAILURE() << comps.size() << " working sets, expected 1";
+        return {};
+    }
+    return pinOf(snaps->planRestore(comps.front().root, epoch));
+}
+
+TEST(SnapshotPinTest, RestorePlansMatchThePins)
+{
+    // Each app's plan: image size, klass and object counts, stale
+    // objects and a hash of the planned klasses and objects.
+    struct Pin
+    {
+        harness::AppKind app;
+        bool static_manifest;
+        PlanPin want;
+    };
+    const Pin pins[] = {
+        {harness::AppKind::Thumbnail, false,
+         {3879, 1, 61, 0, 0x5e2cf643846a95bfULL}},
+        {harness::AppKind::Thumbnail, true,
+         {107735, 9, 1711, 0, 0x18d46e9c59ff4b8aULL}},
+        {harness::AppKind::Pybbs, false,
+         {94351, 2, 1497, 0, 0x14c30b01f2b93554ULL}},
+        {harness::AppKind::Pybbs, true,
+         {112226, 9, 1783, 0, 0x19e823cb18c095acULL}},
+        {harness::AppKind::Blog, false,
+         {21271, 2, 337, 0, 0x8cb94cb4ee6a3443ULL}},
+        {harness::AppKind::Blog, true,
+         {110966, 9, 1763, 0, 0xf1e9ebe3e2f54434ULL}},
+    };
+    for (const Pin &p : pins) {
+        EXPECT_EQ(drillPin(p.app, p.static_manifest), p.want)
+            << harness::appName(p.app)
+            << (p.static_manifest ? " static" : " recorded");
     }
 }
 
