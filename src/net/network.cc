@@ -15,7 +15,7 @@ Network::Network(uint64_t jitter_seed) : rng_(jitter_seed)
 EndpointId
 Network::addNode(const std::string &name, const std::string &zone)
 {
-    nodes_.push_back(Node{name, zone});
+    nodes_.push_back(Node{name, zoneIndex(zone)});
     return static_cast<EndpointId>(nodes_.size() - 1);
 }
 
@@ -30,20 +30,36 @@ const std::string &
 Network::nodeZone(EndpointId id) const
 {
     bh_assert(id < nodes_.size(), "bad endpoint id");
-    return nodes_[id].zone;
+    return zones_[nodes_[id].zone];
 }
 
-std::pair<std::string, std::string>
-Network::zoneKey(const std::string &a, const std::string &b)
+uint32_t
+Network::zoneIndex(const std::string &zone)
 {
-    return a <= b ? std::make_pair(a, b) : std::make_pair(b, a);
+    std::size_t n = zones_.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        if (zones_[i] == zone)
+            return static_cast<uint32_t>(i);
+    }
+    std::vector<std::optional<sim::SimTime>> grown((n + 1) * (n + 1));
+    for (std::size_t a = 0; a < n; ++a) {
+        for (std::size_t b = 0; b < n; ++b)
+            grown[a * (n + 1) + b] = zone_latency_[a * n + b];
+    }
+    zone_latency_ = std::move(grown);
+    zones_.push_back(zone);
+    return static_cast<uint32_t>(n);
 }
 
 void
 Network::setZoneLatency(const std::string &zone_a,
                         const std::string &zone_b, sim::SimTime one_way)
 {
-    zone_latency_[zoneKey(zone_a, zone_b)] = one_way;
+    std::size_t a = zoneIndex(zone_a);
+    std::size_t b = zoneIndex(zone_b);
+    std::size_t n = zones_.size();
+    zone_latency_[a * n + b] = one_way;
+    zone_latency_[b * n + a] = one_way;
 }
 
 void
@@ -73,11 +89,9 @@ Network::baseLatency(EndpointId from, EndpointId to) const
               "bad endpoint id");
     if (from == to)
         return sim::SimTime();
-    auto it = zone_latency_.find(
-        zoneKey(nodes_[from].zone, nodes_[to].zone));
-    if (it != zone_latency_.end())
-        return it->second;
-    return default_latency_;
+    const std::optional<sim::SimTime> &latency =
+        zone_latency_[nodes_[from].zone * zones_.size() + nodes_[to].zone];
+    return latency.value_or(default_latency_);
 }
 
 sim::SimTime
@@ -94,8 +108,7 @@ Network::oneWay(EndpointId from, EndpointId to, uint64_t bytes)
         total *= std::max(0.5, f);
     }
     if (chaos_ && chaos_->enabled()) {
-        auto fault = chaos_->messageFault(nodes_[from].zone,
-                                          nodes_[to].zone);
+        auto fault = chaos_->messageFault(nodeZone(from), nodeZone(to));
         // A drop is modeled as blackhole latency: the message
         // "arrives" far past any deadline, so the loss surfaces as
         // a timeout the recovery machinery handles, never as a

@@ -8,13 +8,17 @@
  * paper attributes BeeHive-on-Lambda's extra overhead to the larger
  * network latency between Lambda instances and EC2 servers, so the
  * zone-pair latency table is a first-class experimental knob here.
+ *
+ * Zone names are interned into small indices as nodes and latencies
+ * name them, so a message's base latency is one load from a flat,
+ * symmetric zone x zone table.
  */
 
 #ifndef BEEHIVE_NET_NETWORK_H
 #define BEEHIVE_NET_NETWORK_H
 
 #include <cstdint>
-#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -93,15 +97,17 @@ class Network
     struct Node
     {
         std::string name;
-        std::string zone;
+        uint32_t zone; //!< index into zones_
     };
 
-    static std::pair<std::string, std::string>
-    zoneKey(const std::string &a, const std::string &b);
+    /** Index of @p zone, interning it (and growing the table). */
+    uint32_t zoneIndex(const std::string &zone);
 
     std::vector<Node> nodes_;
-    std::map<std::pair<std::string, std::string>, sim::SimTime>
-        zone_latency_;
+    std::vector<std::string> zones_;
+    /** zones_.size() squared, row-major, kept symmetric; an unset
+     * pair reads default_latency_. */
+    std::vector<std::optional<sim::SimTime>> zone_latency_;
     sim::SimTime default_latency_ = sim::SimTime::usec(200);
     double bytes_per_sec_ = 1.25e9;
     double jitter_ = 0.05;

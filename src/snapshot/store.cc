@@ -55,7 +55,7 @@ SnapshotStore::recordClassFault(vm::MethodId root, vm::KlassId klass)
         return;
     }
     ws.klasses.push_back(klass);
-    reseal(ws);
+    ws.sealed = false;
 }
 
 void
@@ -79,7 +79,7 @@ SnapshotStore::recordObjectFault(vm::MethodId root,
     ws.objects.push_back({server_ref, hdr.klass,
                           static_cast<uint8_t>(hdr.kind), hdr.count,
                           hdr.size, gc_epoch});
-    reseal(ws);
+    ws.sealed = false;
 }
 
 void
@@ -118,7 +118,7 @@ SnapshotStore::endRecordedBoot(vm::MethodId root)
     ws.unconfirmed_objects.clear();
     ws.faults_since_synthesis = 0;
     ws.synthetic = false; // now a recorded working set
-    reseal(ws);
+    ws.sealed = false;
 }
 
 void
@@ -145,7 +145,7 @@ SnapshotStore::synthesizeManifest(
                               hdr.count, hdr.size, gc_epoch});
         ws.unconfirmed_objects.insert(ref);
     }
-    reseal(ws);
+    ws.sealed = false;
 }
 
 bool
@@ -220,6 +220,12 @@ SnapshotStore::planRestore(vm::MethodId root,
     if (it == roots_.end())
         return plan;
     WorkingSet &ws = it->second;
+    // Seal lazily: a boot's faults change the set one entry at a
+    // time, and re-hashing it at each would be quadratic.
+    if (!ws.sealed) {
+        ws.checksum = metaChecksum(ws);
+        ws.sealed = true;
+    }
 
     if (chaos_ && chaos_->enabled() && chaos_->corruptImage()) {
         // Injected storage corruption: flip stored metadata without

@@ -180,9 +180,10 @@ class SnapshotStore
         /** Faults recorded since synthesis (refinement trigger). */
         uint64_t faults_since_synthesis = 0;
         /** Integrity seal over the recorded metadata (klass list +
-         * object shapes); re-sealed at every mutation, verified at
-         * planRestore(). */
+         * object shapes), valid while `sealed`; a mutation unseals
+         * it and planRestore() seals it before reading the image. */
         uint64_t checksum = 0;
+        bool sealed = false;
     };
 
     /** Is @p obj still the object that was recorded? */
@@ -199,9 +200,6 @@ class SnapshotStore
 
     /** FNV-1a over the working set's persistent metadata. */
     static uint64_t metaChecksum(const WorkingSet &ws);
-
-    /** Recompute the seal after a metadata mutation. */
-    static void reseal(WorkingSet &ws) { ws.checksum = metaChecksum(ws); }
 
     const vm::Heap &heap_;
     std::map<vm::MethodId, WorkingSet> roots_;

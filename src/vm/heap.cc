@@ -47,7 +47,9 @@ Space::~Space()
 
 Space::Space(Space &&other) noexcept
     : id_(other.id_), mem_(std::exchange(other.mem_, nullptr)),
-      capacity_(std::exchange(other.capacity_, 0)), top_(other.top_)
+      capacity_(std::exchange(other.capacity_, 0)), top_(other.top_),
+      committed_(std::exchange(other.committed_, 0)),
+      prefetched_(other.prefetched_)
 {
 }
 
@@ -61,6 +63,8 @@ Space::operator=(Space &&other) noexcept
         mem_ = std::exchange(other.mem_, nullptr);
         capacity_ = std::exchange(other.capacity_, 0);
         top_ = other.top_;
+        committed_ = std::exchange(other.committed_, 0);
+        prefetched_ = other.prefetched_;
     }
     return *this;
 }
@@ -73,6 +77,16 @@ Space::alloc(uint32_t bytes)
         return 0;
     uint64_t offset = top_;
     top_ += bytes;
+    // Only below the committed mark: a prefetch never faults a page
+    // in, so ahead of a fresh frontier it would only cost a page
+    // walk per line that the first write must fault in anyway.
+    std::size_t end = std::min(top_ + kPrefetchDistance, committed_);
+    std::size_t line = std::max(prefetched_, top_ & ~(kCacheLine - 1));
+    if (line < end) {
+        for (; line < end; line += kCacheLine)
+            __builtin_prefetch(mem_ + line, 1, 3);
+        prefetched_ = line;
+    }
     return offset;
 }
 

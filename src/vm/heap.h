@@ -27,6 +27,7 @@
 #ifndef BEEHIVE_VM_HEAP_H
 #define BEEHIVE_VM_HEAP_H
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -73,10 +74,20 @@ static_assert(sizeof(ObjHeader) == 24, "header layout drifted");
  *
  * The arena is mapped at construction and unmapped on destruction;
  * untouched bytes read zero. Move-only: it owns its mapping.
+ *
+ * Once a space has been reset, its bump pointer walks back over
+ * pages it touched before, whose cache lines went cold long ago.
+ * alloc() then write-prefetches a fixed distance past the new top,
+ * up to the committed high-water mark, so the next objects land on
+ * lines already on their way (DESIGN.md §14.6).
  */
 class Space
 {
   public:
+    /** Bytes alloc() prefetches past the bump pointer. */
+    static constexpr std::size_t kPrefetchDistance = 2048;
+    static constexpr std::size_t kCacheLine = 64;
+
     /** Panics (with @p capacity in the message) if mapping fails. */
     Space(uint8_t id, std::size_t capacity);
     ~Space();
@@ -102,14 +113,35 @@ class Space
     /** Offset where iteration of allocated objects begins. */
     static constexpr uint64_t firstOffset() { return 8; }
 
+    /**
+     * Highest top the space reached before a reset(): every page
+     * below it is committed. 0 while the space was never reset.
+     */
+    std::size_t committed() const { return committed_; }
+
+    /**
+     * End of the cache lines alloc() prefetched since the last
+     * reset(): never past committed() rounded up to a line, and 0
+     * when it prefetched none.
+     */
+    std::size_t prefetched() const { return prefetched_; }
+
     /** Reset the bump pointer (collection of a semispace). */
-    void reset() { top_ = firstOffset(); }
+    void
+    reset()
+    {
+        committed_ = std::max(committed_, top_);
+        top_ = firstOffset();
+        prefetched_ = 0;
+    }
 
   private:
     uint8_t id_;
     uint8_t *mem_;
     std::size_t capacity_;
     std::size_t top_;
+    std::size_t committed_ = 0;
+    std::size_t prefetched_ = 0;
 };
 
 /** Dirty-card tracking over the closure space (512-byte cards). */

@@ -76,6 +76,52 @@ TEST_F(NetworkTest, RoundTripIsSumOfOneWays)
     EXPECT_NEAR(rt.toMicros(), 500.0, 1.0);
 }
 
+TEST(NetworkZoneTable, ThreeZoneLatenciesArePinned)
+{
+    Network net;
+    // Latencies set before any node names their zones...
+    net.setZoneLatency("vpc", "lambda", SimTime::usec(700));
+    net.setZoneLatency("db", "db", SimTime::usec(20));
+    const EndpointId n[] = {
+        net.addNode("s1", "vpc"),    net.addNode("l1", "lambda"),
+        net.addNode("d1", "db"),     net.addNode("s2", "vpc"),
+        net.addNode("l2", "lambda"), net.addNode("d2", "db"),
+    };
+    // ... and after; a pair set again in either order is replaced.
+    net.setZoneLatency("db", "vpc", SimTime::usec(250));
+    net.setZoneLatency("lambda", "vpc", SimTime::usec(650));
+
+    // One-way microseconds by node index; -1 is the default latency
+    // (vpc-vpc, lambda-lambda and lambda-db are unset), 0 self.
+    const int64_t expect[6][6] = {
+        {0, 650, 250, -1, 650, 250},   {650, 0, -1, 650, -1, -1},
+        {250, -1, 0, 250, -1, 20},     {-1, 650, 250, 0, 650, 250},
+        {650, -1, -1, 650, 0, -1},     {250, -1, 20, 250, -1, 0},
+    };
+    for (SimTime fallback : {SimTime::usec(200), SimTime::msec(5)}) {
+        net.setDefaultLatency(fallback);
+        for (int a = 0; a < 6; ++a) {
+            for (int b = 0; b < 6; ++b) {
+                SimTime want = expect[a][b] < 0
+                                   ? fallback
+                                   : SimTime::usec(expect[a][b]);
+                EXPECT_EQ(net.baseLatency(n[a], n[b]), want)
+                    << a << " -> " << b;
+            }
+        }
+    }
+    EXPECT_EQ(net.nodeZone(n[2]), "db");
+
+    // A zone first named by a latency, then by a node.
+    net.setZoneLatency("az2", "vpc", SimTime::usec(900));
+    EndpointId far = net.addNode("a1", "az2");
+    EXPECT_EQ(net.baseLatency(far, n[0]), SimTime::usec(900));
+    EXPECT_EQ(net.baseLatency(n[3], far), SimTime::usec(900));
+    EXPECT_EQ(net.baseLatency(far, n[2]), SimTime::msec(5));
+    EXPECT_EQ(net.baseLatency(n[1], n[0]), SimTime::usec(650));
+    EXPECT_EQ(net.nodeZone(far), "az2");
+}
+
 TEST(NetworkJitter, JitterPerturbsButStaysPositive)
 {
     Network net(7);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <span>
@@ -449,6 +450,99 @@ TEST(SpaceTest, UnmappableCapacityPanicsWithTheSize)
                  "cannot map 4611686018427387904 bytes for heap space 1");
 }
 
+/** Byte @p j of the @p i-th allocation of a cycled-frontier run. */
+uint8_t
+cycledByte(std::size_t i, std::size_t j)
+{
+    return static_cast<uint8_t>(i * 131 + j * 7 + 1);
+}
+
+/**
+ * Allocate @p s to exhaustion with a fixed request sequence, fill
+ * the tail so the objects reach the last byte of capacity, and
+ * write a pattern into every object. @return the offsets, the
+ * tail's last. Checks the prefetch bound after every allocation.
+ */
+std::vector<uint64_t>
+fillCycled(Space &s)
+{
+    std::vector<uint64_t> offsets;
+    for (std::size_t i = 0;; ++i) {
+        uint32_t bytes = static_cast<uint32_t>(24 + (i * 37) % 3000);
+        uint64_t off = s.alloc(bytes);
+        if (off == 0)
+            break;
+        offsets.push_back(off);
+        EXPECT_LE(s.prefetched(), s.capacity());
+        EXPECT_LE(s.prefetched(),
+                  (s.committed() + Space::kCacheLine - 1) &
+                      ~(Space::kCacheLine - 1));
+    }
+    uint64_t tail = s.alloc(static_cast<uint32_t>(s.capacity() - s.used()));
+    EXPECT_NE(tail, 0u);
+    offsets.push_back(tail);
+    EXPECT_EQ(s.used(), s.capacity());
+    for (std::size_t i = 0; i < offsets.size(); ++i) {
+        uint64_t end = i + 1 < offsets.size() ? offsets[i + 1]
+                                              : s.capacity();
+        for (uint64_t b = offsets[i]; b < end; ++b)
+            *s.at(b) = cycledByte(i, b - offsets[i]);
+    }
+    return offsets;
+}
+
+TEST(SpaceTest, CycledFrontierReplaysOffsetsAndKeepsObjects)
+{
+    Space s(Heap::kAllocAId, 1 << 20);
+    std::vector<uint64_t> first = fillCycled(s);
+    EXPECT_EQ(s.committed(), 0u);
+    EXPECT_EQ(s.prefetched(), 0u) << "a never-reset space prefetches";
+
+    s.reset();
+    EXPECT_EQ(s.committed(), s.capacity());
+    std::vector<uint64_t> second = fillCycled(s);
+    EXPECT_EQ(second, first) << "a cycled space moved an object";
+    EXPECT_GT(s.prefetched(), 0u);
+
+    bool intact = true;
+    for (std::size_t i = 0; i < second.size() && intact; ++i) {
+        uint64_t end = i + 1 < second.size() ? second[i + 1]
+                                             : s.capacity();
+        for (uint64_t b = second[i]; b < end; ++b) {
+            if (*s.at(b) != cycledByte(i, b - second[i])) {
+                ADD_FAILURE() << "object " << i << " differs at " << b;
+                intact = false;
+                break;
+            }
+        }
+    }
+}
+
+TEST(SpaceTest, PrefetchStopsAtTheCommittedMark)
+{
+    Space s(Heap::kAllocAId, 1 << 20);
+    constexpr std::size_t kMark = 64 * 1024;
+    while (s.used() < kMark)
+        ASSERT_NE(s.alloc(1000), 0u);
+    std::size_t mark = s.used();
+    s.reset();
+    EXPECT_EQ(s.committed(), mark);
+    // Below the mark the prefetch runs its full distance ahead of
+    // the bump pointer; past it, it stops.
+    ASSERT_NE(s.alloc(1000), 0u);
+    EXPECT_GE(s.prefetched(), s.used() + Space::kPrefetchDistance);
+    while (s.used() < 4 * kMark) {
+        ASSERT_NE(s.alloc(1000), 0u);
+        EXPECT_LT(s.prefetched(), mark + Space::kCacheLine);
+    }
+    // A second reset below the old mark keeps the higher one.
+    std::size_t high = s.used();
+    s.reset();
+    ASSERT_NE(s.alloc(1000), 0u);
+    s.reset();
+    EXPECT_EQ(s.committed(), high);
+}
+
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 constexpr bool kShadowMemory = true;
 #elif defined(__has_feature)
@@ -496,6 +590,34 @@ TEST_F(VmTest, FunctionSizedHeapsCostOnlyTouchedPages)
     long grown_kib = residentKiB() - before;
     EXPECT_LT(grown_kib, 32 * 1024)
         << "64 function-sized heaps grew RSS by " << grown_kib << " KiB";
+}
+
+TEST(SpaceTest, CycledSpaceCostsOnlyItsHighWaterMark)
+{
+#ifndef __linux__
+    GTEST_SKIP() << "VmRSS comes from Linux /proc";
+#endif
+    if (kShadowMemory)
+        GTEST_SKIP() << "sanitizer shadow memory distorts RSS";
+    constexpr std::size_t kMark = 8u << 20;
+    Space s(Heap::kAllocAId, 64u << 20);
+    long before = residentKiB();
+    ASSERT_GT(before, 0);
+    // Write up to the mark, reset and write again: every cycle after
+    // the first prefetches ahead of its frontier up to the mark and
+    // must commit no page the first cycle did not.
+    for (int cycle = 0; cycle < 4; ++cycle) {
+        while (s.used() + 4096 <= kMark) {
+            uint64_t off = s.alloc(4096);
+            ASSERT_NE(off, 0u);
+            std::memset(s.at(off), cycle + 1, 4096);
+        }
+        s.reset();
+    }
+    long grown_kib = residentKiB() - before;
+    EXPECT_LT(grown_kib, static_cast<long>(kMark / 1024) + 4 * 1024)
+        << "cycling a 64 MiB space through 8 MiB grew RSS by "
+        << grown_kib << " KiB";
 }
 
 // ---------------------------------------------------------------------
