@@ -45,9 +45,14 @@ tryMaterializeDbResponse(vm::VmContext &ctx, const db::Request &req,
         if (arr == vm::kNullRef)
             return std::nullopt;
         // Each stored record already holds its wire bytes
-        // ("<id>|k1=v1|k2=v2..."): one copy into the heap per row.
+        // ("<id>|k1=v1|k2=v2...") and never changes: the heap borrows
+        // them, pinning the record, instead of copying each row.
         for (std::size_t i = 0; i < resp.rows.size(); ++i) {
-            vm::Ref cell = heap.allocBytes(bytes_k, resp.rows[i]->wire());
+            const db::RecordRef &row = resp.rows[i];
+            std::string_view wire = row->wire();
+            vm::Ref cell = heap.allocBorrowedBytes(
+                bytes_k, std::shared_ptr<const char>(row, wire.data()),
+                wire.size());
             if (cell == vm::kNullRef)
                 return std::nullopt;
             heap.setElem(arr, static_cast<uint32_t>(i),

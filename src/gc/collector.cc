@@ -72,7 +72,7 @@ SemiSpaceCollector::collect()
     Space &to = heap_.space(to_space_);
     bh_assert(to.used() == Space::firstOffset(),
               "to-space not empty before GC");
-    uint64_t from_used = from.used();
+    uint64_t from_charged = from.charged();
 
     // Phase 1: value roots (frames, statics).
     for (auto &provider : value_roots_) {
@@ -107,7 +107,7 @@ SemiSpaceCollector::collect()
         if (hdr.kind == ObjKind::Bytes)
             return;
         uint64_t begin = vm::refOffset(obj);
-        uint64_t end = begin + hdr.size;
+        uint64_t end = begin + Heap::footprint(hdr);
         std::size_t first_card = begin / vm::CardTable::kCardBytes;
         std::size_t last_card = (end - 1) / vm::CardTable::kCardBytes;
         bool any_dirty = false;
@@ -147,7 +147,7 @@ SemiSpaceCollector::collect()
                 }
             }
         }
-        scan += hdr.size;
+        scan += Heap::footprint(hdr);
     }
 
     // Phase 5: reclaim from-space and flip.
@@ -155,8 +155,8 @@ SemiSpaceCollector::collect()
     heap_.flipAllocSpace();
 
     cycle_.bytes_freed =
-        from_used - Space::firstOffset() >= cycle_.bytes_copied
-            ? from_used - Space::firstOffset() - cycle_.bytes_copied
+        from_charged - Space::firstOffset() >= cycle_.bytes_copied
+            ? from_charged - Space::firstOffset() - cycle_.bytes_copied
             : 0;
 
     double pause_ns =

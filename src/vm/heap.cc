@@ -24,7 +24,8 @@ alignUp(uint32_t bytes)
 } // namespace
 
 Space::Space(uint8_t id, std::size_t capacity)
-    : id_(id), mem_(nullptr), capacity_(capacity), top_(firstOffset())
+    : id_(id), mem_(nullptr), capacity_(capacity), top_(firstOffset()),
+      charged_(firstOffset())
 {
     bh_assert(capacity > firstOffset(), "space too small");
     // Anonymous private pages read zero until first written and are
@@ -48,8 +49,7 @@ Space::~Space()
 Space::Space(Space &&other) noexcept
     : id_(other.id_), mem_(std::exchange(other.mem_, nullptr)),
       capacity_(std::exchange(other.capacity_, 0)), top_(other.top_),
-      committed_(std::exchange(other.committed_, 0)),
-      prefetched_(other.prefetched_)
+      charged_(other.charged_)
 {
 }
 
@@ -63,30 +63,24 @@ Space::operator=(Space &&other) noexcept
         mem_ = std::exchange(other.mem_, nullptr);
         capacity_ = std::exchange(other.capacity_, 0);
         top_ = other.top_;
-        committed_ = std::exchange(other.committed_, 0);
-        prefetched_ = other.prefetched_;
+        charged_ = other.charged_;
     }
     return *this;
 }
 
 uint64_t
-Space::alloc(uint32_t bytes)
+Space::alloc(uint32_t bytes, uint32_t charged)
 {
     bytes = alignUp(bytes);
-    if (top_ + bytes > capacity_)
+    charged = alignUp(charged);
+    bh_assert(bytes <= charged, "object charged less than it occupies");
+    // The physical top never passes the charged one, so a charge
+    // that fits leaves room for the bytes.
+    if (charged_ + charged > capacity_)
         return 0;
     uint64_t offset = top_;
     top_ += bytes;
-    // Only below the committed mark: a prefetch never faults a page
-    // in, so ahead of a fresh frontier it would only cost a page
-    // walk per line that the first write must fault in anyway.
-    std::size_t end = std::min(top_ + kPrefetchDistance, committed_);
-    std::size_t line = std::max(prefetched_, top_ & ~(kCacheLine - 1));
-    if (line < end) {
-        for (; line < end; line += kCacheLine)
-            __builtin_prefetch(mem_ + line, 1, 3);
-        prefetched_ = line;
-    }
+    charged_ += charged;
     return offset;
 }
 
@@ -142,21 +136,31 @@ Heap::Heap(const Program &program, std::size_t closure_capacity,
 void
 Heap::flipAllocSpace()
 {
+    pins_[alloc_space_ - kAllocAId].clear();
     alloc_space_ = otherAllocSpaceId();
 }
 
 Ref
-Heap::rawAlloc(uint8_t space_id, uint32_t total_bytes)
+Heap::rawAlloc(uint8_t space_id, uint32_t bytes, uint32_t charged)
 {
-    uint64_t offset = space(space_id).alloc(total_bytes);
+    uint64_t offset = space(space_id).alloc(bytes, charged);
     if (offset == 0)
         return kNullRef;
     return makeRef(space_id, offset);
 }
 
+void
+Heap::pinInto(uint8_t space_id, Ref ref, std::shared_ptr<const char> pin)
+{
+    bh_assert(space_id != kClosureSpaceId, "borrowed closure object");
+    auto &pins = pins_[space_id - kAllocAId];
+    borrowed(ref)->pin = pins.size();
+    pins.push_back(std::move(pin));
+}
+
 Ref
 Heap::allocObject(uint8_t space_id, KlassId klass, ObjKind kind,
-                  uint64_t count, uint64_t payload_bytes)
+                  uint64_t count, uint64_t payload_bytes, bool borrowed)
 {
     // Sizes stay 64-bit until they are known to fit: an object can
     // never outgrow its space, nor the header's 32-bit size field.
@@ -175,12 +179,14 @@ Heap::allocObject(uint8_t space_id, KlassId klass, ObjKind kind,
     }
     uint32_t total = alignUp(static_cast<uint32_t>(
         sizeof(ObjHeader) + payload_bytes));
-    Ref ref = rawAlloc(space_id, total);
+    Ref ref = rawAlloc(space_id, borrowed ? kBorrowedFootprint : total,
+                       total);
     if (ref == kNullRef)
         return kNullRef;
     auto *hdr = new (space(space_id).at(refOffset(ref))) ObjHeader();
     hdr->klass = klass;
     hdr->kind = kind;
+    hdr->flags = borrowed ? kFlagBorrowed : 0;
     hdr->count = static_cast<uint32_t>(count);
     hdr->size = total;
     if (kind != ObjKind::Bytes) {
@@ -231,6 +237,21 @@ Heap::allocBytes(KlassId klass, std::string_view data, bool in_closure)
     return ref;
 }
 
+Ref
+Heap::allocBorrowedBytes(KlassId klass, std::shared_ptr<const char> data,
+                         std::size_t len)
+{
+    if (sizeof(ObjHeader) + len <= kBorrowedFootprint)
+        return allocBytes(klass, std::string_view(data.get(), len));
+    Ref ref = allocObject(alloc_space_, klass, ObjKind::Bytes, len, len,
+                          true);
+    if (ref == kNullRef)
+        return kNullRef;
+    borrowed(ref)->data = data.get();
+    pinInto(alloc_space_, ref, std::move(data));
+    return ref;
+}
+
 void
 Heap::setFieldRaw(Ref obj, uint32_t idx, Value v)
 {
@@ -267,12 +288,29 @@ Ref
 Heap::cloneFrom(const Heap &src_heap, Ref src, uint8_t dst_space)
 {
     const ObjHeader &hdr = src_heap.header(src);
-    Ref dst = rawAlloc(dst_space, hdr.size);
+    bool was_borrowed = hdr.flags & kFlagBorrowed;
+    // Evacuation keeps a row borrowed; any other copy (another heap,
+    // the closure space) owns its bytes.
+    bool borrow = was_borrowed && &src_heap == this &&
+                  dst_space != kClosureSpaceId;
+    Ref dst = rawAlloc(dst_space, borrow ? kBorrowedFootprint : hdr.size,
+                       hdr.size);
     if (dst == kNullRef)
         return kNullRef;
-    std::memcpy(space(dst_space).at(refOffset(dst)),
-                src_heap.space(refSpace(src)).at(refOffset(src)),
-                hdr.size);
+    uint8_t *to = space(dst_space).at(refOffset(dst));
+    const uint8_t *from = src_heap.space(refSpace(src)).at(refOffset(src));
+    if (!was_borrowed) {
+        std::memcpy(to, from, hdr.size);
+    } else if (borrow) {
+        std::memcpy(to, from, kBorrowedFootprint);
+        pinInto(dst_space, dst,
+                pins_[refSpace(src) - kAllocAId][borrowed(src)->pin]);
+    } else {
+        std::memcpy(to, from, sizeof(ObjHeader));
+        std::memcpy(to + sizeof(ObjHeader), src_heap.borrowed(src)->data,
+                    hdr.count);
+        header(dst).flags &= ~kFlagBorrowed;
+    }
     header(dst).forward = kNullRef;
     ++stats_.objects_allocated;
     stats_.bytes_allocated += hdr.size;
@@ -285,6 +323,8 @@ Heap::bytes(Ref r) const
 {
     const ObjHeader &hdr = header(r);
     bh_assert(hdr.kind == ObjKind::Bytes, "bytes() on non-bytes");
+    if (hdr.flags & kFlagBorrowed)
+        return std::string_view(borrowed(r)->data, hdr.count);
     return std::string_view(
         reinterpret_cast<const char *>(
             space(refSpace(r)).at(refOffset(r)) + sizeof(ObjHeader)),
@@ -296,13 +336,13 @@ Heap::allocWouldFail(uint32_t slots_needed) const
 {
     const Space &s = space(alloc_space_);
     std::size_t need = sizeof(ObjHeader) + slots_needed * sizeof(Value);
-    return s.used() + need > s.capacity();
+    return s.charged() + need > s.capacity();
 }
 
 std::size_t
 Heap::usedBytes() const
 {
-    return closure_.used() + space(alloc_space_).used();
+    return closure_.charged() + space(alloc_space_).charged();
 }
 
 std::string

@@ -22,6 +22,12 @@
  * Objects are laid out in the arenas as a fixed header followed by
  * either tagged value slots (plain objects, arrays) or raw bytes
  * (strings/blobs). All addressing goes through Ref (see value.h).
+ *
+ * An object's header size is what the model counts: GC triggers,
+ * statistics and transfer sizes follow it. A *borrowed* byte object
+ * (a DB row, kFlagBorrowed) keeps that size but occupies only its
+ * header and a pointer to bytes the heap pins, so its host footprint
+ * is Heap::kBorrowedFootprint (DESIGN.md §14.8).
  */
 
 #ifndef BEEHIVE_VM_HEAP_H
@@ -30,6 +36,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,6 +56,7 @@ enum ObjFlags : uint8_t
     kFlagShared = 1 << 0,  //!< present in a server mapping table
     kFlagPacked = 1 << 1,  //!< native state marshalled (Packageable)
     kFlagDirtySync = 1 << 2, //!< on the endpoint's dirty-object list
+    kFlagBorrowed = 1 << 3, //!< bytes payload pinned outside the heap
 };
 
 /** Header preceding every heap object. */
@@ -61,7 +69,10 @@ struct ObjHeader
     uint16_t lock_owner = 0;
     /** Field count / array length / byte length. */
     uint32_t count = 0;
-    /** Total object size in bytes including this header (8-aligned). */
+    /**
+     * Total object size in bytes including this header (8-aligned):
+     * what the heap charges, also for a borrowed object.
+     */
     uint32_t size = 0;
     /** Forwarding address during GC; kNullRef when not forwarded. */
     Ref forward = kNullRef;
@@ -75,19 +86,14 @@ static_assert(sizeof(ObjHeader) == 24, "header layout drifted");
  * The arena is mapped at construction and unmapped on destruction;
  * untouched bytes read zero. Move-only: it owns its mapping.
  *
- * Once a space has been reset, its bump pointer walks back over
- * pages it touched before, whose cache lines went cold long ago.
- * alloc() then write-prefetches a fixed distance past the new top,
- * up to the committed high-water mark, so the next objects land on
- * lines already on their way (DESIGN.md §14.6).
+ * A space keeps two tops: used(), the physical bump pointer that
+ * heap walks follow, and charged(), the bytes the model counts
+ * against capacity(). They differ only by the borrowed objects the
+ * space holds.
  */
 class Space
 {
   public:
-    /** Bytes alloc() prefetches past the bump pointer. */
-    static constexpr std::size_t kPrefetchDistance = 2048;
-    static constexpr std::size_t kCacheLine = 64;
-
     /** Panics (with @p capacity in the message) if mapping fails. */
     Space(uint8_t id, std::size_t capacity);
     ~Space();
@@ -98,50 +104,37 @@ class Space
     Space &operator=(const Space &) = delete;
 
     /**
-     * Bump-allocate @p bytes (8-aligned).
-     * @return Arena offset, or 0 when the space is exhausted.
+     * Bump-allocate @p bytes of arena and charge @p charged bytes
+     * (both 8-aligned, @p charged >= @p bytes).
+     * @return Arena offset, or 0 when the charge would exhaust the
+     *         space.
      */
-    uint64_t alloc(uint32_t bytes);
+    uint64_t alloc(uint32_t bytes, uint32_t charged);
+    /** An object charged exactly what it occupies. */
+    uint64_t alloc(uint32_t bytes) { return alloc(bytes, bytes); }
 
     uint8_t *at(uint64_t offset);
     const uint8_t *at(uint64_t offset) const;
 
     uint8_t id() const { return id_; }
+    /** Physical top: the end of the allocated objects. */
     std::size_t used() const { return top_; }
+    /** Charged top: the end the objects' sizes add up to. */
+    std::size_t charged() const { return charged_; }
     std::size_t capacity() const { return capacity_; }
 
     /** Offset where iteration of allocated objects begins. */
     static constexpr uint64_t firstOffset() { return 8; }
 
-    /**
-     * Highest top the space reached before a reset(): every page
-     * below it is committed. 0 while the space was never reset.
-     */
-    std::size_t committed() const { return committed_; }
-
-    /**
-     * End of the cache lines alloc() prefetched since the last
-     * reset(): never past committed() rounded up to a line, and 0
-     * when it prefetched none.
-     */
-    std::size_t prefetched() const { return prefetched_; }
-
-    /** Reset the bump pointer (collection of a semispace). */
-    void
-    reset()
-    {
-        committed_ = std::max(committed_, top_);
-        top_ = firstOffset();
-        prefetched_ = 0;
-    }
+    /** Reset both tops (collection of a semispace). */
+    void reset() { top_ = charged_ = firstOffset(); }
 
   private:
     uint8_t id_;
     uint8_t *mem_;
     std::size_t capacity_;
     std::size_t top_;
-    std::size_t committed_ = 0;
-    std::size_t prefetched_ = 0;
+    std::size_t charged_;
 };
 
 /** Dirty-card tracking over the closure space (512-byte cards). */
@@ -195,6 +188,19 @@ class Heap
     using WriteObserver = std::function<void(Ref obj)>;
 
     /**
+     * Arena bytes of a borrowed object: its header, the borrowed
+     * bytes' address and the index of the pin that keeps them alive.
+     */
+    static constexpr uint32_t kBorrowedFootprint = sizeof(ObjHeader) + 16;
+
+    /** Arena bytes @p hdr's object occupies (its size unless borrowed). */
+    static uint32_t
+    footprint(const ObjHeader &hdr)
+    {
+        return hdr.flags & kFlagBorrowed ? kBorrowedFootprint : hdr.size;
+    }
+
+    /**
      * @param program Program supplying klass metadata.
      * @param closure_capacity Closure space size in bytes.
      * @param alloc_capacity Size of EACH allocation semispace.
@@ -218,6 +224,16 @@ class Heap
     /** Allocate a byte object holding a copy of @p data. */
     Ref allocBytes(KlassId klass, std::string_view data,
                    bool in_closure = false);
+
+    /**
+     * Allocate a byte object in the active semispace whose payload is
+     * the @p len immutable bytes at @p data, which the heap pins until
+     * the object's semispace is collected. It is charged, sized and
+     * read like allocBytes()'s copy; only its arena footprint differs.
+     * A payload no longer than the borrowed one is copied instead.
+     */
+    Ref allocBorrowedBytes(KlassId klass, std::shared_ptr<const char> data,
+                           std::size_t len);
     /// @}
 
     /** @name Object access */
@@ -248,7 +264,10 @@ class Heap
     {
         return alloc_space_ == kAllocAId ? kAllocBId : kAllocAId;
     }
-    /** Swap from-/to-space after a copying collection. */
+    /**
+     * Swap from-/to-space after a copying collection, dropping the
+     * old from-space's pins.
+     */
     void flipAllocSpace();
 
     CardTable &cards() { return cards_; }
@@ -259,9 +278,6 @@ class Heap
      * active semispace would fail.
      */
     bool allocWouldFail(uint32_t slots) const;
-
-    /** Raw allocation in a specific space (collector use). */
-    Ref rawAlloc(uint8_t space_id, uint32_t total_bytes);
 
     /**
      * Shallow-copy a whole object (header + payload) into another
@@ -274,9 +290,12 @@ class Heap
     Ref cloneObject(Ref src, uint8_t dst_space);
 
     /**
-     * Copy an object that lives in ANOTHER heap into one of this
-     * heap's spaces (closure installation, sync promotion). Field
-     * values are copied verbatim; the caller translates references.
+     * Copy an object that lives in @p src_heap (this heap or another:
+     * closure installation, sync promotion) into one of this heap's
+     * spaces. Field values are copied verbatim; the caller translates
+     * references. A borrowed object stays borrowed, sharing its pin,
+     * only when it moves between this heap's semispaces; anywhere
+     * else its bytes are copied inline and the flag is cleared.
      */
     Ref cloneFrom(const Heap &src_heap, Ref src, uint8_t dst_space);
 
@@ -292,7 +311,7 @@ class Heap
     const Program &program() const { return program_; }
     const HeapStats &stats() const { return stats_; }
 
-    /** Bytes currently in use across closure + active semispace. */
+    /** Bytes charged across closure + active semispace. */
     std::size_t usedBytes() const;
 
     /** Walk all objects in a space, in address order. */
@@ -309,16 +328,40 @@ class Heap
      * fit in it (a GC would not help, so HeapFull would loop).
      */
     Ref allocObject(uint8_t space_id, KlassId klass, ObjKind kind,
-                    uint64_t count, uint64_t payload_bytes);
+                    uint64_t count, uint64_t payload_bytes,
+                    bool borrowed = false);
+
+    /** Bump both tops of @p space_id; kNullRef on exhaustion. */
+    Ref rawAlloc(uint8_t space_id, uint32_t bytes, uint32_t charged);
+
+    /** The payload of a borrowed object. */
+    struct Borrowed
+    {
+        const char *data;
+        uint64_t pin; //!< index into its semispace's pins
+    };
+    static_assert(sizeof(ObjHeader) + sizeof(Borrowed) ==
+                      kBorrowedFootprint,
+                  "borrowed layout drifted");
+
+    /** Record @p pin in @p space_id's pin list. */
+    void pinInto(uint8_t space_id, Ref ref, std::shared_ptr<const char> pin);
 
     Value *slots(Ref r);
     const Value *slots(Ref r) const;
+    Borrowed *borrowed(Ref r);
+    const Borrowed *borrowed(Ref r) const;
 
     const Program &program_;
     Space closure_;
     Space alloc_a_;
     Space alloc_b_;
     uint8_t alloc_space_ = kAllocAId;
+    /**
+     * Per semispace (A, B): the owners of the bytes its borrowed
+     * objects point at, indexed by Borrowed::pin.
+     */
+    std::vector<std::shared_ptr<const char>> pins_[2];
     CardTable cards_;
     WriteObserver observer_;
     HeapStats stats_;
@@ -390,6 +433,19 @@ Heap::slots(Ref r) const
     return const_cast<Heap *>(this)->slots(r);
 }
 
+inline Heap::Borrowed *
+Heap::borrowed(Ref r)
+{
+    return reinterpret_cast<Borrowed *>(
+        space(refSpace(r)).at(refOffset(r)) + sizeof(ObjHeader));
+}
+
+inline const Heap::Borrowed *
+Heap::borrowed(Ref r) const
+{
+    return const_cast<Heap *>(this)->borrowed(r);
+}
+
 template <typename Fn>
 void
 Heap::forEachObject(uint8_t space_id, Fn &&fn)
@@ -401,7 +457,7 @@ Heap::forEachObject(uint8_t space_id, Fn &&fn)
         const ObjHeader &hdr = header(ref);
         bh_assert(hdr.size >= sizeof(ObjHeader), "corrupt heap walk");
         fn(ref);
-        offset += hdr.size;
+        offset += footprint(hdr);
     }
 }
 

@@ -1362,5 +1362,53 @@ TEST_F(CoreTest, MaterializedRowWireFormatIsPinned)
     EXPECT_EQ(cell(3), "-7|=|a=");
 }
 
+TEST_F(CoreTest, BorrowedRowsPinReplacedRecordsUntilCollected)
+{
+    makeServer();
+    for (int64_t id : {1, 2}) {
+        db::Request put(db::OpKind::Put, "t", id);
+        put.row.fields["body"] = std::string(200, 'a' + id);
+        ASSERT_TRUE(store.execute(put).ok);
+    }
+    db::Request scan(db::OpKind::Scan, "t", 0);
+    scan.limit = 2;
+    db::Response resp = store.execute(scan);
+    ASSERT_EQ(resp.rows.size(), 2u);
+    db::RecordRef replaced = resp.rows[0], kept = resp.rows[1];
+    std::string replaced_wire(replaced->wire());
+    // The store's own handles (none once a Put replaces the record)
+    // plus this test's.
+    const long replaced_baseline = 1, kept_baseline = 2;
+
+    Value root = materializeDbResponse(server->context(), scan, resp);
+    resp.rows.clear();
+    vm::Heap &heap = server->heap();
+    Ref cell = heap.elem(root.asRef(), 0).asRef();
+    ASSERT_TRUE(heap.header(cell).flags & vm::kFlagBorrowed);
+
+    db::Request put(db::OpKind::Put, "t", 1);
+    put.row.fields["body"] = "new";
+    ASSERT_TRUE(store.execute(put).ok);
+    EXPECT_EQ(replaced.use_count(), replaced_baseline + 1);
+
+    server->collector().addValueRoots(
+        [&](const auto &visit) { visit(root); });
+    for (int cycle = 0; cycle < 2; ++cycle) {
+        server->collector().collect();
+        Ref moved = heap.elem(root.asRef(), 0).asRef();
+        EXPECT_TRUE(heap.header(moved).flags & vm::kFlagBorrowed);
+        EXPECT_EQ(heap.bytes(moved), replaced_wire) << "cycle " << cycle;
+        EXPECT_EQ(heap.bytes(heap.elem(root.asRef(), 1).asRef()),
+                  kept->wire());
+    }
+    EXPECT_EQ(replaced.use_count(), replaced_baseline + 1);
+
+    root = Value::nil();
+    server->collector().collect();
+    server->collector().collect();
+    EXPECT_EQ(replaced.use_count(), replaced_baseline);
+    EXPECT_EQ(kept.use_count(), kept_baseline);
+}
+
 } // namespace
 } // namespace beehive::core

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "gc/collector.h"
@@ -282,6 +285,205 @@ TEST_F(GcTest, TotalsAndMedianPauseAccumulate)
     collector->collect();
     EXPECT_EQ(collector->totals().collections, 2u);
     EXPECT_FALSE(std::isnan(collector->medianPauseMs()));
+}
+
+/**
+ * One allocation sequence on a heap that copies rows or borrows
+ * them: per step an array, a plain object and a row, every third row
+ * and every fifth array kept live through @p roots.
+ */
+struct RowSequence
+{
+    static constexpr std::size_t kLens[] = {0,  5,   15,  16,
+                                            17, 100, 620, 3000};
+
+    RowSequence()
+    {
+        for (std::size_t i = 0; i < std::size(kLens); ++i) {
+            std::string row(kLens[i], '\0');
+            for (std::size_t j = 0; j < row.size(); ++j)
+                row[j] = static_cast<char>('a' + (i * 7 + j) % 26);
+            rows.push_back(std::make_shared<const std::string>(row));
+        }
+    }
+
+    /** The bytes of row @p step. */
+    std::shared_ptr<const char>
+    row(std::size_t step) const
+    {
+        const auto &r = rows[step % rows.size()];
+        return std::shared_ptr<const char>(r, r->data());
+    }
+    std::size_t len(std::size_t step) const
+    {
+        return rows[step % rows.size()]->size();
+    }
+
+    /**
+     * Run steps [@p from, @p to) on @p heap; @return the index of the
+     * first allocation that failed (3 per step), or 3 * @p to.
+     */
+    std::size_t
+    run(Heap &heap, KlassId arr_k, KlassId obj_k, KlassId row_k,
+        bool borrow, std::size_t from, std::size_t to,
+        std::vector<Value> &roots) const
+    {
+        for (std::size_t i = from; i < to; ++i) {
+            Ref arr = heap.allocArray(arr_k, i % 4);
+            if (arr == vm::kNullRef)
+                return 3 * i;
+            if (heap.allocPlain(obj_k) == vm::kNullRef)
+                return 3 * i + 1;
+            Ref cell =
+                borrow ? heap.allocBorrowedBytes(row_k, row(i), len(i))
+                       : heap.allocBytes(
+                             row_k, std::string_view(row(i).get(), len(i)));
+            if (cell == vm::kNullRef)
+                return 3 * i + 2;
+            if (i % 3 == 0)
+                roots.push_back(Value::ofRef(cell));
+            if (i % 5 == 0)
+                roots.push_back(Value::ofRef(arr));
+        }
+        return 3 * to;
+    }
+
+    std::vector<std::shared_ptr<const std::string>> rows;
+};
+
+void
+expectSameStats(const GcCycleStats &a, const GcCycleStats &b)
+{
+    EXPECT_EQ(a.objects_copied, b.objects_copied);
+    EXPECT_EQ(a.bytes_copied, b.bytes_copied);
+    EXPECT_EQ(a.roots_visited, b.roots_visited);
+    EXPECT_EQ(a.cards_scanned, b.cards_scanned);
+    EXPECT_EQ(a.bytes_freed, b.bytes_freed);
+    EXPECT_EQ(a.pause, b.pause);
+}
+
+TEST_F(GcTest, BorrowedRowsChargeAndCollectLikeCopiedRows)
+{
+    RowSequence seq;
+    Heap copying(program, 1 << 16, 1 << 18);
+    Heap borrowing(program, 1 << 16, 1 << 18);
+    SemiSpaceCollector copy_gc(copying), borrow_gc(borrowing);
+    std::vector<Value> copy_roots, borrow_roots;
+    copy_gc.addValueRoots([&](const auto &visit) {
+        for (Value &v : copy_roots)
+            visit(v);
+    });
+    borrow_gc.addValueRoots([&](const auto &visit) {
+        for (Value &v : borrow_roots)
+            visit(v);
+    });
+    auto expectSameHeaps = [&] {
+        for (uint8_t id : {Heap::kClosureSpaceId, Heap::kAllocAId,
+                           Heap::kAllocBId}) {
+            EXPECT_EQ(copying.space(id).charged(),
+                      borrowing.space(id).charged())
+                << "space " << int(id);
+        }
+        EXPECT_EQ(copying.allocSpaceId(), borrowing.allocSpaceId());
+        EXPECT_EQ(copying.usedBytes(), borrowing.usedBytes());
+        EXPECT_EQ(copying.stats().objects_allocated,
+                  borrowing.stats().objects_allocated);
+        EXPECT_EQ(copying.stats().bytes_allocated,
+                  borrowing.stats().bytes_allocated);
+        EXPECT_EQ(copying.stats().peak_used, borrowing.stats().peak_used);
+        ASSERT_EQ(copy_roots.size(), borrow_roots.size());
+        for (std::size_t i = 0; i < copy_roots.size(); ++i) {
+            Ref c = copy_roots[i].asRef(), b = borrow_roots[i].asRef();
+            ASSERT_EQ(copying.header(c).kind, borrowing.header(b).kind);
+            EXPECT_EQ(copying.header(c).size, borrowing.header(b).size);
+            if (copying.header(c).kind == vm::ObjKind::Bytes)
+                EXPECT_EQ(copying.bytes(c), borrowing.bytes(b)) << i;
+        }
+    };
+
+    constexpr std::size_t kSteps = 40;
+    ASSERT_EQ(seq.run(copying, blob_k, node_k, blob_k, false, 0, kSteps,
+                      copy_roots),
+              3 * kSteps);
+    ASSERT_EQ(seq.run(borrowing, blob_k, node_k, blob_k, true, 0, kSteps,
+                      borrow_roots),
+              3 * kSteps);
+    expectSameHeaps();
+    uint8_t id = borrowing.allocSpaceId();
+    EXPECT_LT(borrowing.space(id).used(), copying.space(id).used());
+    EXPECT_LT(borrowing.space(id).used(), borrowing.space(id).charged());
+
+    // A collection with a live subset copies, frees and pauses alike,
+    // and the borrowed survivors still occupy less arena.
+    for (int cycle = 0; cycle < 2; ++cycle) {
+        expectSameStats(copy_gc.collect(), borrow_gc.collect());
+        expectSameHeaps();
+        id = borrowing.allocSpaceId();
+        EXPECT_LT(borrowing.space(id).used(), copying.space(id).used());
+    }
+
+    // Both exhaust the semispace on the same request.
+    std::size_t copy_fail = seq.run(copying, blob_k, node_k, blob_k, false,
+                                    kSteps, 100000, copy_roots);
+    std::size_t borrow_fail = seq.run(borrowing, blob_k, node_k, blob_k,
+                                      true, kSteps, 100000, borrow_roots);
+    EXPECT_LT(copy_fail, 3u * 100000);
+    EXPECT_EQ(copy_fail, borrow_fail);
+    EXPECT_EQ(copying.allocWouldFail(64), borrowing.allocWouldFail(64));
+    expectSameHeaps();
+    expectSameStats(copy_gc.collect(), borrow_gc.collect());
+    expectSameHeaps();
+}
+
+TEST_F(GcTest, ShortRowsAreCopiedNotBorrowed)
+{
+    auto row = std::make_shared<const std::string>("0123456789abcdefXYZ");
+    for (std::size_t len : {0, 1, 15, 16, 17, 19}) {
+        Ref r = heap->allocBorrowedBytes(
+            blob_k, std::shared_ptr<const char>(row, row->data()), len);
+        ASSERT_NE(r, vm::kNullRef);
+        const vm::ObjHeader &hdr = heap->header(r);
+        EXPECT_EQ(heap->bytes(r), std::string_view(row->data(), len));
+        // Borrowing only pays once the copy would outgrow the pointer.
+        EXPECT_EQ(bool(hdr.flags & vm::kFlagBorrowed), len > 16) << len;
+        EXPECT_EQ(Heap::footprint(hdr),
+                  len > 16 ? Heap::kBorrowedFootprint : hdr.size);
+    }
+}
+
+TEST_F(GcTest, BorrowedRowsCloneInlineOutOfTheirSemispaces)
+{
+    auto row = std::make_shared<const std::string>(300, 'r');
+    std::weak_ptr<const std::string> alive = row;
+    auto src = std::make_unique<Heap>(program, 1 << 16, 1 << 16);
+    Heap dst(program, 1 << 16, 1 << 16);
+    Ref b = src->allocBorrowedBytes(
+        blob_k, std::shared_ptr<const char>(row, row->data()), row->size());
+    ASSERT_TRUE(src->header(b).flags & vm::kFlagBorrowed);
+    ASSERT_EQ(Heap::footprint(src->header(b)), Heap::kBorrowedFootprint);
+
+    Ref own_closure = src->cloneObject(b, Heap::kClosureSpaceId);
+    Ref other_alloc = dst.cloneFrom(*src, b, dst.allocSpaceId());
+    Ref other_closure = dst.cloneFrom(*src, b, Heap::kClosureSpaceId);
+    for (auto [h, r] : {std::pair<Heap *, Ref>{src.get(), own_closure},
+                        {&dst, other_alloc},
+                        {&dst, other_closure}}) {
+        const vm::ObjHeader &hdr = h->header(r);
+        EXPECT_FALSE(hdr.flags & vm::kFlagBorrowed);
+        EXPECT_EQ(hdr.size, src->header(b).size);
+        EXPECT_EQ(Heap::footprint(hdr), hdr.size);
+        EXPECT_EQ(h->bytes(r), *row);
+    }
+    std::string want = *row;
+
+    // Nothing but the source heap's pin keeps the row; destroying the
+    // heap releases it, and the inline copies read on.
+    row.reset();
+    EXPECT_FALSE(alive.expired());
+    src.reset();
+    EXPECT_TRUE(alive.expired());
+    EXPECT_EQ(dst.bytes(other_alloc), want);
+    EXPECT_EQ(dst.bytes(other_closure), want);
 }
 
 /**
