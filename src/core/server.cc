@@ -1,6 +1,7 @@
 #include "core/server.h"
 
 #include <algorithm>
+#include <span>
 
 #include "support/logging.h"
 #include "vm/analysis.h"
@@ -26,7 +27,7 @@ constexpr std::size_t kServerMaxActive = 128;
 
 std::optional<Value>
 tryMaterializeDbResponse(vm::VmContext &ctx, const db::Request &req,
-                         const db::Response &resp)
+                         db::Response &resp)
 {
     switch (req.kind) {
       case db::OpKind::Put:
@@ -35,29 +36,19 @@ tryMaterializeDbResponse(vm::VmContext &ctx, const db::Request &req,
         return Value::ofInt(resp.ok ? resp.count : -1);
       case db::OpKind::Get:
       case db::OpKind::Scan: {
-        vm::Heap &heap = ctx.heap();
         vm::KlassId arr_k = ctx.config().array_klass;
         vm::KlassId bytes_k = ctx.config().bytes_klass;
         bh_assert(arr_k != vm::kNoKlass && bytes_k != vm::kNoKlass,
                   "array/bytes klass not configured");
-        vm::Ref arr = heap.allocArray(
-            arr_k, static_cast<uint32_t>(resp.rows.size()));
-        if (arr == vm::kNullRef)
-            return std::nullopt;
         // Each stored record already holds its wire bytes
         // ("<id>|k1=v1|k2=v2...") and never changes: the heap borrows
-        // them, pinning the record, instead of copying each row.
-        for (std::size_t i = 0; i < resp.rows.size(); ++i) {
-            const db::RecordRef &row = resp.rows[i];
-            std::string_view wire = row->wire();
-            vm::Ref cell = heap.allocBorrowedBytes(
-                bytes_k, std::shared_ptr<const char>(row, wire.data()),
-                wire.size());
-            if (cell == vm::kNullRef)
-                return std::nullopt;
-            heap.setElem(arr, static_cast<uint32_t>(i),
-                         Value::ofRef(cell));
-        }
+        // them, keeping the response's handles as pins, instead of
+        // copying each row.
+        vm::Ref arr = ctx.heap().allocRowArray(
+            arr_k, bytes_k, std::span(resp.rows),
+            [](const db::Record &r) { return r.wire(); });
+        if (arr == vm::kNullRef)
+            return std::nullopt;
         return Value::ofRef(arr);
       }
     }
@@ -66,7 +57,7 @@ tryMaterializeDbResponse(vm::VmContext &ctx, const db::Request &req,
 
 Value
 materializeDbResponse(vm::VmContext &ctx, const db::Request &req,
-                      const db::Response &resp)
+                      db::Response &resp)
 {
     auto v = tryMaterializeDbResponse(ctx, req, resp);
     bh_assert(v.has_value(), "heap exhausted materializing db rows");

@@ -235,16 +235,22 @@ class BeeHiveServer
 /**
  * Materialize a database response as VM objects in @p ctx's heap:
  * reads yield an array of byte objects (one per row), writes yield
- * the affected-row count.
+ * the affected-row count. The heap keeps the records it borrows
+ * alive by taking their handles: the rows of @p resp it borrows are
+ * left empty (vm::Heap::allocRowArray).
  */
 vm::Value materializeDbResponse(vm::VmContext &ctx,
                                 const db::Request &req,
-                                const db::Response &resp);
+                                db::Response &resp);
 
-/** Like materializeDbResponse but reports heap exhaustion. */
+/**
+ * Like materializeDbResponse but reports heap exhaustion: then
+ * std::nullopt, with every row still in @p resp, so the caller can
+ * collect and retry.
+ */
 std::optional<vm::Value>
 tryMaterializeDbResponse(vm::VmContext &ctx, const db::Request &req,
-                         const db::Response &resp);
+                         db::Response &resp);
 
 } // namespace beehive::core
 

@@ -68,22 +68,6 @@ Space::operator=(Space &&other) noexcept
     return *this;
 }
 
-uint64_t
-Space::alloc(uint32_t bytes, uint32_t charged)
-{
-    bytes = alignUp(bytes);
-    charged = alignUp(charged);
-    bh_assert(bytes <= charged, "object charged less than it occupies");
-    // The physical top never passes the charged one, so a charge
-    // that fits leaves room for the bytes.
-    if (charged_ + charged > capacity_)
-        return 0;
-    uint64_t offset = top_;
-    top_ += bytes;
-    charged_ += charged;
-    return offset;
-}
-
 CardTable::CardTable(std::size_t space_capacity)
     : dirty_((space_capacity + kCardBytes - 1) / kCardBytes, false)
 {
@@ -150,43 +134,29 @@ Heap::rawAlloc(uint8_t space_id, uint32_t bytes, uint32_t charged)
 }
 
 void
-Heap::pinInto(uint8_t space_id, Ref ref, std::shared_ptr<const char> pin)
+Heap::neverFits(uint8_t space_id, uint64_t count,
+                uint64_t payload_bytes) const
 {
-    bh_assert(space_id != kClosureSpaceId, "borrowed closure object");
-    auto &pins = pins_[space_id - kAllocAId];
-    borrowed(ref)->pin = pins.size();
-    pins.push_back(std::move(pin));
+    panic("object of %llu payload bytes (count %llu) can never fit "
+          "in heap space %u of %zu bytes",
+          static_cast<unsigned long long>(payload_bytes),
+          static_cast<unsigned long long>(count), space_id,
+          space(space_id).capacity());
 }
 
 Ref
 Heap::allocObject(uint8_t space_id, KlassId klass, ObjKind kind,
-                  uint64_t count, uint64_t payload_bytes, bool borrowed)
+                  uint64_t count, uint64_t payload_bytes)
 {
-    // Sizes stay 64-bit until they are known to fit: an object can
-    // never outgrow its space, nor the header's 32-bit size field.
-    // Such a request is a bug, not heap pressure: returning kNullRef
-    // would make the caller collect and retry forever.
-    uint64_t limit = std::min<uint64_t>(
-        space(space_id).capacity() - Space::firstOffset(),
-        std::numeric_limits<uint32_t>::max());
-    if (payload_bytes > limit ||
-        ((sizeof(ObjHeader) + payload_bytes + 7) & ~uint64_t{7}) > limit) {
-        panic("object of %llu payload bytes (count %llu) can never fit "
-              "in heap space %u of %zu bytes",
-              static_cast<unsigned long long>(payload_bytes),
-              static_cast<unsigned long long>(count), space_id,
-              space(space_id).capacity());
-    }
+    requireFits(space_id, objectLimit(space_id), count, payload_bytes);
     uint32_t total = alignUp(static_cast<uint32_t>(
         sizeof(ObjHeader) + payload_bytes));
-    Ref ref = rawAlloc(space_id, borrowed ? kBorrowedFootprint : total,
-                       total);
+    Ref ref = rawAlloc(space_id, total, total);
     if (ref == kNullRef)
         return kNullRef;
     auto *hdr = new (space(space_id).at(refOffset(ref))) ObjHeader();
     hdr->klass = klass;
     hdr->kind = kind;
-    hdr->flags = borrowed ? kFlagBorrowed : 0;
     hdr->count = static_cast<uint32_t>(count);
     hdr->size = total;
     if (kind != ObjKind::Bytes) {
@@ -234,21 +204,6 @@ Heap::allocBytes(KlassId klass, std::string_view data, bool in_closure)
     std::memcpy(space(refSpace(ref)).at(refOffset(ref)) +
                     sizeof(ObjHeader),
                 data.data(), data.size());
-    return ref;
-}
-
-Ref
-Heap::allocBorrowedBytes(KlassId klass, std::shared_ptr<const char> data,
-                         std::size_t len)
-{
-    if (sizeof(ObjHeader) + len <= kBorrowedFootprint)
-        return allocBytes(klass, std::string_view(data.get(), len));
-    Ref ref = allocObject(alloc_space_, klass, ObjKind::Bytes, len, len,
-                          true);
-    if (ref == kNullRef)
-        return kNullRef;
-    borrowed(ref)->data = data.get();
-    pinInto(alloc_space_, ref, std::move(data));
     return ref;
 }
 
@@ -303,8 +258,9 @@ Heap::cloneFrom(const Heap &src_heap, Ref src, uint8_t dst_space)
         std::memcpy(to, from, hdr.size);
     } else if (borrow) {
         std::memcpy(to, from, kBorrowedFootprint);
-        pinInto(dst_space, dst,
-                pins_[refSpace(src) - kAllocAId][borrowed(src)->pin]);
+        auto &pins = pins_[dst_space - kAllocAId];
+        borrowed(dst)->pin = pins.size();
+        pins.push_back(pins_[refSpace(src) - kAllocAId][borrowed(src)->pin]);
     } else {
         std::memcpy(to, from, sizeof(ObjHeader));
         std::memcpy(to + sizeof(ObjHeader), src_heap.borrowed(src)->data,

@@ -35,8 +35,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <new>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -226,14 +230,26 @@ class Heap
                    bool in_closure = false);
 
     /**
-     * Allocate a byte object in the active semispace whose payload is
-     * the @p len immutable bytes at @p data, which the heap pins until
-     * the object's semispace is collected. It is charged, sized and
-     * read like allocBytes()'s copy; only its arena footprint differs.
-     * A payload no longer than the borrowed one is copied instead.
+     * Allocate, in the active semispace, the array a DB read returns:
+     * an array of @p arr_klass whose element i is a byte object of
+     * @p bytes_klass holding wire(*rows[i]), the immutable bytes that
+     * rows[i] owns. Objects, charges and stats are exactly those of
+     * allocArray() followed by one allocBytes() per row, and so is
+     * the failure point: if row k does not fit, the array and rows
+     * 0..k-1 stay allocated and the result is kNullRef.
+     *
+     * A row longer than the borrowed payload is borrowed (footprint
+     * kBorrowedFootprint) and pinned until its semispace is
+     * collected; a shorter one is copied. When the whole array fits,
+     * the pins are the borrowed rows' handles, moved out of @p rows;
+     * on failure every handle stays in @p rows, so the caller can
+     * collect and retry. The array is new and in a semispace, so its
+     * element stores need no card mark and fire no write observer.
      */
-    Ref allocBorrowedBytes(KlassId klass, std::shared_ptr<const char> data,
-                           std::size_t len);
+    template <typename Owner, typename Wire>
+    Ref allocRowArray(KlassId arr_klass, KlassId bytes_klass,
+                      std::span<std::shared_ptr<const Owner>> rows,
+                      Wire wire);
     /// @}
 
     /** @name Object access */
@@ -328,8 +344,36 @@ class Heap
      * fit in it (a GC would not help, so HeapFull would loop).
      */
     Ref allocObject(uint8_t space_id, KlassId klass, ObjKind kind,
-                    uint64_t count, uint64_t payload_bytes,
-                    bool borrowed = false);
+                    uint64_t count, uint64_t payload_bytes);
+
+    /**
+     * The largest object space @p space_id could ever hold: its
+     * capacity, and at most what the header's 32-bit size can say.
+     */
+    uint64_t objectLimit(uint8_t space_id) const
+    {
+        return std::min<uint64_t>(
+            space(space_id).capacity() - Space::firstOffset(),
+            std::numeric_limits<uint32_t>::max());
+    }
+    /**
+     * Panic unless an object of @p payload_bytes fits under @p limit:
+     * one that never could is a bug, not heap pressure (returning
+     * kNullRef would make the caller collect and retry forever).
+     */
+    void
+    requireFits(uint8_t space_id, uint64_t limit, uint64_t count,
+                uint64_t payload_bytes) const
+    {
+        // Sizes stay 64-bit until they are known to fit.
+        if (payload_bytes > limit ||
+            ((sizeof(ObjHeader) + payload_bytes + 7) & ~uint64_t{7}) >
+                limit) [[unlikely]] {
+            neverFits(space_id, count, payload_bytes);
+        }
+    }
+    [[noreturn]] void neverFits(uint8_t space_id, uint64_t count,
+                                uint64_t payload_bytes) const;
 
     /** Bump both tops of @p space_id; kNullRef on exhaustion. */
     Ref rawAlloc(uint8_t space_id, uint32_t bytes, uint32_t charged);
@@ -343,9 +387,6 @@ class Heap
     static_assert(sizeof(ObjHeader) + sizeof(Borrowed) ==
                       kBorrowedFootprint,
                   "borrowed layout drifted");
-
-    /** Record @p pin in @p space_id's pin list. */
-    void pinInto(uint8_t space_id, Ref ref, std::shared_ptr<const char> pin);
 
     Value *slots(Ref r);
     const Value *slots(Ref r) const;
@@ -361,7 +402,7 @@ class Heap
      * Per semispace (A, B): the owners of the bytes its borrowed
      * objects point at, indexed by Borrowed::pin.
      */
-    std::vector<std::shared_ptr<const char>> pins_[2];
+    std::vector<std::shared_ptr<const void>> pins_[2];
     CardTable cards_;
     WriteObserver observer_;
     HeapStats stats_;
@@ -386,6 +427,22 @@ Space::at(uint64_t offset) const
               "offset %llu out of space %u",
               static_cast<unsigned long long>(offset), id_);
     return mem_ + offset;
+}
+
+inline uint64_t
+Space::alloc(uint32_t bytes, uint32_t charged)
+{
+    bytes = (bytes + 7u) & ~7u;
+    charged = (charged + 7u) & ~7u;
+    bh_assert(bytes <= charged, "object charged less than it occupies");
+    // The physical top never passes the charged one, so a charge
+    // that fits leaves room for the bytes.
+    if (charged_ + charged > capacity_)
+        return 0;
+    uint64_t offset = top_;
+    top_ += bytes;
+    charged_ += charged;
+    return offset;
 }
 
 inline Space &
@@ -459,6 +516,65 @@ Heap::forEachObject(uint8_t space_id, Fn &&fn)
         fn(ref);
         offset += footprint(hdr);
     }
+}
+
+template <typename Owner, typename Wire>
+Ref
+Heap::allocRowArray(KlassId arr_klass, KlassId bytes_klass,
+                    std::span<std::shared_ptr<const Owner>> rows, Wire wire)
+{
+    Ref arr = allocArray(arr_klass, rows.size());
+    if (arr == kNullRef)
+        return kNullRef;
+    const uint8_t sid = alloc_space_;
+    Space &s = space(sid);
+    const uint64_t limit = objectLimit(sid);
+    auto &pins = pins_[sid - kAllocAId];
+    Value *slot = slots(arr);
+    const std::size_t first_pin = pins.size();
+    uint64_t bytes_allocated = 0;
+    std::size_t done = 0;
+    for (; done < rows.size(); ++done) {
+        std::string_view w = wire(*rows[done]);
+        requireFits(sid, limit, w.size(), w.size());
+        uint32_t total = static_cast<uint32_t>(
+            (sizeof(ObjHeader) + w.size() + 7) & ~std::size_t{7});
+        // Borrowing only pays once the copy would outgrow the pointer.
+        bool borrow = sizeof(ObjHeader) + w.size() > kBorrowedFootprint;
+        uint64_t offset = s.alloc(borrow ? kBorrowedFootprint : total, total);
+        if (offset == 0)
+            break;
+        uint8_t *at = s.at(offset);
+        auto *hdr = new (at) ObjHeader();
+        hdr->klass = bytes_klass;
+        hdr->kind = ObjKind::Bytes;
+        hdr->flags = borrow ? kFlagBorrowed : 0;
+        hdr->count = static_cast<uint32_t>(w.size());
+        hdr->size = total;
+        if (borrow) {
+            // The row's handle becomes its pin (w stays valid: the
+            // pin owns its bytes now).
+            new (at + sizeof(ObjHeader)) Borrowed{w.data(), pins.size()};
+            pins.emplace_back(std::move(rows[done]));
+        } else {
+            std::memcpy(at + sizeof(ObjHeader), w.data(), w.size());
+        }
+        slot[done] = Value::ofRef(makeRef(sid, offset));
+        bytes_allocated += total;
+    }
+    stats_.objects_allocated += done;
+    stats_.bytes_allocated += bytes_allocated;
+    stats_.peak_used = std::max(stats_.peak_used, usedBytes());
+    if (done == rows.size())
+        return arr;
+    // Hand the caller a share of every handle the pins took, so it
+    // can collect and retry; the pins keep the failed rows readable
+    // until their semispace is collected.
+    for (std::size_t i = 0, pin = first_pin; i < done; ++i) {
+        if (header(slot[i].asRef()).flags & kFlagBorrowed)
+            rows[i] = std::static_pointer_cast<const Owner>(pins[pin++]);
+    }
+    return kNullRef;
 }
 
 inline uint32_t

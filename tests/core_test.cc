@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include "cloud/faas.h"
 #include "cloud/instance.h"
 #include "core/closure.h"
 #include "core/config.h"
 #include "core/external.h"
+#include "core/function.h"
 #include "core/mapping.h"
 #include "core/server.h"
 #include "core/sync.h"
@@ -1408,6 +1410,140 @@ TEST_F(CoreTest, BorrowedRowsPinReplacedRecordsUntilCollected)
     server->collector().collect();
     EXPECT_EQ(replaced.use_count(), replaced_baseline);
     EXPECT_EQ(kept.use_count(), kept_baseline);
+}
+
+/**
+ * Rows 1..n of table "t": every fourth one, from id 2, bare (a short
+ * row, copied), the others with bodies long enough to be borrowed.
+ */
+void
+putRows(db::RecordStore &store, int n)
+{
+    for (int64_t id = 1; id <= n; ++id) {
+        db::Request put(db::OpKind::Put, "t", id);
+        if (id % 4 != 2)
+            put.row.fields["body"] =
+                std::string(100 + 10 * id, static_cast<char>('a' + id % 26));
+        ASSERT_TRUE(store.execute(put).ok);
+    }
+}
+
+/** The bytes an object of @p payload bytes is charged. */
+std::size_t
+charge(std::size_t payload)
+{
+    return (sizeof(vm::ObjHeader) + payload + 7) & ~std::size_t{7};
+}
+
+/**
+ * Scan "t" into @p ctx with room for the array and rows 0..k-1
+ * only: the call fails where row-by-row allocation would and keeps
+ * every handle in the response. A Put then replaces row k's record;
+ * after @p collect the retry succeeds and every row reads the
+ * record that was read.
+ */
+void
+expectRetryAfterCollect(db::RecordStore &store, vm::VmContext &ctx,
+                        const std::function<void()> &collect,
+                        std::size_t k)
+{
+    SCOPED_TRACE(k);
+    db::Request scan(db::OpKind::Scan, "t", 0);
+    scan.limit = 8;
+    db::Response resp = store.execute(scan);
+    ASSERT_EQ(resp.rows.size(), 8u);
+    const std::vector<db::RecordRef> read = resp.rows;
+
+    vm::Heap &heap = ctx.heap();
+    std::size_t room = charge(8 * sizeof(Value));
+    for (std::size_t i = 0; i < k; ++i)
+        room += charge(read[i]->wire().size());
+    room += charge(read[k]->wire().size()) - 8;
+    const vm::Space &space = heap.space(heap.allocSpaceId());
+    std::size_t fill = space.capacity() - space.charged() - room;
+    ASSERT_NE(heap.allocBytes(ctx.config().bytes_klass,
+                              std::string(fill - sizeof(vm::ObjHeader),
+                                          'f')),
+              vm::kNullRef);
+    uint64_t objects = heap.stats().objects_allocated;
+    EXPECT_FALSE(tryMaterializeDbResponse(ctx, scan, resp).has_value());
+    EXPECT_EQ(heap.stats().objects_allocated, objects + 1 + k);
+    EXPECT_EQ(space.capacity() - space.charged(),
+              charge(read[k]->wire().size()) - 8);
+    for (std::size_t i = 0; i < read.size(); ++i)
+        EXPECT_EQ(resp.rows[i], read[i]) << i;
+
+    db::Request put(db::OpKind::Put, "t", read[k]->id());
+    put.row.fields["body"] = "replaced between the read and the retry";
+    ASSERT_TRUE(store.execute(put).ok);
+    collect();
+    std::optional<Value> v = tryMaterializeDbResponse(ctx, scan, resp);
+    ASSERT_TRUE(v.has_value());
+    ASSERT_EQ(heap.count(v->asRef()), read.size());
+    for (uint32_t i = 0; i < read.size(); ++i) {
+        EXPECT_EQ(heap.bytes(heap.elem(v->asRef(), i).asRef()),
+                  read[i]->wire())
+            << i;
+    }
+}
+
+TEST_F(CoreTest, ServerMaterializationRetriesWhereRowByRowWould)
+{
+    BeeHiveConfig cfg;
+    cfg.server_alloc_bytes = 1u << 20;
+    makeServer(cfg);
+    putRows(store, 8);
+    // The first row, a short (copied) row, and a later long row.
+    for (std::size_t k : {0, 1, 6}) {
+        expectRetryAfterCollect(store, server->context(),
+                                [&] { server->runGc(); }, k);
+    }
+}
+
+TEST_F(CoreTest, FunctionMaterializationRetriesWhereRowByRowWould)
+{
+    BeeHiveConfig cfg;
+    cfg.function_alloc_bytes = 1u << 20;
+    makeServer(cfg);
+    putRows(store, 8);
+    cloud::FaasPlatform platform(sim, net, cloud::openWhiskProfile());
+    cloud::FunctionInstance *inst = nullptr;
+    platform.acquire([&](cloud::FunctionInstance &i) { inst = &i; });
+    sim.runUntil(sim::SimTime::sec(5));
+    ASSERT_NE(inst, nullptr);
+    FunctionStats stats;
+    BeeHiveFunction fn(*server, platform, *inst, stats);
+    for (std::size_t k : {2, 5, 7}) {
+        expectRetryAfterCollect(store, fn.context(),
+                                [&] { fn.collector().collect(); }, k);
+    }
+}
+
+TEST_F(CoreTest, MaterializationFiresNoWriteObserver)
+{
+    makeServer();
+    putRows(store, 40);
+    db::Request scan(db::OpKind::Scan, "t", 0);
+    scan.limit = 40;
+    db::Response resp = store.execute(scan);
+    ASSERT_EQ(resp.rows.size(), 40u);
+    vm::Heap &heap = server->heap();
+
+    // Under the server's own observer, sync dirty tracking sees no
+    // materialised array.
+    std::size_t dirty = server->sync().dirtyCount(0);
+    materializeDbResponse(server->context(), scan, resp);
+    EXPECT_EQ(server->sync().dirtyCount(0), dirty);
+
+    int calls = 0;
+    heap.setWriteObserver([&](Ref) { ++calls; });
+    resp = store.execute(scan);
+    Value v = materializeDbResponse(server->context(), scan, resp);
+    ASSERT_EQ(heap.count(v.asRef()), 40u);
+    EXPECT_EQ(calls, 0);
+    // An ordinary store into the same array is observed.
+    heap.setElem(v.asRef(), 0, Value::nil());
+    EXPECT_EQ(calls, 1);
 }
 
 } // namespace

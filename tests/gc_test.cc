@@ -9,6 +9,7 @@
 #include <iterator>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,7 @@ using vm::Heap;
 using vm::KlassId;
 using vm::Program;
 using vm::Ref;
+using vm::Space;
 using vm::Value;
 
 class GcTest : public ::testing::Test
@@ -287,10 +289,47 @@ TEST_F(GcTest, TotalsAndMedianPauseAccumulate)
     EXPECT_FALSE(std::isnan(collector->medianPauseMs()));
 }
 
+/** A DB response's rows: handles to immutable row bytes. */
+using Rows = std::vector<std::shared_ptr<const std::string>>;
+
+/** The bytes a row handle owns. */
+std::string_view
+wireOf(const std::string &row)
+{
+    return row;
+}
+
+/** Materialise @p rows with the heap's one-pass row array. */
+Ref
+rowArray(Heap &heap, KlassId arr_k, KlassId row_k, Rows &rows)
+{
+    return heap.allocRowArray(arr_k, row_k, std::span(rows), wireOf);
+}
+
+/**
+ * The row-by-row reference: an array, then one copied byte object per
+ * row stored into it; kNullRef where an allocation fails.
+ */
+Ref
+rowByRow(Heap &heap, KlassId arr_k, KlassId row_k, const Rows &rows)
+{
+    Ref arr = heap.allocArray(arr_k, rows.size());
+    if (arr == vm::kNullRef)
+        return vm::kNullRef;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        Ref cell = heap.allocBytes(row_k, *rows[i]);
+        if (cell == vm::kNullRef)
+            return vm::kNullRef;
+        heap.setElem(arr, static_cast<uint32_t>(i), Value::ofRef(cell));
+    }
+    return arr;
+}
+
 /**
  * One allocation sequence on a heap that copies rows or borrows
- * them: per step an array, a plain object and a row, every third row
- * and every fifth array kept live through @p roots.
+ * them: per step a plain object and a response of 0-3 rows, every
+ * third response's first row and every fifth array kept live
+ * through @p roots.
  */
 struct RowSequence
 {
@@ -307,21 +346,20 @@ struct RowSequence
         }
     }
 
-    /** The bytes of row @p step. */
-    std::shared_ptr<const char>
-    row(std::size_t step) const
+    /** The response of step @p step: i % 4 rows from row i on. */
+    Rows
+    response(std::size_t step) const
     {
-        const auto &r = rows[step % rows.size()];
-        return std::shared_ptr<const char>(r, r->data());
-    }
-    std::size_t len(std::size_t step) const
-    {
-        return rows[step % rows.size()]->size();
+        Rows resp;
+        for (std::size_t j = 0; j < step % 4; ++j)
+            resp.push_back(rows[(step + j) % rows.size()]);
+        return resp;
     }
 
     /**
      * Run steps [@p from, @p to) on @p heap; @return the index of the
-     * first allocation that failed (3 per step), or 3 * @p to.
+     * first allocation that failed (2 per step: the object, then the
+     * response), or 2 * @p to.
      */
     std::size_t
     run(Heap &heap, KlassId arr_k, KlassId obj_k, KlassId row_k,
@@ -329,23 +367,19 @@ struct RowSequence
         std::vector<Value> &roots) const
     {
         for (std::size_t i = from; i < to; ++i) {
-            Ref arr = heap.allocArray(arr_k, i % 4);
-            if (arr == vm::kNullRef)
-                return 3 * i;
             if (heap.allocPlain(obj_k) == vm::kNullRef)
-                return 3 * i + 1;
-            Ref cell =
-                borrow ? heap.allocBorrowedBytes(row_k, row(i), len(i))
-                       : heap.allocBytes(
-                             row_k, std::string_view(row(i).get(), len(i)));
-            if (cell == vm::kNullRef)
-                return 3 * i + 2;
-            if (i % 3 == 0)
-                roots.push_back(Value::ofRef(cell));
+                return 2 * i;
+            Rows resp = response(i);
+            Ref arr = borrow ? rowArray(heap, arr_k, row_k, resp)
+                             : rowByRow(heap, arr_k, row_k, resp);
+            if (arr == vm::kNullRef)
+                return 2 * i + 1;
+            if (i % 3 == 0 && !resp.empty())
+                roots.push_back(heap.elem(arr, 0));
             if (i % 5 == 0)
                 roots.push_back(Value::ofRef(arr));
         }
-        return 3 * to;
+        return 2 * to;
     }
 
     std::vector<std::shared_ptr<const std::string>> rows;
@@ -404,10 +438,10 @@ TEST_F(GcTest, BorrowedRowsChargeAndCollectLikeCopiedRows)
     constexpr std::size_t kSteps = 40;
     ASSERT_EQ(seq.run(copying, blob_k, node_k, blob_k, false, 0, kSteps,
                       copy_roots),
-              3 * kSteps);
+              2 * kSteps);
     ASSERT_EQ(seq.run(borrowing, blob_k, node_k, blob_k, true, 0, kSteps,
                       borrow_roots),
-              3 * kSteps);
+              2 * kSteps);
     expectSameHeaps();
     uint8_t id = borrowing.allocSpaceId();
     EXPECT_LT(borrowing.space(id).used(), copying.space(id).used());
@@ -427,7 +461,7 @@ TEST_F(GcTest, BorrowedRowsChargeAndCollectLikeCopiedRows)
                                     kSteps, 100000, copy_roots);
     std::size_t borrow_fail = seq.run(borrowing, blob_k, node_k, blob_k,
                                       true, kSteps, 100000, borrow_roots);
-    EXPECT_LT(copy_fail, 3u * 100000);
+    EXPECT_LT(copy_fail, 2u * 100000);
     EXPECT_EQ(copy_fail, borrow_fail);
     EXPECT_EQ(copying.allocWouldFail(64), borrowing.allocWouldFail(64));
     expectSameHeaps();
@@ -437,17 +471,25 @@ TEST_F(GcTest, BorrowedRowsChargeAndCollectLikeCopiedRows)
 
 TEST_F(GcTest, ShortRowsAreCopiedNotBorrowed)
 {
-    auto row = std::make_shared<const std::string>("0123456789abcdefXYZ");
-    for (std::size_t len : {0, 1, 15, 16, 17, 19}) {
-        Ref r = heap->allocBorrowedBytes(
-            blob_k, std::shared_ptr<const char>(row, row->data()), len);
-        ASSERT_NE(r, vm::kNullRef);
+    const std::string row = "0123456789abcdefXYZ";
+    Rows resp;
+    for (std::size_t len : {0, 1, 15, 16, 17, 19})
+        resp.push_back(std::make_shared<const std::string>(row, 0, len));
+    Rows held = resp;
+    Ref arr = rowArray(*heap, blob_k, blob_k, resp);
+    ASSERT_NE(arr, vm::kNullRef);
+    for (uint32_t i = 0; i < held.size(); ++i) {
+        std::size_t len = held[i]->size();
+        Ref r = heap->elem(arr, i).asRef();
         const vm::ObjHeader &hdr = heap->header(r);
-        EXPECT_EQ(heap->bytes(r), std::string_view(row->data(), len));
+        EXPECT_EQ(heap->bytes(r), std::string_view(row.data(), len));
         // Borrowing only pays once the copy would outgrow the pointer.
         EXPECT_EQ(bool(hdr.flags & vm::kFlagBorrowed), len > 16) << len;
         EXPECT_EQ(Heap::footprint(hdr),
                   len > 16 ? Heap::kBorrowedFootprint : hdr.size);
+        // The heap took the borrowed rows' handles as their pins; a
+        // copied row's handle stays with the response.
+        EXPECT_EQ(resp[i] == nullptr, len > 16) << len;
     }
 }
 
@@ -457,8 +499,10 @@ TEST_F(GcTest, BorrowedRowsCloneInlineOutOfTheirSemispaces)
     std::weak_ptr<const std::string> alive = row;
     auto src = std::make_unique<Heap>(program, 1 << 16, 1 << 16);
     Heap dst(program, 1 << 16, 1 << 16);
-    Ref b = src->allocBorrowedBytes(
-        blob_k, std::shared_ptr<const char>(row, row->data()), row->size());
+    Rows resp{row};
+    Ref arr = rowArray(*src, blob_k, blob_k, resp);
+    ASSERT_NE(arr, vm::kNullRef);
+    Ref b = src->elem(arr, 0).asRef();
     ASSERT_TRUE(src->header(b).flags & vm::kFlagBorrowed);
     ASSERT_EQ(Heap::footprint(src->header(b)), Heap::kBorrowedFootprint);
 
@@ -484,6 +528,65 @@ TEST_F(GcTest, BorrowedRowsCloneInlineOutOfTheirSemispaces)
     EXPECT_TRUE(alive.expired());
     EXPECT_EQ(dst.bytes(other_alloc), want);
     EXPECT_EQ(dst.bytes(other_closure), want);
+}
+
+TEST_F(GcTest, RowArrayFailsWhereRowByRowFails)
+{
+    // Short (copied) and long (borrowed) rows, so the failing row is
+    // either kind.
+    Rows rows;
+    for (std::size_t len : {620, 7, 100, 16, 3000, 17, 620, 0})
+        rows.push_back(std::make_shared<const std::string>(
+            len, static_cast<char>('a' + len % 26)));
+    constexpr std::size_t kSemispace = 1 << 14;
+    // Objects a failed response left allocated: 0 when its array
+    // failed, 1 + k when row k did.
+    std::set<uint64_t> failed_after;
+    // Each filler leaves a different amount of room, so the response
+    // fails at its array, at each row, or fits.
+    for (std::size_t room = 0; room <= 6000; room += 8) {
+        Heap ref_heap(program, 1 << 12, kSemispace);
+        Heap heap(program, 1 << 12, kSemispace);
+        for (Heap *h : {&ref_heap, &heap}) {
+            std::size_t fill = kSemispace - Space::firstOffset() -
+                               sizeof(vm::ObjHeader) - room;
+            ASSERT_NE(h->allocBytes(blob_k, std::string(fill, 'f')),
+                      vm::kNullRef);
+        }
+        Rows resp = rows;
+        Ref want = rowByRow(ref_heap, node_k, blob_k, rows);
+        Ref got = rowArray(heap, node_k, blob_k, resp);
+        ASSERT_EQ(want == vm::kNullRef, got == vm::kNullRef) << room;
+        for (uint8_t id : {Heap::kAllocAId, Heap::kAllocBId}) {
+            EXPECT_EQ(ref_heap.space(id).charged(),
+                      heap.space(id).charged())
+                << room;
+        }
+        EXPECT_EQ(ref_heap.stats().objects_allocated,
+                  heap.stats().objects_allocated)
+            << room;
+        EXPECT_EQ(ref_heap.stats().bytes_allocated,
+                  heap.stats().bytes_allocated)
+            << room;
+        EXPECT_EQ(ref_heap.stats().peak_used, heap.stats().peak_used)
+            << room;
+        if (got != vm::kNullRef)
+            continue;
+        failed_after.insert(heap.stats().objects_allocated - 1);
+        // The failed call kept every handle; a collection (nothing
+        // is live) makes room and the retry borrows them.
+        for (std::size_t i = 0; i < rows.size(); ++i)
+            ASSERT_EQ(resp[i], rows[i]) << room;
+        SemiSpaceCollector gc(heap);
+        gc.collect();
+        got = rowArray(heap, node_k, blob_k, resp);
+        ASSERT_NE(got, vm::kNullRef) << room;
+        ASSERT_EQ(heap.count(got), rows.size());
+        for (uint32_t i = 0; i < rows.size(); ++i)
+            EXPECT_EQ(heap.bytes(heap.elem(got, i).asRef()), *rows[i]);
+    }
+    // The array and every row failed for some room.
+    EXPECT_EQ(failed_after.size(), rows.size() + 1);
 }
 
 /**

@@ -598,15 +598,23 @@ TEST_F(VmTest, BorrowedRowsKeepACycledServerHeapSmall)
     Heap heap(program, 4u << 20, kSemispace);
     long before = residentKiB();
     ASSERT_GT(before, 0);
-    // Fill the active semispace with blog-sized rows until it is
-    // exhausted, then drop it as a collection with nothing live
-    // would: each cycle charges 32 MiB but touches only headers.
+    // Fill the active semispace with blog-sized 44-row Scans until it
+    // is exhausted, then drop it as a collection with nothing live
+    // would: each cycle charges 32 MiB but touches only headers and
+    // arrays.
+    constexpr std::size_t kScanRows = 44;
     for (int cycle = 0; cycle < 6; ++cycle) {
         std::size_t rows = 0;
-        while (heap.allocBorrowedBytes(
-                   bytes_k, std::shared_ptr<const char>(row, row->data()),
-                   row->size()) != kNullRef) {
-            ++rows;
+        while (true) {
+            std::vector<std::shared_ptr<const std::string>> resp(kScanRows,
+                                                                 row);
+            if (heap.allocRowArray(array_k, bytes_k, std::span(resp),
+                                   [](const std::string &r) {
+                                       return std::string_view(r);
+                                   }) == kNullRef) {
+                break;
+            }
+            rows += kScanRows;
         }
         ASSERT_GT(rows, kSemispace / 700);
         heap.space(heap.allocSpaceId()).reset();
