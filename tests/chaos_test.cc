@@ -371,6 +371,121 @@ TEST(Chaos, FuzzedFaultSchedulesApplyWritesExactlyOnce)
     }
 }
 
+// --- DB reset retry on both endpoints ------------------------------
+
+/** One keyed pybbs request, run locally or offloaded. */
+struct ResetRun
+{
+    bool done = false;
+    SimTime finished;
+    uint64_t writes = 0; //!< writes the store applied for it
+    uint64_t server_resets = 0;
+    uint64_t fn_resets = 0;
+    uint64_t trace_resets = 0; //!< of the request's invocation
+    SimTime reconnect_delay; //!< the proxy's first backoff step
+    /** When each of its DB operations reached the store, and whether
+     * it was a write. */
+    std::vector<std::pair<SimTime, bool>> ops;
+};
+
+/**
+ * Run one request with a nonzero request key: on the server
+ * (handleLocal with offloading suppressed) or offloaded to an
+ * instance a warm-up request already warmed. A timed FaultEvent
+ * arms one DB reset at @p reset_at (none when zero).
+ */
+ResetRun
+resetRun(bool offloaded, SimTime reset_at)
+{
+    TestbedOptions opts = quickOptions(AppKind::Pybbs);
+    opts.beehive.failure_recovery = true;
+    opts.chaos.enabled = true; // all rates zero: only the event fires
+    if (reset_at > SimTime()) {
+        opts.chaos.events.push_back(
+            {reset_at, chaos::FaultEvent::Kind::DbReset, 1});
+    }
+    Testbed bed(opts);
+    EXPECT_TRUE(bed.runProfilingPhase());
+    if (offloaded) {
+        bed.manager()->setOffloadRatio(1.0);
+        bool warm_done = false;
+        bed.server().handleLocal(bed.app().entry(),
+                                 {vm::Value::ofInt(123)},
+                                 [&](vm::Value) { warm_done = true; });
+        SimTime guard = bed.sim().now() + SimTime::sec(60);
+        while (!warm_done && bed.sim().now() < guard)
+            bed.sim().runUntil(bed.sim().now() + SimTime::msec(10));
+        EXPECT_TRUE(warm_done);
+        bed.sim().runUntil(bed.sim().now() + SimTime::sec(30));
+    }
+
+    ResetRun out;
+    bed.store().setWriteObserver(
+        [&out](const db::Request &) { ++out.writes; });
+    bed.store().setFaultHook([&](const db::Request &req) {
+        out.ops.emplace_back(bed.sim().now(),
+                             req.kind == db::OpKind::Put ||
+                                 req.kind == db::OpKind::Delete);
+        return bed.chaosEngine()->resetDbConnection();
+    });
+    auto done = [&](vm::Value) {
+        out.done = true;
+        out.finished = bed.sim().now();
+    };
+    if (offloaded) {
+        bed.server().handleLocal(bed.app().entry(),
+                                 {vm::Value::ofInt(456)}, done);
+    } else {
+        bed.server().handleLocal(bed.app().entry(),
+                                 {vm::Value::ofInt(456)}, done,
+                                 /*suppress_offload=*/true,
+                                 /*request_key=*/99);
+    }
+    SimTime guard = bed.sim().now() + SimTime::sec(60);
+    while (!out.done && bed.sim().now() < guard)
+        bed.sim().runUntil(bed.sim().now() + SimTime::msec(1));
+    bed.sim().runUntil(bed.sim().now() + SimTime::sec(5));
+    out.reconnect_delay = bed.proxy().reconnectDelay(0);
+    out.server_resets = bed.server().stats().db_resets;
+    out.fn_resets = bed.manager()->functionStats().db_resets;
+    if (offloaded && !bed.manager()->traces().empty())
+        out.trace_resets = bed.manager()->traces().back().second.db_resets;
+    return out;
+}
+
+TEST(Chaos, InvocationRetriesAResetWriteOnEitherEndpoint)
+{
+    for (bool offloaded : {false, true}) {
+        SCOPED_TRACE(offloaded ? "offloaded" : "server-local");
+        ResetRun clean = resetRun(offloaded, SimTime());
+        ASSERT_TRUE(clean.done);
+        ASSERT_GT(clean.writes, 0u);
+        // Arm the reset between the first write and the operation
+        // before it, so that the write is the one it hits.
+        auto first_write =
+            std::find_if(clean.ops.begin(), clean.ops.end(),
+                         [](const auto &op) { return op.second; });
+        ASSERT_NE(first_write, clean.ops.end());
+        ASSERT_NE(first_write, clean.ops.begin());
+        SimTime before = std::prev(first_write)->first;
+        ASSERT_LT(before, first_write->first);
+        SimTime reset_at =
+            before + SimTime::nsec((first_write->first - before).ns() / 2);
+
+        ResetRun hit = resetRun(offloaded, reset_at);
+        ASSERT_TRUE(hit.done);
+        // The write is re-issued once, under the same idempotency
+        // key, and applied once.
+        EXPECT_EQ(hit.writes, clean.writes);
+        EXPECT_EQ(hit.ops.size(), clean.ops.size() + 1);
+        EXPECT_EQ(hit.server_resets, offloaded ? 0u : 1u);
+        EXPECT_EQ(hit.fn_resets, offloaded ? 1u : 0u);
+        EXPECT_EQ(hit.trace_resets, offloaded ? 1u : 0u);
+        EXPECT_GE(hit.finished.ns() - clean.finished.ns(),
+                  hit.reconnect_delay.ns());
+    }
+}
+
 // --- DB reset handling at the proxy --------------------------------
 
 TEST(Chaos, ProxyAbsorbsReadResetWithOneRetry)

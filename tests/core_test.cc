@@ -1309,20 +1309,21 @@ TEST_F(CoreTest, MaterializeDbResponseShapes)
     row.fields["body"] = "hello";
     resp.rows.push_back(db::Record::make(row.id, row));
 
-    Value v = materializeDbResponse(server->context(), get, resp);
-    ASSERT_TRUE(v.isRef());
+    auto v = tryMaterializeDbResponse(server->context(), get, resp);
+    ASSERT_TRUE(v.has_value());
+    ASSERT_TRUE(v->isRef());
     vm::Heap &heap = server->heap();
-    EXPECT_EQ(heap.count(v.asRef()), 1u);
-    Ref cell = heap.elem(v.asRef(), 0).asRef();
+    EXPECT_EQ(heap.count(v->asRef()), 1u);
+    Ref cell = heap.elem(v->asRef(), 0).asRef();
     EXPECT_EQ(heap.bytes(cell), "1|body=hello");
 
     db::Request put(db::OpKind::Put, "t", 2);
     db::Response wr;
     wr.ok = true;
     wr.count = 1;
-    EXPECT_EQ(materializeDbResponse(server->context(), put, wr)
-                  .asInt(),
-              1);
+    auto n = tryMaterializeDbResponse(server->context(), put, wr);
+    ASSERT_TRUE(n.has_value());
+    EXPECT_EQ(n->asInt(), 1);
 }
 
 TEST_F(CoreTest, MaterializedRowWireFormatIsPinned)
@@ -1351,12 +1352,13 @@ TEST_F(CoreTest, MaterializedRowWireFormatIsPinned)
     empties.fields[""] = "";
     resp.rows.push_back(db::Record::make(empties.id, empties));
 
-    Value v = materializeDbResponse(server->context(), scan, resp);
-    ASSERT_TRUE(v.isRef());
+    auto v = tryMaterializeDbResponse(server->context(), scan, resp);
+    ASSERT_TRUE(v.has_value());
+    ASSERT_TRUE(v->isRef());
     vm::Heap &heap = server->heap();
-    ASSERT_EQ(heap.count(v.asRef()), 4u);
+    ASSERT_EQ(heap.count(v->asRef()), 4u);
     auto cell = [&](uint32_t i) {
-        return std::string(heap.bytes(heap.elem(v.asRef(), i).asRef()));
+        return std::string(heap.bytes(heap.elem(v->asRef(), i).asRef()));
     };
     EXPECT_EQ(cell(0), "42|author=ann|body=x=y|z|title=t1");
     EXPECT_EQ(cell(1), "-9223372036854775808|k=v");
@@ -1382,7 +1384,10 @@ TEST_F(CoreTest, BorrowedRowsPinReplacedRecordsUntilCollected)
     // plus this test's.
     const long replaced_baseline = 1, kept_baseline = 2;
 
-    Value root = materializeDbResponse(server->context(), scan, resp);
+    auto materialized =
+        tryMaterializeDbResponse(server->context(), scan, resp);
+    ASSERT_TRUE(materialized.has_value());
+    Value root = *materialized;
     resp.rows.clear();
     vm::Heap &heap = server->heap();
     Ref cell = heap.elem(root.asRef(), 0).asRef();
@@ -1532,13 +1537,17 @@ TEST_F(CoreTest, MaterializationFiresNoWriteObserver)
     // Under the server's own observer, sync dirty tracking sees no
     // materialised array.
     std::size_t dirty = server->sync().dirtyCount(0);
-    materializeDbResponse(server->context(), scan, resp);
+    ASSERT_TRUE(tryMaterializeDbResponse(server->context(), scan, resp)
+                    .has_value());
     EXPECT_EQ(server->sync().dirtyCount(0), dirty);
 
     int calls = 0;
     heap.setWriteObserver([&](Ref) { ++calls; });
     resp = store.execute(scan);
-    Value v = materializeDbResponse(server->context(), scan, resp);
+    auto materialized =
+        tryMaterializeDbResponse(server->context(), scan, resp);
+    ASSERT_TRUE(materialized.has_value());
+    Value v = *materialized;
     ASSERT_EQ(heap.count(v.asRef()), 40u);
     EXPECT_EQ(calls, 0);
     // An ordinary store into the same array is observed.
