@@ -195,6 +195,13 @@ class Tracer
     MetricsRegistry metrics_;
 };
 
+/** The ambient context of @p t; none without a tracer. */
+inline Context
+currentContext(const Tracer *t)
+{
+    return t ? t->current() : Context{};
+}
+
 /**
  * RAII ambient-context switch. Null-tracer safe so call sites can
  * pass the (possibly null) tracer straight through.
