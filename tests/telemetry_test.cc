@@ -550,9 +550,11 @@ TEST(TelemetryTest, SpanStreamIsPinned)
     // both endpoints appear: DB round trips (with resets), fallbacks,
     // monitor waits, a GC pause, function returns and server
     // executions. Recorded before the server and function drove the
-    // interpreter through one invocation engine: span ids, parents,
-    // tracks and simulated times must come out bit for bit as they
-    // did then. It runs without an offload deadline: a deadline that
+    // interpreter through one invocation engine, and re-recorded with
+    // the retry policy set explicitly before the offload manager's
+    // flights went through one lifecycle: span ids, parents, tracks
+    // and simulated times must come out bit for bit as they did
+    // then. It runs without an offload deadline: a deadline that
     // expires during a cold boot opens offload.retry beside the still
     // open boot.cold, which validateSpans() flags.
     harness::TestbedOptions opts;
@@ -560,6 +562,9 @@ TEST(TelemetryTest, SpanStreamIsPinned)
     opts.framework.native_scale = 200;
     opts.beehive.telemetry = true;
     opts.beehive.failure_recovery = true;
+    opts.beehive.offload_max_retries = 6;
+    opts.beehive.retry_backoff_base = SimTime::msec(5);
+    opts.beehive.breaker_threshold = 3;
     opts.beehive.server_alloc_bytes = 2u << 20;
     opts.chaos = chaos::FaultPlan::storm(0.1);
     opts.chaos.blackhole = SimTime::sec(2);
@@ -597,7 +602,7 @@ TEST(TelemetryTest, SpanStreamIsPinned)
           "fn.exec", "fallback.code", "fallback.data", "fn.return"})
         EXPECT_TRUE(names.count(name)) << name;
     EXPECT_GT(bed.chaosEngine()->stats().db_resets, 0u);
-    EXPECT_EQ(hash.value(), 0xbaee153dc6b2e99aull)
+    EXPECT_EQ(hash.value(), 0xc86b53f9a40bc894ull)
         << std::hex << "0x" << hash.value();
 }
 
