@@ -2,7 +2,7 @@
  * @file
  * Fault-injection plane and end-to-end failure handling.
  *
- * Three property families:
+ * Four property families:
  *  - isolation: chaos off (or enabled with all-zero rates) is
  *    byte-identical to a tree without the subsystem, and the chaos
  *    RNG stream is independent of the workload streams (same seed +
@@ -13,7 +13,11 @@
  *  - exactly-once: across a 48-seed fuzz of full fault schedules,
  *    the number of writes applied at the record store equals the
  *    fault-free count -- retries and local re-executions never
- *    double-apply a side effect.
+ *    double-apply a side effect;
+ *  - the offload flight lifecycle: every recovery path of a flight
+ *    (deadline, boot failure, kill with and without a snapshot,
+ *    breaker, local fallback, abandoned shadow) keeps its counts and
+ *    finish times bit for bit (OffloadLifecycle.FlightsArePinned).
  */
 
 #include <gtest/gtest.h>
@@ -550,6 +554,203 @@ TEST(Chaos, KeyedWriteResetRetriesExactlyOnce)
     EXPECT_EQ(proxy.stats().dup_writes_suppressed, 1u);
     EXPECT_EQ(proxy.stats().idem_writes_applied, 1u);
     EXPECT_EQ(store.tableSize("t"), 1u);
+}
+
+// --- the offload flight lifecycle pinned ---------------------------
+
+/** FNV-1a over the bytes of 64-bit words. */
+class LifecycleHash
+{
+  public:
+    void
+    mix(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i)
+            h_ = (h_ ^ static_cast<uint8_t>(v >> (8 * i))) *
+                 0x100000001b3ull;
+    }
+
+    uint64_t value() const { return h_; }
+
+  private:
+    uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/**
+ * One closed-loop run of @p app under the explicit retry policy
+ * (6 retries, 5 ms backoff base, breaker at 3 strikes) with
+ * recorded and static snapshot images, a 2 s deadline, a light
+ * storm and a kill every 700 ms. Hashes the manager's and the
+ * functions' counters, every trace's boot kind, shadow flag, finish
+ * time and fallbacks, and the user latencies; adds the counters the
+ * test checks into @p o and @p f.
+ *
+ * The Partition drill also cuts the server off from the
+ * (cross-zone) workers for 6 s, so that warm instances time out
+ * three times in a row and the breaker ejects them. The Harsh drill
+ * crashes most boots and attempts instead, so that flights exhaust
+ * their budget (local fallbacks, abandoned shadows). The SlowBoot
+ * drill cuts the deadline to 1 s, below most cold boots plus the
+ * closure transfer, and crashes attempts 1.2 s in: boots finish or
+ * crash, and crashes fire, after their attempt's deadline expired
+ * and the flight moved on to a retry.
+ */
+enum class Drill { Partition, Harsh, SlowBoot };
+
+void
+lifecycleRun(AppKind app, Drill drill, LifecycleHash &hash,
+             core::OffloadStats &o, core::FunctionStats &f)
+{
+    using Kind = chaos::FaultEvent::Kind;
+    TestbedOptions opts = quickOptions(app);
+    opts.beehive.failure_recovery = true;
+    opts.beehive.snapshot_enabled = true;
+    opts.beehive.static_manifests = true;
+    opts.beehive.offload_deadline = SimTime::sec(2);
+    opts.beehive.offload_max_retries = 6;
+    opts.beehive.retry_backoff_base = SimTime::msec(5);
+    opts.beehive.breaker_threshold = 3;
+    opts.faas_keep_alive = SimTime::sec(5);
+    opts.chaos = chaos::FaultPlan::storm(0.25);
+    // Drops stall for longer than the deadline, but rarely enough
+    // that pybbs's many DB round trips still finish.
+    opts.chaos.net_drop = 0.001;
+    opts.chaos.blackhole = SimTime::sec(5);
+    // Crashes landing 20 ms into an attempt find some invocations
+    // past a sync point (resume) and some before one (re-execution).
+    opts.chaos.invoke_crash_delay = SimTime::msec(20);
+    std::vector<chaos::FaultEvent> &events = opts.chaos.events;
+    for (int ms = 2000; ms < 30000; ms += 700)
+        events.push_back({SimTime::msec(ms), Kind::KillInvocation, 1});
+    events.push_back({SimTime::sec(20), Kind::CorruptImage, 1});
+    if (drill == Drill::Harsh) {
+        opts.chaos.invoke_crash = 0.4;
+        opts.chaos.boot_crash = 0.2;
+    } else if (drill == Drill::SlowBoot) {
+        opts.beehive.offload_deadline = SimTime::sec(1);
+        opts.chaos.boot_crash = 0.2;
+        opts.chaos.invoke_crash = 0.3;
+        opts.chaos.invoke_crash_delay = SimTime::msec(1200);
+    } else {
+        opts.cross_az = true;
+        opts.chaos.partition_zone_a = "vpc";
+        opts.chaos.partition_zone_b = "faas-az2";
+        events.push_back({SimTime::sec(12), Kind::PartitionStart, 1});
+        events.push_back({SimTime::sec(18), Kind::PartitionEnd, 1});
+    }
+    Testbed bed(opts);
+    ASSERT_TRUE(bed.runProfilingPhase());
+    bed.manager()->setOffloadRatio(0.5);
+    workload::Recorder recorder;
+    workload::ClosedLoopClients clients(bed.sim(), bed.sink(),
+                                        recorder);
+
+    // Step one event instant at a time so each trace is stamped
+    // with the instant its flight finished.
+    sim::Simulation &sim = bed.sim();
+    const auto &traces = bed.manager()->traces();
+    std::vector<SimTime> finished;
+    auto run_until = [&](SimTime limit) {
+        while (sim.queue().nextTime() <= limit) {
+            sim.runUntil(sim.queue().nextTime());
+            while (finished.size() < traces.size())
+                finished.push_back(sim.now());
+        }
+        sim.runUntil(limit);
+    };
+    clients.start(4, sim.now());
+    run_until(sim.now() + SimTime::sec(20));
+    clients.stopAll();
+    SimTime guard = sim.now() + SimTime::sec(120);
+    while (clients.active() > 0 && sim.now() < guard)
+        run_until(sim.now() + SimTime::msec(100));
+    ASSERT_EQ(clients.active(), 0);
+    run_until(sim.now() + SimTime::sec(30));
+
+    const core::OffloadStats &s = bed.manager()->stats();
+    for (uint64_t v :
+         {s.local, s.flights, s.completed, s.offloaded, s.shadows,
+          s.restores, s.closure_installs, s.retries, s.kills,
+          s.deadline_expirations, s.boot_failures, s.local_fallbacks,
+          s.shadows_abandoned, s.breaker_ejections, s.degradations,
+          s.degrade_recoveries, s.corrupt_restores}) {
+        hash.mix(v);
+    }
+    const core::FunctionStats &fs = bed.manager()->functionStats();
+    for (uint64_t v :
+         {fs.invocations, fs.resumes, fs.shadow_invocations,
+          fs.code_fetches, fs.data_fetches, fs.native_fallbacks,
+          fs.sync_fallbacks, fs.connection_fallbacks, fs.db_resets,
+          fs.prefetched_klasses, fs.prefetched_objects,
+          fs.stale_prefetches, fs.gc_cycles, fs.gc_bytes_copied,
+          fs.instructions}) {
+        hash.mix(v);
+    }
+    ASSERT_EQ(finished.size(), traces.size());
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+        const core::RequestTrace &t = traces[i].second;
+        hash.mix(traces[i].first);
+        hash.mix(static_cast<uint64_t>(t.boot));
+        hash.mix(t.shadow);
+        hash.mix(static_cast<uint64_t>(finished[i].ns()));
+        hash.mix(t.fallbacks);
+    }
+    hash.mix(recorder.completed());
+    for (double l : recorder.latencies().samples()) {
+        uint64_t bits;
+        std::memcpy(&bits, &l, sizeof bits);
+        hash.mix(bits);
+    }
+
+    o.offloaded += s.offloaded;
+    o.shadows += s.shadows;
+    o.restores += s.restores;
+    o.corrupt_restores += s.corrupt_restores;
+    o.deadline_expirations += s.deadline_expirations;
+    o.boot_failures += s.boot_failures;
+    o.kills += s.kills;
+    o.breaker_ejections += s.breaker_ejections;
+    o.local_fallbacks += s.local_fallbacks;
+    o.shadows_abandoned += s.shadows_abandoned;
+    f.resumes += fs.resumes;
+}
+
+TEST(OffloadLifecycle, FlightsArePinned)
+{
+    // Every step of an offload flight -- warm dispatch, cold shadow,
+    // restore boot, corrupt image, deadline expiry, boot failure,
+    // kill with and without a snapshot, breaker ejection, local
+    // fallback, abandoned shadow, and retries that land on an
+    // instance already warmed for their root -- must keep its
+    // counts, boot kinds and finish times bit for bit.
+    const std::pair<AppKind, uint64_t> pins[] = {
+        {AppKind::Thumbnail, 0x0cbb73a6391462dbull},
+        {AppKind::Pybbs, 0xa32bbdccb6bdcc8dull},
+        {AppKind::Blog, 0x2c62f96339fa7cd6ull},
+    };
+    for (const auto &[app, pin] : pins) {
+        SCOPED_TRACE(appName(app));
+        LifecycleHash hash;
+        core::OffloadStats o;
+        core::FunctionStats f;
+        for (Drill drill : {Drill::Partition, Drill::Harsh,
+                            Drill::SlowBoot})
+            lifecycleRun(app, drill, hash, o, f);
+        // The paths the pin has to reach, summed over the drills.
+        EXPECT_GT(o.offloaded, 0u);
+        EXPECT_GT(o.shadows, 0u);
+        EXPECT_GT(o.restores, 0u);
+        EXPECT_GT(o.corrupt_restores, 0u);
+        EXPECT_GT(o.deadline_expirations, 0u);
+        EXPECT_GT(o.boot_failures, 0u);
+        EXPECT_GT(f.resumes, 0u);
+        EXPECT_GT(o.kills, f.resumes);
+        EXPECT_GT(o.breaker_ejections, 0u);
+        EXPECT_GT(o.local_fallbacks, 0u);
+        EXPECT_GT(o.shadows_abandoned, 0u);
+        EXPECT_EQ(hash.value(), pin)
+            << std::hex << "0x" << hash.value();
+    }
 }
 
 } // namespace
