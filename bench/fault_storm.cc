@@ -57,13 +57,11 @@ runStorm(AppKind app, const BenchArgs &args, double intensity)
     tb.seed = args.seed;
     tb.framework = benchFramework(args);
     // Full recovery stack: snapshots at sync points, per-attempt
-    // deadlines, bounded backoff retries, breaker, degradation.
+    // deadlines, degradation, and the default retry policy (bounded
+    // backoff retries, breaker).
     tb.beehive.failure_recovery = true;
     tb.beehive.static_manifests = true;
     tb.beehive.offload_deadline = SimTime::sec(2);
-    tb.beehive.offload_max_retries = 6;
-    tb.beehive.retry_backoff_base = SimTime::msec(5);
-    tb.beehive.breaker_threshold = 3;
     tb.beehive.graceful_degradation = true;
     // Short keep-alive: instance churn exercises the cold/restore
     // boot paths (and their crash injections) many times per run.

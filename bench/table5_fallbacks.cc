@@ -64,15 +64,13 @@ analyze(AppKind app, const BenchArgs &args,
     tb.beehive.static_manifests = static_manifests;
     if (args.chaos) {
         // Failure columns: run the same drill under the storm plan
-        // with the recovery stack on. With chaos off this block is
+        // with the recovery stack on (and the default retry
+        // policy). With chaos off this block is
         // skipped entirely and the output stays byte-identical.
         tb.chaos = chaos::FaultPlan::storm(args.chaos_intensity);
         tb.chaos.blackhole = SimTime::sec(5);
         tb.beehive.failure_recovery = true;
         tb.beehive.offload_deadline = SimTime::sec(2);
-        tb.beehive.offload_max_retries = 6;
-        tb.beehive.retry_backoff_base = SimTime::msec(5);
-        tb.beehive.breaker_threshold = 3;
     }
     Testbed bed(tb);
     if (!bed.runProfilingPhase())

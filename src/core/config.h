@@ -145,27 +145,26 @@ struct BeeHiveConfig
 
     /**
      * Maximum retry attempts for a failed offload before falling
-     * back to local re-execution. Zero (the default) means
-     * *unlimited* retries, preserving the legacy failure_recovery
-     * behaviour where every killed invocation recovers.
+     * back to local re-execution. Must be positive: the
+     * OffloadManager rejects 0, which once meant "unlimited".
      */
-    uint32_t offload_max_retries = 0;
+    uint32_t offload_max_retries = 6;
 
     /**
      * Base delay of the exponential retry backoff (doubled per
      * attempt, capped at 2 s, jittered deterministically by up to
-     * 25%). Zero (the default) retries synchronously, preserving
-     * the legacy recovery ordering.
+     * 25%). Must be positive: the OffloadManager rejects 0, which
+     * once meant "retry synchronously".
      */
-    sim::SimTime retry_backoff_base;
+    sim::SimTime retry_backoff_base = sim::SimTime::msec(5);
 
     /**
      * Consecutive per-instance failures (deadline expiry, crash)
      * before the circuit breaker ejects the instance instead of
-     * releasing it back to the warm pool. Zero (the default)
-     * disables the breaker.
+     * releasing it back to the warm pool. Must be positive: the
+     * OffloadManager rejects 0, which once disabled the breaker.
      */
-    uint32_t breaker_threshold = 0;
+    uint32_t breaker_threshold = 3;
 
     /**
      * Automatically lower the effective offload ratio when the

@@ -53,6 +53,20 @@ informOnce(const std::string &line)
  * fraction of the configured ratio). */
 constexpr double kDegradeFloor = 0.05;
 
+/** @p done preceded by ending @p span: a flight span that closes
+ * when the local execution serving its user finishes. */
+BeeHiveServer::DoneCb
+endingSpan(telemetry::Tracer *t, telemetry::SpanId span,
+           BeeHiveServer::DoneCb done)
+{
+    if (!t || span == telemetry::kNoSpan)
+        return done;
+    return [t, span, inner = std::move(done)](Value v) {
+        t->end(span);
+        inner(v);
+    };
+}
+
 } // namespace
 
 OffloadManager::OffloadManager(BeeHiveServer &server,
@@ -60,6 +74,16 @@ OffloadManager::OffloadManager(BeeHiveServer &server,
     : server_(server), platform_(platform),
       rng_(server.sim().rng().fork())
 {
+    // The retry policy has no "off" or "unlimited" value: a zero
+    // left over from the legacy meanings (unlimited retries,
+    // synchronous recovery, no breaker) is rejected rather than
+    // silently reinterpreted.
+    const BeeHiveConfig &cfg = server_.config();
+    if (cfg.offload_max_retries < 1 || cfg.breaker_threshold < 1 ||
+        cfg.retry_backoff_base <= sim::SimTime())
+        fatal("offload retry policy: offload_max_retries, "
+              "retry_backoff_base and breaker_threshold must be > 0");
+
     // Sample args and in-flight args hold server-heap references
     // that must survive server GCs while offloads are pending.
     server_.collector().addValueRoots([this](const auto &visit) {
@@ -76,32 +100,29 @@ OffloadManager::OffloadManager(BeeHiveServer &server,
     // Hook the Semi-FaaS split into the server interpreter: the
     // policy draws the offload decision per handler call, and the
     // dispatch hook routes the suspended call here.
+    // The drawn ratio is the configured one scaled by the
+    // degradation factor, and bitwise the configured one while no
+    // degradation is active.
     server_.context().setOffloadPolicy([this](vm::MethodId id) {
         return ratio_ > 0.0 && isEnabled(id) &&
-               rng_.chance(effectiveRatio());
+               rng_.chance(degrade_factor_ >= 1.0
+                               ? ratio_
+                               : ratio_ * degrade_factor_);
     });
     server_.setOffloadDispatch(
         [this](vm::MethodId root, std::vector<Value> args,
                DoneCb done) {
-            dispatchOffloadCall(root, std::move(args),
-                                std::move(done));
+            if (active_offloads_ >= max_offloads_) {
+                // Out of FaaS capacity: serve the handler locally
+                // (nested execution, offloading suppressed).
+                ++stats_.local;
+                server_.handleLocal(root, std::move(args),
+                                    std::move(done),
+                                    /*suppress_offload=*/true);
+                return;
+            }
+            offload(root, std::move(args), std::move(done));
         });
-}
-
-void
-OffloadManager::dispatchOffloadCall(vm::MethodId root,
-                                    std::vector<Value> args,
-                                    DoneCb done)
-{
-    if (active_offloads_ >= max_offloads_) {
-        // Out of FaaS capacity: serve the handler locally (nested
-        // execution, offloading suppressed).
-        ++stats_.local;
-        server_.handleLocal(root, std::move(args), std::move(done),
-                            /*suppress_offload=*/true);
-        return;
-    }
-    offload(root, std::move(args), std::move(done));
 }
 
 void
@@ -203,21 +224,6 @@ OffloadManager::closureFor(vm::MethodId root)
     return state.closure;
 }
 
-void
-OffloadManager::handleRequest(vm::MethodId root,
-                              std::vector<Value> args, DoneCb done)
-{
-    bool offloadable = isEnabled(root) && ratio_ > 0.0 &&
-                       active_offloads_ < max_offloads_ &&
-                       rng_.chance(effectiveRatio());
-    if (!offloadable) {
-        ++stats_.local;
-        server_.handleLocal(root, std::move(args), std::move(done));
-        return;
-    }
-    offload(root, std::move(args), std::move(done));
-}
-
 BeeHiveFunction &
 OffloadManager::functionOf(cloud::FunctionInstance &inst)
 {
@@ -234,24 +240,17 @@ OffloadManager::shadowLocalLeg(InFlight &flight, vm::MethodId root)
 {
     ++stats_.local;
     telemetry::Tracer *t = server_.sim().tracer();
-    DoneCb user_done = std::move(flight.done);
-    if (t && flight.span != telemetry::kNoSpan) {
+    {
         // The user-side flight span closes when the local leg serves
         // the user; the continuing shadow records under a fresh
         // request root below (it outlives the user request, and a
         // sibling overlapping the local leg would break the span
         // tree's nesting invariant).
-        telemetry::SpanId user_span = flight.span;
-        user_done = [t, user_span,
-                     inner = std::move(user_done)](Value v) {
-            t->end(user_span);
-            inner(v);
-        };
-    }
-    {
         telemetry::ScopedContext sc(
             t, {flight.trace_request, flight.span});
-        server_.handleLocal(root, flight.args, std::move(user_done),
+        server_.handleLocal(root, flight.args,
+                            endingSpan(t, flight.span,
+                                       std::move(flight.done)),
                             /*suppress_offload=*/true);
     }
     flight.done = [](Value) {};
@@ -285,20 +284,18 @@ OffloadManager::offload(vm::MethodId root, std::vector<Value> args,
             t->begin("offload.flight", telemetry::Phase::Offload,
                      server_.track(), c.span, c.request);
     }
-    armDeadline(id);
+    armDeadline(id, flight);
+    uint32_t era = flight.attempts;
 
     // Warm instances stay connected to the server: dispatching to
     // one is a message over that connection, not a platform invoke.
     if (cloud::FunctionInstance *warm = platform_.tryAcquireWarm()) {
         flight.instance = warm;
-        BeeHiveFunction &fn = functionOf(*warm);
         sim::SimTime dispatch = server_.network().oneWay(
-            server_.endpoint(), fn.node(), 512);
-        uint32_t era = flight.attempts;
-        server_.sim().after(dispatch, [this, id, warm, era] {
-            auto it = flights_.find(id);
-            if (it != flights_.end() && it->second.attempts == era)
-                dispatchOn(*warm, id);
+            server_.endpoint(), functionOf(*warm).node(), 512);
+        server_.sim().after(dispatch, [this, id, era] {
+            if (InFlight *flight = live(id, era))
+                dispatchOn(id, *flight);
         });
         return;
     }
@@ -311,18 +308,18 @@ OffloadManager::offload(vm::MethodId root, std::vector<Value> args,
     if (server_.config().shadow_execution)
         shadowLocalLeg(flight, root);
 
-    uint32_t era = flight.attempts;
     auto booted = [this, id, era](cloud::FunctionInstance &inst) {
-        auto it = flights_.find(id);
-        if (it == flights_.end() || it->second.attempts != era) {
+        InFlight *flight = live(id, era);
+        if (!flight) {
             platform_.release(inst);
             return;
         }
-        it->second.instance = &inst;
-        dispatchOn(inst, id);
+        flight->instance = &inst;
+        dispatchOn(id, *flight);
     };
     auto boot_failed = [this, id, era](cloud::BootFailure) {
-        onBootFailure(id, era);
+        if (InFlight *flight = live(id, era))
+            failFlight(id, *flight, stats_.boot_failures);
     };
 
     // Restore path: a recorded snapshot image of this endpoint lets
@@ -338,47 +335,36 @@ OffloadManager::offload(vm::MethodId root, std::vector<Value> args,
     if (snaps && snaps->hasImage(root)) {
         flight.plan = snaps->planRestore(
             root, server_.collector().totals().collections);
-        if (flight.plan.corrupted) {
-            // The stored image failed checksum verification (the
-            // store already dropped it): fall back to a full cold
-            // boot; the endpoint records afresh.
+        // An image failing checksum verification (the store already
+        // dropped it) falls back to a full cold boot; the endpoint
+        // records afresh.
+        flight.restore = !flight.plan.corrupted;
+        if (flight.restore) {
+            ++stats_.restores;
+        } else {
             ++stats_.corrupt_restores;
             flight.plan = snapshot::RestorePlan{};
-            platform_.acquire(std::move(booted),
-                              std::move(boot_failed));
-            return;
         }
-        flight.restore = true;
-        ++stats_.restores;
+    }
+    if (flight.restore) {
         platform_.acquireRestore(flight.plan.image_bytes,
                                  std::move(booted),
                                  std::move(boot_failed));
-        return;
+    } else {
+        platform_.acquire(std::move(booted), std::move(boot_failed));
     }
-    platform_.acquire(std::move(booted), std::move(boot_failed));
 }
 
 void
-OffloadManager::dispatchOn(cloud::FunctionInstance &inst,
-                           uint64_t flight_id)
+OffloadManager::dispatchOn(uint64_t flight_id, InFlight &flight)
 {
-    InFlight &flight = flights_[flight_id];
     vm::MethodId root = flight.root;
-    BeeHiveFunction &fn = functionOf(inst);
-    telemetry::Tracer *t = server_.sim().tracer();
+    BeeHiveFunction &fn = functionOf(*flight.instance);
 
     if (fn.warmedFor(root) && !flight.shadow) {
         // Warmed instance: a real offloaded execution.
         ++stats_.offloaded;
-        telemetry::ScopedContext sc(
-            t, {flight.trace_request, flight.span});
-        maybeScheduleInvokeCrash(flight_id);
-        fn.invoke(root, flight.args, /*shadow=*/false,
-                  [this, flight_id](Value result,
-                                    const RequestTrace &trace) {
-                      finishFlight(flight_id, result, trace);
-                  },
-                  /*request_key=*/flight_id);
+        launch(flight_id, flight);
         return;
     }
 
@@ -386,14 +372,10 @@ OffloadManager::dispatchOn(cloud::FunctionInstance &inst,
     // instance may have served a different root and still need this
     // root's closure.
     sim::SimTime transfer;
-    bool installed = false;
-    if (!fn.warmedFor(root)) {
-        installed = true;
-        const Closure &closure = closureFor(root);
-        InstallResult install = fn.install(closure);
+    bool installed = !fn.warmedFor(root);
+    if (installed) {
+        transfer = installClosure(fn, root);
         ++stats_.closure_installs;
-        transfer = server_.network().oneWay(
-            server_.endpoint(), fn.node(), install.bytes);
         // Closure computation (~133 ms) overlaps the cold boot that
         // already elapsed during acquire(); only the transfer
         // remains on this path.
@@ -403,28 +385,24 @@ OffloadManager::dispatchOn(cloud::FunctionInstance &inst,
             // already happened inside the restore boot (the image
             // download), so no extra latency is charged here.
             uint64_t klasses = 0;
-            uint64_t objects = 0;
-            for (vm::KlassId k : flight.plan.klasses) {
+            auto load = [&](vm::KlassId k) {
                 if (!fn.context().isLoaded(k)) {
                     fn.context().loadKlass(k);
                     ++klasses;
                 }
-            }
-            const BeeHiveConfig &cfg = server_.config();
+            };
+            for (vm::KlassId k : flight.plan.klasses)
+                load(k);
             for (vm::Ref r : flight.plan.objects) {
-                auto [local, bytes] = fetchObject(
-                    r, server_.context(), fn.context(),
-                    server_.mappingFor(fn.endpointId()),
-                    server_.packageables(),
-                    cfg.packageable_enabled);
-                (void)bytes;
-                vm::KlassId k = fn.heap().header(local).klass;
-                if (!fn.context().isLoaded(k)) {
-                    fn.context().loadKlass(k);
-                    ++klasses;
-                }
-                ++objects;
+                vm::Ref local =
+                    fetchObject(r, server_.context(), fn.context(),
+                                server_.mappingFor(fn.endpointId()),
+                                server_.packageables(),
+                                server_.config().packageable_enabled)
+                        .first;
+                load(fn.heap().header(local).klass);
             }
+            uint64_t objects = flight.plan.objects.size();
             fn.notePrefetch(klasses, objects,
                             flight.plan.stale_objects);
             fn_stats_.prefetched_klasses += klasses;
@@ -439,14 +417,14 @@ OffloadManager::dispatchOn(cloud::FunctionInstance &inst,
         // shadow, exactly like the cold path.
         shadowLocalLeg(flight, root);
     }
-    bool shadow = flight.shadow;
-    if (!shadow)
+    if (!flight.shadow)
         ++stats_.offloaded; // naive first offload (ablation path)
 
     // The install span is opened after a possible shadow conversion
     // (everything here shares one sim instant, so its start time is
     // unaffected) so it nests under the flight's *final* root rather
     // than overlapping the user-side local leg.
+    telemetry::Tracer *t = server_.sim().tracer();
     telemetry::SpanId install_span = telemetry::kNoSpan;
     if (t && installed) {
         install_span = t->begin(
@@ -455,37 +433,76 @@ OffloadManager::dispatchOn(cloud::FunctionInstance &inst,
     }
 
     uint32_t era = flight.attempts;
-    server_.sim().after(transfer, [this, flight_id, &inst, root,
-                                   shadow, install_span, era] {
-        auto it = flights_.find(flight_id);
-        if (it == flights_.end() || it->second.attempts != era)
+    server_.sim().after(transfer, [this, flight_id, install_span,
+                                   era] {
+        InFlight *flight = live(flight_id, era);
+        if (!flight)
             return;
-        telemetry::Tracer *t = server_.sim().tracer();
-        if (t)
+        if (telemetry::Tracer *t = server_.sim().tracer())
             t->end(install_span);
-        BeeHiveFunction &fn = functionOf(inst);
-        telemetry::ScopedContext sc(
-            t, {it->second.trace_request, it->second.span});
-        maybeScheduleInvokeCrash(flight_id);
-        fn.invoke(root, it->second.args, shadow,
-                  [this, flight_id](Value result,
-                                    const RequestTrace &trace) {
-                      finishFlight(flight_id, result, trace);
-                  },
-                  /*request_key=*/flight_id);
+        launch(flight_id, *flight);
     });
+}
+
+void
+OffloadManager::launch(uint64_t flight_id, InFlight &flight)
+{
+    BeeHiveFunction &fn = functionOf(*flight.instance);
+    telemetry::ScopedContext sc(server_.sim().tracer(),
+                                {flight.trace_request, flight.span});
+    maybeScheduleInvokeCrash(flight_id, flight.attempts);
+    auto done = [this, flight_id](Value result,
+                                  const RequestTrace &trace) {
+        finishFlight(flight_id, result, trace);
+    };
+    if (flight.had_snapshot) {
+        // Resume from the last synchronization point; the write
+        // sequence continues from the snapshot so idempotency keys
+        // line up.
+        fn.resume(flight.root, flight.snapshot, flight.shadow, done,
+                  /*request_key=*/flight_id, flight.snapshot_seq);
+    } else {
+        // A first attempt or a full re-execution; the exactly-once
+        // guard suppresses writes a failed attempt already applied.
+        fn.invoke(flight.root, flight.args, flight.shadow, done,
+                  /*request_key=*/flight_id);
+    }
+}
+
+sim::SimTime
+OffloadManager::installClosure(BeeHiveFunction &fn, vm::MethodId root)
+{
+    InstallResult install = fn.install(closureFor(root));
+    return server_.network().oneWay(server_.endpoint(), fn.node(),
+                                    install.bytes);
+}
+
+OffloadManager::InFlight *
+OffloadManager::live(uint64_t flight_id, uint32_t era)
+{
+    auto it = flights_.find(flight_id);
+    if (it == flights_.end() || it->second.attempts != era)
+        return nullptr;
+    return &it->second;
+}
+
+OffloadManager::InFlight
+OffloadManager::retire(uint64_t flight_id)
+{
+    auto it = flights_.find(flight_id);
+    bh_assert(it != flights_.end(), "retire of unknown flight");
+    cancelDeadline(it->second);
+    InFlight flight = std::move(it->second);
+    flights_.erase(it);
+    --active_offloads_;
+    return flight;
 }
 
 void
 OffloadManager::finishFlight(uint64_t flight_id, Value result,
                              const RequestTrace &trace)
 {
-    auto it = flights_.find(flight_id);
-    bh_assert(it != flights_.end(), "unknown flight");
-    cancelDeadline(it->second);
-    InFlight flight = std::move(it->second);
-    flights_.erase(it);
-    --active_offloads_;
+    InFlight flight = retire(flight_id);
     traces_.emplace_back(flight.root, trace);
     ++stats_.completed;
     if (telemetry::Tracer *t = server_.sim().tracer())
@@ -498,16 +515,23 @@ OffloadManager::finishFlight(uint64_t flight_id, Value result,
     flight.done(result);
 }
 
+BeeHiveFunction *
+OffloadManager::busyFunction(const InFlight &flight)
+{
+    if (!flight.instance || !flight.instance->runtime_state)
+        return nullptr;
+    BeeHiveFunction &fn = functionOf(*flight.instance);
+    return fn.busy() ? &fn : nullptr;
+}
+
 bool
 OffloadManager::injectFailure()
 {
     for (auto &[id, flight] : flights_) {
-        if (!flight.instance || !flight.instance->runtime_state)
-            continue;
-        if (!functionOf(*flight.instance).busy())
-            continue;
-        killFlight(id);
-        return true;
+        if (BeeHiveFunction *fn = busyFunction(flight)) {
+            killFlight(id, flight, *fn);
+            return true;
+        }
     }
     return false;
 }
@@ -516,11 +540,8 @@ bool
 OffloadManager::snapshotAvailable()
 {
     for (auto &[id, flight] : flights_) {
-        if (!flight.instance || !flight.instance->runtime_state)
-            continue;
-        BeeHiveFunction &fn = functionOf(*flight.instance);
-        if (fn.busy() && fn.hasSnapshot() &&
-            fn.snapshotRequestKey() == id)
+        BeeHiveFunction *fn = busyFunction(flight);
+        if (fn && fn->hasSnapshot() && fn->snapshotRequestKey() == id)
             return true;
     }
     return false;
@@ -535,78 +556,75 @@ OffloadManager::setChaos(chaos::ChaosEngine *chaos)
 }
 
 void
-OffloadManager::killFlight(uint64_t flight_id)
+OffloadManager::killFlight(uint64_t flight_id, InFlight &flight,
+                           BeeHiveFunction &fn)
 {
-    auto it = flights_.find(flight_id);
-    bh_assert(it != flights_.end(), "killFlight on unknown flight");
-    InFlight &flight = it->second;
-    bh_assert(flight.instance && flight.instance->runtime_state,
-              "killFlight without a serving instance");
-    BeeHiveFunction &fn = functionOf(*flight.instance);
-    // Capture recovery state before tearing the instance down. Only
-    // a snapshot captured by THIS flight's own invocation may be
-    // resumed: the stored snapshot outlives invocations, and one
-    // left behind by an earlier request on the same instance would
-    // resume the wrong execution (dropping this request's remaining
-    // work, including its writes).
-    flight.had_snapshot = server_.config().failure_recovery &&
-                          fn.hasSnapshot() &&
-                          fn.snapshotRequestKey() == flight_id;
-    if (flight.had_snapshot) {
-        flight.snapshot = fn.lastSnapshot();
-        flight.snapshot_seq = fn.snapshotWriteSeq();
-    }
+    // Capture recovery state before tearing the instance down. A
+    // kill resumes only from a snapshot this attempt took; a
+    // deadline expiry (failFlight) keeps an earlier one.
+    flight.had_snapshot = captureSnapshot(flight_id, flight);
     fn.kill();
     strikes_.erase(flight.instance);
     platform_.destroy(*flight.instance);
     flight.instance = nullptr;
-    ++stats_.kills;
-    failFlight(flight_id);
+    failFlight(flight_id, flight, stats_.kills);
+}
+
+bool
+OffloadManager::captureSnapshot(uint64_t flight_id, InFlight &flight)
+{
+    // Only a snapshot captured by THIS flight's own invocation may
+    // be resumed: the stored snapshot outlives invocations, and one
+    // left behind by an earlier request on the same instance would
+    // resume the wrong execution (dropping this request's remaining
+    // work, including its writes).
+    BeeHiveFunction &fn = functionOf(*flight.instance);
+    if (!server_.config().failure_recovery || !fn.hasSnapshot() ||
+        fn.snapshotRequestKey() != flight_id)
+        return false;
+    flight.had_snapshot = true;
+    flight.snapshot = fn.lastSnapshot();
+    flight.snapshot_seq = fn.snapshotWriteSeq();
+    return true;
 }
 
 void
-OffloadManager::failFlight(uint64_t flight_id)
+OffloadManager::failFlight(uint64_t flight_id, InFlight &flight,
+                           uint64_t &cause)
 {
-    auto it = flights_.find(flight_id);
-    if (it == flights_.end())
-        return;
-    InFlight &flight = it->second;
+    ++cause;
     cancelDeadline(flight);
     if (flight.instance) {
         // The attempt is still formally in progress (deadline
         // expiry): abort the invocation without condemning the
         // instance, but refresh the recovery snapshot first.
         if (flight.instance->runtime_state) {
-            BeeHiveFunction &fn = functionOf(*flight.instance);
-            if (server_.config().failure_recovery &&
-                fn.hasSnapshot() &&
-                fn.snapshotRequestKey() == flight_id) {
-                flight.had_snapshot = true;
-                flight.snapshot = fn.lastSnapshot();
-                flight.snapshot_seq = fn.snapshotWriteSeq();
-            }
-            fn.cancelInvocation();
+            captureSnapshot(flight_id, flight);
+            functionOf(*flight.instance).cancelInvocation();
         }
-        releaseFailedInstance(flight);
+        // Circuit breaker: an instance that struck out is ejected
+        // from the pool entirely instead of recycling a
+        // likely-unhealthy VM.
+        cloud::FunctionInstance *inst = flight.instance;
+        if (++strikes_[inst] >= server_.config().breaker_threshold) {
+            strikes_.erase(inst);
+            ++stats_.breaker_ejections;
+            platform_.destroy(*inst);
+        } else {
+            platform_.release(*inst);
+        }
         flight.instance = nullptr;
     }
     ++flight.attempts;
     noteOutcome(false);
 
-    uint32_t max_retries = server_.config().offload_max_retries;
-    if (max_retries != 0 && flight.attempts > max_retries) {
+    if (flight.attempts > server_.config().offload_max_retries) {
         localFallback(flight_id);
         return;
     }
 
     ++stats_.retries;
     sim::SimTime delay = backoffDelay(flight_id, flight.attempts);
-    if (delay == sim::SimTime()) {
-        // No backoff configured: recover synchronously (the legacy
-        // injectFailure -> recover ordering).
-        retryAttempt(flight_id);
-        return;
-    }
     telemetry::SpanId retry_span = telemetry::kNoSpan;
     if (telemetry::Tracer *t = server_.sim().tracer()) {
         retry_span = t->begin("offload.retry",
@@ -618,89 +636,44 @@ OffloadManager::failFlight(uint64_t flight_id)
     server_.sim().after(delay, [this, flight_id, era, retry_span] {
         if (telemetry::Tracer *t = server_.sim().tracer())
             t->end(retry_span);
-        auto it = flights_.find(flight_id);
-        if (it == flights_.end() || it->second.attempts != era)
-            return;
-        retryAttempt(flight_id);
+        if (InFlight *flight = live(flight_id, era))
+            retryAttempt(flight_id, *flight);
     });
 }
 
 void
-OffloadManager::retryAttempt(uint64_t flight_id)
+OffloadManager::retryAttempt(uint64_t flight_id, InFlight &flight)
 {
-    auto it = flights_.find(flight_id);
-    if (it == flights_.end())
-        return;
-    InFlight &flight = it->second;
     uint32_t era = flight.attempts;
-    armDeadline(flight_id);
-    telemetry::Tracer *t = server_.sim().tracer();
+    armDeadline(flight_id, flight);
     // Recovery boot parents under the flight span.
-    telemetry::ScopedContext sc(t,
+    telemetry::ScopedContext sc(server_.sim().tracer(),
                                 {flight.trace_request, flight.span});
     platform_.acquire(
         [this, flight_id, era](cloud::FunctionInstance &inst) {
-            auto it = flights_.find(flight_id);
-            if (it == flights_.end() ||
-                it->second.attempts != era) {
+            InFlight *flight = live(flight_id, era);
+            if (!flight) {
                 platform_.release(inst);
                 return;
             }
-            InFlight &flight = it->second;
-            flight.instance = &inst;
-            BeeHiveFunction &fn = functionOf(inst);
-            vm::MethodId root = flight.root;
-            const Closure &closure = closureFor(root);
-            InstallResult install = fn.install(closure);
-            sim::SimTime transfer = server_.network().oneWay(
-                server_.endpoint(), fn.node(), install.bytes);
-            server_.sim().after(transfer, [this, flight_id, &inst,
-                                           root, era] {
-                auto it = flights_.find(flight_id);
-                if (it == flights_.end() ||
-                    it->second.attempts != era)
-                    return;
-                InFlight &flight = it->second;
-                BeeHiveFunction &fn = functionOf(inst);
-                telemetry::ScopedContext sc(
-                    server_.sim().tracer(),
-                    {flight.trace_request, flight.span});
-                auto done = [this, flight_id](
-                                Value result,
-                                const RequestTrace &trace) {
-                    finishFlight(flight_id, result, trace);
-                };
-                maybeScheduleInvokeCrash(flight_id);
-                if (flight.had_snapshot) {
-                    // Resume from the last synchronization point;
-                    // the write sequence continues from the
-                    // snapshot so idempotency keys line up.
-                    fn.resume(root, flight.snapshot, flight.shadow,
-                              done, /*request_key=*/flight_id,
-                              flight.snapshot_seq);
-                } else {
-                    // Full re-execution of the invocation; the
-                    // exactly-once guard suppresses writes the
-                    // failed attempt already applied.
-                    fn.invoke(root, flight.args, flight.shadow,
-                              done, /*request_key=*/flight_id);
-                }
+            flight->instance = &inst;
+            sim::SimTime transfer =
+                installClosure(functionOf(inst), flight->root);
+            server_.sim().after(transfer, [this, flight_id, era] {
+                if (InFlight *flight = live(flight_id, era))
+                    launch(flight_id, *flight);
             });
         },
         [this, flight_id, era](cloud::BootFailure) {
-            onBootFailure(flight_id, era);
+            if (InFlight *flight = live(flight_id, era))
+                failFlight(flight_id, *flight, stats_.boot_failures);
         });
 }
 
 void
 OffloadManager::localFallback(uint64_t flight_id)
 {
-    auto it = flights_.find(flight_id);
-    if (it == flights_.end())
-        return;
-    InFlight flight = std::move(it->second);
-    flights_.erase(it);
-    --active_offloads_;
+    InFlight flight = retire(flight_id);
     telemetry::Tracer *t = server_.sim().tracer();
     if (flight.shadow) {
         // The user was served by the local leg long ago; a shadow
@@ -716,61 +689,38 @@ OffloadManager::localFallback(uint64_t flight_id)
     // already applied.
     ++stats_.local_fallbacks;
     ++stats_.local;
-    DoneCb user_done = std::move(flight.done);
-    if (t && flight.span != telemetry::kNoSpan) {
-        telemetry::SpanId span = flight.span;
-        user_done = [t, span, inner = std::move(user_done)](Value v) {
-            t->end(span);
-            inner(v);
-        };
-    }
     telemetry::ScopedContext sc(t,
                                 {flight.trace_request, flight.span});
     server_.handleLocal(flight.root, std::move(flight.args),
-                        std::move(user_done),
+                        endingSpan(t, flight.span,
+                                   std::move(flight.done)),
                         /*suppress_offload=*/true,
                         /*request_key=*/flight_id);
 }
 
 void
-OffloadManager::onBootFailure(uint64_t flight_id, uint32_t era)
-{
-    auto it = flights_.find(flight_id);
-    if (it == flights_.end() || it->second.attempts != era)
-        return;
-    ++stats_.boot_failures;
-    failFlight(flight_id);
-}
-
-void
-OffloadManager::armDeadline(uint64_t flight_id)
+OffloadManager::armDeadline(uint64_t flight_id, InFlight &flight)
 {
     const BeeHiveConfig &cfg = server_.config();
     if (cfg.offload_deadline == sim::SimTime())
         return;
-    auto it = flights_.find(flight_id);
-    bh_assert(it != flights_.end(), "armDeadline on unknown flight");
-    InFlight &flight = it->second;
     uint32_t era = flight.attempts;
     flight.deadline_event = server_.sim().after(
         cfg.offload_deadline, [this, flight_id, era] {
-            auto it = flights_.find(flight_id);
-            if (it == flights_.end() || it->second.attempts != era)
-                return;
-            it->second.deadline_armed = false;
-            ++stats_.deadline_expirations;
-            failFlight(flight_id);
+            if (InFlight *flight = live(flight_id, era)) {
+                flight->deadline_event = 0;
+                failFlight(flight_id, *flight,
+                           stats_.deadline_expirations);
+            }
         });
-    flight.deadline_armed = true;
 }
 
 void
 OffloadManager::cancelDeadline(InFlight &flight)
 {
-    if (!flight.deadline_armed)
-        return;
+    // Cancelling event id 0 (none armed) is a no-op.
     server_.sim().cancel(flight.deadline_event);
-    flight.deadline_armed = false;
+    flight.deadline_event = 0;
 }
 
 sim::SimTime
@@ -778,12 +728,9 @@ OffloadManager::backoffDelay(uint64_t flight_id,
                              uint32_t attempt) const
 {
     sim::SimTime delay = server_.config().retry_backoff_base;
-    if (delay == sim::SimTime())
-        return delay;
     for (uint32_t i = 1; i < attempt && delay < kRetryBackoffMax; ++i)
         delay = delay * 2.0;
-    if (kRetryBackoffMax < delay)
-        delay = kRetryBackoffMax;
+    delay = std::min(delay, kRetryBackoffMax);
     // Deterministic jitter: a mix64-derived fraction of (flight,
     // attempt) decorrelates retry storms without consuming any
     // generator state.
@@ -791,22 +738,6 @@ OffloadManager::backoffDelay(uint64_t flight_id,
         static_cast<double>(mix64(flight_id, attempt) >> 11) *
         (1.0 / 9007199254740992.0);
     return delay * (1.0 + kRetryJitter * frac);
-}
-
-void
-OffloadManager::releaseFailedInstance(InFlight &flight)
-{
-    cloud::FunctionInstance *inst = flight.instance;
-    uint32_t threshold = server_.config().breaker_threshold;
-    if (threshold != 0 && ++strikes_[inst] >= threshold) {
-        // Struck out: eject the instance from the pool entirely
-        // instead of recycling a likely-unhealthy VM.
-        strikes_.erase(inst);
-        ++stats_.breaker_ejections;
-        platform_.destroy(*inst);
-        return;
-    }
-    platform_.release(*inst);
 }
 
 void
@@ -819,11 +750,8 @@ OffloadManager::noteOutcome(bool ok)
         outcome_window_.pop_front();
     if (outcome_window_.size() < kDegradeWindow)
         return;
-    std::size_t errors = 0;
-    for (bool b : outcome_window_) {
-        if (!b)
-            ++errors;
-    }
+    auto errors = static_cast<std::size_t>(std::count(
+        outcome_window_.begin(), outcome_window_.end(), false));
     double rate = static_cast<double>(errors) /
                   static_cast<double>(outcome_window_.size());
     if (rate >= kDegradeErrorThreshold) {
@@ -839,27 +767,17 @@ OffloadManager::noteOutcome(bool ok)
 }
 
 void
-OffloadManager::maybeScheduleInvokeCrash(uint64_t flight_id)
+OffloadManager::maybeScheduleInvokeCrash(uint64_t flight_id,
+                                         uint32_t era)
 {
-    if (!chaos_ || !chaos_->enabled())
+    if (!chaos_ || !chaos_->enabled() || !chaos_->crashInvocation())
         return;
-    if (!chaos_->crashInvocation())
-        return;
-    auto it = flights_.find(flight_id);
-    if (it == flights_.end())
-        return;
-    uint32_t era = it->second.attempts;
     server_.sim().after(
         chaos_->invocationCrashDelay(), [this, flight_id, era] {
-            auto it = flights_.find(flight_id);
-            if (it == flights_.end() || it->second.attempts != era)
-                return;
-            InFlight &flight = it->second;
-            if (!flight.instance || !flight.instance->runtime_state)
-                return;
-            if (!functionOf(*flight.instance).busy())
-                return;
-            killFlight(flight_id);
+            InFlight *flight = live(flight_id, era);
+            if (BeeHiveFunction *fn =
+                    flight ? busyFunction(*flight) : nullptr)
+                killFlight(flight_id, *flight, *fn);
         });
 }
 

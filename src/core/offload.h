@@ -17,27 +17,30 @@
  * users. Warmed instances serve real offloaded requests.
  *
  * Failure recovery (Section 4.5): with recovery enabled, functions
- * snapshot their stack at each synchronization point; when an
- * instance is killed mid-invocation the manager reruns the request
- * on a fresh instance, resuming from the snapshot when one exists.
+ * snapshot their stack at each synchronization point; a failed
+ * attempt reruns on a fresh instance, resuming from its snapshot
+ * when it has one. Every flight goes through one lifecycle: each
+ * continuation finds it through live() by attempt era, launch()
+ * starts every attempt and retire() ends the flight. Its failure
+ * handling (the fault-injection plane rides on it):
  *
- * End-to-end failure handling (the fault-injection plane rides on
- * these mechanisms; all of them are off by default and
- * byte-identical-off):
- *
- *   - per-flight invocation deadlines (config.offload_deadline):
- *     an attempt that has not completed by the deadline is aborted
- *     and retried or re-executed locally;
- *   - bounded retries with capped exponential backoff and
- *     deterministic jitter (config.offload_max_retries /
- *     retry_backoff_*); exhausting the budget falls back to a
+ *   - bounded retries (config.offload_max_retries, default 6) with
+ *     capped exponential backoff (retry_backoff_base, 5 ms) and
+ *     deterministic jitter; exhausting the budget falls back to a
  *     suppressed local execution, so no request is ever dropped;
  *   - exactly-once: every offloaded attempt keys its database
  *     writes with (flight id, write seq) idempotency keys, so a
  *     retry or local fallback never double-applies a write;
- *   - a per-instance circuit breaker (config.breaker_threshold):
- *     instances accumulating failure strikes are ejected from the
- *     pool instead of being recycled;
+ *   - a per-instance circuit breaker (config.breaker_threshold, 3):
+ *     instances failing that many attempts in a row are ejected
+ *     from the pool instead of being recycled.
+ *
+ * None of the three has an "off" value: the constructor rejects 0.
+ * Off by default, and changing no output while off:
+ *
+ *   - per-flight invocation deadlines (config.offload_deadline):
+ *     an attempt that has not completed by the deadline is aborted
+ *     and retried or re-executed locally;
  *   - graceful degradation (config.graceful_degradation): a
  *     sliding window of attempt outcomes halves the effective
  *     offload ratio on error-rate spikes and doubles it back on
@@ -48,7 +51,6 @@
 #define BEEHIVE_CORE_OFFLOAD_H
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -115,18 +117,6 @@ class OffloadManager
     /// @{
     /** Set the fraction of requests sent to FaaS (0 disables). */
     void setOffloadRatio(double ratio);
-    double offloadRatio() const { return ratio_; }
-
-    /**
-     * The ratio actually applied to offload decisions: the
-     * configured ratio scaled by the degradation factor. Bitwise
-     * equal to offloadRatio() while no degradation is active.
-     */
-    double effectiveRatio() const
-    {
-        return degrade_factor_ >= 1.0 ? ratio_
-                                      : ratio_ * degrade_factor_;
-    }
 
     /** Current graceful-degradation factor in (0, 1]. */
     double degradeFactor() const { return degrade_factor_; }
@@ -151,16 +141,9 @@ class OffloadManager
     vm::OffloadClass classification(vm::MethodId root) const;
 
     /**
-     * Main entry: serve one request, locally or offloaded per the
-     * current ratio.
-     */
-    void handleRequest(vm::MethodId root, std::vector<vm::Value> args,
-                       DoneCb done);
-
-    /**
-     * Kill the function currently running @p victim_index-th
-     * in-flight offloaded invocation (failure injection). The
-     * request is recovered on a fresh instance.
+     * Kill the function of the oldest in-flight offloaded
+     * invocation that is running (failure injection). The request
+     * is recovered on a fresh instance.
      *
      * @retval false when no in-flight offloaded invocation exists.
      */
@@ -198,7 +181,6 @@ class OffloadManager
     /** The closure built for @p root (closure metrics; may build). */
     const Closure &closureFor(vm::MethodId root);
 
-    BeeHiveServer &server() { return server_; }
     cloud::FaasPlatform &platform() { return platform_; }
 
   private:
@@ -225,15 +207,14 @@ class OffloadManager
         /**
          * Failed attempts so far. Doubles as the attempt *era*:
          * every asynchronous continuation of an attempt captures
-         * the era it was dispatched under and bails out when the
-         * flight has since failed over to a newer attempt, so
-         * stale boot/transfer/crash callbacks can never dispatch
-         * on a flight that already moved on.
+         * the era it was dispatched under and finds the flight
+         * through live(), so stale boot/transfer/crash callbacks
+         * can never dispatch on a flight that already moved on.
          */
         uint32_t attempts = 0;
-        /** Armed per-attempt deadline (cancelled on completion). */
+        /** Armed per-attempt deadline; 0 when none is armed (live
+         * event ids are never 0). */
         sim::EventId deadline_event = 0;
-        bool deadline_armed = false;
         /** Recovery state captured when the serving instance died. */
         bool had_snapshot = false;
         std::vector<vm::Frame> snapshot;
@@ -256,14 +237,26 @@ class OffloadManager
      */
     void shadowLocalLeg(InFlight &flight, vm::MethodId root);
 
-    /** OffloadCall dispatch from a server-side interpreter. */
-    void dispatchOffloadCall(vm::MethodId root,
-                             std::vector<vm::Value> args, DoneCb done);
+    /** Run the first attempt once the flight's instance is up. */
+    void dispatchOn(uint64_t flight_id, InFlight &flight);
 
-    /** Run the invocation once the instance + closure are ready. */
-    void dispatchOn(cloud::FunctionInstance &inst, uint64_t flight_id);
+    /** Start an attempt on the flight's instance: resume from the
+     * captured snapshot, if any, else invoke afresh. */
+    void launch(uint64_t flight_id, InFlight &flight);
+
+    /** Install @p root's closure; returns the transfer time. */
+    sim::SimTime installClosure(BeeHiveFunction &fn, vm::MethodId root);
+
+    /** The flight while attempt @p era is current, else nullptr. */
+    InFlight *live(uint64_t flight_id, uint32_t era);
+
+    /** Remove the flight, cancel its deadline, free its slot. */
+    InFlight retire(uint64_t flight_id);
 
     BeeHiveFunction &functionOf(cloud::FunctionInstance &inst);
+
+    /** The function mid-invocation for @p flight, or nullptr. */
+    BeeHiveFunction *busyFunction(const InFlight &flight);
 
     void finishFlight(uint64_t flight_id, vm::Value result,
                       const RequestTrace &trace);
@@ -271,32 +264,35 @@ class OffloadManager
     /** @name Failure handling */
     /// @{
     /**
-     * Kill the instance serving @p flight_id mid-invocation
+     * Kill @p fn, which is serving @p flight_id mid-invocation
      * (failure injection / chaos crash), capturing recovery state,
      * then fail the attempt.
      */
-    void killFlight(uint64_t flight_id);
+    void killFlight(uint64_t flight_id, InFlight &flight,
+                    BeeHiveFunction &fn);
+
+    /** Copy the serving function's snapshot if this flight took it. */
+    bool captureSnapshot(uint64_t flight_id, InFlight &flight);
 
     /**
      * One attempt of @p flight_id failed (deadline, boot failure,
-     * kill; the caller counts the cause). Tears the attempt down,
-     * applies the circuit breaker and degradation bookkeeping, and
+     * kill), counted in @p cause. Tears the attempt down,
+     * strikes a surviving instance (ejecting it at the breaker
+     * threshold, else recycling it), notes the outcome, and
      * either schedules a retry (after backoff) or falls back to
      * local execution.
      */
-    void failFlight(uint64_t flight_id);
+    void failFlight(uint64_t flight_id, InFlight &flight,
+                    uint64_t &cause);
 
     /** Re-dispatch a failed flight on a fresh instance. */
-    void retryAttempt(uint64_t flight_id);
+    void retryAttempt(uint64_t flight_id, InFlight &flight);
 
     /** Retry budget exhausted: serve the request locally (real
      * flights) or abandon it (shadows). */
     void localFallback(uint64_t flight_id);
 
-    /** A boot crash or throttle failed attempt @p era. */
-    void onBootFailure(uint64_t flight_id, uint32_t era);
-
-    void armDeadline(uint64_t flight_id);
+    void armDeadline(uint64_t flight_id, InFlight &flight);
     void cancelDeadline(InFlight &flight);
 
     /** Backoff before retry attempt @p attempt: capped exponential
@@ -304,16 +300,12 @@ class OffloadManager
     sim::SimTime backoffDelay(uint64_t flight_id,
                               uint32_t attempt) const;
 
-    /** Circuit breaker: strike the failed instance; eject it at
-     * the threshold, otherwise recycle it into the warm pool. */
-    void releaseFailedInstance(InFlight &flight);
-
     /** Feed the graceful-degradation window (no-op when off). */
     void noteOutcome(bool ok);
 
-    /** Chaos: maybe schedule a mid-invocation crash of the attempt
-     * that is being dispatched right now. */
-    void maybeScheduleInvokeCrash(uint64_t flight_id);
+    /** Chaos: maybe schedule a mid-invocation crash of attempt
+     * @p era, which is being dispatched right now. */
+    void maybeScheduleInvokeCrash(uint64_t flight_id, uint32_t era);
     /// @}
 
     BeeHiveServer &server_;

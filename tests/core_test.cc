@@ -14,6 +14,7 @@
 #include "core/external.h"
 #include "core/function.h"
 #include "core/mapping.h"
+#include "core/offload.h"
 #include "core/server.h"
 #include "core/sync.h"
 #include "db/record_store.h"
@@ -777,6 +778,27 @@ TEST_F(CoreTest, ServerRejectsProgramWithVerifierError)
     b.popv().pushI(0).ret();
     b.build();
     EXPECT_DEATH(makeServer(), "rejected with 1 error\\(s\\)");
+}
+
+TEST_F(CoreTest, OffloadManagerRejectsLegacyZeroRetryPolicy)
+{
+    // 0 once meant unlimited retries, synchronous recovery and no
+    // circuit breaker. Those meanings are gone: a config that still
+    // says 0 is rejected instead of silently reinterpreted.
+    cloud::FaasPlatform platform(sim, net, cloud::openWhiskProfile());
+    for (int field = 0; field < 3; ++field) {
+        SCOPED_TRACE(field);
+        BeeHiveConfig cfg;
+        if (field == 0)
+            cfg.offload_max_retries = 0;
+        else if (field == 1)
+            cfg.retry_backoff_base = sim::SimTime();
+        else
+            cfg.breaker_threshold = 0;
+        makeServer(cfg);
+        EXPECT_DEATH(OffloadManager(*server, platform),
+                     "offload retry policy");
+    }
 }
 
 TEST_F(CoreTest, ServerGcKeepsMappingTableTargetsAlive)

@@ -326,6 +326,7 @@ struct DrillOutcome
     uint64_t epoch_before_gc = 0;
     uint64_t epoch_after_gc = 0;
     uint64_t stale_forecast = 0; //!< store's own stale count pre-burst
+    std::size_t traces_before_gc = 0; //!< traces of the first window
     uint64_t completed_first = 0;
     uint64_t completed_total = 0;
     std::vector<std::pair<vm::MethodId, core::RequestTrace>> traces;
@@ -364,6 +365,7 @@ runExpiryDrill(bool snapshot_on, bool gc_between)
     bed.sim().runUntil(t0 + SimTime::sec(8));
     out.completed_first = recorder.completed();
 
+    out.traces_before_gc = bed.manager()->traces().size();
     out.epoch_before_gc =
         bed.server().collector().totals().collections;
     if (gc_between)
@@ -433,25 +435,29 @@ TEST(SnapshotIntegrationTest, RestoreBootsPrefetchTheWorkingSet)
     EXPECT_GT(prefetched, 0u);
 }
 
-TEST(SnapshotIntegrationTest, StaleImageFallsBackThroughFetchPath)
+TEST(SnapshotIntegrationTest, ServerGcLeavesRecordedImagesFresh)
 {
     DrillOutcome out = runExpiryDrill(/*snapshot_on=*/true,
                                       /*gc_between=*/true);
     ASSERT_TRUE(out.has_store);
-    // The server collection invalidated semispace recordings...
+    // The server collection bumped the store's epoch...
     EXPECT_GT(out.epoch_after_gc, out.epoch_before_gc);
-    // ...but restore boots still happen and every request still
-    // completes: a stale image costs fetches, never correctness.
+    // ...and restore boots still happen and every request completes.
     ASSERT_GT(out.restore_boots, 0u);
     EXPECT_GT(out.completed_total, out.completed_first);
 
-    uint64_t stale_traced = 0;
-    for (const auto &[root, t] : out.traces)
-        stale_traced += t.stale_prefetches;
-    if (out.stale_forecast > 0) {
-        // The dropped entries must be surfaced in the traces.
-        EXPECT_GT(stale_traced, 0u);
-    }
+    // Every object the apps record lives in closure space, which a
+    // server collection never moves: the image stays fresh, so the
+    // store forecasts no stale entry and no restore boot after the
+    // collection drops one. This fails the day a recorded working
+    // set reaches the server semispace, and then the stale path
+    // needs a test of its own (the SnapshotStoreTest unit tests of
+    // isFresh cover the store alone).
+    EXPECT_EQ(out.stale_forecast, 0u);
+    ASSERT_LE(out.traces_before_gc, out.traces.size());
+    for (std::size_t i = out.traces_before_gc; i < out.traces.size();
+         ++i)
+        EXPECT_EQ(out.traces[i].second.stale_prefetches, 0u) << i;
 }
 
 TEST(SnapshotIntegrationTest, DisabledKnobNeverTakesRestorePath)
